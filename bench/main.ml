@@ -20,11 +20,6 @@ let dur s = s *. scale
 
 let seed = 42L
 
-(* All benchmark runs disable strict per-request validation: with honest
-   leaders the checks never fire, results are bit-identical (verified), and
-   runs are ~8x faster.  Tests exercise strict mode. *)
-let relax c = { c with Core.Config.strict_validation = false }
-
 let header title =
   Printf.printf "\n================================================================\n";
   Printf.printf "%s\n" title;
@@ -149,7 +144,7 @@ let fig6 () =
               let peak = E.saturation_estimate system ~n /. 1.2 in
               let rate = frac *. peak in
               let duration_s = dur (10.0 +. (float_of_int n /. 8.0)) in
-              let r = E.run ~tweak:relax ~system ~n ~rate ~duration_s ~seed () in
+              let r = E.run ~system ~n ~rate ~duration_s ~seed () in
               emit ~extra:[ ("load_fraction", Obs.Jsonx.Float frac) ] r;
               print_result r)
             fractions)
@@ -177,7 +172,7 @@ let fig7 () =
       List.iter
         (fun (pname, policy) ->
           let r =
-            E.run ~tweak:relax ~policy ~faults:[ fault ] ~system:(C.Iss Core.Config.PBFT) ~n:fault_n
+            E.run ~policy ~faults:[ fault ] ~system:(C.Iss Core.Config.PBFT) ~n:fault_n
               ~rate:fault_rate ~duration_s:(dur 35.0) ~seed ()
           in
           emit
@@ -200,7 +195,7 @@ let fig8 () =
       List.iter
         (fun (fault_name, faults) ->
           let r =
-            E.run ~tweak:relax ~faults ~system:(C.Iss Core.Config.PBFT) ~n:fault_n ~rate:fault_rate
+            E.run ~faults ~system:(C.Iss Core.Config.PBFT) ~n:fault_n ~rate:fault_rate
               ~duration_s:(dur duration_s) ~seed ()
           in
           emit ~extra:[ ("fault", Obs.Jsonx.String fault_name) ] r;
@@ -219,7 +214,7 @@ let fig9 () =
   List.iter
     (fun (fault_name, faults) ->
       let r =
-        E.run ~tweak:relax ~faults ~system:(C.Iss Core.Config.PBFT) ~n:fault_n ~rate:fault_rate
+        E.run ~faults ~system:(C.Iss Core.Config.PBFT) ~n:fault_n ~rate:fault_rate
           ~duration_s:(dur 45.0) ~seed ()
       in
       emit ~series:true ~extra:[ ("fault", Obs.Jsonx.String fault_name) ] r;
@@ -233,7 +228,7 @@ let fig10 () =
   (* Crash node 3: it becomes Mir epoch primary at epochs 3, 35, 67, ... so
      the recurring full-timeout stall appears early in the run. *)
   let r =
-    E.run ~tweak:relax ~faults:[ E.Crash_at (3, 0.0) ] ~system:C.Mir ~n:fault_n ~rate:fault_rate
+    E.run ~faults:[ E.Crash_at (3, 0.0) ] ~system:C.Mir ~n:fault_n ~rate:fault_rate
       ~duration_s:(dur 75.0) ~seed ()
   in
   emit ~series:true ~extra:[ ("fault", Obs.Jsonx.String "epoch-start-crash") ] r;
@@ -252,7 +247,7 @@ let fig11 () =
     (fun k ->
       let faults = List.init k (fun i -> E.Straggler (1 + i)) in
       let r =
-        E.run ~tweak:relax ~faults ~system:(C.Iss Core.Config.PBFT) ~n:fault_n ~rate:fault_rate
+        E.run ~faults ~system:(C.Iss Core.Config.PBFT) ~n:fault_n ~rate:fault_rate
           ~duration_s:(dur 40.0) ~seed ()
       in
       emit ~extra:[ ("stragglers", Obs.Jsonx.Int k) ] r;
@@ -264,7 +259,7 @@ let fig11 () =
 let fig12 () =
   header "Figure 12: ISS-PBFT throughput over time with one Byzantine straggler (n=32)";
   let r =
-    E.run ~tweak:relax ~faults:[ E.Straggler 1 ] ~system:(C.Iss Core.Config.PBFT) ~n:fault_n
+    E.run ~faults:[ E.Straggler 1 ] ~system:(C.Iss Core.Config.PBFT) ~n:fault_n
       ~rate:fault_rate ~duration_s:(dur 45.0) ~seed ()
   in
   emit ~series:true ~extra:[ ("stragglers", Obs.Jsonx.Int 1) ] r;
@@ -311,7 +306,7 @@ let ablations () =
   List.iter
     (fun timeout_ms ->
       let tweak c =
-        relax { c with Core.Config.min_batch_timeout = Sim.Time_ns.ms timeout_ms }
+        { c with Core.Config.min_batch_timeout = Sim.Time_ns.ms timeout_ms }
       in
       let r =
         E.run ~tweak ~system:(C.Iss Core.Config.Raft) ~n:16 ~rate:40_000.0 ~duration_s:(dur 20.0)
@@ -327,7 +322,7 @@ let ablations () =
      it raises the ceiling and the traffic)";
   List.iter
     (fun rate_bps ->
-      let tweak c = relax { c with Core.Config.batch_rate = Some rate_bps } in
+      let tweak c = { c with Core.Config.batch_rate = Some rate_bps } in
       let r =
         E.peak_throughput ~tweak ~system:(C.Iss Core.Config.PBFT) ~n:16 ~duration_s:(dur 15.0)
           ~seed ()
@@ -341,7 +336,7 @@ let ablations () =
      few buckets skew load)";
   List.iter
     (fun buckets ->
-      let tweak c = relax { c with Core.Config.buckets_per_leader = buckets } in
+      let tweak c = { c with Core.Config.buckets_per_leader = buckets } in
       let r =
         E.run ~tweak ~system:(C.Iss Core.Config.PBFT) ~n:16 ~rate:30_000.0
           ~duration_s:(dur 15.0) ~seed ()
@@ -353,7 +348,7 @@ let ablations () =
     "Ablation D: leader-set size under SIMPLE vs epoch length (the min-segment floor, §6.2)";
   List.iter
     (fun min_seg ->
-      let tweak c = relax { c with Core.Config.min_segment_size = min_seg } in
+      let tweak c = { c with Core.Config.min_segment_size = min_seg } in
       let r =
         E.run ~tweak ~system:(C.Iss Core.Config.PBFT) ~n:32 ~rate:30_000.0
           ~duration_s:(dur 20.0) ~seed ()
@@ -367,7 +362,7 @@ let ablations () =
   List.iter
     (fun (pname, policy) ->
       let r =
-        E.run ~tweak:relax ~policy ~faults:[ E.Straggler 1 ] ~system:(C.Iss Core.Config.PBFT)
+        E.run ~policy ~faults:[ E.Straggler 1 ] ~system:(C.Iss Core.Config.PBFT)
           ~n:32 ~rate:16_400.0 ~duration_s:(dur 60.0) ~seed ()
       in
       Printf.printf "%-16s tput=%8.0f req/s  mean lat=%6.2fs  p95=%6.2fs\n%!" pname

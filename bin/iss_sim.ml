@@ -301,12 +301,6 @@ let run_cmd =
       & info [ "fault"; "crash" ] ~docv:"FAULT"
           ~doc:"Fault to inject: <node>@<seconds>, <node>@end, or straggler:<node>.")
   in
-  let relaxed_arg =
-    Arg.(
-      value & flag
-      & info [ "relaxed" ]
-          ~doc:"Disable strict per-request validation (fast large benchmarks).")
-  in
   let scenario_arg =
     Arg.(
       value
@@ -321,14 +315,13 @@ let run_cmd =
                 invariant breaks."
                (String.concat ", " Runner.Faults.scenario_names)))
   in
-  let go system n rate duration seed policy faults scenario series relaxed trace_out
+  let go system n rate duration seed policy faults scenario series trace_out
       trace_sample metrics_out offered_load workload flow_control bucket_cap shed_policy
       retry_budget =
     let tweak c =
       let c =
         if Option.is_some offered_load then Runner.Experiment.overload_tweak () c else c
       in
-      let c = { c with Core.Config.strict_validation = not relaxed } in
       if not (flow_control || Option.is_some offered_load) then c
       else
         {
@@ -388,7 +381,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run one measurement experiment.")
     Term.(
       const go $ system_arg $ n_arg $ rate_arg $ duration_arg $ seed_arg $ policy_arg
-      $ faults_arg $ scenario_arg $ series_arg $ relaxed_arg $ trace_out_arg
+      $ faults_arg $ scenario_arg $ series_arg $ trace_out_arg
       $ trace_sample_arg $ metrics_out_arg $ offered_load_arg $ workload_arg
       $ flow_control_arg $ bucket_cap_arg $ shed_policy_arg $ retry_budget_arg)
 

@@ -8,13 +8,15 @@
    construction), kept in a small sorted side list that [cut]/[peek] merge
    by sequence number. *)
 
+module Key_tbl = Proto.Request.Key_tbl
+
 type slot = { s_seq : int; mutable s_req : Proto.Request.t option }
 
 type t = {
   mutable buf : slot array;
   mutable head : int;  (* logical index of the oldest live slot *)
   mutable tail : int;  (* logical index one past the newest *)
-  by_id : (int, slot) Hashtbl.t;  (* id key -> slot (buffer or resurrected) *)
+  by_id : slot Key_tbl.t;  (* id key -> slot (buffer or resurrected) *)
   mutable resurrected : (int * slot) list;  (* sorted ascending by seq *)
   mutable count : int;
   mutable last_seq : int;
@@ -31,7 +33,7 @@ let create () =
     buf = Array.make initial_capacity { s_seq = -1; s_req = None };
     head = 0;
     tail = 0;
-    by_id = Hashtbl.create 64;
+    by_id = Key_tbl.create 64;
     resurrected = [];
     count = 0;
     last_seq = min_int;
@@ -43,7 +45,7 @@ let length t = t.count
 let is_empty t = t.count = 0
 let total_added t = t.total_added
 let max_occupancy t = t.max_count
-let mem t id = Hashtbl.mem t.by_id (Proto.Request.id_key id)
+let mem t id = Key_tbl.mem t.by_id (Proto.Request.id_key id)
 
 let capacity t = Array.length t.buf
 
@@ -84,7 +86,7 @@ let insert_resurrected t seq slot =
 
 let add t ~seq (r : Proto.Request.t) =
   let key = Proto.Request.id_key r.id in
-  if Hashtbl.mem t.by_id key then false
+  if Key_tbl.mem t.by_id key then false
   else begin
     let slot = { s_seq = seq; s_req = Some r } in
     if seq > t.last_seq then begin
@@ -94,7 +96,7 @@ let add t ~seq (r : Proto.Request.t) =
       t.last_seq <- seq
     end
     else insert_resurrected t seq slot;
-    Hashtbl.replace t.by_id key slot;
+    Key_tbl.replace t.by_id key slot;
     t.count <- t.count + 1;
     t.total_added <- t.total_added + 1;
     if t.count > t.max_count then t.max_count <- t.count;
@@ -103,12 +105,12 @@ let add t ~seq (r : Proto.Request.t) =
 
 let remove t id =
   let key = Proto.Request.id_key id in
-  match Hashtbl.find_opt t.by_id key with
+  match Key_tbl.find_opt t.by_id key with
   | None -> None
   | Some slot ->
       let r = slot.s_req in
       slot.s_req <- None;
-      Hashtbl.remove t.by_id key;
+      Key_tbl.remove t.by_id key;
       t.count <- t.count - 1;
       t.resurrected <- List.filter (fun (_, s) -> s.s_req <> None) t.resurrected;
       trim t;
@@ -134,7 +136,7 @@ let pop_oldest t =
       match slot.s_req with
       | Some r ->
           slot.s_req <- None;
-          Hashtbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
+          Key_tbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
           t.count <- t.count - 1;
           Some r
       | None -> None (* trim guarantees live, but stay safe *)
@@ -149,7 +151,7 @@ let pop_oldest t =
         match slot.s_req with
         | Some r ->
             slot.s_req <- None;
-            Hashtbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
+            Key_tbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
             t.count <- t.count - 1;
             Some r
         | None -> from_buf ()
@@ -187,7 +189,7 @@ let clear t =
   t.head <- 0;
   t.tail <- 0;
   t.buf <- Array.make initial_capacity { s_seq = -1; s_req = None };
-  Hashtbl.reset t.by_id;
+  Key_tbl.reset t.by_id;
   t.resurrected <- [];
   t.count <- 0
 

@@ -27,7 +27,6 @@ type t = {
   backoff_ban_period : int;
   backoff_decrease : int;
   cpu_parallelism : int;
-  strict_validation : bool;
   log_retention_epochs : int;
   flow_control : bool;
   bucket_capacity : int;
@@ -62,7 +61,6 @@ let base ~n ~protocol =
     backoff_ban_period = 4;
     backoff_decrease = 1;
     cpu_parallelism = 32;
-    strict_validation = true;
     log_retention_epochs = 4;
     flow_control = false;
     bucket_capacity = 4096;

@@ -55,13 +55,6 @@ type t = {
   cpu_parallelism : int;
       (** effective cores for crypto work (the paper's nodes shard signature
           verification over 32 VCPUs) *)
-  strict_validation : bool;
-      (** When true (default), followers run the full per-request §4.2
-          acceptance checks on every proposal.  Large fault-free benchmark
-          runs disable it: with honest leaders the checks never fire, and
-          skipping them removes the dominant per-request simulation cost
-          (the {e simulated} CPU cost of verification is charged either
-          way). *)
   log_retention_epochs : int;
       (** How many epochs of committed log entries a node keeps below its
           newest stable checkpoint before GC prunes them ({!Log.prune}).

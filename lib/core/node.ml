@@ -1,5 +1,6 @@
 module Time_ns = Sim.Time_ns
 module Engine = Sim.Engine
+module Key_tbl = Proto.Request.Key_tbl
 
 type orderer_factory = Orderer_intf.ctx -> Segment.t -> Orderer_intf.instance
 
@@ -44,9 +45,9 @@ type t = {
   threshold_group : Iss_crypto.Threshold.group;
   log : Log.t;
   buckets : Bucket_queue.t array;
-  arrival_seq : (int, int) Hashtbl.t;  (* request id key -> arrival order *)
+  arrival_seq : int Key_tbl.t;  (* request id key -> arrival order *)
   mutable arrival_counter : int;
-  seen_proposed : (int, int) Hashtbl.t;  (* id key -> sn accepted this epoch *)
+  seen_proposed : int Key_tbl.t;  (* id key -> sn accepted this epoch, until committed *)
   proposed : (int, Proto.Batch.t) Hashtbl.t;  (* sn -> batch I proposed *)
   watermarks : Watermarks.t;
   policy : Leader_policy.t;
@@ -242,20 +243,6 @@ let epoch_of_instance t instance = instance / t.config.Config.n
 (* ------------------------------------------------------------------ *)
 (* Request intake (§3.7) *)
 
-let request_acceptable t (r : Proto.Request.t) =
-  (* Duplicate suppression for retransmitting clients: refuse copies of
-     requests already committed (watermarks) and copies of requests already
-     accepted into an in-flight proposal this epoch (seen_proposed) — a
-     retransmission re-entering the queues while the original sits in an
-     undecided batch would make this node cut it into a second batch, which
-     honest followers must then reject wholesale. *)
-  (not (Watermarks.delivered t.watermarks r.id))
-  && (not (Hashtbl.mem t.seen_proposed (Proto.Request.id_key r.id)))
-  && ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
-  (* Relaxed mode (large benchmarks) skips only the watermark-window
-     back-pressure check; the dedup above stays on in both modes. *)
-  && ((not t.config.Config.strict_validation) || Watermarks.valid t.watermarks r.id)
-
 (* Flow-control pushback: count it, notify the harness hook.  The wire-level
    Busy reply is sent by whoever wired the node to real clients (the node
    itself has no channel back to the modeled workload). *)
@@ -287,48 +274,57 @@ let admit_request t q (r : Proto.Request.t) =
       true
 
 let rec submit t (r : Proto.Request.t) =
-  if t.halted then ()
-  else if Watermarks.delivered t.watermarks r.id then begin
-    (* A retransmission of a request this node already delivered: §4.3 has
-       the replica answer it from its reply cache, or the client could
-       starve when every original reply was lost in transit. *)
-    match t.hooks.on_duplicate with Some f -> f t r | None -> ()
-  end
-  else if request_acceptable t r then begin
-    let key = Proto.Request.id_key r.id in
-    let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
-    let q = t.buckets.(bucket) in
-    if admit_request t q r then begin
-      let seq =
-        match Hashtbl.find_opt t.arrival_seq key with
-        | Some s -> s  (* retransmission: keep the original arrival order *)
-        | None ->
-            let s = t.arrival_counter in
-            t.arrival_counter <- s + 1;
-            Hashtbl.replace t.arrival_seq key s;
-            s
-      in
-      if Bucket_queue.add q ~seq r then begin
-        trace_event t Obs.Tracer.Enqueue r;
-        if t.config.Config.client_signatures then
-          charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
-        if t.config.Config.flow_control then begin
-          (* Watermark backpressure: warn the client before shedding starts,
-             with a hint that grows as the bucket fills. *)
-          let occ = Bucket_queue.length q in
-          let cap = t.config.Config.bucket_capacity in
-          if float_of_int occ >= t.config.Config.pushback_watermark *. float_of_int cap
-          then
-            note_pushback t r
-              ~retry_after:(max 1 (t.config.Config.pushback_hint * occ / cap))
-              ~shed:false
-        end;
-        match t.bucket_batcher.(bucket) with
-        | Some b -> try_cut t b
-        | None -> ()
-      end
-    end
-  end
+  if not t.halted then
+    match Watermarks.status t.watermarks r.id with
+    | Watermarks.Delivered -> (
+        (* A retransmission of a request this node already delivered: §4.3
+           has the replica answer it from its reply cache, or the client
+           could starve when every original reply was lost in transit. *)
+        match t.hooks.on_duplicate with Some f -> f t r | None -> ())
+    | Watermarks.Outside_window -> ()
+    | Watermarks.Fresh ->
+        (* Also refuse copies of requests already accepted into an in-flight
+           proposal this epoch (seen_proposed): a retransmission re-entering
+           the queues while the original sits in an undecided batch would
+           make this node cut it into a second batch, which honest followers
+           must then reject wholesale. *)
+        let key = Proto.Request.id_key r.id in
+        let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
+        let q = t.buckets.(bucket) in
+        if
+          (not (Key_tbl.mem t.seen_proposed key))
+          && ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
+          && admit_request t q r
+        then begin
+          let seq =
+            match Key_tbl.find_opt t.arrival_seq key with
+            | Some s -> s  (* retransmission: keep the original arrival order *)
+            | None ->
+                let s = t.arrival_counter in
+                t.arrival_counter <- s + 1;
+                Key_tbl.replace t.arrival_seq key s;
+                s
+          in
+          if Bucket_queue.add q ~seq r then begin
+            trace_event t Obs.Tracer.Enqueue r;
+            if t.config.Config.client_signatures then
+              charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
+            if t.config.Config.flow_control then begin
+              (* Watermark backpressure: warn the client before shedding
+                 starts, with a hint that grows as the bucket fills. *)
+              let occ = Bucket_queue.length q in
+              let cap = t.config.Config.bucket_capacity in
+              if float_of_int occ >= t.config.Config.pushback_watermark *. float_of_int cap
+              then
+                note_pushback t r
+                  ~retry_after:(max 1 (t.config.Config.pushback_hint * occ / cap))
+                  ~shed:false
+            end;
+            match t.bucket_batcher.(bucket) with
+            | Some b -> try_cut t b
+            | None -> ()
+          end
+        end
 
 (* ------------------------------------------------------------------ *)
 (* Batching: the propose() logic of Algorithm 2 plus the paper's
@@ -398,7 +394,7 @@ and try_cut t (b : batcher) =
       b.last_cut <- now;
       Hashtbl.replace t.proposed sn batch;
       Proto.Batch.iter
-        (fun r -> Hashtbl.replace t.seen_proposed (Proto.Request.id_key r.Proto.Request.id) sn)
+        (fun r -> Key_tbl.replace t.seen_proposed (Proto.Request.id_key r.Proto.Request.id) sn)
         batch;
       (match b.timer with
       | Some timer ->
@@ -443,10 +439,6 @@ let request_batch t (b : batcher) ~sn callback =
 let validate_proposal t (seg : Segment.t) ~sn proposal =
   match proposal with
   | Proto.Proposal.Nil -> Orderer_intf.Accept
-  | Proto.Proposal.Batch _ when not t.config.Config.strict_validation ->
-      (* Relaxed mode for large fault-free benchmarks: trust the leader; the
-         simulated verification CPU cost is still charged by the orderer. *)
-      Orderer_intf.Accept
   | Proto.Proposal.Batch batch ->
       (* O(1) bucket-ownership check: a bucket belongs to this segment iff
          the epoch's assignment maps it to the segment's leader.  Falls back
@@ -456,59 +448,46 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
           t.epoch.e_bucket_leaders.(bucket) = seg.Segment.leader
         else fun bucket -> Segment.owns_bucket seg bucket
       in
-      (* Single optimistic pass: check and record each request; honest
-         leaders never fail, so the rollback (un-recording what this call
-         added) only runs on actual violations.  Failures split into two
-         classes: a bad request signature or an out-of-bucket request is
+      let num_buckets = Config.num_buckets t.config in
+      let reqs = Proto.Batch.requests batch in
+      (* The first failing request decides the verdict.  Failures split into
+         two classes: a bad request signature or an out-of-bucket request is
          {e provable} misbehaviour (an honest leader cannot cut either), so
          the verdict is [Reject_malicious]; duplicate/stale/overflowing
          requests could come from an honest-but-lagging leader, so they stay
          a plain [Reject]. *)
-      let verdict = ref Orderer_intf.Accept in
-      let recorded = ref [] in
-      (try
-         Proto.Batch.iter
-           (fun (r : Proto.Request.t) ->
-             let key = Proto.Request.id_key r.id in
-             let bucket =
-               Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
-             in
-             let seen_ok =
-               match Hashtbl.find_opt t.seen_proposed key with
-               | Some sn' -> sn' = sn
-               | None ->
-                   Hashtbl.replace t.seen_proposed key sn;
-                   recorded := key :: !recorded;
-                   true
-             in
-             (* (a) request validity: a forged client signature proves the
-                leader fabricated or tampered with the request. *)
-             if t.config.Config.client_signatures && not (Proto.Request.signature_valid r)
-             then begin
-               verdict := Orderer_intf.Reject_malicious;
-               raise Exit
-             end;
-             (* (c) maps to one of the segment's buckets: §4.2 principle 3 —
-                a request outside the segment's buckets can only appear if
-                the leader ignored the epoch's bucket assignment. *)
-             if not (owns_bucket bucket) then begin
-               verdict := Orderer_intf.Reject_malicious;
-               raise Exit
-             end;
-             if
-               (not seen_ok)
-               || not (Watermarks.valid t.watermarks r.id)
-               (* (b) not committed in an earlier epoch *)
-               || Watermarks.delivered t.watermarks r.id
-             then begin
-               verdict := Orderer_intf.Reject;
-               raise Exit
-             end)
-           batch
-       with Exit -> ());
-      if !verdict <> Orderer_intf.Accept then
-        List.iter (Hashtbl.remove t.seen_proposed) !recorded;
-      !verdict
+      let rec check i =
+        if i = Array.length reqs then Orderer_intf.Accept
+        else begin
+          let r = reqs.(i) in
+          if
+            (* (a) request validity: a forged client signature proves the
+               leader fabricated or tampered with the request. *)
+            (t.config.Config.client_signatures && not (Proto.Request.signature_valid r))
+            (* (c) maps to one of the segment's buckets: §4.2 principle 3 —
+               a request outside the segment's buckets can only appear if
+               the leader ignored the epoch's bucket assignment. *)
+            || not (owns_bucket (Proto.Request.bucket_of_id ~num_buckets r.id))
+          then Orderer_intf.Reject_malicious
+          else if
+            (* not proposed at another sn this epoch; inside the client's
+               watermark window and (b) not committed in an earlier epoch *)
+            (match Key_tbl.find_opt t.seen_proposed (Proto.Request.id_key r.id) with
+            | Some sn' -> sn' <> sn
+            | None -> false)
+            || Watermarks.status t.watermarks r.id <> Watermarks.Fresh
+          then Orderer_intf.Reject
+          else check (i + 1)
+        end
+      in
+      (* Record only an accepted batch, so a rejection leaves no trace. *)
+      let verdict = check 0 in
+      if verdict = Orderer_intf.Accept then
+        Array.iter
+          (fun (r : Proto.Request.t) ->
+            Key_tbl.replace t.seen_proposed (Proto.Request.id_key r.id) sn)
+          reqs;
+      verdict
 
 (* ------------------------------------------------------------------ *)
 (* Commit path: SB-DELIVER -> log -> delivery -> epoch advancement *)
@@ -525,7 +504,7 @@ let resurrect t (batch : Proto.Batch.t) =
            aborted batch returns while the bucket has refilled. *)
         if admit_request t q r then begin
           let seq =
-            match Hashtbl.find_opt t.arrival_seq key with Some s -> s | None -> t.arrival_counter
+            match Key_tbl.find_opt t.arrival_seq key with Some s -> s | None -> t.arrival_counter
           in
           Bucket_queue.resurrect q ~seq r;
           match t.bucket_batcher.(bucket) with Some b -> try_cut t b | None -> ()
@@ -544,30 +523,17 @@ let rec process_commit t ~sn proposal ~resurrectable =
     | _ -> ());
     (match proposal with
     | Proto.Proposal.Batch batch ->
-        let strict = t.config.Config.strict_validation in
+        let num_buckets = Config.num_buckets t.config in
         Proto.Batch.iter
           (fun (r : Proto.Request.t) ->
-            if strict then begin
-              Watermarks.note_delivered t.watermarks r.id;
-              Hashtbl.remove t.arrival_seq (Proto.Request.id_key r.id);
-              let bucket =
-                Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
-              in
-              ignore (Bucket_queue.remove t.buckets.(bucket) r.id)
-            end
-            else begin
-              (* Relaxed: record delivery (cheap ring bitmap — this is what
-                 rejects re-submitted copies of committed requests) and
-                 evict the request if this node holds it; non-holders pay
-                 one hash probe. *)
-              Watermarks.note_delivered t.watermarks r.id;
-              let bucket =
-                Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id
-              in
-              match Bucket_queue.remove t.buckets.(bucket) r.id with
-              | Some _ -> Hashtbl.remove t.arrival_seq (Proto.Request.id_key r.id)
-              | None -> ()
-            end)
+            (* From here on the watermarks refuse the request, so
+               seen_proposed need only hold undecided ones. *)
+            Watermarks.note_delivered t.watermarks r.id;
+            let key = Proto.Request.id_key r.id in
+            Key_tbl.remove t.seen_proposed key;
+            Key_tbl.remove t.arrival_seq key;
+            let bucket = Proto.Request.bucket_of_id ~num_buckets r.id in
+            ignore (Bucket_queue.remove t.buckets.(bucket) r.id))
           batch
     | Proto.Proposal.Nil -> (
         (* If I proposed a batch for this position and ⊥ was delivered
@@ -698,7 +664,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
         ~epoch ~leaders
     in
     Hashtbl.replace t.epoch_bounds epoch (start_sn, len);
-    Hashtbl.reset t.seen_proposed;
+    Key_tbl.reset t.seen_proposed;
     (* Some positions may already be committed (state transfer outran the
        epoch machinery); count only the genuinely open ones. *)
     let remaining = ref 0 in
@@ -1074,8 +1040,8 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
     Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
     Hashtbl.reset t.orderers;
     Hashtbl.reset t.proposed;
-    Hashtbl.reset t.seen_proposed;
-    Hashtbl.reset t.arrival_seq;
+    Key_tbl.reset t.seen_proposed;
+    Key_tbl.reset t.arrival_seq;
     Array.iter Bucket_queue.clear t.buckets;
     let stale_epochs =
       Hashtbl.fold
@@ -1161,9 +1127,9 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(min n ((2 * f) + 1));
       log = Log.create ();
       buckets = Array.init num_buckets (fun _ -> Bucket_queue.create ());
-      arrival_seq = Hashtbl.create 65536;
+      arrival_seq = Key_tbl.create 65536;
       arrival_counter = 0;
-      seen_proposed = Hashtbl.create 65536;
+      seen_proposed = Key_tbl.create 65536;
       proposed = Hashtbl.create 64;
       watermarks = Watermarks.create ~window:config.Config.client_watermark_window;
       policy = Leader_policy.create config;

@@ -50,7 +50,8 @@ type ctx = {
           committed requests, bucket membership.  Recording is included: an
           [Accept] result registers the batch's requests as proposed at [sn],
           so re-validation of the same (sn, batch) stays [Accept] while a
-          different sn with the same requests becomes a rejection.  A
+          different sn with the same requests becomes a rejection; a
+          rejected batch records nothing.  A
           [Reject_malicious] verdict means the proposal proves its sender
           faulty; orderers react by demanding a leader change eagerly
           instead of waiting out their timers. *)

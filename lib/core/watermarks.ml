@@ -13,23 +13,27 @@
    below the floor read as delivered, which only risks suppressing a
    duplicate proposal attempt — never a double delivery. *)
 
+module Key_tbl = Proto.Request.Key_tbl
+
 type client_state = {
   mutable floor : int;
   bits : Bytes.t;  (* ring bitmap over [floor, floor + capacity) *)
 }
 
-type t = { window : int; capacity : int; clients : (int, client_state) Hashtbl.t }
+type t = { window : int; capacity : int; clients : client_state Key_tbl.t }
 
 let create ~window =
   assert (window > 0);
-  { window; capacity = 4 * window; clients = Hashtbl.create 64 }
+  { window; capacity = 4 * window; clients = Key_tbl.create 64 }
 
+(* [find], not [find_opt]: a client is missing once per node, and the hit
+   then allocates nothing. *)
 let state t client =
-  match Hashtbl.find_opt t.clients client with
-  | Some s -> s
-  | None ->
+  match Key_tbl.find t.clients client with
+  | s -> s
+  | exception Not_found ->
       let s = { floor = 0; bits = Bytes.make ((t.capacity + 7) / 8) '\000' } in
-      Hashtbl.replace t.clients client s;
+      Key_tbl.replace t.clients client s;
       s
 
 let get_bit t s ts =
@@ -42,10 +46,6 @@ let set_bit t s ts v =
   let mask = 1 lsl (i land 7) in
   let byte = if v then byte lor mask else byte land lnot mask in
   Bytes.unsafe_set s.bits (i lsr 3) (Char.unsafe_chr byte)
-
-let valid t (id : Proto.Request.id) =
-  let s = state t id.client in
-  id.ts >= s.floor && id.ts < s.floor + t.window
 
 let note_delivered t (id : Proto.Request.id) =
   let s = state t id.client in
@@ -87,11 +87,20 @@ let note_delivered t (id : Proto.Request.id) =
       done
     end
 
+let is_delivered t s ts = ts < s.floor || (ts < s.floor + t.capacity && get_bit t s ts)
+
 let delivered t (id : Proto.Request.id) =
-  match Hashtbl.find_opt t.clients id.client with
+  match Key_tbl.find_opt t.clients id.client with
   | None -> false
-  | Some s ->
-      id.ts < s.floor || (id.ts < s.floor + t.capacity && get_bit t s id.ts)
+  | Some s -> is_delivered t s id.ts
+
+type status = Fresh | Delivered | Outside_window
+
+let status t (id : Proto.Request.id) =
+  let s = state t id.client in
+  if is_delivered t s id.ts then Delivered
+  else if id.ts < s.floor + t.window then Fresh
+  else Outside_window
 
 let floor t client = (state t client).floor
 let window t = t.window

@@ -14,9 +14,6 @@ type t
 
 val create : window:int -> t
 
-val valid : t -> Proto.Request.id -> bool
-(** [floor <= ts < floor + window] for the request's client. *)
-
 val note_delivered : t -> Proto.Request.id -> unit
 (** Record a delivered timestamp; advances the client's floor past every
     contiguously delivered prefix. *)
@@ -27,6 +24,15 @@ val delivered : t -> Proto.Request.id -> bool
     the committed-request check for deduplication: the structure stores the
     complete delivery history in O(clients + out-of-order window) memory
     instead of one entry per request ever committed. *)
+
+type status =
+  | Fresh  (** [floor <= ts < floor + window] and not delivered *)
+  | Delivered  (** what {!delivered} answers [true] for *)
+  | Outside_window  (** not delivered, and at or beyond [floor + window] *)
+
+val status : t -> Proto.Request.id -> status
+(** The window check and {!delivered} in one client lookup: the per-request
+    intake and validation check.  Only [Fresh] requests are acceptable. *)
 
 val floor : t -> Proto.Ids.client_id -> int
 val window : t -> int

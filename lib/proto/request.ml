@@ -36,6 +36,19 @@ let compare_id a b =
 
 let id_key id = (id.client lsl 31) lor (id.ts land 0x7FFFFFFF)
 
+module Key_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  (* The table indexes by the hash's low bits, and [id_key]'s low bits are
+     the timestamp alone: multiply to spread every key bit upwards, then
+     fold the high half back down. *)
+  let hash k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
+end)
+
 let bucket_of_id ~num_buckets id =
   assert (num_buckets > 0);
   (* Multiplicative mixing of (c ‖ t); the constant is the 32-bit golden

@@ -53,6 +53,12 @@ val id_key : id -> int
 (** Injective packing of an id into one int (for hashtables); supports
     clients < 2^31 and timestamps < 2^31. *)
 
+module Key_tbl : Hashtbl.S with type key = int
+(** Hashtable keyed by {!id_key} (or by a bare client id).  Monomorphic:
+    hashing and key comparison are inline integer arithmetic instead of the
+    polymorphic [Stdlib.Hashtbl]'s generic C calls, which matters on the
+    per-request intake, validation and commit paths that every node runs. *)
+
 val bucket_of_id : num_buckets:int -> id -> int
 (** The paper's request-to-bucket map (§3.7): a uniform hash of
     [c ‖ t] — payload excluded so malicious clients cannot bias the

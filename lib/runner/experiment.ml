@@ -130,10 +130,6 @@ let saturation_estimate system ~n =
 let peak_throughput ?engine ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~duration_s
     ~seed () =
   let rate = saturation_estimate system ~n in
-  (* Peak runs are fault-free with honest leaders and non-retransmitting
-     modeled clients; relaxed validation skips per-request bookkeeping that
-     cannot fire (see Config.strict_validation). *)
-  let tweak c = { (tweak c) with Core.Config.strict_validation = false } in
   run ?engine ~tweak ?tracer ?registry ~system ~n ~rate ~duration_s ~seed ()
 
 let pp_result fmt r =
@@ -206,7 +202,6 @@ let overload_tweak ?(capacity = 64) ?(policy = Core.Config.Reject_new) () c =
     flow_control = true;
     bucket_capacity = capacity;
     shed_policy = policy;
-    strict_validation = true;
   }
 
 let overload_ceiling = 32.0 *. 64.0

@@ -187,10 +187,10 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
       ignore
         (Engine.schedule engine ~delay:(prop + queue) (fun () ->
              (* Re-check on arrival: a resubmitted request may have been
-                delivered while this copy was in flight.  In relaxed mode
-                the node skips its own duplicate filtering, so this check
-                is what keeps resubmission from re-ordering delivered
-                requests. *)
+                delivered while this copy was in flight.  A node that has
+                delivered it refuses the copy on its own (watermarks); this
+                check also keeps the copy out of a node that has not caught
+                up yet.  It reads cluster-wide state no real client has. *)
              if not (resubmit && Cluster.request_delivered cluster r) then
                Core.Node.submit nodes.(dst) r))
     end

@@ -3,9 +3,7 @@ type level = Debug | Info | Warn
 type sink = { min_level : level; write : at:Time_ns.t -> level:level -> string -> unit }
 
 (* The single installation point: protocol code only ever consults this one
-   reference.  The obs subsystem (lib/obs) provides sink constructors; the
-   legacy set_enabled/set_level/with_capture API below installs equivalent
-   sinks so existing callers and tests are unaffected. *)
+   reference.  The obs subsystem (lib/obs) provides sink constructors. *)
 let current : sink option ref = ref None
 
 let set_sink s = current := s
@@ -32,27 +30,3 @@ let buffer_sink buf ~min_level =
         Buffer.add_string buf (format_line ~at msg);
         Buffer.add_char buf '\n');
   }
-
-(* ------------------------------------------------------------------ *)
-(* Legacy shim *)
-
-let shim_level = ref Info
-
-let set_level l =
-  shim_level := l;
-  match !current with Some s -> current := Some { s with min_level = l } | None -> ()
-
-let set_enabled b = current := (if b then Some (stderr_sink ~min_level:!shim_level) else None)
-
-let with_capture f =
-  let buf = Buffer.create 256 in
-  let saved = !current in
-  current := Some (buffer_sink buf ~min_level:!shim_level);
-  let finish () = current := saved in
-  match f () with
-  | v ->
-      finish ();
-      (v, Buffer.contents buf)
-  | exception e ->
-      finish ();
-      raise e

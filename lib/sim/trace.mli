@@ -28,20 +28,3 @@ val buffer_sink : Buffer.t -> min_level:level -> sink
 val emit : Engine.t -> level -> ('a, Format.formatter, unit) format -> 'a
 (** [emit engine lvl fmt ...] formats and hands the line to the installed
     sink when one is present at [lvl] or below; otherwise free. *)
-
-(** {2 Legacy shim}
-
-    The pre-obs global-toggle API, preserved for existing callers and
-    tests; implemented by installing the equivalent sink. *)
-
-val set_enabled : bool -> unit
-(** [true] installs {!stderr_sink} at the last {!set_level}; [false]
-    removes the sink. *)
-
-val set_level : level -> unit
-(** Remembers the level for future {!set_enabled}/{!with_capture} and
-    re-levels the currently installed sink, if any. *)
-
-val with_capture : (unit -> 'a) -> 'a * string
-(** Runs the thunk with a {!buffer_sink} installed; returns the result and
-    the captured trace text.  Restores the previously installed sink. *)

@@ -486,13 +486,14 @@ let test_log_jump () =
 let test_watermarks_window () =
   let w = Core.Watermarks.create ~window:4 in
   let id ts = { Proto.Request.client = 9; ts } in
-  check_bool "ts 0 valid" true (Core.Watermarks.valid w (id 0));
-  check_bool "ts 3 valid" true (Core.Watermarks.valid w (id 3));
-  check_bool "ts 4 too far" false (Core.Watermarks.valid w (id 4));
+  let valid w id = Core.Watermarks.status w id = Core.Watermarks.Fresh in
+  check_bool "ts 0 valid" true (valid w (id 0));
+  check_bool "ts 3 valid" true (valid w (id 3));
+  check_bool "ts 4 too far" false (valid w (id 4));
   Core.Watermarks.note_delivered w (id 0);
   check_int "floor advanced" 1 (Core.Watermarks.floor w 9);
-  check_bool "ts 4 now valid" true (Core.Watermarks.valid w (id 4));
-  check_bool "ts 0 now below window" false (Core.Watermarks.valid w (id 0))
+  check_bool "ts 4 now valid" true (valid w (id 4));
+  check_bool "ts 0 now below window" false (valid w (id 0))
 
 let test_watermarks_out_of_order () =
   let w = Core.Watermarks.create ~window:8 in
@@ -586,6 +587,84 @@ let prop_watermarks_overflow_no_false_positive =
               !ok)
             [ 0; 1; 2 ])
         ops)
+
+(* ------------------------------------------------------------------ *)
+(* Proposal validation (§4.2 principle 3)
+
+   The follower-side checks, called the way an orderer calls them: through
+   the [validate_proposal] of the ctx the node hands its orderer factory.
+   The orderers themselves are idle stand-ins, so nothing but the calls
+   below touches the node. *)
+
+module Idle_orderer = struct
+  type t = unit
+
+  let create _ _ = ()
+  let start () = ()
+  let on_message () ~src:_ _ = ()
+  let stop () = ()
+end
+
+let test_validate_proposal_verdicts () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let num_buckets = Core.Config.num_buckets config in
+  let ctxs = ref [] in
+  let orderer_factory ctx seg =
+    ctxs := (ctx, seg) :: !ctxs;
+    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+  in
+  let node =
+    Core.Node.create ~config ~id:0 ~engine:(Sim.Engine.create ())
+      ~send:(fun ~dst:_ _ -> ())
+      ~orderer_factory ()
+  in
+  Core.Node.start node;
+  (* Node 0 validating leader 1's segment, whose sequence numbers are
+     1, 5, 9, ... *)
+  let ctx, seg = List.find (fun (_, s) -> s.Core.Segment.leader = 1) !ctxs in
+  let sn k = seg.Core.Segment.seq_nrs.(k) in
+  (* The first request of [client] from timestamp [from] on whose bucket the
+     segment owns (or, with [~in_seg:false], does not own). *)
+  let pick ?(in_seg = true) ~client from =
+    let rec go ts =
+      let bucket = Proto.Request.bucket_of_id ~num_buckets { Proto.Request.client; ts } in
+      if Core.Segment.owns_bucket seg bucket = in_seg then req ~client ~ts else go (ts + 1)
+    in
+    go from
+  in
+  let batch reqs = Proto.Proposal.Batch (Proto.Batch.make (Array.of_list reqs)) in
+  let verdict =
+    Alcotest.testable
+      (fun fmt v ->
+        Format.pp_print_string fmt
+          (match v with
+          | Core.Orderer_intf.Accept -> "Accept"
+          | Core.Orderer_intf.Reject -> "Reject"
+          | Core.Orderer_intf.Reject_malicious -> "Reject_malicious"))
+      ( = )
+  in
+  let expect msg v ~sn:s reqs =
+    Alcotest.check verdict msg v (ctx.Core.Orderer_intf.validate_proposal seg ~sn:s (batch reqs))
+  in
+  let a = pick ~client:1 0 and b = pick ~client:2 0 in
+  expect "fresh batch" Core.Orderer_intf.Accept ~sn:(sn 1) [ a; b ];
+  expect "same batch, same sn" Core.Orderer_intf.Accept ~sn:(sn 1) [ a; b ];
+  let c = pick ~client:3 0 in
+  expect "overlap at another sn" Core.Orderer_intf.Reject ~sn:(sn 2) [ c; b ];
+  let far = pick ~client:4 config.Core.Config.client_watermark_window in
+  expect "outside the watermark window" Core.Orderer_intf.Reject ~sn:(sn 3) [ far ];
+  let delivered = pick ~client:5 0 in
+  ctx.Core.Orderer_intf.announce ~sn:0 (batch [ delivered ]);
+  expect "already delivered" Core.Orderer_intf.Reject ~sn:(sn 3) [ delivered ];
+  let stray = pick ~in_seg:false ~client:6 0 in
+  expect "out of the segment's buckets" Core.Orderer_intf.Reject_malicious ~sn:(sn 3) [ c; stray ];
+  (* Neither rejection left [c] recorded: it is accepted at yet another sn. *)
+  let d = pick ~client:7 0 in
+  expect "rejected batches leave no residue" Core.Orderer_intf.Accept ~sn:(sn 4) [ c; d ];
+  expect "a prefix before a late failure leaves no residue" Core.Orderer_intf.Reject ~sn:(sn 5)
+    [ pick ~client:8 0; far ];
+  expect "... so its clean request is accepted elsewhere" Core.Orderer_intf.Accept ~sn:(sn 6)
+    [ pick ~client:8 0 ]
 
 (* ------------------------------------------------------------------ *)
 (* Config *)
@@ -694,6 +773,8 @@ let () =
           qc prop_watermarks_overflow_no_duplicate;
           qc prop_watermarks_overflow_no_false_positive;
         ] );
+      ( "validation",
+        [ Alcotest.test_case "proposal verdicts" `Quick test_validate_proposal_verdicts ] );
       ( "config",
         [
           Alcotest.test_case "validation" `Quick test_config_validation;

@@ -537,12 +537,15 @@ let contains ~needle haystack =
 
 let test_trace_capture () =
   let e = Sim.Engine.create () in
-  let (), captured =
-    Sim.Trace.with_capture (fun () ->
-        Sim.Trace.set_level Sim.Trace.Info;
-        Sim.Trace.emit e Sim.Trace.Info "hello %d" 42;
-        Sim.Trace.emit e Sim.Trace.Debug "hidden %s" "debug")
-  in
+  let buf = Buffer.create 256 in
+  let saved = Sim.Trace.sink () in
+  Sim.Trace.set_sink (Some (Sim.Trace.buffer_sink buf ~min_level:Sim.Trace.Info));
+  Fun.protect
+    ~finally:(fun () -> Sim.Trace.set_sink saved)
+    (fun () ->
+      Sim.Trace.emit e Sim.Trace.Info "hello %d" 42;
+      Sim.Trace.emit e Sim.Trace.Debug "hidden %s" "debug");
+  let captured = Buffer.contents buf in
   check_bool "info captured" true (contains ~needle:"hello 42" captured);
   check_bool "below-level suppressed" false (contains ~needle:"hidden" captured)
 
