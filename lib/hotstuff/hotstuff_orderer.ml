@@ -10,6 +10,7 @@ module Orderer = struct
     seg : Core.Segment.t;
     n : int;
     quorum : int;
+    genesis_parent : Hash.t;  (* parent digest of the instance's first node *)
     chain : (string, Msg.chain_node) Hashtbl.t;  (* node digest (raw) -> node *)
     qcs : (int, Msg.qc) Hashtbl.t;  (* view -> QC *)
     shares : (int * string, (int, Iss_crypto.Threshold.share) Hashtbl.t) Hashtbl.t;
@@ -39,9 +40,6 @@ module Orderer = struct
     mutable sync_timer : Engine.timer_id option;  (* fetch retransmission *)
   }
 
-  let genesis_parent t =
-    Hash.of_string (Printf.sprintf "hs-genesis:%d" t.seg.Core.Segment.instance)
-
   let create ctx seg =
     let n = ctx.Core.Orderer_intf.config.Core.Config.n in
     {
@@ -49,6 +47,8 @@ module Orderer = struct
       seg;
       n;
       quorum = Proto.Ids.quorum ~n;
+      genesis_parent =
+        Hash.of_string (Printf.sprintf "hs-genesis:%d" seg.Core.Segment.instance);
       chain = Hashtbl.create 64;
       qcs = Hashtbl.create 64;
       shares = Hashtbl.create 16;
@@ -174,7 +174,7 @@ module Orderer = struct
      nothing on the branch is announced until it is whole. *)
   let rec decide_branch t (node : Msg.chain_node) =
     let ancestors_ok =
-      Hash.equal node.Msg.parent (genesis_parent t)
+      Hash.equal node.Msg.parent t.genesis_parent
       ||
       match Hashtbl.find_opt t.chain (Hash.raw node.Msg.parent) with
       | Some parent -> decide_branch t parent
@@ -193,10 +193,10 @@ module Orderer = struct
     end;
     ancestors_ok
 
-  let decide_or_suspend t (node : Msg.chain_node) =
-    if decide_branch t node then
-      Hashtbl.remove t.pending_decide (Hash.raw (Msg.node_digest node))
-    else Hashtbl.replace t.pending_decide (Hash.raw (Msg.node_digest node)) node
+  (* [raw] is the node's digest, known to every caller as its chain key. *)
+  let decide_or_suspend t ~raw (node : Msg.chain_node) =
+    if decide_branch t node then Hashtbl.remove t.pending_decide raw
+    else Hashtbl.replace t.pending_decide raw node
 
   (* Three-chain commit rule over consecutive views (paper Fig. 4). *)
   let try_decide t (qc : Msg.qc) =
@@ -207,7 +207,7 @@ module Orderer = struct
         | Some n1 when n1.Msg.view = n2.Msg.view - 1 && Hashtbl.mem t.qcs n1.Msg.view -> (
             match Hashtbl.find_opt t.chain (Hash.raw n1.Msg.parent) with
             | Some n0 when n0.Msg.view = n1.Msg.view - 1 && Hashtbl.mem t.qcs n0.Msg.view ->
-                decide_or_suspend t n0
+                decide_or_suspend t ~raw:(Hash.raw n1.Msg.parent) n0
             | Some _ | None -> ())
         | Some _ | None -> ())
 
@@ -223,17 +223,18 @@ module Orderer = struct
 
   (* ---- Leader side ---------------------------------------------------- *)
 
+  let send_proposal t (node : Msg.chain_node) =
+    let digest = Msg.node_digest node in
+    Hashtbl.replace t.chain (Hash.raw digest) node;
+    t.last_proposed <- Some (node.Msg.view, digest);
+    broadcast_hs t (Msg.Proposal_msg node)
+
   (* Note: proposing must NOT stop when [done_ t] — the leader typically
      decides the whole segment while replicas still need the trailing dummy
      proposals to learn the final QCs (the pipeline flush of Fig. 4). *)
   let rec propose_next t ~view ~parent ~justify =
     if t.active && t.i_am_leader then begin
-      let make_and_send sn proposal =
-        let node = { Msg.view; sn; parent; proposal; justify } in
-        Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-        t.last_proposed <- Some (view, Msg.node_digest node);
-        broadcast_hs t (Msg.Proposal_msg node)
-      in
+      let make_and_send sn proposal = send_proposal t { Msg.view; sn; parent; proposal; justify } in
       match t.to_propose with
       | sn :: rest ->
           t.to_propose <- rest;
@@ -318,7 +319,7 @@ module Orderer = struct
                Safe: a committed value implies 2f+1 replicas locked >= 0,
                and any QC for a genesis restart would need 2f+1 votes, which
                intersect them in a correct replica that refuses this arm. *)
-            Hash.equal node.Msg.parent (genesis_parent t) && t.locked_view < 0
+            Hash.equal node.Msg.parent t.genesis_parent && t.locked_view < 0
         | Some qc ->
             qc.Msg.qc_view < node.Msg.view
             && Hash.equal node.Msg.parent qc.Msg.qc_digest
@@ -350,9 +351,9 @@ module Orderer = struct
       let content_ok = content = Core.Orderer_intf.Accept in
       if justify_ok && content_ok then begin
         (match node.Msg.justify with Some qc -> register_qc t qc | None -> ());
-        Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-        t.last_voted_view <- node.Msg.view;
         let digest = Msg.node_digest node in
+        Hashtbl.replace t.chain (Hash.raw digest) node;
+        t.last_voted_view <- node.Msg.view;
         let material =
           Msg.vote_material ~instance:t.seg.Core.Segment.instance ~view:node.Msg.view digest
         in
@@ -427,7 +428,7 @@ module Orderer = struct
     let parent, justify =
       match t.high_qc with
       | Some qc -> (qc.Msg.qc_digest, Some qc)
-      | None -> (genesis_parent t, None)
+      | None -> (t.genesis_parent, None)
     in
     (* A rotated leader's first proposal may legitimately carry a justify
        that is not view-1; replicas accept it because the justify is their
@@ -489,17 +490,11 @@ module Orderer = struct
       match t.to_propose with
       | sn :: rest ->
           t.to_propose <- rest;
-          let node = { Msg.view; sn; parent; proposal = Proposal.Nil; justify } in
-          Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-          t.last_proposed <- Some (view, Msg.node_digest node);
-          broadcast_hs t (Msg.Proposal_msg node)
+          send_proposal t { Msg.view; sn; parent; proposal = Proposal.Nil; justify }
       | [] ->
           if t.dummies_left > 0 then begin
             t.dummies_left <- t.dummies_left - 1;
-            let node = { Msg.view; sn = -1; parent; proposal = Proposal.Nil; justify } in
-            Hashtbl.replace t.chain (Hash.raw (Msg.node_digest node)) node;
-            t.last_proposed <- Some (view, Msg.node_digest node);
-            broadcast_hs t (Msg.Proposal_msg node)
+            send_proposal t { Msg.view; sn = -1; parent; proposal = Proposal.Nil; justify }
           end
     end
 
@@ -512,7 +507,7 @@ module Orderer = struct
     arm_rec_timer t;
     if t.seg.Core.Segment.leader = me t then begin
       t.i_am_leader <- true;
-      propose_next t ~view:0 ~parent:(genesis_parent t) ~justify:None
+      propose_next t ~view:0 ~parent:t.genesis_parent ~justify:None
     end
 
   let on_message t ~src msg =
@@ -541,8 +536,8 @@ module Orderer = struct
               if Hashtbl.length t.missing = 0 then cancel_sync_timer t;
               (* Retry every suspended decide; branches still gapped re-add
                  themselves (and re-fetch the next missing ancestor). *)
-              let tips = Hashtbl.fold (fun _ n acc -> n :: acc) t.pending_decide [] in
-              List.iter (fun n -> decide_or_suspend t n) tips
+              let tips = Hashtbl.fold (fun raw n acc -> (raw, n) :: acc) t.pending_decide [] in
+              List.iter (fun (raw, n) -> decide_or_suspend t ~raw n) tips
             end
         | Msg.Fill_request { sns } ->
             List.iter

@@ -136,9 +136,16 @@ let digest s =
   update ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      let b = Char.code c in
+      Bytes.unsafe_set out (2 * i) hex_digits.[b lsr 4];
+      Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[b land 0xF])
+    s;
+  Bytes.unsafe_to_string out
 
 let digest_hex s = hex (digest s)

@@ -1,4 +1,13 @@
-type group = { n : int; t : int; group_secret : string }
+type group = {
+  n : int;
+  t : int;
+  group_secret : string;
+  share_secrets : string array;
+      (* signer -> its share secret, derived on first use ("" until then).
+         The derivation is deterministic, so deriving it once per group
+         keeps the host cost of a share independent of how often it is
+         signed or checked; the virtual cost is charged by the caller. *)
+}
 
 type share = { signer : int; proof : string }
 
@@ -8,13 +17,24 @@ let domain = "iss-sim-threshold-v1:"
 
 let setup ~n ~t =
   if t <= 0 || t > n then invalid_arg "Threshold.setup: need 0 < t <= n";
-  { n; t; group_secret = Sha256.digest (Printf.sprintf "%s%d/%d" domain t n) }
+  {
+    n;
+    t;
+    group_secret = Sha256.digest (Printf.sprintf "%s%d/%d" domain t n);
+    share_secrets = Array.make n "";
+  }
 
 let threshold g = g.t
 let parties g = g.n
 
 let share_secret g signer =
-  Sha256.digest (g.group_secret ^ "share:" ^ string_of_int signer)
+  let s = g.share_secrets.(signer) in
+  if s <> "" then s
+  else begin
+    let s = Sha256.digest (g.group_secret ^ "share:" ^ string_of_int signer) in
+    g.share_secrets.(signer) <- s;
+    s
+  end
 
 let sign_share g ~signer msg =
   if signer < 0 || signer >= g.n then invalid_arg "Threshold.sign_share: bad signer";

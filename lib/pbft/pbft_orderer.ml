@@ -7,8 +7,8 @@ module Orderer = struct
   type slot = {
     sn : int;
     mutable accepted : (int * Proposal.t) option;  (* (view, proposal) pre-prepared here *)
-    prepares : (int * int, Iss_crypto.Hash.t) Hashtbl.t;  (* (view, node) -> digest *)
-    commits : (int * int, Iss_crypto.Hash.t) Hashtbl.t;
+    prepares : Votes.t;
+    commits : Votes.t;
     mutable prepared : (int * Proposal.t) option;  (* highest view prepared cert *)
     mutable announced : bool;
     fills : (int, int * Proposal.t) Hashtbl.t;  (* src -> (view, committed value) *)
@@ -47,8 +47,8 @@ module Orderer = struct
           {
             sn;
             accepted = None;
-            prepares = Hashtbl.create 8;
-            commits = Hashtbl.create 8;
+            prepares = Votes.create ~n:t.n;
+            commits = Votes.create ~n:t.n;
             prepared = None;
             announced = false;
             fills = Hashtbl.create 1;
@@ -194,13 +194,7 @@ module Orderer = struct
        abandoned must not reach an announce quorum here while the rest of
        the cluster commits the new view's replacement value. *)
     | Some (view, proposal) when view = t.view && not s.announced ->
-        let digest = Proposal.digest proposal in
-        let commits =
-          Hashtbl.fold
-            (fun (v, _) d acc -> if v = view && Iss_crypto.Hash.equal d digest then acc + 1 else acc)
-            s.commits 0
-        in
-        if commits >= t.quorum then begin
+        if Votes.count s.commits ~view (Proposal.digest proposal) >= t.quorum then begin
           s.announced <- true;
           t.completed <- t.completed + 1;
           t.last_announce <- Engine.now t.ctx.Core.Orderer_intf.engine;
@@ -241,14 +235,9 @@ module Orderer = struct
     | Some (view, proposal)
       when view = t.view && (s.prepared = None || fst (Option.get s.prepared) < view) ->
         let digest = Proposal.digest proposal in
-        let prepares =
-          Hashtbl.fold
-            (fun (v, _) d acc -> if v = view && Iss_crypto.Hash.equal d digest then acc + 1 else acc)
-            s.prepares 0
-        in
-        if prepares >= t.quorum then begin
+        if Votes.count s.prepares ~view digest >= t.quorum then begin
           s.prepared <- Some (view, proposal);
-          Hashtbl.replace s.commits (view, t.ctx.Core.Orderer_intf.node) digest;
+          Votes.set s.commits ~view ~node:t.ctx.Core.Orderer_intf.node digest;
           broadcast_pbft t (Msg.Commit { view; sn = s.sn; digest });
           try_announce t s
         end
@@ -271,8 +260,8 @@ module Orderer = struct
         ->
           s.accepted <- Some (view, committed);
           let digest = Proposal.digest committed in
-          Hashtbl.replace s.prepares (view, t.ctx.Core.Orderer_intf.node) digest;
-          Hashtbl.replace s.commits (view, t.ctx.Core.Orderer_intf.node) digest;
+          Votes.set s.prepares ~view ~node:t.ctx.Core.Orderer_intf.node digest;
+          Votes.set s.commits ~view ~node:t.ctx.Core.Orderer_intf.node digest;
           broadcast_pbft t (Msg.Prepare { view; sn; digest });
           broadcast_pbft t (Msg.Commit { view; sn; digest })
       | Some _ | None -> ()
@@ -304,7 +293,7 @@ module Orderer = struct
             | Proposal.Batch _ | Proposal.Nil -> 0
           in
           let vote () =
-            Hashtbl.replace s.prepares (view, t.ctx.Core.Orderer_intf.node) digest;
+            Votes.set s.prepares ~view ~node:t.ctx.Core.Orderer_intf.node digest;
             broadcast_pbft t (Msg.Prepare { view; sn; digest });
             try_commit t s
           in
@@ -448,16 +437,10 @@ module Orderer = struct
               accept_preprepare t ~view ~sn proposal
         | Msg.Prepare { view; sn; digest } ->
             let s = slot t sn in
-            if not (Hashtbl.mem s.prepares (view, src)) then begin
-              Hashtbl.replace s.prepares (view, src) digest;
-              try_commit t s
-            end
+            if Votes.add s.prepares ~view ~node:src digest then try_commit t s
         | Msg.Commit { view; sn; digest } ->
             let s = slot t sn in
-            if not (Hashtbl.mem s.commits (view, src)) then begin
-              Hashtbl.replace s.commits (view, src) digest;
-              try_announce t s
-            end
+            if Votes.add s.commits ~view ~node:src digest then try_announce t s
         | Msg.View_change vc -> handle_view_change t ~src vc
         | Msg.New_view { view; view_changes; preprepares } ->
             if src = primary t view then process_new_view t ~view ~view_changes ~preprepares

@@ -69,6 +69,16 @@ let test_hash_basics () =
     (Iss_crypto.Hash.to_hex h)
     (Iss_crypto.Hash.to_hex (Iss_crypto.Hash.of_raw (Iss_crypto.Hash.raw h)))
 
+(* [Sha256.hex] feeds [Hash.short], hence the conformance fingerprints: it
+   must render every byte exactly as [Printf "%02x"] does. *)
+let test_hex_all_bytes () =
+  let all = String.init 256 Char.chr in
+  let reference =
+    String.concat "" (List.init 256 (fun b -> Printf.sprintf "%02x" b))
+  in
+  check_string "all 256 byte values" reference (Iss_crypto.Sha256.hex all);
+  check_string "empty" "" (Iss_crypto.Sha256.hex "")
+
 (* ------------------------------------------------------------------ *)
 (* Signatures *)
 
@@ -121,6 +131,32 @@ let test_threshold_share_verify () =
   check_bool "share verifies" true (Iss_crypto.Threshold.verify_share g ~signer:2 "m" s);
   check_bool "wrong signer" false (Iss_crypto.Threshold.verify_share g ~signer:1 "m" s);
   check_bool "wrong msg" false (Iss_crypto.Threshold.verify_share g ~signer:2 "x" s)
+
+(* Share secrets are memoized per group: once both groups have derived
+   signer 2's secret, each must still reject the other's share. *)
+let test_threshold_groups_isolated () =
+  let g1 = Iss_crypto.Threshold.setup ~n:4 ~t:3 in
+  let g2 = Iss_crypto.Threshold.setup ~n:7 ~t:5 in
+  let s1 = Iss_crypto.Threshold.sign_share g1 ~signer:2 "m" in
+  let s2 = Iss_crypto.Threshold.sign_share g2 ~signer:2 "m" in
+  check_bool "g1 share in g1" true (Iss_crypto.Threshold.verify_share g1 ~signer:2 "m" s1);
+  check_bool "g2 share in g2" true (Iss_crypto.Threshold.verify_share g2 ~signer:2 "m" s2);
+  check_bool "g1 share in g2" false (Iss_crypto.Threshold.verify_share g2 ~signer:2 "m" s1);
+  check_bool "g2 share in g1" false (Iss_crypto.Threshold.verify_share g1 ~signer:2 "m" s2);
+  check_bool "g1 share still in g1" true (Iss_crypto.Threshold.verify_share g1 ~signer:2 "m" s1)
+
+let test_threshold_signer_range () =
+  let g = Iss_crypto.Threshold.setup ~n:4 ~t:3 in
+  let s = Iss_crypto.Threshold.sign_share g ~signer:3 "m" in
+  check_bool "signer -1 rejected" false (Iss_crypto.Threshold.verify_share g ~signer:(-1) "m" s);
+  check_bool "signer n rejected" false (Iss_crypto.Threshold.verify_share g ~signer:4 "m" s);
+  List.iter
+    (fun signer ->
+      Alcotest.check_raises
+        (Printf.sprintf "sign_share signer %d" signer)
+        (Invalid_argument "Threshold.sign_share: bad signer")
+        (fun () -> ignore (Iss_crypto.Threshold.sign_share g ~signer "m")))
+    [ -1; 4 ]
 
 let test_threshold_setup_invalid () =
   Alcotest.check_raises "t > n rejected" (Invalid_argument "Threshold.setup: need 0 < t <= n")
@@ -183,7 +219,11 @@ let () =
           qc prop_sha_incremental;
           qc prop_sha_update_sub;
         ] );
-      ("hash", [ Alcotest.test_case "basics" `Quick test_hash_basics ]);
+      ( "hash",
+        [
+          Alcotest.test_case "basics" `Quick test_hash_basics;
+          Alcotest.test_case "hex of every byte" `Quick test_hex_all_bytes;
+        ] );
       ( "signature",
         [ Alcotest.test_case "verify/reject" `Quick test_signature_verify; qc prop_signature_roundtrip ]
       );
@@ -191,6 +231,8 @@ let () =
         [
           Alcotest.test_case "combine rules" `Quick test_threshold_combine;
           Alcotest.test_case "share verify" `Quick test_threshold_share_verify;
+          Alcotest.test_case "groups isolated" `Quick test_threshold_groups_isolated;
+          Alcotest.test_case "signer range" `Quick test_threshold_signer_range;
           Alcotest.test_case "invalid setup" `Quick test_threshold_setup_invalid;
         ] );
       ( "merkle",

@@ -226,6 +226,54 @@ let test_hotstuff_three_chain_flush () =
   let last_sn = seg.Core.Segment.seq_nrs.(Core.Segment.seq_count seg - 1) in
   check_bool "last sn decided (pipeline flushed)" true (List.mem_assoc last_sn anns)
 
+(* [Pbft.Votes] against the table it replaced: a [(view, node) -> digest]
+   map where a peer's first vote per view sticks ([add]) and a replica's own
+   vote may be overwritten ([set]), with quorum counts taken by a full
+   recount.  Out-of-range node ids must be ignored. *)
+let prop_pbft_votes_match_recount =
+  let n = 4 in
+  let digests = Array.init 3 Iss_crypto.Hash.of_int in
+  let op =
+    QCheck.(
+      quad bool (int_range 0 2) (int_range (-1) n) (int_range 0 (Array.length digests - 1)))
+  in
+  QCheck.Test.make ~name:"votes count = recount of the (view, node) table" ~count:300
+    (QCheck.list_of_size (QCheck.Gen.int_range 0 60) op)
+    (fun ops ->
+      let votes = Pbft.Votes.create ~n in
+      let model = ref [] in
+      let in_range node = node >= 0 && node < n in
+      let recount view d =
+        List.length
+          (List.filter
+             (fun ((v, _), d') -> v = view && Iss_crypto.Hash.equal d d')
+             !model)
+      in
+      List.for_all
+        (fun (own, view, node, di) ->
+          let d = digests.(di) in
+          let step_ok =
+            if own then begin
+              Pbft.Votes.set votes ~view ~node d;
+              if in_range node then
+                model := ((view, node), d) :: List.remove_assoc (view, node) !model;
+              true
+            end
+            else begin
+              let fresh = in_range node && not (List.mem_assoc (view, node) !model) in
+              if fresh then model := ((view, node), d) :: !model;
+              Pbft.Votes.add votes ~view ~node d = fresh
+            end
+          in
+          step_ok
+          && List.for_all
+               (fun view ->
+                 Array.for_all
+                   (fun d -> Pbft.Votes.count votes ~view d = recount view d)
+                   digests)
+               [ 0; 1; 2; 3 (* no vote is ever cast in view 3 *) ])
+        ops)
+
 let () =
   let factories =
     [
@@ -249,8 +297,10 @@ let () =
           (fun (name, f) -> Alcotest.test_case name `Slow (test_leader_dies_mid_segment f))
           factories );
       ( "pbft",
-        [ Alcotest.test_case "no commit without quorum" `Quick test_pbft_commit_quorum_needed ]
-      );
+        [
+          Alcotest.test_case "no commit without quorum" `Quick test_pbft_commit_quorum_needed;
+          QCheck_alcotest.to_alcotest prop_pbft_votes_match_recount;
+        ] );
       ( "raft",
         [
           Alcotest.test_case "commits with majority" `Quick test_raft_commit_majority;
