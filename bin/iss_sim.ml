@@ -8,41 +8,6 @@
 
 open Cmdliner
 
-(* Poor-man's sampling profiler: ISS_PROFILE=1 samples the call stack on a
-   virtual-time interval timer and dumps the hottest frames at exit.  Only
-   for development; OCaml 5 dropped gprof support. *)
-let setup_profiler () =
-  if Sys.getenv_opt "ISS_PROFILE" <> None then begin
-    let samples : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-    let total = ref 0 in
-    Sys.set_signal Sys.sigvtalrm
-      (Sys.Signal_handle
-         (fun _ ->
-           incr total;
-           let stack = Printexc.get_callstack 8 in
-           let slots = Printexc.backtrace_slots stack in
-           match slots with
-           | Some slots ->
-               Array.iteri
-                 (fun depth slot ->
-                   if depth = 1 then
-                     match Printexc.Slot.location slot with
-                     | Some loc ->
-                         let key = Printf.sprintf "%s:%d" loc.Printexc.filename loc.Printexc.line_number in
-                         Hashtbl.replace samples key
-                           (1 + Option.value ~default:0 (Hashtbl.find_opt samples key))
-                     | None -> ())
-                 slots
-           | None -> ()));
-    ignore
-      (Unix.setitimer Unix.ITIMER_VIRTUAL { Unix.it_interval = 0.001; it_value = 0.001 });
-    at_exit (fun () ->
-        let all = Hashtbl.fold (fun k v acc -> (k, v) :: acc) samples [] in
-        let all = List.sort (fun (_, a) (_, b) -> compare b a) all in
-        Printf.eprintf "--- profile: %d samples ---\n" !total;
-        List.iteri (fun i (k, v) -> if i < 30 then Printf.eprintf "%8d  %s\n" v k) all)
-  end
-
 let system_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -601,20 +566,12 @@ let bench_cmd =
 
 let config_cmd =
   let go system n =
-    let config =
-      match system with
-      | Runner.Cluster.Iss p -> Core.Config.default_for p ~n
-      | Runner.Cluster.Single p ->
-          { (Core.Config.default_for p ~n) with Core.Config.leader_policy = Core.Config.Fixed [ 0 ] }
-      | Runner.Cluster.Mir -> Core.Config.pbft_default ~n
-    in
-    Format.printf "%a@." Core.Config.pp config
+    Format.printf "%a@." Core.Config.pp (Runner.Cluster.config_of_system ~system ~n ())
   in
   Cmd.v (Cmd.info "config" ~doc:"Print the configuration a system would run with.")
     Term.(const go $ system_arg $ n_arg)
 
 let () =
-  setup_profiler ();
   let info = Cmd.info "iss_sim" ~doc:"ISS (Insanely Scalable SMR) simulator." in
   exit
     (Cmd.eval

@@ -32,18 +32,6 @@ let pp_failure fmt f =
   Format.fprintf fmt "[%s x %s] %s" (Scenario.name f.scenario)
     (Core.Config.protocol_name f.protocol) f.message
 
-(* Shortened epochs and tight timeouts (the chaos-test configuration): the
-   liveness grace period derives from these, so shrinking them shrinks every
-   conformance run. *)
-let fast c =
-  {
-    c with
-    Core.Config.min_epoch_length = 32;
-    min_segment_size = 4;
-    epoch_change_timeout = Time_ns.sec 4;
-    max_batch_timeout = (if c.Core.Config.max_batch_timeout = 0 then 0 else Time_ns.sec 1);
-  }
-
 (* Overload scenarios flip flow control on with buckets small enough that
    conformance-scale rates actually shed.  The shed policy comes from the
    scenario's [drop_oldest] draw. *)
@@ -157,8 +145,8 @@ let run_protocol ?(instrumented = true) (sc : Scenario.t) protocol :
       let registry = if instrumented then Some (Obs.Registry.create ()) else None in
       let tweak =
         match sc.Scenario.overload with
-        | None -> fast
-        | Some o -> fun c -> overload_tweak o (fast c)
+        | None -> Faults.fast
+        | Some o -> fun c -> overload_tweak o (Faults.fast c)
       in
       let cluster =
         Cluster.create ~engine ?tracer ?registry ~tweak ~system:(Cluster.Iss protocol)

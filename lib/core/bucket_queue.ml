@@ -1,216 +1,196 @@
-(* FIFO by arrival sequence with O(1) amortized add / remove / cut.
+(* A node's bucket FIFOs behind one id -> entry index.
 
-   The common path exploits that arrival sequence numbers are assigned from
-   a per-node counter, so [add]s arrive in increasing order: a growable
-   circular buffer holds the requests; removal by id tombstones the slot
-   through an id -> logical-position index.  The only out-of-order inserts
-   are resurrections (a request returned after an aborted proposal, rare by
-   construction), kept in a small sorted side list that [cut]/[peek] merge
-   by sequence number. *)
+   Arrival numbers come from one per-node counter, so first-time adds reach
+   a bucket in increasing order and go to the tail of a growable ring.  The
+   only out-of-order inserts are re-entries (a request returned after an
+   aborted proposal or a drop-oldest eviction, rare by construction), kept
+   in a small sorted side list that [front] merges by arrival number.
+
+   An entry is linked into one ring or side list from [link] until [pop]
+   unlinks it, or until a commit clears [queued] in place, drops the entry
+   from the index and leaves [trim] to skip the dead slot.  So an indexed
+   entry that is not queued is linked nowhere, and a re-entry re-links that
+   same entry. *)
 
 module Key_tbl = Proto.Request.Key_tbl
 
-type slot = { s_seq : int; mutable s_req : Proto.Request.t option }
+type entry = { mutable req : Proto.Request.t; seq : int; mutable queued : bool }
+
+type fifo = {
+  mutable ring : entry array;  (* capacity a power of two *)
+  mutable head : int;  (* logical index of the oldest slot *)
+  mutable tail : int;  (* logical index one past the newest *)
+  mutable behind : entry list;  (* re-entries, sorted ascending by seq *)
+  mutable count : int;  (* queued entries *)
+  mutable last_seq : int;  (* newest arrival number the ring has taken *)
+}
 
 type t = {
-  mutable buf : slot array;
-  mutable head : int;  (* logical index of the oldest live slot *)
-  mutable tail : int;  (* logical index one past the newest *)
-  by_id : slot Key_tbl.t;  (* id key -> slot (buffer or resurrected) *)
-  mutable resurrected : (int * slot) list;  (* sorted ascending by seq *)
-  mutable count : int;
-  mutable last_seq : int;
-  (* Observability counters (DESIGN.md §8): two int stores per add, read
-     only by metric snapshots. *)
+  num_buckets : int;
+  fifos : fifo array;
+  index : entry Key_tbl.t;  (* id key -> entry, from first arrival to commit *)
+  mutable next_seq : int;
+  mutable pending : int;
+  (* Observability counters (DESIGN.md §8), read only by metric
+     snapshots. *)
   mutable total_added : int;
-  mutable max_count : int;
+  mutable max_occupancy : int;
 }
 
 let initial_capacity = 64
 
-let create () =
+(* Fills empty ring slots; never queued, never indexed. *)
+let dummy =
+  { req = Proto.Request.make ~client:(-1) ~ts:0 ~submitted_at:0 (); seq = -1; queued = false }
+
+let create_ring () = Array.make initial_capacity dummy
+
+let create ~num_buckets =
   {
-    buf = Array.make initial_capacity { s_seq = -1; s_req = None };
-    head = 0;
-    tail = 0;
-    by_id = Key_tbl.create 64;
-    resurrected = [];
-    count = 0;
-    last_seq = min_int;
+    num_buckets;
+    fifos =
+      Array.init num_buckets (fun _ ->
+          {
+            ring = create_ring ();
+            head = 0;
+            tail = 0;
+            behind = [];
+            count = 0;
+            last_seq = min_int;
+          });
+    index = Key_tbl.create 65536;
+    next_seq = 0;
+    pending = 0;
     total_added = 0;
-    max_count = 0;
+    max_occupancy = 0;
   }
 
-let length t = t.count
-let is_empty t = t.count = 0
+let length t ~bucket = t.fifos.(bucket).count
+let pending t = t.pending
 let total_added t = t.total_added
-let max_occupancy t = t.max_count
-let mem t id = Key_tbl.mem t.by_id (Proto.Request.id_key id)
+let max_occupancy t = t.max_occupancy
 
-let capacity t = Array.length t.buf
+let queued t id =
+  match Key_tbl.find_opt t.index (Proto.Request.id_key id) with
+  | Some e -> e.queued
+  | None -> false
 
-let slot_at t logical = t.buf.(logical land (capacity t - 1))
+let fifo_of t (id : Proto.Request.id) =
+  t.fifos.(Proto.Request.bucket_of_id ~num_buckets:t.num_buckets id)
 
-let set_slot t logical s = t.buf.(logical land (capacity t - 1)) <- s
+let slot f logical = f.ring.(logical land (Array.length f.ring - 1))
 
-(* Drop leading tombstones so [head] points at a live slot (or reaches
-   [tail]). *)
-let rec trim t =
-  if t.head < t.tail then begin
-    let s = slot_at t t.head in
-    if s.s_req = None then begin
-      t.head <- t.head + 1;
-      trim t
-    end
-  end
-
-let grow t =
-  let old_cap = capacity t in
-  let live = t.tail - t.head in
-  if live = old_cap then begin
-    let ncap = old_cap * 2 in
-    let nbuf = Array.make ncap { s_seq = -1; s_req = None } in
-    for i = 0 to live - 1 do
-      nbuf.((t.head + i) land (ncap - 1)) <- slot_at t (t.head + i)
+let grow f =
+  let cap = Array.length f.ring in
+  if f.tail - f.head = cap then begin
+    let ring = Array.make (2 * cap) dummy in
+    for i = f.head to f.tail - 1 do
+      ring.(i land ((2 * cap) - 1)) <- slot f i
     done;
-    t.buf <- nbuf
+    f.ring <- ring
   end
 
-let insert_resurrected t seq slot =
-  let rec go = function
-    | [] -> [ (seq, slot) ]
-    | ((s, _) as hd) :: rest when s < seq -> hd :: go rest
-    | rest -> (seq, slot) :: rest
-  in
-  t.resurrected <- go t.resurrected
-
-let add t ~seq (r : Proto.Request.t) =
-  let key = Proto.Request.id_key r.id in
-  if Key_tbl.mem t.by_id key then false
+let link t f e =
+  if e.seq > f.last_seq then begin
+    grow f;
+    f.ring.(f.tail land (Array.length f.ring - 1)) <- e;
+    f.tail <- f.tail + 1;
+    f.last_seq <- e.seq
+  end
   else begin
-    let slot = { s_seq = seq; s_req = Some r } in
-    if seq > t.last_seq then begin
-      grow t;
-      set_slot t t.tail slot;
-      t.tail <- t.tail + 1;
-      t.last_seq <- seq
-    end
-    else insert_resurrected t seq slot;
-    Key_tbl.replace t.by_id key slot;
-    t.count <- t.count + 1;
-    t.total_added <- t.total_added + 1;
-    if t.count > t.max_count then t.max_count <- t.count;
-    true
+    let rec insert = function
+      | e' :: rest when e'.seq < e.seq -> e' :: insert rest
+      | rest -> e :: rest
+    in
+    f.behind <- insert f.behind
+  end;
+  e.queued <- true;
+  f.count <- f.count + 1;
+  t.pending <- t.pending + 1;
+  t.total_added <- t.total_added + 1;
+  if f.count > t.max_occupancy then t.max_occupancy <- f.count
+
+(* Queue [r] at its arrival number; a first-seen id takes [t.next_seq],
+   consuming it only when [consume]. *)
+let enter t (r : Proto.Request.t) ~consume =
+  let key = Proto.Request.id_key r.id in
+  match Key_tbl.find_opt t.index key with
+  | Some e when e.queued -> false
+  | Some e ->
+      e.req <- r;
+      link t (fifo_of t r.id) e;
+      true
+  | None ->
+      let e = { req = r; seq = t.next_seq; queued = false } in
+      if consume then t.next_seq <- t.next_seq + 1;
+      Key_tbl.add t.index key e;
+      link t (fifo_of t r.id) e;
+      true
+
+let add t r = enter t r ~consume:true
+let resurrect t r = ignore (enter t r ~consume:false)
+
+(* Skip dead slots at the front of the ring and the side list. *)
+let rec trim f =
+  if f.head < f.tail && not (slot f f.head).queued then begin
+    f.head <- f.head + 1;
+    trim f
   end
+  else
+    match f.behind with
+    | e :: rest when not e.queued ->
+        f.behind <- rest;
+        trim f
+    | _ -> ()
 
-let remove t id =
+(* The oldest queued entry, or [dummy] when the bucket is empty. *)
+let front f =
+  trim f;
+  let ring = if f.head < f.tail then slot f f.head else dummy in
+  match f.behind with
+  | e :: _ when ring == dummy || e.seq < ring.seq -> e
+  | _ -> ring
+
+let oldest_seq t ~bucket =
+  let e = front t.fifos.(bucket) in
+  if e == dummy then None else Some e.seq
+
+let pop t f =
+  let e = front f in
+  (match f.behind with
+  | e' :: rest when e' == e -> f.behind <- rest
+  | _ -> f.head <- f.head + 1);
+  e.queued <- false;
+  f.count <- f.count - 1;
+  t.pending <- t.pending - 1;
+  e.req
+
+let cut t ~bucket ~max =
+  let f = t.fifos.(bucket) in
+  Array.init (Stdlib.max 0 (min max f.count)) (fun _ -> pop t f)
+
+let commit t id =
   let key = Proto.Request.id_key id in
-  match Key_tbl.find_opt t.by_id key with
-  | None -> None
-  | Some slot ->
-      let r = slot.s_req in
-      slot.s_req <- None;
-      Key_tbl.remove t.by_id key;
-      t.count <- t.count - 1;
-      t.resurrected <- List.filter (fun (_, s) -> s.s_req <> None) t.resurrected;
-      trim t;
-      r
-
-let resurrect t ~seq r = ignore (add t ~seq r)
-
-let oldest_seq t =
-  trim t;
-  let buf_seq = if t.head < t.tail then Some (slot_at t t.head).s_seq else None in
-  match (t.resurrected, buf_seq) with
-  | [], None -> None
-  | [], Some s -> Some s
-  | (rs, _) :: _, None -> Some rs
-  | (rs, _) :: _, Some s -> Some (min rs s)
-
-let pop_oldest t =
-  trim t;
-  let from_buf () =
-    if t.head < t.tail then begin
-      let slot = slot_at t t.head in
-      t.head <- t.head + 1;
-      match slot.s_req with
-      | Some r ->
-          slot.s_req <- None;
-          Key_tbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
-          t.count <- t.count - 1;
-          Some r
-      | None -> None (* trim guarantees live, but stay safe *)
-    end
-    else None
-  in
-  match t.resurrected with
-  | (rs, slot) :: rest ->
-      let buf_seq = if t.head < t.tail then Some (slot_at t t.head).s_seq else None in
-      if buf_seq = None || rs < Option.get buf_seq then begin
-        t.resurrected <- rest;
-        match slot.s_req with
-        | Some r ->
-            slot.s_req <- None;
-            Key_tbl.remove t.by_id (Proto.Request.id_key r.Proto.Request.id);
-            t.count <- t.count - 1;
-            Some r
-        | None -> from_buf ()
+  match Key_tbl.find_opt t.index key with
+  | None -> ()
+  | Some e ->
+      Key_tbl.remove t.index key;
+      if e.queued then begin
+        let f = fifo_of t id in
+        e.queued <- false;
+        f.count <- f.count - 1;
+        t.pending <- t.pending - 1;
+        trim f
       end
-      else from_buf ()
-  | [] -> from_buf ()
-
-let peek_oldest t =
-  trim t;
-  let buf_req () =
-    if t.head < t.tail then (slot_at t t.head).s_req else None
-  in
-  match t.resurrected with
-  | (rs, slot) :: _ ->
-      let buf_seq = if t.head < t.tail then Some (slot_at t t.head).s_seq else None in
-      if buf_seq = None || rs < Option.get buf_seq then slot.s_req else buf_req ()
-  | [] -> buf_req ()
-
-let cut t ~max =
-  let out = ref [] in
-  let k = ref 0 in
-  let continue = ref true in
-  while !continue && !k < max do
-    match pop_oldest t with
-    | Some r ->
-        out := r :: !out;
-        incr k
-    | None -> continue := false
-  done;
-  Array.of_list (List.rev !out)
 
 let clear t =
-  (* Keep [last_seq] (arrival keys keep increasing across the clear) and the
-     observability counters; only the pending contents go. *)
-  t.head <- 0;
-  t.tail <- 0;
-  t.buf <- Array.make initial_capacity { s_seq = -1; s_req = None };
-  Key_tbl.reset t.by_id;
-  t.resurrected <- [];
-  t.count <- 0
-
-let iter f t =
-  (* Iterate in sequence order: merge buffer and resurrected list. *)
-  let res = ref t.resurrected in
-  for i = t.head to t.tail - 1 do
-    let s = slot_at t i in
-    (match s.s_req with
-    | Some _ ->
-        (* Emit any resurrected entries older than this slot first. *)
-        let rec drain () =
-          match !res with
-          | (rs, rslot) :: rest when rs < s.s_seq ->
-              (match rslot.s_req with Some r -> f r | None -> ());
-              res := rest;
-              drain ()
-          | _ -> ()
-        in
-        drain ();
-        (match s.s_req with Some r -> f r | None -> ())
-    | None -> ())
-  done;
-  List.iter (fun (_, s) -> match s.s_req with Some r -> f r | None -> ()) !res
+  Array.iter
+    (fun f ->
+      f.ring <- create_ring ();
+      f.head <- 0;
+      f.tail <- 0;
+      f.behind <- [];
+      f.count <- 0)
+    t.fifos;
+  Key_tbl.reset t.index;
+  t.pending <- 0

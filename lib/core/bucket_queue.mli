@@ -1,61 +1,76 @@
-(** A bucket's pending-request queue (paper §3.2, §3.7).
+(** A node's bucket queues (paper §3.2, §3.7): one FIFO per bucket, all
+    behind a single per-node request index.
 
     Properties the paper requires and this structure provides:
-    - {b FIFO}: the oldest request is always proposed first (liveness of the
-      induction in the SMR4 proof rests on this);
+    - {b FIFO}: every request is numbered in arrival order the first time it
+      reaches the node, and each bucket's oldest request is proposed first
+      (liveness of the induction in the SMR4 proof rests on this);
     - {b idempotent add}: a request is held at most once, no matter how many
       times the client retransmits it;
-    - {b removal by identity}: requests leave the queue when proposed or when
-      observed committed in someone else's batch;
-    - {b resurrection}: a request whose proposal was aborted with ⊥ returns
-      at its {e original} position in the arrival order (§3.2 "maintaining
-      its reception order").
+    - {b removal on commit}: {!commit} forgets a request, whether it is still
+      queued or was cut into a batch;
+    - {b resurrection}: a request that left its queue without committing —
+      cut into a proposal that was aborted with ⊥, or evicted by drop-oldest
+      shedding — re-enters at its {e original} arrival position (§3.2
+      "maintaining its reception order"), whether it comes back through
+      {!resurrect} or a client retransmission through {!add}.
 
-    Internally a map keyed by arrival sequence number plus an id index; all
-    operations are O(log n). *)
+    Representation: one {!Proto.Request.Key_tbl} maps a request id to an
+    entry holding the request, its arrival number and a queued flag, and
+    that entry is also the FIFO slot.  Each bucket keeps its entries in a
+    ring in arrival order, plus a short sorted list for re-entries older
+    than the ring's newest.  A commit unlinks a queued entry by clearing its
+    flag; the dead slot is skipped when it reaches the front.  Every
+    operation is O(1) amortized except a re-entry, which is linear in the
+    bucket's re-entry list. *)
 
 type t
 
-val create : unit -> t
+val create : num_buckets:int -> t
+(** Empty queues for buckets [0 .. num_buckets - 1]; requests map to them
+    by {!Proto.Request.bucket_of_id}. *)
 
-val length : t -> int
-val is_empty : t -> bool
+val length : t -> bucket:int -> int
+(** Requests queued in [bucket]. *)
+
+val pending : t -> int
+(** Requests queued over all buckets. *)
 
 val total_added : t -> int
-(** Requests ever accepted by {!add} (observability counter). *)
+(** Times {!add} or {!resurrect} queued a request, re-entries included
+    (observability counter). *)
 
 val max_occupancy : t -> int
-(** High-water mark of {!length} over the queue's lifetime. *)
+(** High-water mark of any single bucket's {!length}. *)
 
-val add : t -> seq:int -> Proto.Request.t -> bool
-(** [add t ~seq r] inserts [r] with arrival-order key [seq] (assigned by the
-    caller from a per-node counter).  Returns [false] — and changes
-    nothing — when a request with the same id is already present.  (Whether
-    the request was {e previously} delivered is tracked by the node, which
+val queued : t -> Proto.Request.id -> bool
+
+val add : t -> Proto.Request.t -> bool
+(** Queues a request in its bucket: at the next arrival number the first
+    time the node sees its id, at its original one after that.  Returns
+    [false] — and changes nothing — when the request is already queued.
+    (Whether it was {e previously} delivered is tracked by the node, which
     filters such requests before calling [add].) *)
 
-val mem : t -> Proto.Request.id -> bool
+val resurrect : t -> Proto.Request.t -> unit
+(** Like {!add}, for a request returned from an aborted proposal.  An id the
+    node never numbered is queued at the next arrival number without
+    consuming it. *)
 
-val remove : t -> Proto.Request.id -> Proto.Request.t option
-(** Removes by identity; [None] when absent.  The returned request remembers
-    its arrival key so it can be resurrected in place. *)
+val cut : t -> bucket:int -> max:int -> Proto.Request.t array
+(** Removes and returns up to [max] of [bucket]'s oldest requests, oldest
+    first — the batch-cutting primitive (Algorithm 2, cutBatch).  A cut
+    request keeps its arrival number until it commits. *)
 
-val resurrect : t -> seq:int -> Proto.Request.t -> unit
-(** Re-insert a previously removed request at arrival key [seq] (its
-    original one).  No-op if a request with the same id is present. *)
+val oldest_seq : t -> bucket:int -> int option
+(** Arrival number of [bucket]'s oldest queued request (for the k-way merge
+    across a segment's buckets). *)
 
-val peek_oldest : t -> Proto.Request.t option
-
-val cut : t -> max:int -> Proto.Request.t array
-(** Removes and returns up to [max] oldest requests — the batch-cutting
-    primitive (Algorithm 2, cutBatch). *)
-
-val oldest_seq : t -> int option
-(** Arrival key of the oldest pending request (for age-based batching). *)
+val commit : t -> Proto.Request.id -> unit
+(** Forgets the request: unqueues it if queued and drops its arrival
+    number.  No-op for an id the node never saw. *)
 
 val clear : t -> unit
-(** Drop every pending request (checkpoint jump: the queue may hold requests
-    already delivered in the skipped history).  Arrival-key monotonicity and
-    the observability counters survive. *)
-
-val iter : (Proto.Request.t -> unit) -> t -> unit
+(** Forgets every request (checkpoint jump: the queues may hold requests
+    already delivered in the skipped history).  Arrival numbers keep
+    increasing across the clear, and the observability counters survive. *)

@@ -44,9 +44,7 @@ type t = {
   keypair : Iss_crypto.Signature.keypair;
   threshold_group : Iss_crypto.Threshold.group;
   log : Log.t;
-  buckets : Bucket_queue.t array;
-  arrival_seq : int Key_tbl.t;  (* request id key -> arrival order *)
-  mutable arrival_counter : int;
+  queues : Bucket_queue.t;
   seen_proposed : int Key_tbl.t;  (* id key -> sn accepted this epoch, until committed *)
   proposed : (int, Proto.Batch.t) Hashtbl.t;  (* sn -> batch I proposed *)
   watermarks : Watermarks.t;
@@ -129,14 +127,12 @@ let set_straggler t b = t.straggler <- b
 
 let projected_bucket_leader ~config ~epoch ~bucket = (bucket + epoch) mod config.Config.n
 
-let pending_requests t = Array.fold_left (fun acc q -> acc + Bucket_queue.length q) 0 t.buckets
+let pending_requests t = Bucket_queue.pending t.queues
 
 let active_instances t = Hashtbl.length t.orderers
 
-let bucket_queue_added t = Array.fold_left (fun acc q -> acc + Bucket_queue.total_added q) 0 t.buckets
-
-let bucket_queue_max_occupancy t =
-  Array.fold_left (fun acc q -> Stdlib.max acc (Bucket_queue.max_occupancy q)) 0 t.buckets
+let bucket_queue_added t = Bucket_queue.total_added t.queues
+let bucket_queue_max_occupancy t = Bucket_queue.max_occupancy t.queues
 
 let checkpoint_lag t =
   (* Epochs between the newest stable checkpoint this node holds and the
@@ -252,15 +248,16 @@ let note_pushback t (r : Proto.Request.t) ~retry_after ~shed =
   match t.hooks.on_pushback with Some f -> f t r ~retry_after ~shed | None -> ()
 
 (* Admission control (flow_control only).  Returns whether [r] may be added
-   to [q]; sheds — the incoming request (Reject_new) or the oldest queued
-   one (Drop_oldest) — when the bucket is at capacity.  A request already
-   present is always "admitted": Bucket_queue.add is a no-op for it, and
-   shedding a retransmission's victim would punish an unrelated request. *)
-let admit_request t q (r : Proto.Request.t) =
+   to its [bucket]; sheds — the incoming request (Reject_new) or the oldest
+   queued one (Drop_oldest) — when the bucket is at capacity.  A request
+   already queued is always "admitted": Bucket_queue.add is a no-op for it,
+   and shedding a retransmission's victim would punish an unrelated
+   request. *)
+let admit_request t ~bucket (r : Proto.Request.t) =
   let cfg = t.config in
   (not cfg.Config.flow_control)
-  || Bucket_queue.length q < cfg.Config.bucket_capacity
-  || Bucket_queue.mem q r.Proto.Request.id
+  || Bucket_queue.length t.queues ~bucket < cfg.Config.bucket_capacity
+  || Bucket_queue.queued t.queues r.Proto.Request.id
   ||
   let shed_hint = 2 * cfg.Config.pushback_hint in
   match cfg.Config.shed_policy with
@@ -270,7 +267,7 @@ let admit_request t q (r : Proto.Request.t) =
   | Config.Drop_oldest ->
       Array.iter
         (fun victim -> note_pushback t victim ~retry_after:shed_hint ~shed:true)
-        (Bucket_queue.cut q ~max:1);
+        (Bucket_queue.cut t.queues ~bucket ~max:1);
       true
 
 let rec submit t (r : Proto.Request.t) =
@@ -288,42 +285,30 @@ let rec submit t (r : Proto.Request.t) =
            the queues while the original sits in an undecided batch would
            make this node cut it into a second batch, which honest followers
            must then reject wholesale. *)
-        let key = Proto.Request.id_key r.id in
         let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
-        let q = t.buckets.(bucket) in
         if
-          (not (Key_tbl.mem t.seen_proposed key))
+          (not (Key_tbl.mem t.seen_proposed (Proto.Request.id_key r.id)))
           && ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
-          && admit_request t q r
+          && admit_request t ~bucket r
+          && Bucket_queue.add t.queues r
         then begin
-          let seq =
-            match Key_tbl.find_opt t.arrival_seq key with
-            | Some s -> s  (* retransmission: keep the original arrival order *)
-            | None ->
-                let s = t.arrival_counter in
-                t.arrival_counter <- s + 1;
-                Key_tbl.replace t.arrival_seq key s;
-                s
-          in
-          if Bucket_queue.add q ~seq r then begin
-            trace_event t Obs.Tracer.Enqueue r;
-            if t.config.Config.client_signatures then
-              charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
-            if t.config.Config.flow_control then begin
-              (* Watermark backpressure: warn the client before shedding
-                 starts, with a hint that grows as the bucket fills. *)
-              let occ = Bucket_queue.length q in
-              let cap = t.config.Config.bucket_capacity in
-              if float_of_int occ >= t.config.Config.pushback_watermark *. float_of_int cap
-              then
-                note_pushback t r
-                  ~retry_after:(max 1 (t.config.Config.pushback_hint * occ / cap))
-                  ~shed:false
-            end;
-            match t.bucket_batcher.(bucket) with
-            | Some b -> try_cut t b
-            | None -> ()
-          end
+          trace_event t Obs.Tracer.Enqueue r;
+          if t.config.Config.client_signatures then
+            charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
+          if t.config.Config.flow_control then begin
+            (* Watermark backpressure: warn the client before shedding
+               starts, with a hint that grows as the bucket fills. *)
+            let occ = Bucket_queue.length t.queues ~bucket in
+            let cap = t.config.Config.bucket_capacity in
+            if float_of_int occ >= t.config.Config.pushback_watermark *. float_of_int cap
+            then
+              note_pushback t r
+                ~retry_after:(max 1 (t.config.Config.pushback_hint * occ / cap))
+                ~shed:false
+          end;
+          match t.bucket_batcher.(bucket) with
+          | Some b -> try_cut t b
+          | None -> ()
         end
 
 (* ------------------------------------------------------------------ *)
@@ -331,7 +316,9 @@ let rec submit t (r : Proto.Request.t) =
    rate-limiting (§4.4.1) and the straggler behaviour of §6.4.2. *)
 
 and segment_pending t (seg : Segment.t) =
-  List.fold_left (fun acc b -> acc + Bucket_queue.length t.buckets.(b)) 0 seg.Segment.buckets
+  List.fold_left
+    (fun acc bucket -> acc + Bucket_queue.length t.queues ~bucket)
+    0 seg.Segment.buckets
 
 and cut_segment_batch t (seg : Segment.t) =
   (* k-way merge: repeatedly take the globally oldest request across the
@@ -344,7 +331,7 @@ and cut_segment_batch t (seg : Segment.t) =
     let best = ref None in
     List.iter
       (fun b ->
-        match Bucket_queue.oldest_seq t.buckets.(b) with
+        match Bucket_queue.oldest_seq t.queues ~bucket:b with
         | Some s -> (
             match !best with
             | Some (s', _) when s' <= s -> ()
@@ -354,7 +341,7 @@ and cut_segment_batch t (seg : Segment.t) =
     match !best with
     | None -> continue := false
     | Some (_, b) -> (
-        match Bucket_queue.cut t.buckets.(b) ~max:1 with
+        match Bucket_queue.cut t.queues ~bucket:b ~max:1 with
         | [| r |] ->
             out := r :: !out;
             incr count
@@ -495,18 +482,13 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
 let resurrect t (batch : Proto.Batch.t) =
   Proto.Batch.iter
     (fun (r : Proto.Request.t) ->
-      let key = Proto.Request.id_key r.id in
       if not (Watermarks.delivered t.watermarks r.id) then begin
         let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
-        let q = t.buckets.(bucket) in
         (* Resurrection goes through the same admission gate as submit, so
            bounded occupancy stays a structural invariant even when an
            aborted batch returns while the bucket has refilled. *)
-        if admit_request t q r then begin
-          let seq =
-            match Key_tbl.find_opt t.arrival_seq key with Some s -> s | None -> t.arrival_counter
-          in
-          Bucket_queue.resurrect q ~seq r;
+        if admit_request t ~bucket r then begin
+          Bucket_queue.resurrect t.queues r;
           match t.bucket_batcher.(bucket) with Some b -> try_cut t b | None -> ()
         end
       end)
@@ -523,17 +505,13 @@ let rec process_commit t ~sn proposal ~resurrectable =
     | _ -> ());
     (match proposal with
     | Proto.Proposal.Batch batch ->
-        let num_buckets = Config.num_buckets t.config in
         Proto.Batch.iter
           (fun (r : Proto.Request.t) ->
             (* From here on the watermarks refuse the request, so
-               seen_proposed need only hold undecided ones. *)
+               seen_proposed and the queues need only hold undecided ones. *)
             Watermarks.note_delivered t.watermarks r.id;
-            let key = Proto.Request.id_key r.id in
-            Key_tbl.remove t.seen_proposed key;
-            Key_tbl.remove t.arrival_seq key;
-            let bucket = Proto.Request.bucket_of_id ~num_buckets r.id in
-            ignore (Bucket_queue.remove t.buckets.(bucket) r.id))
+            Key_tbl.remove t.seen_proposed (Proto.Request.id_key r.id);
+            Bucket_queue.commit t.queues r.id)
           batch
     | Proto.Proposal.Nil -> (
         (* If I proposed a batch for this position and ⊥ was delivered
@@ -756,7 +734,6 @@ and make_ctx t (seg : Segment.t) : Orderer_intf.ctx =
     charge_cpu = (fun cost k -> charge_cpu t cost k);
     keypair = t.keypair;
     threshold_group = t.threshold_group;
-    report_suspect = (fun _ -> ());
     validate_proposal = (fun seg ~sn proposal -> validate_proposal t seg ~sn proposal);
   }
 
@@ -1041,8 +1018,7 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
     Hashtbl.reset t.orderers;
     Hashtbl.reset t.proposed;
     Key_tbl.reset t.seen_proposed;
-    Key_tbl.reset t.arrival_seq;
-    Array.iter Bucket_queue.clear t.buckets;
+    Bucket_queue.clear t.queues;
     let stale_epochs =
       Hashtbl.fold
         (fun e _ acc -> if e <= cert.cc_epoch then e :: acc else acc)
@@ -1126,9 +1102,7 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
       keypair = Iss_crypto.Signature.genkey ~id;
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(min n ((2 * f) + 1));
       log = Log.create ();
-      buckets = Array.init num_buckets (fun _ -> Bucket_queue.create ());
-      arrival_seq = Key_tbl.create 65536;
-      arrival_counter = 0;
+      queues = Bucket_queue.create ~num_buckets;
       seen_proposed = Key_tbl.create 65536;
       proposed = Hashtbl.create 64;
       watermarks = Watermarks.create ~window:config.Config.client_watermark_window;

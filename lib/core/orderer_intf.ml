@@ -41,9 +41,6 @@ type ctx = {
   keypair : Iss_crypto.Signature.keypair;  (** this node's signing key *)
   threshold_group : Iss_crypto.Threshold.group;
       (** (2f+1, n) group shared by all nodes (HotStuff QCs) *)
-  report_suspect : Proto.Ids.node_id -> unit;
-      (** Failure-detector output towards ISS diagnostics/metrics (the
-          leader policies themselves read suspicion from ⊥ log entries). *)
   validate_proposal : Segment.t -> sn:int -> Proto.Proposal.t -> verdict;
       (** Follower-side acceptance checks (§4.2 principle 3): request
           validity, no duplicate proposal in the epoch, no re-proposal of

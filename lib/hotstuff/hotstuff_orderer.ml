@@ -392,7 +392,6 @@ module Orderer = struct
 
   and on_timeout t =
     if t.active && not (done_ t) then begin
-      t.ctx.Core.Orderer_intf.report_suspect (current_leader t);
       t.rotations <- t.rotations + 1;
       t.i_am_leader <- false;
       broadcast_new_view t;

@@ -72,8 +72,3 @@ let verify_proof ~root:expected ~leaf ~index proof =
       idx := !idx / 2)
     proof;
   !ok && Hash.equal !acc expected
-
-let proof_wire_size proof =
-  List.fold_left
-    (fun acc step -> acc + (match step with Sibling _ -> Hash.size + 1 | Promote -> 1))
-    0 proof

@@ -20,6 +20,3 @@ val prove : Hash.t array -> int -> proof
 
 val verify_proof : root:Hash.t -> leaf:Hash.t -> index:int -> proof -> bool
 (** Checks that [leaf] sits at [index] in a tree with root [root]. *)
-
-val proof_wire_size : proof -> int
-(** Bytes the proof occupies on the wire. *)

@@ -9,7 +9,6 @@ let secret_domain = "iss-sim-secret-key-v1:"
 let genkey ~id = { id; secret = Sha256.digest (secret_domain ^ string_of_int id) }
 
 let public kp = kp.id
-let key_id pk = pk
 let public_of_id id = id
 
 let sign kp msg = Sha256.digest (kp.secret ^ msg)

@@ -23,7 +23,6 @@ val genkey : id:int -> keypair
     PKI: every process is "identified by its public key"). *)
 
 val public : keypair -> public_key
-val key_id : public_key -> int
 
 val public_of_id : int -> public_key
 (** Look up a process's public key by its identity — the simulation's PKI

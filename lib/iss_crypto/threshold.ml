@@ -25,7 +25,6 @@ let setup ~n ~t =
   }
 
 let threshold g = g.t
-let parties g = g.n
 
 let share_secret g signer =
   let s = g.share_secrets.(signer) in

@@ -25,7 +25,6 @@ val setup : n:int -> t:int -> group
     Raises [Invalid_argument] unless [0 < t <= n]. *)
 
 val threshold : group -> int
-val parties : group -> int
 
 val sign_share : group -> signer:int -> string -> share
 (** Raises [Invalid_argument] if [signer] is outside [0..n-1]. *)

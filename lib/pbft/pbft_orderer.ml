@@ -142,7 +142,6 @@ module Orderer = struct
   and start_view_change t new_view =
     if t.active && (not (done_ t)) && new_view > t.highest_vc_sent then begin
       t.highest_vc_sent <- new_view;
-      t.ctx.Core.Orderer_intf.report_suspect (primary t t.view);
       (* Gather prepared certificates for the open sequence numbers —
          including slots already committed here.  Hiding committed slots
          would let a new primary that never saw their quorum fill them with

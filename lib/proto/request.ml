@@ -31,9 +31,6 @@ let signature_valid r =
 
 let equal_id a b = a.client = b.client && a.ts = b.ts
 
-let compare_id a b =
-  if a.client <> b.client then compare a.client b.client else compare a.ts b.ts
-
 let id_key id = (id.client lsl 31) lor (id.ts land 0x7FFFFFFF)
 
 module Key_tbl = Hashtbl.Make (struct

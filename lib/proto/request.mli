@@ -48,7 +48,6 @@ val signature_valid : t -> bool
     (see {!Core.Config}). *)
 
 val equal_id : id -> id -> bool
-val compare_id : id -> id -> int
 val id_key : id -> int
 (** Injective packing of an id into one int (for hashtables); supports
     clients < 2^31 and timestamps < 2^31. *)

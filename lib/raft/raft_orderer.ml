@@ -128,7 +128,6 @@ module Orderer = struct
 
   and start_election t =
     if t.active && t.role <> Leader && not (done_ t) then begin
-      t.ctx.Core.Orderer_intf.report_suspect t.seg.Core.Segment.leader;
       t.term <- t.term + 1;
       t.election_round <- t.election_round + 1;
       t.role <- Candidate;

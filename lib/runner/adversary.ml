@@ -22,17 +22,9 @@ type attack =
   | Replay
   | Bad_checkpoint
 
-let attack_name = function
-  | Equivocate -> "equivocate"
-  | Censor _ -> "censor"
-  | Corrupt_sig -> "corrupt-sig"
-  | Replay -> "replay"
-  | Bad_checkpoint -> "bad-checkpoint"
-
 (* Per-source-node adversary state. *)
 type node_state = {
   mutable active : attack option;
-  mutable ever_active : bool;
   (* Replay attack: a bounded ring of this node's past outgoing protocol
      messages, and past batched client requests, re-injected verbatim while
      the window is open. *)
@@ -60,7 +52,6 @@ let create ~n ~config =
       Array.init n (fun _ ->
           {
             active = None;
-            ever_active = false;
             ring = Array.make ring_capacity None;
             ring_next = 0;
             replay_cursor = 0;
@@ -72,11 +63,9 @@ let create ~n ~config =
 
 let set_attack t ~node attack =
   let st = t.states.(node) in
-  st.active <- attack;
-  if attack <> None then st.ever_active <- true
+  st.active <- attack
 
 let active t ~node = t.states.(node).active
-let ever_byzantine t ~node = t.states.(node).ever_active
 
 (* ------------------------------------------------------------------ *)
 (* Equivocation: disjoint receiver subsets, neither of which can reach a

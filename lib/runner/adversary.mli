@@ -31,8 +31,6 @@ type attack =
           state-transfer certificates, re-signing the corrupted material
           with the attacker's own key. *)
 
-val attack_name : attack -> string
-
 type t
 
 val create : n:int -> config:Core.Config.t -> t
@@ -41,7 +39,6 @@ val set_attack : t -> node:int -> attack option -> unit
 (** Open ([Some _]) or close ([None]) a node's attack window. *)
 
 val active : t -> node:int -> attack option
-val ever_byzantine : t -> node:int -> bool
 
 val route : t -> src:int -> dst:int -> Proto.Message.t -> (int * Proto.Message.t) list
 (** Rewrite one outgoing transmission: returns the (destination, message)

@@ -86,8 +86,6 @@ let ensure_adversary t =
       adv
 
 let mark_byzantine t node = t.byzantine.(node) <- true
-let is_byzantine t node = t.byzantine.(node)
-let byzantine_count t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.byzantine
 
 let set_delivery_observer t f = t.delivery_observer <- Some f
 let set_submission_observer t f = t.submission_observer <- Some f
@@ -125,7 +123,7 @@ let client_datacenter _t ~client = client mod n_datacenters
 
 let reply_wire_size = 32
 
-let config_of_system ~system ~n ~policy ~tweak =
+let config_of_system ?policy ?(tweak = Fun.id) ~system ~n () =
   let base =
     match system with
     | Iss p -> Core.Config.default_for p ~n
@@ -193,11 +191,11 @@ let register_metrics reg t =
             (Sim.Network.nic_backlog t.net ~endpoint:id ~dir:`Tx ~peer:Sim.Network.Client)))
     t.nodes
 
-let create ?engine ?policy ?(tweak = fun c -> c) ?tracer ?registry ~system ~n ~seed () =
+let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
   let engine = match engine with Some e -> e | None -> Engine.create () in
   let rng = Sim.Rng.create ~seed in
   let net = Sim.Network.create engine ~rng:(Sim.Rng.split rng) () in
-  let config = config_of_system ~system ~n ~policy ~tweak in
+  let config = config_of_system ?policy ?tweak ~system ~n () in
   let placement = Sim.Topology.assign_uniform ~n in
   let reply_quorum =
     match config.Core.Config.protocol with
@@ -496,8 +494,6 @@ let enable_invariants t =
           inv_per_node = Array.init t.n (fun _ -> Hashtbl.create 4096);
           inv_submitted = Hashtbl.create 4096;
         }
-
-let invariants_enabled t = t.invariants <> None
 
 let check_liveness t =
   match t.invariants with

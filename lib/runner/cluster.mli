@@ -19,6 +19,17 @@ val network : t -> Proto.Message.t Sim.Network.t
 val nodes : t -> Core.Node.t array
 val config : t -> Core.Config.t
 
+val config_of_system :
+  ?policy:Core.Config.leader_policy_kind ->
+  ?tweak:(Core.Config.t -> Core.Config.t) ->
+  system:system ->
+  n:int ->
+  unit ->
+  Core.Config.t
+(** The configuration {!create} runs [system] with, given the same [policy]
+    and [tweak]: the protocol's preset, with leader 0 fixed for the
+    single-leader baselines. *)
+
 val create :
   ?engine:Sim.Engine.t ->
   ?policy:Core.Config.leader_policy_kind ->
@@ -76,9 +87,6 @@ val mark_byzantine : t -> int -> unit
     from reply-quorum counting: the checked invariants quantify over correct
     nodes only.  {!Faults.apply} marks every node its schedule attacks. *)
 
-val is_byzantine : t -> int -> bool
-val byzantine_count : t -> int
-
 (** {2 Invariant checking (chaos harness)} *)
 
 exception Invariant_violation of string
@@ -98,8 +106,6 @@ val enable_invariants : t -> unit
        grace period) has completed.}}
     Off by default: the bookkeeping holds every submitted request id, which
     huge fault-free benchmark runs cannot afford. *)
-
-val invariants_enabled : t -> bool
 
 val check_liveness : t -> unit
 (** Raises {!Invariant_violation} listing the first missing requests if any

@@ -325,6 +325,15 @@ let apply t cluster =
 (* ------------------------------------------------------------------ *)
 (* Liveness bound *)
 
+let fast c =
+  {
+    c with
+    Core.Config.min_epoch_length = 32;
+    min_segment_size = 4;
+    epoch_change_timeout = Time_ns.sec 4;
+    max_batch_timeout = (if c.Core.Config.max_batch_timeout = 0 then 0 else Time_ns.sec 1);
+  }
+
 let liveness_grace_s (config : Core.Config.t) =
   (* How long after the last fault heals every submitted request must be
      delivered.  The dominant term is epoch turnover: requests stranded in a

@@ -94,6 +94,12 @@ val apply : t -> Cluster.t -> unit
     its own group and an active split adds one more.  Overlapping slow-link
     windows on distinct links compose likewise. *)
 
+val fast : Core.Config.t -> Core.Config.t
+(** The chaos-test configuration: shortened epochs and tight timeouts.
+    {!liveness_grace_s} derives from these fields, so shrinking them
+    shrinks every fault-injected run that waits out the grace period.  A
+    zero batch timeout (HotStuff) stays zero. *)
+
 val liveness_grace_s : Core.Config.t -> float
 (** How long after {!heal_s} every submitted request must have reached its
     reply quorum.  Derived from the epoch-change timeout (which paces

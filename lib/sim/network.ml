@@ -19,7 +19,6 @@ type 'a endpoint = {
   tx_free : Time_ns.t array;
   rx_free : Time_ns.t array;
   mutable crashed : bool;
-  mutable bytes_out : int;
 }
 
 (* A message in flight, flattened into one mutable record instead of two
@@ -74,7 +73,6 @@ let make_env_nil () =
       tx_free = [| Time_ns.zero |];
       rx_free = [| Time_ns.zero |];
       crashed = true;
-      bytes_out = 0;
     }
   in
   let rec nil =
@@ -123,7 +121,6 @@ let add_endpoint t ~id ~category ~datacenter ~handler =
       tx_free = [| Time_ns.zero; Time_ns.zero |];
       rx_free = [| Time_ns.zero; Time_ns.zero |];
       crashed = false;
-      bytes_out = 0;
     }
 
 let endpoint t id =
@@ -224,7 +221,6 @@ let send_prepared t se ~src ~dst ~size ~wire_bytes ~serialize payload =
   let de = endpoint t dst in
   t.n_sent <- t.n_sent + 1;
   t.total_bytes <- t.total_bytes + wire_bytes;
-  se.bytes_out <- se.bytes_out + wire_bytes;
   (* Lost in transit: severed path or random drop.  (A crashed receiver is
      handled at arrival time instead — the message may still find the
      endpoint up again if it recovers while the message is in flight.) *)
@@ -282,7 +278,6 @@ let charge t ~endpoint:id ~dir ~peer ~bytes =
   let horizon = match dir with `Tx -> ep.tx_free | `Rx -> ep.rx_free in
   let free_at = Time_ns.add (Time_ns.max now horizon.(nic)) serialize in
   horizon.(nic) <- free_at;
-  if dir = `Tx then ep.bytes_out <- ep.bytes_out + bytes;
   Time_ns.diff free_at now
 
 let nic_backlog t ~endpoint:id ~dir ~peer =
@@ -309,10 +304,8 @@ let recover t id =
     done
   end
 
-let is_crashed t id = (endpoint t id).crashed
 let set_partition t p = t.partition <- p
 let set_drop_probability t p = t.drop_prob <- p
 let set_link_latency t f = t.link_latency <- f
 let messages_sent t = t.n_sent
 let bytes_sent t = t.total_bytes
-let endpoint_bytes_sent t id = (endpoint t id).bytes_out

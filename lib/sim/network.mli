@@ -77,8 +77,6 @@ val recover : 'a t -> int -> unit
     the pre-crash transmission backlog does not survive the reboot.
     Recovering a non-crashed endpoint is a no-op. *)
 
-val is_crashed : 'a t -> int -> bool
-
 val set_partition : 'a t -> (int -> int) option -> unit
 (** [set_partition t (Some group)] drops messages between endpoints whose
     [group] differs; [None] heals.  Cross-partition sends still consume
@@ -101,10 +99,6 @@ val charge : 'a t -> endpoint:int -> dir:[ `Tx | `Rx ] -> peer:category -> bytes
 
 val messages_sent : 'a t -> int
 val bytes_sent : 'a t -> int
-
-val endpoint_bytes_sent : 'a t -> int -> int
-(** Bytes a given endpoint has pushed into its NICs; identifies bottleneck
-    nodes. *)
 
 val nic_backlog :
   'a t -> endpoint:int -> dir:[ `Tx | `Rx ] -> peer:category -> Time_ns.span

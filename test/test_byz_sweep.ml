@@ -14,22 +14,13 @@ module Cluster = Runner.Cluster
 let seeds = 12
 let duration_s = 30.0
 
-let fast c =
-  {
-    c with
-    Core.Config.min_epoch_length = 32;
-    min_segment_size = 4;
-    epoch_change_timeout = Time_ns.sec 4;
-    max_batch_timeout = (if c.Core.Config.max_batch_timeout = 0 then 0 else Time_ns.sec 1);
-  }
-
 let run_one ~protocol ~seed =
   let n = 4 in
   let sc = Faults.random_byzantine ~seed ~n ~duration_s in
   (match Faults.validate ~protocol sc ~n with
   | Ok () -> ()
   | Error e -> failwith (Printf.sprintf "%s: invalid schedule: %s" (Faults.name sc) e));
-  let cluster = Cluster.create ~tweak:fast ~system:(Cluster.Iss protocol) ~n ~seed () in
+  let cluster = Cluster.create ~tweak:Faults.fast ~system:(Cluster.Iss protocol) ~n ~seed () in
   Faults.apply sc cluster;
   Cluster.enable_invariants cluster;
   Cluster.start cluster;

@@ -28,17 +28,6 @@ module Cluster = Runner.Cluster
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Small epochs and tight timeouts, as in test_faults.ml: the liveness grace
-   period is derived from these. *)
-let fast c =
-  {
-    c with
-    Core.Config.min_epoch_length = 32;
-    min_segment_size = 4;
-    epoch_change_timeout = Time_ns.sec 4;
-    max_batch_timeout = (if c.Core.Config.max_batch_timeout = 0 then 0 else Time_ns.sec 1);
-  }
-
 (* Every byz-* scenario attacks node 1 (see Faults.named). *)
 let attacker = 1
 
@@ -54,7 +43,7 @@ let run_byz ?policy ?(rate = 100.0) ~protocol name =
   | Error e -> Alcotest.failf "named %s: %s" name e
   | Ok sc ->
       let cluster =
-        Cluster.create ?policy ~tweak:fast ~system:(Cluster.Iss protocol) ~n ~seed:7L ()
+        Cluster.create ?policy ~tweak:Faults.fast ~system:(Cluster.Iss protocol) ~n ~seed:7L ()
       in
       (match Faults.validate ~protocol sc ~n with
       | Ok () -> ()
@@ -185,7 +174,7 @@ let log_fingerprint cluster =
 let test_zero_perturbation () =
   let run ~armed =
     let cluster =
-      Cluster.create ~tweak:fast ~system:(Cluster.Iss Core.Config.PBFT) ~n:4 ~seed:5L ()
+      Cluster.create ~tweak:Faults.fast ~system:(Cluster.Iss Core.Config.PBFT) ~n:4 ~seed:5L ()
     in
     if armed then ignore (Cluster.ensure_adversary cluster);
     Cluster.start cluster;

@@ -13,19 +13,6 @@ module Faults = Runner.Faults
 module Cluster = Runner.Cluster
 module Experiment = Runner.Experiment
 
-(* Same shortened configuration as test_faults.ml: more epochs (hence more
-   epoch changes, state transfers and bucket rotations) per simulated
-   second, and a post-heal grace period that keeps the sweep tractable. *)
-let fast c =
-  {
-    c with
-    Core.Config.min_epoch_length = 32;
-    min_segment_size = 4;
-    epoch_change_timeout = Sim.Time_ns.sec 4;
-    max_batch_timeout =
-      (if c.Core.Config.max_batch_timeout = 0 then 0 else Sim.Time_ns.sec 1);
-  }
-
 let systems =
   [
     Cluster.Iss Core.Config.PBFT;
@@ -48,7 +35,7 @@ let () =
       Format.printf "skip %s  (Byzantine schedule, crash-fault protocol)@." label
     else
       match
-        Experiment.run ~tweak:fast ~scenario:sc ~system ~n ~rate:300.0 ~duration_s:30.0
+        Experiment.run ~tweak:Faults.fast ~scenario:sc ~system ~n ~rate:300.0 ~duration_s:30.0
           ~seed:7L ()
       with
       | r -> Format.printf "ok   %s  %a@." label Experiment.pp_result r

@@ -8,97 +8,191 @@ let req ~client ~ts = Proto.Request.make ~client ~ts ~submitted_at:0 ()
 (* ------------------------------------------------------------------ *)
 (* Bucket queue *)
 
+module Bq = Core.Bucket_queue
+
+let ts_of (batch : Proto.Request.t array) =
+  Array.to_list (Array.map (fun (r : Proto.Request.t) -> r.id.Proto.Request.ts) batch)
+
+(* One bucket, so every request shares a FIFO. *)
+let single () = Bq.create ~num_buckets:1
+
 let test_bq_fifo () =
-  let q = Core.Bucket_queue.create () in
+  let q = single () in
   for i = 0 to 9 do
-    check_bool "add" true (Core.Bucket_queue.add q ~seq:i (req ~client:1 ~ts:i))
+    check_bool "add" true (Bq.add q (req ~client:1 ~ts:i))
   done;
-  check_int "length" 10 (Core.Bucket_queue.length q);
-  let batch = Core.Bucket_queue.cut q ~max:4 in
-  Alcotest.(check (list int)) "oldest four" [ 0; 1; 2; 3 ]
-    (Array.to_list (Array.map (fun (r : Proto.Request.t) -> r.id.Proto.Request.ts) batch));
-  check_int "remaining" 6 (Core.Bucket_queue.length q)
+  check_int "length" 10 (Bq.length q ~bucket:0);
+  Alcotest.(check (list int)) "oldest four" [ 0; 1; 2; 3 ] (ts_of (Bq.cut q ~bucket:0 ~max:4));
+  check_int "remaining" 6 (Bq.length q ~bucket:0);
+  check_int "pending" 6 (Bq.pending q)
 
 let test_bq_idempotent_add () =
-  let q = Core.Bucket_queue.create () in
+  let q = single () in
   let r = req ~client:1 ~ts:5 in
-  check_bool "first add" true (Core.Bucket_queue.add q ~seq:0 r);
-  check_bool "duplicate rejected" false (Core.Bucket_queue.add q ~seq:1 r);
-  check_int "held once" 1 (Core.Bucket_queue.length q)
+  check_bool "first add" true (Bq.add q r);
+  check_bool "duplicate rejected" false (Bq.add q r);
+  check_int "held once" 1 (Bq.length q ~bucket:0);
+  check_int "counted once" 1 (Bq.total_added q)
 
+(* Removal on commit, queued or not. *)
 let test_bq_remove () =
-  let q = Core.Bucket_queue.create () in
+  let q = single () in
   let r1 = req ~client:1 ~ts:1 and r2 = req ~client:1 ~ts:2 in
-  ignore (Core.Bucket_queue.add q ~seq:0 r1);
-  ignore (Core.Bucket_queue.add q ~seq:1 r2);
-  (match Core.Bucket_queue.remove q r1.id with
-  | Some r -> check_int "removed the right one" 1 r.id.Proto.Request.ts
-  | None -> Alcotest.fail "remove failed");
-  check_bool "absent remove" true (Core.Bucket_queue.remove q r1.id = None);
-  check_int "one left" 1 (Core.Bucket_queue.length q);
-  (match Core.Bucket_queue.peek_oldest q with
-  | Some r -> check_int "r2 now oldest" 2 r.id.Proto.Request.ts
-  | None -> Alcotest.fail "peek failed")
+  ignore (Bq.add q r1);
+  ignore (Bq.add q r2);
+  Bq.commit q r1.id;
+  check_bool "committed request unqueued" false (Bq.queued q r1.id);
+  check_bool "other request still queued" true (Bq.queued q r2.id);
+  Bq.commit q r1.id;
+  check_int "one left" 1 (Bq.length q ~bucket:0);
+  Alcotest.(check (option int)) "r2 now oldest" (Some 1) (Bq.oldest_seq q ~bucket:0);
+  Alcotest.(check (list int)) "r2 cut" [ 2 ] (ts_of (Bq.cut q ~bucket:0 ~max:5));
+  (* Committing a cut request forgets its arrival number: the id, were it
+     ever queued again, would be a new arrival. *)
+  Bq.commit q r2.id;
+  let r3 = req ~client:1 ~ts:3 in
+  ignore (Bq.add q r3);
+  ignore (Bq.add q r2);
+  Alcotest.(check (list int)) "forgotten id re-enters last" [ 3; 2 ]
+    (ts_of (Bq.cut q ~bucket:0 ~max:5))
 
 let test_bq_resurrect_order () =
-  let q = Core.Bucket_queue.create () in
+  let q = single () in
   let rs = Array.init 5 (fun i -> req ~client:1 ~ts:i) in
-  Array.iteri (fun i r -> ignore (Core.Bucket_queue.add q ~seq:i r)) rs;
-  (* Cut 0,1,2 as if proposing, then resurrect 1 at its original seq:
-     it must come out before 3 and 4. *)
-  ignore (Core.Bucket_queue.cut q ~max:3);
-  Core.Bucket_queue.resurrect q ~seq:1 rs.(1);
-  let order = Core.Bucket_queue.cut q ~max:10 in
+  Array.iter (fun r -> ignore (Bq.add q r)) rs;
+  (* Cut 0,1,2 as if proposing, then resurrect 1: it must come out before 3
+     and 4, at its original arrival position. *)
+  ignore (Bq.cut q ~bucket:0 ~max:3);
+  Bq.resurrect q rs.(1);
   Alcotest.(check (list int)) "resurrected keeps reception order" [ 1; 3; 4 ]
-    (Array.to_list (Array.map (fun (r : Proto.Request.t) -> r.id.Proto.Request.ts) order))
+    (ts_of (Bq.cut q ~bucket:0 ~max:10))
 
-(* Model-based property: the queue behaves like a sorted association list. *)
+(* A request that left its queue without committing — cut into a batch, or
+   evicted as drop-oldest does with [cut ~max:1] — and is then re-submitted
+   re-enters at its original arrival position, not behind later arrivals. *)
+let test_bq_rearrival_order () =
+  let q = single () in
+  let rs = Array.init 6 (fun i -> req ~client:1 ~ts:i) in
+  for i = 0 to 3 do
+    ignore (Bq.add q rs.(i))
+  done;
+  Alcotest.(check (list int)) "evicted" [ 0 ] (ts_of (Bq.cut q ~bucket:0 ~max:1));
+  Alcotest.(check (list int)) "cut" [ 1; 2 ] (ts_of (Bq.cut q ~bucket:0 ~max:2));
+  ignore (Bq.add q rs.(4));
+  check_bool "cut request re-submitted" true (Bq.add q rs.(2));
+  check_bool "evicted request re-submitted" true (Bq.add q rs.(0));
+  ignore (Bq.add q rs.(5));
+  Alcotest.(check (option int)) "evicted request is oldest again" (Some 0)
+    (Bq.oldest_seq q ~bucket:0);
+  Alcotest.(check (list int)) "original arrival order" [ 0; 2; 3; 4; 5 ]
+    (ts_of (Bq.cut q ~bucket:0 ~max:10))
+
+(* A commit of an id this node never queued — it only validated it — leaves
+   the queues and the arrival order as they were. *)
+let test_bq_commit_unknown () =
+  let q = single () in
+  let a = req ~client:1 ~ts:0 and b = req ~client:1 ~ts:1 and c = req ~client:1 ~ts:2 in
+  List.iter (fun r -> ignore (Bq.add q r)) [ a; b; c ];
+  ignore (Bq.cut q ~bucket:0 ~max:1);
+  Bq.commit q { Proto.Request.client = 9; ts = 9 };
+  check_int "length unchanged" 2 (Bq.length q ~bucket:0);
+  check_int "pending unchanged" 2 (Bq.pending q);
+  check_bool "never queued" false (Bq.queued q { Proto.Request.client = 9; ts = 9 });
+  check_bool "cut request re-submitted" true (Bq.add q a);
+  Alcotest.(check (list int)) "cut request back at the front" [ 0; 1; 2 ]
+    (ts_of (Bq.cut q ~bucket:0 ~max:10))
+
+(* Resurrecting an id the node never numbered queues it at the next arrival
+   number without consuming it. *)
+let test_bq_resurrect_unknown () =
+  let q = single () in
+  ignore (Bq.add q (req ~client:1 ~ts:0));
+  ignore (Bq.cut q ~bucket:0 ~max:1);
+  Bq.resurrect q (req ~client:1 ~ts:7);
+  Alcotest.(check (option int)) "next arrival number" (Some 1) (Bq.oldest_seq q ~bucket:0);
+  ignore (Bq.cut q ~bucket:0 ~max:1);
+  ignore (Bq.add q (req ~client:1 ~ts:8));
+  Alcotest.(check (option int)) "number not consumed" (Some 1) (Bq.oldest_seq q ~bucket:0)
+
+(* Model-based property over four buckets: the queues behave like a table
+   of arrival numbers, first given on first arrival and dropped on commit,
+   plus a set of queued ids that each bucket cuts in arrival order. *)
 let prop_bq_model =
   let open QCheck in
-  (* Operations: add ts, remove ts, cut k. *)
+  let num_buckets = 4 in
   let op_gen =
     Gen.(
       frequency
         [
           (6, map (fun ts -> `Add ts) (int_range 0 50));
-          (2, map (fun ts -> `Remove ts) (int_range 0 50));
-          (2, map (fun k -> `Cut k) (int_range 1 5));
+          (2, map (fun ts -> `Commit ts) (int_range 0 50));
+          (2, map (fun ts -> `Resurrect ts) (int_range 0 50));
+          (3, map2 (fun b k -> `Cut (b, k)) (int_range 0 (num_buckets - 1)) (int_range 1 5));
         ])
   in
   Test.make ~name:"bucket queue matches reference model" ~count:300
-    (make (Gen.list_size (Gen.int_range 1 60) op_gen))
+    (make (Gen.list_size (Gen.int_range 1 80) op_gen))
     (fun ops ->
-      let q = Core.Bucket_queue.create () in
-      let model = ref [] (* (seq, ts), sorted by seq *) in
-      let seq = ref 0 in
+      let q = Bq.create ~num_buckets in
+      let bucket_of ts = Proto.Request.bucket_of_id ~num_buckets { Proto.Request.client = 7; ts } in
+      let numbered = Hashtbl.create 16 (* ts -> arrival number *) in
+      let queued = Hashtbl.create 16 (* ts -> () *) in
+      let next = ref 0 and added = ref 0 and high = ref 0 in
       let ok = ref true in
+      let occupancy b =
+        Hashtbl.fold (fun ts () n -> if bucket_of ts = b then n + 1 else n) queued 0
+      in
+      let enqueue ts =
+        Hashtbl.replace queued ts ();
+        incr added;
+        high := max !high (occupancy (bucket_of ts))
+      in
       List.iter
         (fun op ->
           match op with
           | `Add ts ->
-              let r = req ~client:7 ~ts in
-              let added = Core.Bucket_queue.add q ~seq:!seq r in
-              let model_has = List.exists (fun (_, t) -> t = ts) !model in
-              if added = model_has then ok := false;
-              if added then model := !model @ [ (!seq, ts) ];
-              incr seq
-          | `Remove ts ->
-              let removed = Core.Bucket_queue.remove q { Proto.Request.client = 7; ts } in
-              let model_has = List.exists (fun (_, t) -> t = ts) !model in
-              if (removed <> None) <> model_has then ok := false;
-              model := List.filter (fun (_, t) -> t <> ts) !model
-          | `Cut k ->
-              let cut = Core.Bucket_queue.cut q ~max:k in
-              let sorted = List.sort compare !model in
-              let expected = List.filteri (fun i _ -> i < k) sorted in
-              let got =
-                Array.to_list
-                  (Array.map (fun (r : Proto.Request.t) -> r.id.Proto.Request.ts) cut)
+              let got = Bq.add q (req ~client:7 ~ts) in
+              let expect = not (Hashtbl.mem queued ts) in
+              if got <> expect then ok := false;
+              if expect then begin
+                if not (Hashtbl.mem numbered ts) then begin
+                  Hashtbl.replace numbered ts !next;
+                  incr next
+                end;
+                enqueue ts
+              end
+          | `Commit ts ->
+              Bq.commit q { Proto.Request.client = 7; ts };
+              Hashtbl.remove numbered ts;
+              Hashtbl.remove queued ts
+          | `Resurrect ts ->
+              (* Only numbered ids: an unnumbered one would tie with the next
+                 arrival (test_bq_resurrect_unknown pins that case). *)
+              if Hashtbl.mem numbered ts then begin
+                Bq.resurrect q (req ~client:7 ~ts);
+                if not (Hashtbl.mem queued ts) then enqueue ts
+              end
+          | `Cut (b, k) ->
+              let in_bucket =
+                Hashtbl.fold
+                  (fun ts () acc ->
+                    if bucket_of ts = b then (Hashtbl.find numbered ts, ts) :: acc else acc)
+                  queued []
+                |> List.sort compare
               in
-              if got <> List.map snd expected then ok := false;
-              model := List.filteri (fun i _ -> i >= k) sorted)
+              let oldest = match in_bucket with (s, _) :: _ -> Some s | [] -> None in
+              if Bq.oldest_seq q ~bucket:b <> oldest then ok := false;
+              let expected = List.filteri (fun i _ -> i < k) in_bucket |> List.map snd in
+              if ts_of (Bq.cut q ~bucket:b ~max:k) <> expected then ok := false;
+              List.iter (Hashtbl.remove queued) expected)
         ops;
-      !ok && Core.Bucket_queue.length q = List.length !model)
+      !ok
+      && List.for_all
+           (fun b -> Bq.length q ~bucket:b = occupancy b)
+           (List.init num_buckets Fun.id)
+      && Bq.pending q = Hashtbl.length queued
+      && Bq.total_added q = !added
+      && Bq.max_occupancy q = !high)
 
 (* ------------------------------------------------------------------ *)
 (* Bucket assignment *)
@@ -731,6 +825,9 @@ let () =
           Alcotest.test_case "idempotent add" `Quick test_bq_idempotent_add;
           Alcotest.test_case "remove" `Quick test_bq_remove;
           Alcotest.test_case "resurrect order" `Quick test_bq_resurrect_order;
+          Alcotest.test_case "re-arrival keeps its place" `Quick test_bq_rearrival_order;
+          Alcotest.test_case "commit of an unqueued id" `Quick test_bq_commit_unknown;
+          Alcotest.test_case "resurrect unnumbered id" `Quick test_bq_resurrect_unknown;
           qc prop_bq_model;
         ] );
       ( "bucket-assignment",

@@ -17,17 +17,6 @@ module Cluster = Runner.Cluster
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Small epochs and tight timeouts: the liveness grace period is derived
-   from these, so shrinking them shrinks the whole run. *)
-let fast c =
-  {
-    c with
-    Core.Config.min_epoch_length = 32;
-    min_segment_size = 4;
-    epoch_change_timeout = Time_ns.sec 4;
-    max_batch_timeout = (if c.Core.Config.max_batch_timeout = 0 then 0 else Time_ns.sec 1);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* DSL unit tests *)
 
@@ -126,7 +115,7 @@ let test_random_deterministic () =
 
 let run_scenario ~system sc =
   let n = 4 in
-  let cluster = Cluster.create ~tweak:fast ~system ~n ~seed:7L () in
+  let cluster = Cluster.create ~tweak:Faults.fast ~system ~n ~seed:7L () in
   (match Faults.validate sc ~n with
   | Ok () -> ()
   | Error e -> Alcotest.failf "scenario %s: %s" (Faults.name sc) e);
@@ -226,7 +215,7 @@ let test_lossy_retransmission () =
   let n = 4 in
   let num_clients = 3 in
   let per_client = 20 in
-  let config = fast (Core.Config.pbft_default ~n) in
+  let config = Faults.fast (Core.Config.pbft_default ~n) in
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create ~seed:11L in
   let net = Sim.Network.create engine ~rng () in

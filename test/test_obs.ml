@@ -1,5 +1,5 @@
 (* Observability subsystem: JSON printer/parser, lifecycle tracer, metric
-   registry, trace sinks — and the zero-perturbation guarantee: instrumented
+   registry — and the zero-perturbation guarantee: instrumented
    runs must produce bit-identical results to bare ones. *)
 
 module J = Obs.Jsonx
@@ -192,27 +192,6 @@ let test_result_json () =
       let series = Option.get (J.to_list (Option.get (J.member "series_req_s" v))) in
       check_int "series exported" (Array.length r.Runner.Experiment.series) (List.length series)
 
-(* ------------------------------------------------------------------ *)
-(* Trace sinks *)
-
-let test_jsonl_sink () =
-  let buf = Buffer.create 256 in
-  let engine = Sim.Engine.create () in
-  Obs.Trace_sink.with_sink (Obs.Trace_sink.jsonl buf ~min_level:Sim.Trace.Debug) (fun () ->
-      Sim.Trace.emit engine Sim.Trace.Info "hello %d \"quoted\"" 42);
-  let line = String.trim (Buffer.contents buf) in
-  match J.of_string line with
-  | Error e -> Alcotest.failf "sink line does not parse: %s (%s)" line e
-  | Ok v ->
-      check_bool "msg field" true
-        (J.member "msg" v = Some (J.String {|hello 42 "quoted"|}));
-      check_bool "level field" true (J.member "level" v = Some (J.String "info"))
-
-let test_sink_restored () =
-  let buf = Buffer.create 16 in
-  Obs.Trace_sink.with_sink (Obs.Trace_sink.buffer buf ~min_level:Sim.Trace.Debug) (fun () -> ());
-  check_bool "sink uninstalled after with_sink" true (Sim.Trace.sink () = None)
-
 let () =
   Alcotest.run "obs"
     [
@@ -237,10 +216,5 @@ let () =
           Alcotest.test_case "no perturbation vs bare run" `Quick
             test_instrumentation_does_not_perturb;
           Alcotest.test_case "result json" `Quick test_result_json;
-        ] );
-      ( "sinks",
-        [
-          Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
-          Alcotest.test_case "restore" `Quick test_sink_restored;
         ] );
     ]

@@ -198,6 +198,26 @@ let test_drop_oldest_evicts_victim () =
         (e.p_req.Proto.Request.id = (List.hd reqs).Proto.Request.id)
   | _ -> Alcotest.fail "expected exactly one shed event")
 
+(* An evicted request that the client re-submits re-enters at its original
+   arrival position: it is again the oldest, so the next eviction takes it
+   rather than a request that arrived after it. *)
+let test_drop_oldest_rearrival_keeps_place () =
+  let fx = build_nodes ~capacity:2 ~policy:Core.Config.Drop_oldest () in
+  let node = fx.nodes.(0) in
+  let r0, r1, r2, r3 =
+    match same_bucket_requests ~num_buckets:4 ~count:4 with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | _ -> assert false
+  in
+  List.iter (Core.Node.submit node) [ r0; r1; r2; r0; r3 ];
+  let key (r : Proto.Request.t) = Proto.Request.id_key r.id in
+  let victims =
+    List.rev_map (fun e -> key e.p_req) (List.filter (fun e -> e.p_shed) !(fx.pushbacks))
+  in
+  (* r2 evicts r0; r0's return evicts r1 and re-enters ahead of r2; r3
+     evicts r0 again. *)
+  Alcotest.(check (list int)) "victims" (List.map key [ r0; r1; r0 ]) victims
+
 let test_advisory_pushback_below_shedding () =
   let fx = build_nodes ~capacity:4 ~watermark:0.5 () in
   let node = fx.nodes.(0) in
@@ -335,6 +355,8 @@ let () =
           Alcotest.test_case "reject-new sheds incoming" `Quick test_reject_new_sheds_incoming;
           Alcotest.test_case "drop-oldest evicts the oldest" `Quick
             test_drop_oldest_evicts_victim;
+          Alcotest.test_case "drop-oldest re-arrival keeps its place" `Quick
+            test_drop_oldest_rearrival_keeps_place;
           Alcotest.test_case "advisory pushback below shedding" `Quick
             test_advisory_pushback_below_shedding;
           Alcotest.test_case "flow control off is inert" `Quick test_flow_control_off_is_inert;

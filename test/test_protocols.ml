@@ -60,7 +60,6 @@ let make_world ~n ~config ~segment ~factory ~batch_source =
       charge_cpu = (fun _cost k -> k ());
       keypair = Iss_crypto.Signature.genkey ~id:me;
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(Proto.Ids.quorum ~n);
-      report_suspect = (fun _ -> ());
       validate_proposal = (fun _seg ~sn:_ _proposal -> Core.Orderer_intf.Accept);
     }
   in

@@ -528,28 +528,6 @@ let test_network_charge () =
   ignore e
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
-
-let test_trace_capture () =
-  let e = Sim.Engine.create () in
-  let buf = Buffer.create 256 in
-  let saved = Sim.Trace.sink () in
-  Sim.Trace.set_sink (Some (Sim.Trace.buffer_sink buf ~min_level:Sim.Trace.Info));
-  Fun.protect
-    ~finally:(fun () -> Sim.Trace.set_sink saved)
-    (fun () ->
-      Sim.Trace.emit e Sim.Trace.Info "hello %d" 42;
-      Sim.Trace.emit e Sim.Trace.Debug "hidden %s" "debug");
-  let captured = Buffer.contents buf in
-  check_bool "info captured" true (contains ~needle:"hello 42" captured);
-  check_bool "below-level suppressed" false (contains ~needle:"hidden" captured)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -601,7 +579,6 @@ let () =
           Alcotest.test_case "sane values" `Quick test_topology_sane_values;
           Alcotest.test_case "assignment" `Quick test_topology_assignment;
         ] );
-      ("trace", [ Alcotest.test_case "capture and levels" `Quick test_trace_capture ]);
       ( "network",
         [
           Alcotest.test_case "delivery" `Quick test_network_delivery;
