@@ -406,15 +406,6 @@ let micro () =
         (Staged.stage (fun () ->
              Core.Bucket_assignment.assign ~n:128 ~num_buckets:2048 ~epoch:7
                ~leaders:(Array.init 100 (fun i -> i))));
-      Test.make ~name:"heap-push-pop-1k"
-        (Staged.stage (fun () ->
-             let h = Sim.Heap.create ~cmp:compare in
-             for i = 0 to 999 do
-               Sim.Heap.push h ((i * 7919) mod 1000)
-             done;
-             while not (Sim.Heap.is_empty h) do
-               ignore (Sim.Heap.pop h)
-             done));
     ]
   in
   List.iter

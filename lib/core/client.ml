@@ -146,32 +146,31 @@ let jittered t delay =
    from the window so later requests are not wedged behind it — and reports
    it via [on_give_up]. *)
 let rec arm_retx t ts ~delay =
-  ignore
-    (Engine.schedule t.engine ~delay (fun () ->
-         match Hashtbl.find_opt t.pending ts with
-         | None -> ()  (* confirmed while the timer was pending *)
-         | Some p ->
-             let now = Engine.now t.engine in
-             if now < p.not_before then
-               (* Pushed back: honor the server-suggested floor; no send,
-                  no budget spent. *)
-               arm_retx t ts ~delay:(Time_ns.diff p.not_before now)
-             else if p.retx >= t.retry_budget then begin
-               Hashtbl.remove t.pending ts;
-               t.gave_up_count <- t.gave_up_count + 1;
-               t.on_give_up p.request;
-               advance_floor t
-             end
-             else begin
-               p.retx <- p.retx + 1;
-               t.retx_count <- t.retx_count + 1;
-               if p.retx >= 3 then
-                 for dst = 0 to t.config.Config.n - 1 do
-                   t.send ~dst (Proto.Message.Request_msg p.request)
-                 done
-               else send_request t p.request;
-               arm_retx t ts ~delay:(jittered t (min (2 * delay) t.retx_max))
-             end))
+  Engine.post t.engine ~delay (fun () ->
+      match Hashtbl.find_opt t.pending ts with
+      | None -> ()  (* confirmed while the timer was pending *)
+      | Some p ->
+          let now = Engine.now t.engine in
+          if now < p.not_before then
+            (* Pushed back: honor the server-suggested floor; no send,
+               no budget spent. *)
+            arm_retx t ts ~delay:(Time_ns.diff p.not_before now)
+          else if p.retx >= t.retry_budget then begin
+            Hashtbl.remove t.pending ts;
+            t.gave_up_count <- t.gave_up_count + 1;
+            t.on_give_up p.request;
+            advance_floor t
+          end
+          else begin
+            p.retx <- p.retx + 1;
+            t.retx_count <- t.retx_count + 1;
+            if p.retx >= 3 then
+              for dst = 0 to t.config.Config.n - 1 do
+                t.send ~dst (Proto.Message.Request_msg p.request)
+              done
+            else send_request t p.request;
+            arm_retx t ts ~delay:(jittered t (min (2 * delay) t.retx_max))
+          end)
 
 and submit_now t =
   let ts = t.next_ts in
@@ -267,13 +266,12 @@ let start_open_loop t ~rate ~until =
     t.open_loop_active <- true;
     let rec arm () =
       let gap = Sim.Rng.exponential t.rng ~mean:(1.0 /. rate) in
-      ignore
-        (Engine.schedule t.engine ~delay:(Time_ns.of_sec_f gap) (fun () ->
-             if Engine.now t.engine <= until then begin
-               submit_next t;
-               arm ()
-             end
-             else t.open_loop_active <- false))
+      Engine.post t.engine ~delay:(Time_ns.of_sec_f gap) (fun () ->
+          if Engine.now t.engine <= until then begin
+            submit_next t;
+            arm ()
+          end
+          else t.open_loop_active <- false)
     in
     arm ()
   end

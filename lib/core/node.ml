@@ -207,9 +207,8 @@ let send t ~dst msg =
   if dst = t.id then
     (* Loopback: bypass the NIC, keep a small scheduling delay so local
        delivery stays asynchronous (as a channel to self would be). *)
-    ignore
-      (Engine.schedule t.engine ~delay:(Time_ns.us 10) (fun () ->
-           if not t.halted then t.self_handler ~src:t.id msg))
+    Engine.post t.engine ~delay:(Time_ns.us 10) (fun () ->
+        if not t.halted then t.self_handler ~src:t.id msg)
   else t.raw_send ~dst msg
 
 let broadcast t msg =
@@ -222,7 +221,7 @@ let charge_cpu t cost k =
   let start = max (Engine.now t.engine) t.cpu_free in
   let done_at = Time_ns.add start effective in
   t.cpu_free <- done_at;
-  ignore (Engine.schedule_at t.engine ~at:done_at (fun () -> if not t.halted then k ()))
+  Engine.post_at t.engine ~at:done_at (fun () -> if not t.halted then k ())
 
 (* Horizon-only variant for fire-and-forget CPU accounting (no event). *)
 let charge_cpu_sync t cost =
@@ -722,7 +721,8 @@ and make_ctx t (seg : Segment.t) : Orderer_intf.ctx =
   {
     Orderer_intf.node = t.id;
     config = t.config;
-    engine = t.engine;
+    now = (fun () -> Engine.now t.engine);
+    timer = (fun () -> Orderer_intf.Timer.create t.engine);
     send = (fun ~dst msg -> send t ~dst msg);
     broadcast = (fun msg -> broadcast t msg);
     announce = (fun ~sn proposal -> process_commit t ~sn proposal ~resurrectable:true);
@@ -856,28 +856,27 @@ and prune_log t =
 
 and arm_lag_check t =
   let epoch_at_arm = t.epoch.e_num in
-  ignore
-    (Engine.schedule t.engine ~delay:(2 * t.config.Config.epoch_change_timeout) (fun () ->
-         if (not t.halted) && t.epoch.e_num = epoch_at_arm then begin
-           (* Still in the same epoch after two epoch-change timeouts; if
-              the rest of the system has moved on — evidenced by a stable
-              checkpoint for our epoch or any later one (nodes rebroadcast
-              nothing for long-finished epochs, so a laggard typically only
-              collects certificates of newer epochs) — fetch the log
-              instead of waiting. *)
-           let best =
-             Hashtbl.fold
-               (fun e _ acc -> if e >= epoch_at_arm then Stdlib.max e acc else acc)
-               t.stable_certs (-1)
-           in
-           let evidence = if best < 0 then None else Hashtbl.find_opt t.stable_certs best in
-           match evidence with
-           | Some cert ->
-               let target = pick_st_target t cert in
-               send t ~dst:target (Proto.Message.State_request { from_sn = t.epoch.e_start });
-               arm_lag_check t
-           | None -> arm_lag_check t
-         end))
+  Engine.post t.engine ~delay:(2 * t.config.Config.epoch_change_timeout) (fun () ->
+      if (not t.halted) && t.epoch.e_num = epoch_at_arm then begin
+        (* Still in the same epoch after two epoch-change timeouts; if
+           the rest of the system has moved on — evidenced by a stable
+           checkpoint for our epoch or any later one (nodes rebroadcast
+           nothing for long-finished epochs, so a laggard typically only
+           collects certificates of newer epochs) — fetch the log
+           instead of waiting. *)
+        let best =
+          Hashtbl.fold
+            (fun e _ acc -> if e >= epoch_at_arm then Stdlib.max e acc else acc)
+            t.stable_certs (-1)
+        in
+        let evidence = if best < 0 then None else Hashtbl.find_opt t.stable_certs best in
+        match evidence with
+        | Some cert ->
+            let target = pick_st_target t cert in
+            send t ~dst:target (Proto.Message.State_request { from_sn = t.epoch.e_start });
+            arm_lag_check t
+        | None -> arm_lag_check t
+      end)
 
 and pick_st_target t (cert : Proto.Message.checkpoint_cert) =
   (* Explicitly sort by node id: certificates built before signer lists were
@@ -1056,7 +1055,7 @@ and handle_message t ~src msg =
            ⊥, and the leader policy bans it on that log evidence. *)
         t.auth_failures <- t.auth_failures + 1
     | Proto.Message.Reply _ | Proto.Message.Busy _ | Proto.Message.Bucket_update _
-    | Proto.Message.Fd_heartbeat | Proto.Message.Mir_epoch_change _ ->
+    | Proto.Message.Mir_epoch_change _ ->
         ()
   end
 

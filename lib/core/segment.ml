@@ -43,18 +43,14 @@ let seq_count t = Array.length t.seq_nrs
    membership and position are O(1). *)
 let sn_index t sn =
   let count = Array.length t.seq_nrs in
-  if count = 0 then None
+  if count = 0 then -1
   else begin
     let stride = if count > 1 then t.seq_nrs.(1) - t.seq_nrs.(0) else 1 in
     let off = sn - t.seq_nrs.(0) in
-    if off < 0 || off mod stride <> 0 then None
-    else begin
-      let idx = off / stride in
-      if idx < count then Some idx else None
-    end
+    if off < 0 || off mod stride <> 0 || off / stride >= count then -1 else off / stride
   end
 
-let contains_sn t sn = match sn_index t sn with Some _ -> true | None -> false
+let contains_sn t sn = sn_index t sn >= 0
 
 let owns_bucket t b = List.mem b t.buckets
 

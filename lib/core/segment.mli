@@ -33,8 +33,8 @@ val contains_sn : t -> int -> bool
 
 val owns_bucket : t -> int -> bool
 
-val sn_index : t -> int -> int option
-(** Position of a sequence number within the segment (0-based), [None] when
+val sn_index : t -> int -> int
+(** Position of a sequence number within the segment (0-based), [-1] when
     the segment does not contain it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,5 @@
-module Time_ns = Sim.Time_ns
-module Engine = Sim.Engine
+module Rt = Core.Orderer_intf.Runtime
+module Timer = Core.Orderer_intf.Timer
 module Msg = Proto.Hotstuff_msg
 module Proposal = Proto.Proposal
 module Hash = Iss_crypto.Hash
@@ -8,6 +8,7 @@ module Orderer = struct
   type t = {
     ctx : Core.Orderer_intf.ctx;
     seg : Core.Segment.t;
+    rt : Rt.t;
     n : int;
     quorum : int;
     genesis_parent : Hash.t;  (* parent digest of the instance's first node *)
@@ -19,8 +20,6 @@ module Orderer = struct
         (* leader-designate: rotation -> sender -> (nv view, justify) *)
     nv_rotations : (int, int) Hashtbl.t;
         (* pacemaker sync: sender -> highest rotation it announced *)
-    decided : (int, Proposal.t) Hashtbl.t;  (* sn -> decided value (fill answers) *)
-    fills : (int, (int, Proposal.t) Hashtbl.t) Hashtbl.t;  (* sn -> src -> value *)
     mutable high_qc : Msg.qc option;
     mutable locked_view : int;
     mutable last_voted_view : int;
@@ -30,21 +29,26 @@ module Orderer = struct
     mutable to_propose : int list;  (* sns still to put on the chain (leader) *)
     mutable dummies_left : int;
     mutable last_proposed : (int * Hash.t) option;  (* (view, digest) awaiting QC *)
-    mutable active : bool;
-    mutable timer : Engine.timer_id option;
-    mutable rec_timer : Engine.timer_id option;  (* slot-recovery NACK timer *)
-    mutable last_announce : Time_ns.t;
+    timer : Timer.t;  (* pacemaker *)
     missing : (string, unit) Hashtbl.t;  (* ancestor digests being fetched *)
     pending_decide : (string, Msg.chain_node) Hashtbl.t;
         (* committed tips whose branch walk stalled on a missing ancestor *)
-    mutable sync_timer : Engine.timer_id option;  (* fetch retransmission *)
+    sync_timer : Timer.t;  (* fetch retransmission *)
   }
+
+  let hotstuff ~instance body = Proto.Message.Hotstuff { Msg.instance; body }
 
   let create ctx seg =
     let n = ctx.Core.Orderer_intf.config.Core.Config.n in
+    let instance = seg.Core.Segment.instance in
+    let rt =
+      Rt.create ctx seg ~fill_request:(fun sns ->
+          ctx.Core.Orderer_intf.broadcast (hotstuff ~instance (Msg.Fill_request { sns })))
+    in
     {
       ctx;
       seg;
+      rt;
       n;
       quorum = Proto.Ids.quorum ~n;
       genesis_parent =
@@ -54,8 +58,6 @@ module Orderer = struct
       shares = Hashtbl.create 16;
       new_views = Hashtbl.create 8;
       nv_rotations = Hashtbl.create 8;
-      decided = Hashtbl.create 32;
-      fills = Hashtbl.create 4;
       high_qc = None;
       locked_view = -1;
       last_voted_view = -1;
@@ -65,35 +67,21 @@ module Orderer = struct
       to_propose = Array.to_list seg.Core.Segment.seq_nrs;
       dummies_left = 3;
       last_proposed = None;
-      active = false;
-      timer = None;
-      rec_timer = None;
-      last_announce = Time_ns.zero;
+      timer = Rt.timer rt;
       missing = Hashtbl.create 4;
       pending_decide = Hashtbl.create 4;
-      sync_timer = None;
+      sync_timer = Rt.timer rt;
     }
 
   let current_leader t = (t.seg.Core.Segment.leader + t.rotations) mod t.n
 
   let me t = t.ctx.Core.Orderer_intf.node
 
-  let done_ t = Hashtbl.length t.decided >= Core.Segment.seq_count t.seg
-
   let broadcast_hs t body =
-    t.ctx.Core.Orderer_intf.broadcast
-      (Proto.Message.Hotstuff { Msg.instance = t.seg.Core.Segment.instance; body })
+    t.ctx.Core.Orderer_intf.broadcast (hotstuff ~instance:t.seg.Core.Segment.instance body)
 
   let send_hs t ~dst body =
-    t.ctx.Core.Orderer_intf.send ~dst
-      (Proto.Message.Hotstuff { Msg.instance = t.seg.Core.Segment.instance; body })
-
-  let cancel_timer t =
-    match t.timer with
-    | Some timer ->
-        Engine.cancel t.ctx.Core.Orderer_intf.engine timer;
-        t.timer <- None
-    | None -> ()
+    t.ctx.Core.Orderer_intf.send ~dst (hotstuff ~instance:t.seg.Core.Segment.instance body)
 
   (* ---- Decide pipeline ---------------------------------------------- *)
 
@@ -114,60 +102,15 @@ module Orderer = struct
     arm_sync_timer t
 
   and arm_sync_timer t =
-    if t.sync_timer = None && t.active && Hashtbl.length t.missing > 0 then begin
-      let delay = t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout in
-      t.sync_timer <-
-        Some
-          (Engine.schedule t.ctx.Core.Orderer_intf.engine ~delay (fun () ->
-               t.sync_timer <- None;
-               if t.active then begin
-                 Hashtbl.iter
-                   (fun raw () -> broadcast_hs t (Msg.Fetch { digest = Hash.of_raw raw }))
-                   t.missing;
-                 arm_sync_timer t
-               end))
-    end
-
-  let cancel_sync_timer t =
-    match t.sync_timer with
-    | Some timer ->
-        Engine.cancel t.ctx.Core.Orderer_intf.engine timer;
-        t.sync_timer <- None
-    | None -> ()
-
-  let cancel_rec_timer t =
-    match t.rec_timer with
-    | Some timer ->
-        Engine.cancel t.ctx.Core.Orderer_intf.engine timer;
-        t.rec_timer <- None
-    | None -> ()
-
-  (* Slot recovery (the PBFT orderer's NACK, ported).  Replicas whose
-     instance is already done ignore the pacemaker, so when fewer than a
-     quorum of replicas are stuck no rotation can ever assemble — and with
-     fewer than 2f+1 finishers no stable checkpoint (hence no state
-     transfer) forms either.  A replica making no progress for a whole
-     epoch-change timeout asks everyone for the slots it has not decided;
-     f+1 matching answers are adopted (at least one is from a correct
-     replica, and correct replicas only report committed values). *)
-  let rec arm_rec_timer t =
-    cancel_rec_timer t;
-    if t.active && not (done_ t) then begin
-      let period = t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout in
-      t.rec_timer <-
-        Some
-          (Engine.schedule t.ctx.Core.Orderer_intf.engine ~delay:period (fun () ->
-               t.rec_timer <- None;
-               let now = Engine.now t.ctx.Core.Orderer_intf.engine in
-               if t.active && (not (done_ t)) && now - t.last_announce >= period then begin
-                 let missing =
-                   Array.to_list t.seg.Core.Segment.seq_nrs
-                   |> List.filter (fun sn -> not (Hashtbl.mem t.decided sn))
-                 in
-                 if missing <> [] then broadcast_hs t (Msg.Fill_request { sns = missing })
-               end;
-               arm_rec_timer t))
-    end
+    if (not (Timer.armed t.sync_timer)) && Rt.active t.rt && Hashtbl.length t.missing > 0 then
+      Timer.arm t.sync_timer ~delay:t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout
+        (fun () ->
+          if Rt.active t.rt then begin
+            Hashtbl.iter
+              (fun raw () -> broadcast_hs t (Msg.Fetch { digest = Hash.of_raw raw }))
+              t.missing;
+            arm_sync_timer t
+          end)
 
   (* Announce a chain node and all its undecided ancestors, oldest first.
      Returns [false] — and starts fetching — when an ancestor is missing;
@@ -182,14 +125,9 @@ module Orderer = struct
           request_block t node.Msg.parent;
           false
     in
-    if ancestors_ok && node.Msg.sn >= 0 && not (Hashtbl.mem t.decided node.Msg.sn) then begin
-      Hashtbl.replace t.decided node.Msg.sn node.Msg.proposal;
-      t.last_announce <- Engine.now t.ctx.Core.Orderer_intf.engine;
-      t.ctx.Core.Orderer_intf.announce ~sn:node.Msg.sn node.Msg.proposal;
-      if done_ t then begin
-        cancel_timer t;
-        cancel_rec_timer t
-      end
+    if ancestors_ok && node.Msg.sn >= 0 && not (Rt.is_decided t.rt node.Msg.sn) then begin
+      Rt.announce t.rt ~sn:node.Msg.sn node.Msg.proposal;
+      if Rt.done_ t.rt then Timer.cancel t.timer
     end;
     ancestors_ok
 
@@ -229,11 +167,12 @@ module Orderer = struct
     t.last_proposed <- Some (node.Msg.view, digest);
     broadcast_hs t (Msg.Proposal_msg node)
 
-  (* Note: proposing must NOT stop when [done_ t] — the leader typically
-     decides the whole segment while replicas still need the trailing dummy
-     proposals to learn the final QCs (the pipeline flush of Fig. 4). *)
+  (* Note: proposing must NOT stop once the instance is done — the leader
+     typically decides the whole segment while replicas still need the
+     trailing dummy proposals to learn the final QCs (the pipeline flush of
+     Fig. 4). *)
   let rec propose_next t ~view ~parent ~justify =
-    if t.active && t.i_am_leader then begin
+    if Rt.active t.rt && t.i_am_leader then begin
       let make_and_send sn proposal = send_proposal t { Msg.view; sn; parent; proposal; justify } in
       match t.to_propose with
       | sn :: rest ->
@@ -242,7 +181,7 @@ module Orderer = struct
             (* Original leader: cut a real batch (asynchronous: the ISS
                batcher paces us). *)
             t.ctx.Core.Orderer_intf.request_batch ~sn (fun proposal ->
-                if t.active && t.i_am_leader then make_and_send sn proposal)
+                if Rt.active t.rt && t.i_am_leader then make_and_send sn proposal)
           else
             (* Rotated leader: design principle 2 — only ⊥. *)
             make_and_send sn Proposal.Nil
@@ -258,7 +197,7 @@ module Orderer = struct
     propose_next t ~view:(qc.Msg.qc_view + 1) ~parent:qc.Msg.qc_digest ~justify:(Some qc)
 
   let handle_vote t ~src ~view ~digest share =
-    if t.active && t.i_am_leader then begin
+    if Rt.active t.rt && t.i_am_leader then begin
       match t.last_proposed with
       | Some (v, d) when v = view && Hash.equal d digest ->
           let key = (view, Hash.raw digest) in
@@ -289,7 +228,7 @@ module Orderer = struct
                     Iss_crypto.Threshold.combine_cost_ns ~t:t.quorum
                   in
                   t.ctx.Core.Orderer_intf.charge_cpu cost (fun () ->
-                      if t.active then on_qc_formed t qc)
+                      if Rt.active t.rt then on_qc_formed t qc)
               | None -> ()
             end
           end
@@ -306,7 +245,7 @@ module Orderer = struct
     Iss_crypto.Threshold.verify t.ctx.Core.Orderer_intf.threshold_group material qc.Msg.qc_sig
 
   let rec handle_proposal t ~src (node : Msg.chain_node) =
-    if t.active && src = current_leader t && node.Msg.view > t.last_voted_view then begin
+    if Rt.active t.rt && src = current_leader t && node.Msg.view > t.last_voted_view then begin
       let justify_ok =
         match node.Msg.justify with
         | None ->
@@ -362,15 +301,10 @@ module Orderer = struct
             material
         in
         let verify_cost =
-          (match node.Msg.proposal with
-          | Proposal.Batch b when t.ctx.Core.Orderer_intf.config.Core.Config.client_signatures
-            ->
-              Proto.Batch.length b * Iss_crypto.Signature.verify_cost_ns
-          | Proposal.Batch _ | Proposal.Nil -> 0)
-          + Iss_crypto.Threshold.share_sign_cost_ns
+          Rt.signature_cost t.rt node.Msg.proposal + Iss_crypto.Threshold.share_sign_cost_ns
         in
         t.ctx.Core.Orderer_intf.charge_cpu verify_cost (fun () ->
-            if t.active then
+            if Rt.active t.rt then
               send_hs t ~dst:(current_leader t)
                 (Msg.Vote { view = node.Msg.view; digest; share }))
       end
@@ -379,19 +313,15 @@ module Orderer = struct
   (* ---- Pacemaker ------------------------------------------------------ *)
 
   and arm_timer t =
-    cancel_timer t;
-    if t.active && not (done_ t) then begin
+    if Rt.ordering t.rt then begin
       let base = t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout in
       let timeout = base * (1 lsl min t.rotations 16) in
-      t.timer <-
-        Some
-          (Engine.schedule t.ctx.Core.Orderer_intf.engine ~delay:timeout (fun () ->
-               t.timer <- None;
-               on_timeout t))
+      Timer.arm t.timer ~delay:timeout (fun () -> on_timeout t)
     end
+    else Timer.cancel t.timer
 
   and on_timeout t =
-    if t.active && not (done_ t) then begin
+    if Rt.ordering t.rt then begin
       t.rotations <- t.rotations + 1;
       t.i_am_leader <- false;
       broadcast_new_view t;
@@ -413,11 +343,7 @@ module Orderer = struct
     t.i_am_leader <- true;
     (* Re-propose ⊥ for everything not yet decided, then flush with
        dummies, starting above every view a quorum member voted in. *)
-    let undecided =
-      Array.to_list t.seg.Core.Segment.seq_nrs
-      |> List.filter (fun sn -> not (Hashtbl.mem t.decided sn))
-    in
-    t.to_propose <- undecided;
+    t.to_propose <- Rt.undecided t.rt;
     t.dummies_left <- 3;
     let start_view =
       let nv = List.fold_left max 0 views in
@@ -435,7 +361,7 @@ module Orderer = struct
     propose_next_rotated t ~view:start_view ~parent ~justify
 
   and handle_new_view t ~src ~view ~rotation ~justify =
-    if t.active && not (done_ t) then begin
+    if Rt.ordering t.rt then begin
       (match justify with
       | Some qc when qc_valid t qc -> register_qc t qc
       | Some _ | None -> ());
@@ -485,7 +411,7 @@ module Orderer = struct
   and propose_next_rotated t ~view ~parent ~justify =
     (* Same as [propose_next] but usable for the first post-rotation view
        (non-consecutive with the justify). *)
-    if t.active && t.i_am_leader then begin
+    if Rt.active t.rt && t.i_am_leader then begin
       match t.to_propose with
       | sn :: rest ->
           t.to_propose <- rest;
@@ -500,10 +426,9 @@ module Orderer = struct
   (* ---- ORDERER interface ---------------------------------------------- *)
 
   let start t =
-    t.active <- true;
-    t.last_announce <- Engine.now t.ctx.Core.Orderer_intf.engine;
+    Rt.start t.rt;
     arm_timer t;
-    arm_rec_timer t;
+    Rt.arm_recovery t.rt;
     if t.seg.Core.Segment.leader = me t then begin
       t.i_am_leader <- true;
       propose_next t ~view:0 ~parent:t.genesis_parent ~justify:None
@@ -512,7 +437,7 @@ module Orderer = struct
   let on_message t ~src msg =
     match msg with
     | Proto.Message.Hotstuff { Msg.instance; body }
-      when instance = t.seg.Core.Segment.instance && t.active -> (
+      when instance = t.seg.Core.Segment.instance && Rt.active t.rt -> (
         match body with
         | Msg.Proposal_msg node ->
             handle_proposal t ~src node;
@@ -532,54 +457,26 @@ module Orderer = struct
             if Hashtbl.mem t.missing raw then begin
               Hashtbl.remove t.missing raw;
               Hashtbl.replace t.chain raw node;
-              if Hashtbl.length t.missing = 0 then cancel_sync_timer t;
+              if Hashtbl.length t.missing = 0 then Timer.cancel t.sync_timer;
               (* Retry every suspended decide; branches still gapped re-add
                  themselves (and re-fetch the next missing ancestor). *)
               let tips = Hashtbl.fold (fun raw n acc -> (raw, n) :: acc) t.pending_decide [] in
               List.iter (fun (raw, n) -> decide_or_suspend t ~raw n) tips
             end
         | Msg.Fill_request { sns } ->
-            List.iter
-              (fun sn ->
-                match Hashtbl.find_opt t.decided sn with
-                | Some proposal -> send_hs t ~dst:src (Msg.Fill { sn; proposal })
-                | None -> ())
-              sns
+            Rt.answer_fill t.rt ~sns (fun ~sn proposal ->
+                send_hs t ~dst:src (Msg.Fill { sn; proposal }))
         | Msg.Fill { sn; proposal } ->
-            if Core.Segment.contains_sn t.seg sn && not (Hashtbl.mem t.decided sn) then begin
-              let tbl =
-                match Hashtbl.find_opt t.fills sn with
-                | Some tbl -> tbl
-                | None ->
-                    let tbl = Hashtbl.create 4 in
-                    Hashtbl.replace t.fills sn tbl;
-                    tbl
-              in
-              Hashtbl.replace tbl src proposal;
-              let digest = Proposal.digest proposal in
-              let matching =
-                Hashtbl.fold
-                  (fun _ p acc -> if Hash.equal (Proposal.digest p) digest then acc + 1 else acc)
-                  tbl 0
-              in
-              if matching >= Proto.Ids.max_faulty ~n:t.n + 1 then begin
-                Hashtbl.replace t.decided sn proposal;
-                t.last_announce <- Engine.now t.ctx.Core.Orderer_intf.engine;
-                t.ctx.Core.Orderer_intf.announce ~sn proposal;
-                if done_ t then begin
-                  cancel_timer t;
-                  cancel_rec_timer t;
-                  cancel_sync_timer t
-                end
+            if Rt.fill_confirms t.rt ~src ~sn proposal then begin
+              Rt.announce t.rt ~sn proposal;
+              if Rt.done_ t.rt then begin
+                Timer.cancel t.timer;
+                Timer.cancel t.sync_timer
               end
             end)
     | _ -> ()
 
-  let stop t =
-    t.active <- false;
-    cancel_timer t;
-    cancel_rec_timer t;
-    cancel_sync_timer t
+  let stop t = Rt.stop t.rt
 end
 
 let factory ctx seg =

@@ -39,13 +39,12 @@ let epoch_gate t ~epoch k =
     end;
     (* Ungraceful epoch change: if the primary stays quiet, proceed after
        the epoch-change timeout. *)
-    ignore
-      (Engine.schedule t.engine ~delay:t.timeout (fun () ->
-           match t.waiting with
-           | Some (e, _) when e = epoch ->
-               Hashtbl.replace t.announced epoch ();
-               release t epoch
-           | Some _ | None -> ()))
+    Engine.post t.engine ~delay:t.timeout (fun () ->
+        match t.waiting with
+        | Some (e, _) when e = epoch ->
+            Hashtbl.replace t.announced epoch ();
+            release t epoch
+        | Some _ | None -> ())
   end
 
 let on_message t ~src:_ msg =

@@ -1,5 +1,5 @@
-module Time_ns = Sim.Time_ns
-module Engine = Sim.Engine
+module Rt = Core.Orderer_intf.Runtime
+module Timer = Core.Orderer_intf.Timer
 module Msg = Proto.Pbft_msg
 module Proposal = Proto.Proposal
 
@@ -10,22 +10,17 @@ module Orderer = struct
     prepares : Votes.t;
     commits : Votes.t;
     mutable prepared : (int * Proposal.t) option;  (* highest view prepared cert *)
-    mutable announced : bool;
-    fills : (int, int * Proposal.t) Hashtbl.t;  (* src -> (view, committed value) *)
   }
 
   type t = {
     ctx : Core.Orderer_intf.ctx;
     seg : Core.Segment.t;
+    rt : Rt.t;
     n : int;
     quorum : int;
     slots : (int, slot) Hashtbl.t;  (* sn -> *)
     mutable view : int;
-    mutable active : bool;  (* between start and stop *)
-    mutable vc_timer : Engine.timer_id option;
-    mutable rec_timer : Engine.timer_id option;  (* slot-recovery (fill) pacing *)
-    mutable last_announce : Time_ns.t;  (* progress marker for slot recovery *)
-    mutable completed : int;  (* announced count *)
+    vc_timer : Timer.t;
     view_changes : (int, (int, Msg.view_change) Hashtbl.t) Hashtbl.t;
         (* new_view -> sender -> vc *)
     mutable highest_vc_sent : int;
@@ -50,97 +45,51 @@ module Orderer = struct
             prepares = Votes.create ~n:t.n;
             commits = Votes.create ~n:t.n;
             prepared = None;
-            announced = false;
-            fills = Hashtbl.create 1;
           }
         in
         Hashtbl.replace t.slots sn s;
         s
 
+  let pbft ~instance body = Proto.Message.Pbft { Msg.instance; body }
+
   let create ctx seg =
     let n = ctx.Core.Orderer_intf.config.Core.Config.n in
+    let instance = seg.Core.Segment.instance in
+    let rt =
+      Rt.create ctx seg ~fill_request:(fun sns ->
+          ctx.Core.Orderer_intf.broadcast (pbft ~instance (Msg.Fill_request { sns })))
+    in
     {
       ctx;
       seg;
+      rt;
       n;
       quorum = Proto.Ids.quorum ~n;
       slots = Hashtbl.create (Core.Segment.seq_count seg * 2);
       view = 0;
-      active = false;
-      vc_timer = None;
-      rec_timer = None;
-      last_announce = Time_ns.zero;
-      completed = 0;
+      vc_timer = Rt.timer rt;
       view_changes = Hashtbl.create 4;
       highest_vc_sent = 0;
       last_nv = None;
     }
 
   let broadcast_pbft t body =
-    t.ctx.Core.Orderer_intf.broadcast
-      (Proto.Message.Pbft { Msg.instance = t.seg.Core.Segment.instance; body })
-
-  let done_ t = t.completed >= Core.Segment.seq_count t.seg
-
-  let cancel_vc_timer t =
-    match t.vc_timer with
-    | Some timer ->
-        Engine.cancel t.ctx.Core.Orderer_intf.engine timer;
-        t.vc_timer <- None
-    | None -> ()
+    t.ctx.Core.Orderer_intf.broadcast (pbft ~instance:t.seg.Core.Segment.instance body)
 
   (* The view-change timeout doubles with the view number so that, after
      GST, it eventually exceeds the network delay (◇S(bz) completeness,
      §4.2.4). *)
   let rec arm_vc_timer t =
-    cancel_vc_timer t;
-    if t.active && not (done_ t) then begin
+    if Rt.ordering t.rt then begin
       let base = t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout in
       let timeout = base * (1 lsl min t.view 16) in
-      t.vc_timer <-
-        Some
-          (Engine.schedule t.ctx.Core.Orderer_intf.engine ~delay:timeout (fun () ->
-               t.vc_timer <- None;
-               start_view_change t (t.view + 1)))
+      Timer.arm t.vc_timer ~delay:timeout (fun () ->
+          start_view_change t (t.view + 1))
     end
-
-  (* Slot recovery (negative acknowledgment).  A view change only repairs a
-     slot when a quorum of replicas still cares about it: once enough peers
-     have committed the whole segment (done_), they stop joining view
-     changes and a stuck minority can never assemble one.  So, orthogonally
-     to view changes, a replica that has seen no announce for a full timeout
-     asks everyone to FILL its missing slots and adopts any value confirmed
-     by f+1 distinct peers.  The period stays constant — re-asking is
-     idempotent — and the timer is progress-gated on [last_announce] so it
-     stays quiet while the segment drains normally. *)
-  and cancel_rec_timer t =
-    match t.rec_timer with
-    | Some timer ->
-        Engine.cancel t.ctx.Core.Orderer_intf.engine timer;
-        t.rec_timer <- None
-    | None -> ()
-
-  and arm_rec_timer t =
-    cancel_rec_timer t;
-    if t.active && not (done_ t) then begin
-      let period = t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout in
-      t.rec_timer <-
-        Some
-          (Engine.schedule t.ctx.Core.Orderer_intf.engine ~delay:period (fun () ->
-               t.rec_timer <- None;
-               let now = Engine.now t.ctx.Core.Orderer_intf.engine in
-               if t.active && (not (done_ t)) && now - t.last_announce >= period then begin
-                 let missing =
-                   Array.to_list t.seg.Core.Segment.seq_nrs
-                   |> List.filter (fun sn -> not (slot t sn).announced)
-                 in
-                 if missing <> [] then broadcast_pbft t (Msg.Fill_request { sns = missing })
-               end;
-               arm_rec_timer t))
-    end
+    else Timer.cancel t.vc_timer
 
   and start_view_change t new_view =
-    if t.active && (not (done_ t)) && new_view > t.highest_vc_sent then begin
+    if Rt.ordering t.rt && new_view > t.highest_vc_sent then begin
       t.highest_vc_sent <- new_view;
       (* Gather prepared certificates for the open sequence numbers —
          including slots already committed here.  Hiding committed slots
@@ -154,7 +103,7 @@ module Orderer = struct
             let cert =
               match (s.prepared, s.accepted) with
               | Some (view, proposal), _ -> Some (view, proposal)
-              | None, Some (view, proposal) when s.announced -> Some (view, proposal)
+              | None, Some (view, proposal) when Rt.is_decided t.rt sn -> Some (view, proposal)
               | None, _ -> None
             in
             match cert with
@@ -192,36 +141,19 @@ module Orderer = struct
     (* Same view gate as [try_commit]: commit votes of a view this replica
        abandoned must not reach an announce quorum here while the rest of
        the cluster commits the new view's replacement value. *)
-    | Some (view, proposal) when view = t.view && not s.announced ->
+    | Some (view, proposal) when view = t.view && not (Rt.is_decided t.rt s.sn) ->
         if Votes.count s.commits ~view (Proposal.digest proposal) >= t.quorum then begin
-          s.announced <- true;
-          t.completed <- t.completed + 1;
-          t.last_announce <- Engine.now t.ctx.Core.Orderer_intf.engine;
-          t.ctx.Core.Orderer_intf.announce ~sn:s.sn proposal;
-          if done_ t then begin
-            cancel_vc_timer t;
-            cancel_rec_timer t
-          end
-          else arm_vc_timer t
+          Rt.announce t.rt ~sn:s.sn proposal;
+          arm_vc_timer t
         end
     | Some _ | None -> ()
 
-  (* Adopt a value learned through slot recovery: f+1 matching FILLs mean at
-     least one correct replica committed it, so announcing is safe. *)
+  (* Adopt a value confirmed through slot recovery. *)
   let force_commit t s ~view proposal =
-    if not s.announced then begin
-      s.accepted <- Some (view, proposal);
-      s.prepared <- Some (view, proposal);
-      s.announced <- true;
-      t.completed <- t.completed + 1;
-      t.last_announce <- Engine.now t.ctx.Core.Orderer_intf.engine;
-      t.ctx.Core.Orderer_intf.announce ~sn:s.sn proposal;
-      if done_ t then begin
-        cancel_vc_timer t;
-        cancel_rec_timer t
-      end
-      else arm_vc_timer t
-    end
+    s.accepted <- Some (view, proposal);
+    s.prepared <- Some (view, proposal);
+    Rt.announce t.rt ~sn:s.sn proposal;
+    arm_vc_timer t
 
   let try_commit t s =
     match s.accepted with
@@ -246,7 +178,7 @@ module Orderer = struct
      NEW-VIEW) and respond with a PREPARE vote. *)
   let accept_preprepare t ~view ~sn proposal =
     let s = slot t sn in
-    if s.announced && Core.Segment.contains_sn t.seg sn then begin
+    if Rt.is_decided t.rt sn then begin
       (* Already committed here; a later view may re-propose the value for
          peers that missed the original quorum (e.g. under message loss).
          Vote PREPARE and COMMIT straight away — a quorum already committed
@@ -265,7 +197,7 @@ module Orderer = struct
           broadcast_pbft t (Msg.Commit { view; sn; digest })
       | Some _ | None -> ()
     end
-    else if (not s.announced) && Core.Segment.contains_sn t.seg sn then begin
+    else if Core.Segment.contains_sn t.seg sn then begin
       let fresh =
         match s.accepted with Some (v, _) -> v < view | None -> true
       in
@@ -284,13 +216,7 @@ module Orderer = struct
       | Core.Orderer_intf.Accept when fresh ->
           s.accepted <- Some (view, proposal);
           let digest = Proposal.digest proposal in
-          let verify_cost =
-            match proposal with
-            | Proposal.Batch b when t.ctx.Core.Orderer_intf.config.Core.Config.client_signatures
-              ->
-                Proto.Batch.length b * Iss_crypto.Signature.verify_cost_ns
-            | Proposal.Batch _ | Proposal.Nil -> 0
-          in
+          let verify_cost = Rt.signature_cost t.rt proposal in
           let vote () =
             Votes.set s.prepares ~view ~node:t.ctx.Core.Orderer_intf.node digest;
             broadcast_pbft t (Msg.Prepare { view; sn; digest });
@@ -317,7 +243,7 @@ module Orderer = struct
     Array.iter
       (fun sn ->
         t.ctx.Core.Orderer_intf.request_batch ~sn (fun proposal ->
-            if t.active && t.view = 0 then begin
+            if Rt.active t.rt && t.view = 0 then begin
               broadcast_pbft t (Msg.Preprepare { view = 0; sn; proposal })
             end))
       t.seg.Core.Segment.seq_nrs
@@ -325,7 +251,7 @@ module Orderer = struct
   (* --- View change handling ------------------------------------------ *)
 
   let process_new_view t ~view ~view_changes ~preprepares =
-    if view >= t.view && t.active then begin
+    if view >= t.view && Rt.active t.rt then begin
       let valid = List.filter (verify_vc t) view_changes in
       let distinct = List.sort_uniq compare (List.map (fun vc -> vc.Msg.vc_signer) valid) in
       if List.length distinct >= t.quorum then begin
@@ -337,7 +263,7 @@ module Orderer = struct
     end
 
   let maybe_become_leader t new_view =
-    if primary t new_view = t.ctx.Core.Orderer_intf.node && t.active then begin
+    if primary t new_view = t.ctx.Core.Orderer_intf.node && Rt.active t.rt then begin
       match t.last_nv with
       | Some (v, body) when v = new_view ->
           (* Re-send the cached NEW-VIEW verbatim for stragglers whose view
@@ -373,7 +299,7 @@ module Orderer = struct
                      let local =
                        match (s.prepared, s.accepted) with
                        | (Some _ as p), _ -> p
-                       | None, Some (v, p) when s.announced -> Some (v, p)
+                       | None, Some (v, p) when Rt.is_decided t.rt sn -> Some (v, p)
                        | None, _ -> None
                      in
                      let cand =
@@ -396,7 +322,7 @@ module Orderer = struct
     end
 
   let handle_view_change t ~src vc =
-    if t.active && vc.Msg.new_view > 0 && verify_vc t vc && vc.Msg.vc_signer = src then begin
+    if Rt.active t.rt && vc.Msg.new_view > 0 && verify_vc t vc && vc.Msg.vc_signer = src then begin
       let senders =
         match Hashtbl.find_opt t.view_changes vc.Msg.new_view with
         | Some s -> s
@@ -419,16 +345,15 @@ module Orderer = struct
   (* --- ORDERER interface ---------------------------------------------- *)
 
   let start t =
-    t.active <- true;
-    t.last_announce <- Engine.now t.ctx.Core.Orderer_intf.engine;
+    Rt.start t.rt;
     arm_vc_timer t;
-    arm_rec_timer t;
+    Rt.arm_recovery t.rt;
     if t.seg.Core.Segment.leader = t.ctx.Core.Orderer_intf.node then propose_all t
 
   let on_message t ~src msg =
     match msg with
     | Proto.Message.Pbft { Msg.instance; body }
-      when instance = t.seg.Core.Segment.instance && t.active -> (
+      when instance = t.seg.Core.Segment.instance && Rt.active t.rt -> (
         match body with
         | Msg.Preprepare { view; sn; proposal } ->
             (* Only the primary of the view may propose. *)
@@ -444,38 +369,18 @@ module Orderer = struct
         | Msg.New_view { view; view_changes; preprepares } ->
             if src = primary t view then process_new_view t ~view ~view_changes ~preprepares
         | Msg.Fill_request { sns } ->
-            List.iter
-              (fun sn ->
-                match Hashtbl.find_opt t.slots sn with
-                | Some { announced = true; accepted = Some (view, proposal); _ } ->
-                    t.ctx.Core.Orderer_intf.send ~dst:src
-                      (Proto.Message.Pbft
-                         {
-                           Msg.instance = t.seg.Core.Segment.instance;
-                           body = Msg.Fill { sn; view; proposal };
-                         })
-                | Some _ | None -> ())
-              sns
+            Rt.answer_fill t.rt ~sns (fun ~sn proposal ->
+                (* A decided slot always holds its value as [accepted], in
+                   the latest view this replica voted for it. *)
+                let view = match (slot t sn).accepted with Some (v, _) -> v | None -> 0 in
+                t.ctx.Core.Orderer_intf.send ~dst:src
+                  (pbft ~instance (Msg.Fill { sn; view; proposal })))
         | Msg.Fill { sn; view; proposal } ->
             let s = slot t sn in
-            if (not s.announced) && Core.Segment.contains_sn t.seg sn then begin
-              Hashtbl.replace s.fills src (view, proposal);
-              let digest = Proposal.digest proposal in
-              let matching =
-                Hashtbl.fold
-                  (fun _ (_, p) acc ->
-                    if Iss_crypto.Hash.equal (Proposal.digest p) digest then acc + 1 else acc)
-                  s.fills 0
-              in
-              if matching >= Proto.Ids.max_faulty ~n:t.n + 1 then
-                force_commit t s ~view proposal
-            end)
+            if Rt.fill_confirms t.rt ~src ~sn proposal then force_commit t s ~view proposal)
     | _ -> ()
 
-  let stop t =
-    t.active <- false;
-    cancel_vc_timer t;
-    cancel_rec_timer t
+  let stop t = Rt.stop t.rt
 end
 
 let factory ctx seg =

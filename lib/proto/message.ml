@@ -29,7 +29,6 @@ type t =
     }
   | State_request of { from_sn : int }
   | State_reply of { entries : (int * Proposal.t) list; cert : checkpoint_cert }
-  | Fd_heartbeat
   | Pbft of Pbft_msg.t
   | Hotstuff of Hotstuff_msg.t
   | Raft of Raft_msg.t
@@ -55,7 +54,6 @@ let rec wire_size = function
   | State_reply { entries; cert } ->
       cert_size cert
       + List.fold_left (fun acc (_, p) -> acc + 8 + Proposal.wire_size p) 0 entries
-  | Fd_heartbeat -> 16
   | Pbft m -> Pbft_msg.wire_size m
   | Hotstuff m -> Hotstuff_msg.wire_size m
   | Raft m -> Raft_msg.wire_size m
@@ -77,7 +75,6 @@ let rec pp fmt = function
   | State_reply { entries = []; cert } ->
       Format.fprintf fmt "state-snapshot(e%d,sn%d)" cert.cc_epoch cert.cc_max_sn
   | State_reply { entries; _ } -> Format.fprintf fmt "state-reply(%d entries)" (List.length entries)
-  | Fd_heartbeat -> Format.pp_print_string fmt "heartbeat"
   | Pbft m -> Pbft_msg.pp fmt m
   | Hotstuff m -> Hotstuff_msg.pp fmt m
   | Raft m -> Raft_msg.pp fmt m

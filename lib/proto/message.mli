@@ -51,7 +51,6 @@ type t =
           entries it offers the quorum-signed certificate; the requester
           fast-forwards its log frontier, request numbering and leader
           policy to the checkpoint and rejoins from there *)
-  | Fd_heartbeat  (** failure-detector liveness beacon *)
   | Pbft of Pbft_msg.t
   | Hotstuff of Hotstuff_msg.t
   | Raft of Raft_msg.t

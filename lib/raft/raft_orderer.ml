@@ -1,5 +1,6 @@
 module Time_ns = Sim.Time_ns
-module Engine = Sim.Engine
+module Rt = Core.Orderer_intf.Runtime
+module Timer = Core.Orderer_intf.Timer
 module Msg = Proto.Raft_msg
 module Proposal = Proto.Proposal
 
@@ -9,6 +10,7 @@ module Orderer = struct
   type t = {
     ctx : Core.Orderer_intf.ctx;
     seg : Core.Segment.t;
+    rt : Rt.t;
     n : int;
     majority : int;
     len : int;  (* entries in the segment *)
@@ -17,17 +19,15 @@ module Orderer = struct
     mutable role : role;
     mutable voted_for : int option;  (* per current term *)
     mutable commit_idx : int;  (* highest committed index, -1 if none *)
-    mutable announced_upto : int;  (* highest announced index, -1 if none *)
     (* Leader state *)
     next_idx : int array;  (* per follower *)
     match_idx : int array;
     mutable appended : int;  (* entries appended to my log so far *)
     votes : (int, unit) Hashtbl.t;  (* candidates: granted votes *)
     mutable election_round : int;  (* doubles the timer window *)
-    mutable hb_timer : Engine.timer_id option;
-    mutable election_timer : Engine.timer_id option;
+    hb_timer : Timer.t;
+    election_timer : Timer.t;
     rng : Sim.Rng.t;
-    mutable active : bool;
   }
 
   let me t = t.ctx.Core.Orderer_intf.node
@@ -35,9 +35,11 @@ module Orderer = struct
   let create ctx seg =
     let n = ctx.Core.Orderer_intf.config.Core.Config.n in
     let len = Core.Segment.seq_count seg in
+    let rt = Rt.create ctx seg in
     {
       ctx;
       seg;
+      rt;
       n;
       majority = Proto.Ids.majority ~n;
       len;
@@ -46,41 +48,27 @@ module Orderer = struct
       role = (if ctx.Core.Orderer_intf.node = seg.Core.Segment.leader then Leader else Follower);
       voted_for = Some seg.Core.Segment.leader;
       commit_idx = -1;
-      announced_upto = -1;
       next_idx = Array.make n 0;
       match_idx = Array.make n (-1);
       appended = 0;
       votes = Hashtbl.create 8;
       election_round = 0;
-      hb_timer = None;
-      election_timer = None;
+      hb_timer = Rt.timer rt;
+      election_timer = Rt.timer rt;
       rng =
         Sim.Rng.create
           ~seed:
             (Int64.of_int
                ((seg.Core.Segment.instance * 1_000_003) + ctx.Core.Orderer_intf.node + 1));
-      active = false;
     }
 
   let send_raft t ~dst body =
     t.ctx.Core.Orderer_intf.send ~dst
       (Proto.Message.Raft { Msg.instance = t.seg.Core.Segment.instance; body })
 
-  let cancel_hb t =
-    match t.hb_timer with
-    | Some timer ->
-        Engine.cancel t.ctx.Core.Orderer_intf.engine timer;
-        t.hb_timer <- None
-    | None -> ()
-
-  let cancel_election t =
-    match t.election_timer with
-    | Some timer ->
-        Engine.cancel t.ctx.Core.Orderer_intf.engine timer;
-        t.election_timer <- None
-    | None -> ()
-
-  let done_ t = t.announced_upto >= t.len - 1
+  (* Entries are announced in index order, so the decided count is the
+     announced prefix. *)
+  let announced_upto t = Rt.decided_count t.rt - 1
 
   (* Last index of the contiguous prefix (and its term).  Elections compare
      logs by this — not by the highest filled index — because entries beyond
@@ -97,37 +85,31 @@ module Orderer = struct
     in
     (!m, term)
 
-  let announce_ready t =
-    while t.announced_upto < t.commit_idx do
-      let idx = t.announced_upto + 1 in
+  let rec announce_ready t =
+    let idx = announced_upto t + 1 in
+    if idx <= t.commit_idx then
       match t.entries.(idx) with
       | Some e ->
-          t.announced_upto <- idx;
-          t.ctx.Core.Orderer_intf.announce ~sn:t.seg.Core.Segment.seq_nrs.(idx)
-            e.Msg.proposal
-      | None -> t.announced_upto <- t.commit_idx (* unreachable: gap below commit *)
-    done
+          Rt.announce t.rt ~sn:t.seg.Core.Segment.seq_nrs.(idx) e.Msg.proposal;
+          announce_ready t
+      | None -> () (* unreachable: commit_idx never passes a gap *)
 
   (* ---- Election timer (follower / candidate) ------------------------- *)
 
   let rec arm_election t =
-    cancel_election t;
-    if t.active && t.role <> Leader && not (done_ t) then begin
+    if Rt.ordering t.rt && t.role <> Leader then begin
       let base = t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout in
       (* Random timer in [T, 2T), both bounds doubling with each failed
          election round (§4.2.3). *)
       let scale = 1 lsl min t.election_round 16 in
       let lo = base * scale in
       let delay = lo + Sim.Rng.int t.rng lo in
-      t.election_timer <-
-        Some
-          (Engine.schedule t.ctx.Core.Orderer_intf.engine ~delay (fun () ->
-               t.election_timer <- None;
-               start_election t))
+      Timer.arm t.election_timer ~delay (fun () -> start_election t)
     end
+    else Timer.cancel t.election_timer
 
   and start_election t =
-    if t.active && t.role <> Leader && not (done_ t) then begin
+    if Rt.ordering t.rt && t.role <> Leader then begin
       t.term <- t.term + 1;
       t.election_round <- t.election_round + 1;
       t.role <- Candidate;
@@ -169,22 +151,19 @@ module Orderer = struct
     done
 
   and arm_heartbeat t =
-    cancel_hb t;
-    if t.active && t.role = Leader then begin
+    if Rt.active t.rt && t.role = Leader then begin
       let interval =
         max (t.ctx.Core.Orderer_intf.config.Core.Config.min_batch_timeout) (Time_ns.ms 200)
       in
-      t.hb_timer <-
-        Some
-          (Engine.schedule t.ctx.Core.Orderer_intf.engine ~delay:interval (fun () ->
-               t.hb_timer <- None;
-               if t.active && t.role = Leader then begin
-                 (* Re-send everything unacknowledged — the redundant
-                    re-proposal behaviour the paper calls out. *)
-                 replicate_all t;
-                 arm_heartbeat t
-               end))
+      Timer.arm t.hb_timer ~delay:interval (fun () ->
+          if Rt.active t.rt && t.role = Leader then begin
+            (* Re-send everything unacknowledged — the redundant
+               re-proposal behaviour the paper calls out. *)
+            replicate_all t;
+            arm_heartbeat t
+          end)
     end
+    else Timer.cancel t.hb_timer
 
   and append_local t ~idx proposal =
     if t.entries.(idx) = None then begin
@@ -222,7 +201,7 @@ module Orderer = struct
   and become_leader t =
     t.role <- Leader;
     t.election_round <- 0;
-    cancel_election t;
+    Timer.cancel t.election_timer;
     (* Re-stamp the whole segment log with the new term, preserving the
        values (⊥ in the holes — design principle 2: a takeover leader never
        proposes client batches).  A fixed-length log has no room for Raft's
@@ -252,7 +231,7 @@ module Orderer = struct
     Array.iteri
       (fun idx sn ->
         t.ctx.Core.Orderer_intf.request_batch ~sn (fun proposal ->
-            if t.active && t.role = Leader then begin
+            if Rt.active t.rt && t.role = Leader then begin
               append_local t ~idx proposal;
               replicate_all t;
               leader_advance_commit t
@@ -293,7 +272,7 @@ module Orderer = struct
                      guarantees the values agree, and checking keeps a
                      divergent entry from silently replacing a delivery. *)
                   if
-                    e.Msg.idx > t.announced_upto
+                    e.Msg.idx > announced_upto t
                     || Iss_crypto.Hash.equal
                          (Proposal.digest old.Msg.proposal)
                          (Proposal.digest e.Msg.proposal)
@@ -327,7 +306,7 @@ module Orderer = struct
     end
 
   let handle_append_reply t ~src ~term ~success ~match_idx =
-    if t.active && t.role = Leader && term = t.term then
+    if Rt.active t.rt && t.role = Leader && term = t.term then
       if success then begin
         if match_idx > t.match_idx.(src) then begin
           t.match_idx.(src) <- match_idx;
@@ -346,7 +325,7 @@ module Orderer = struct
     if term > t.term then begin
       t.term <- term;
       t.voted_for <- None;
-      if t.role = Leader then cancel_hb t;
+      if t.role = Leader then Timer.cancel t.hb_timer;
       t.role <- Follower
     end;
     let my_last = ref (-1) in
@@ -366,7 +345,7 @@ module Orderer = struct
     send_raft t ~dst:src (Msg.Vote_reply { term = t.term; granted = grant })
 
   let handle_vote_reply t ~src ~term ~granted =
-    if t.active && t.role = Candidate && term = t.term && granted then begin
+    if Rt.active t.rt && t.role = Candidate && term = t.term && granted then begin
       Hashtbl.replace t.votes src ();
       if Hashtbl.length t.votes >= t.majority then become_leader t
     end
@@ -374,7 +353,7 @@ module Orderer = struct
   (* ---- ORDERER interface ---------------------------------------------- *)
 
   let start t =
-    t.active <- true;
+    Rt.start t.rt;
     if t.role = Leader then begin
       arm_heartbeat t;
       propose_all t
@@ -384,7 +363,7 @@ module Orderer = struct
   let on_message t ~src msg =
     match msg with
     | Proto.Message.Raft { Msg.instance; body }
-      when instance = t.seg.Core.Segment.instance && t.active -> (
+      when instance = t.seg.Core.Segment.instance && Rt.active t.rt -> (
         match body with
         | Msg.Append_entries { term; prev_idx; prev_term; entries; leader_commit } ->
             handle_append t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit
@@ -395,10 +374,7 @@ module Orderer = struct
         | Msg.Vote_reply { term; granted } -> handle_vote_reply t ~src ~term ~granted)
     | _ -> ()
 
-  let stop t =
-    t.active <- false;
-    cancel_hb t;
-    cancel_election t
+  let stop t = Rt.stop t.rt
 end
 
 let factory ctx seg =

@@ -415,16 +415,14 @@ let start t = Array.iter Core.Node.start t.nodes
 (* Fault injection *)
 
 let crash_at t ~node ~at =
-  ignore
-    (Engine.schedule_at t.engine ~at (fun () ->
-         Sim.Network.crash t.net node;
-         Core.Node.halt t.nodes.(node)))
+  Engine.post_at t.engine ~at (fun () ->
+      Sim.Network.crash t.net node;
+      Core.Node.halt t.nodes.(node))
 
 let recover_at t ~node ~at =
-  ignore
-    (Engine.schedule_at t.engine ~at (fun () ->
-         Sim.Network.recover t.net node;
-         Core.Node.recover t.nodes.(node)))
+  Engine.post_at t.engine ~at (fun () ->
+      Sim.Network.recover t.net node;
+      Core.Node.recover t.nodes.(node))
 
 (* Estimated spacing between consecutive proposals of one segment when no
    batch-rate cap applies (HotStuff).  Proposals then pipeline through the

@@ -234,7 +234,7 @@ let apply t cluster =
   let engine = Cluster.engine cluster in
   let net = Cluster.network cluster in
   let nodes = Cluster.nodes cluster in
-  let at s f = ignore (Engine.schedule_at engine ~at:(Time_ns.of_sec_f s) f) in
+  let at s f = Engine.post_at engine ~at:(Time_ns.of_sec_f s) f in
   (* Partition windows may overlap (several isolated nodes, or an isolate
      inside a split); the network holds a single partition function, so we
      keep the active fault set here and recompute the grouping on every

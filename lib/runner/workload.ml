@@ -169,10 +169,9 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
                 Sim.Network.charge net ~endpoint:dst ~dir:`Rx ~peer:Sim.Network.Client
                   ~bytes:(Proto.Request.wire_size r + 80)
               in
-              ignore
-                (Engine.schedule_at engine
-                   ~at:(Time_ns.add submitted_at (prop + queue))
-                   (fun () -> Core.Node.submit nodes.(dst) r))
+              Engine.post_at engine
+                ~at:(Time_ns.add submitted_at (prop + queue))
+                (fun () -> Core.Node.submit nodes.(dst) r)
             end)
           (List.sort_uniq compare [ current; next1; next2 ]))
   in
@@ -184,15 +183,14 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
         Sim.Network.charge net ~endpoint:dst ~dir:`Rx ~peer:Sim.Network.Client
           ~bytes:(Proto.Request.wire_size r + 80)
       in
-      ignore
-        (Engine.schedule engine ~delay:(prop + queue) (fun () ->
-             (* Re-check on arrival: a resubmitted request may have been
-                delivered while this copy was in flight.  A node that has
-                delivered it refuses the copy on its own (watermarks); this
-                check also keeps the copy out of a node that has not caught
-                up yet.  It reads cluster-wide state no real client has. *)
-             if not (resubmit && Cluster.request_delivered cluster r) then
-               Core.Node.submit nodes.(dst) r))
+      Engine.post engine ~delay:(prop + queue) (fun () ->
+          (* Re-check on arrival: a resubmitted request may have been
+             delivered while this copy was in flight.  A node that has
+             delivered it refuses the copy on its own (watermarks); this
+             check also keeps the copy out of a node that has not caught
+             up yet.  It reads cluster-wide state no real client has. *)
+          if not (resubmit && Cluster.request_delivered cluster r) then
+            Core.Node.submit nodes.(dst) r)
     end
   in
   let rec sweeper () =
@@ -228,12 +226,12 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
                 end
           done
       | None -> ());
-      ignore (Engine.schedule engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ()))
+      Engine.post engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ())
     end
   in
   if resubmit then begin
     Cluster.enable_delivery_tracking cluster;
-    ignore (Engine.schedule engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ()))
+    Engine.post engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ())
   end;
   let rec tick_loop () =
     let now = Engine.now engine in
@@ -247,7 +245,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
         let offset = j * tick / max 1 k in
         submit_one ~ref_node ~at:now offset
       done;
-      ignore (Engine.schedule engine ~delay:tick (fun () -> tick_loop ()))
+      Engine.post engine ~delay:tick (fun () -> tick_loop ())
     end
   in
   tick_loop ()

@@ -12,59 +12,73 @@ type world = {
   instances : Core.Orderer_intf.instance option array;
   announced : (int * (int * Proto.Proposal.t)) list ref;  (* (node, (sn, proposal)) *)
   crashed : bool array;
+  deaf : bool array;  (* inbound messages dropped; sends still go out *)
+  fill_requests : int array;  (* FILL requests sent, per sender *)
   batch_source : int -> Proto.Proposal.t;  (* per sequence number *)
+  mutable batch_delay : int -> Sim.Time_ns.span;  (* per sequence number *)
 }
 
+let is_fill_request = function
+  | Proto.Message.Pbft { Proto.Pbft_msg.body = Proto.Pbft_msg.Fill_request _; _ }
+  | Proto.Message.Hotstuff { Proto.Hotstuff_msg.body = Proto.Hotstuff_msg.Fill_request _; _ } ->
+      true
+  | _ -> false
+
+let empty_world ~n ~batch_source =
+  {
+    engine = Sim.Engine.create ();
+    n;
+    instances = Array.make n None;
+    announced = ref [];
+    crashed = Array.make n false;
+    deaf = Array.make n false;
+    fill_requests = Array.make n 0;
+    batch_source;
+    batch_delay = (fun _ -> Sim.Time_ns.ms 1);
+  }
+
 (* A tiny message bus: ctx.send schedules the peer's on_message after a
-   fixed delay, unless either end is "crashed". *)
-let make_world ~n ~config ~segment ~factory ~batch_source =
-  let engine = Sim.Engine.create () in
-  let w =
-    {
-      engine;
-      n;
-      instances = Array.make n None;
-      announced = ref [];
-      crashed = Array.make n false;
-      batch_source;
-    }
-  in
+   fixed delay, unless either end is "crashed" or the receiver is deaf. *)
+let mock_ctx w ~config me : Core.Orderer_intf.ctx =
   let delay = Sim.Time_ns.ms 20 in
-  let make_ctx me : Core.Orderer_intf.ctx =
-    let send ~dst msg =
-      if (not w.crashed.(me)) && not w.crashed.(dst) then
-        ignore
-          (Sim.Engine.schedule engine ~delay (fun () ->
-               if not w.crashed.(dst) then
-                 match w.instances.(dst) with
-                 | Some inst -> Core.Orderer_intf.on_message inst ~src:me msg
-                 | None -> ()))
-    in
-    {
-      Core.Orderer_intf.node = me;
-      config;
-      engine;
-      send;
-      broadcast =
-        (fun msg ->
-          for dst = 0 to n - 1 do
-            send ~dst msg
-          done);
-      announce = (fun ~sn proposal -> w.announced := (me, (sn, proposal)) :: !(w.announced));
-      request_batch =
-        (fun ~sn callback ->
-          (* Immediate batches: protocol pacing is not under test here. *)
-          ignore
-            (Sim.Engine.schedule engine ~delay:(Sim.Time_ns.ms 1) (fun () ->
-                 if not w.crashed.(me) then callback (batch_source sn))));
-      charge_cpu = (fun _cost k -> k ());
-      keypair = Iss_crypto.Signature.genkey ~id:me;
-      threshold_group = Iss_crypto.Threshold.setup ~n ~t:(Proto.Ids.quorum ~n);
-      validate_proposal = (fun _seg ~sn:_ _proposal -> Core.Orderer_intf.Accept);
-    }
+  let send ~dst msg =
+    if (not w.crashed.(me)) && not w.crashed.(dst) then begin
+      if is_fill_request msg then w.fill_requests.(me) <- w.fill_requests.(me) + 1;
+      Sim.Engine.post w.engine ~delay (fun () ->
+          if not (w.crashed.(dst) || w.deaf.(dst)) then
+            match w.instances.(dst) with
+            | Some inst -> Core.Orderer_intf.on_message inst ~src:me msg
+            | None -> ())
+    end
   in
+  {
+    Core.Orderer_intf.node = me;
+    config;
+    now = (fun () -> Sim.Engine.now w.engine);
+    timer = (fun () -> Core.Orderer_intf.Timer.create w.engine);
+    send;
+    broadcast =
+      (fun msg ->
+        for dst = 0 to w.n - 1 do
+          send ~dst msg
+        done);
+    announce = (fun ~sn proposal -> w.announced := (me, (sn, proposal)) :: !(w.announced));
+    request_batch =
+      (fun ~sn callback ->
+        (* Immediate batches by default: protocol pacing is not under test
+           here. *)
+        Sim.Engine.post w.engine ~delay:(w.batch_delay sn) (fun () ->
+            if not w.crashed.(me) then callback (w.batch_source sn)));
+    charge_cpu = (fun _cost k -> k ());
+    keypair = Iss_crypto.Signature.genkey ~id:me;
+    threshold_group = Iss_crypto.Threshold.setup ~n:w.n ~t:(Proto.Ids.quorum ~n:w.n);
+    validate_proposal = (fun _seg ~sn:_ _proposal -> Core.Orderer_intf.Accept);
+  }
+
+let make_world ~n ~config ~segment ~factory ~batch_source =
+  let w = empty_world ~n ~batch_source in
   for me = 0 to n - 1 do
-    w.instances.(me) <- Some (factory (make_ctx me) segment)
+    w.instances.(me) <- Some (factory (mock_ctx w ~config me) segment)
   done;
   w
 
@@ -225,6 +239,120 @@ let test_hotstuff_three_chain_flush () =
   let last_sn = seg.Core.Segment.seq_nrs.(Core.Segment.seq_count seg - 1) in
   check_bool "last sn decided (pipeline flushed)" true (List.mem_assoc last_sn anns)
 
+(* ------------------------------------------------------------------ *)
+(* The shared SB-instance runtime: FILL slot recovery and timers *)
+
+module Rt = Core.Orderer_intf.Runtime
+module Timer = Core.Orderer_intf.Timer
+
+let pbft_fill (seg : Core.Segment.t) ~sn proposal =
+  Proto.Message.Pbft
+    {
+      Proto.Pbft_msg.instance = seg.Core.Segment.instance;
+      body = Proto.Pbft_msg.Fill { sn; view = 0; proposal };
+    }
+
+let hotstuff_fill (seg : Core.Segment.t) ~sn proposal =
+  Proto.Message.Hotstuff
+    {
+      Proto.Hotstuff_msg.instance = seg.Core.Segment.instance;
+      body = Proto.Hotstuff_msg.Fill { sn; proposal };
+    }
+
+(* Replica 3 hears nothing while its peers decide the whole segment; once
+   its inbound link heals only slot recovery can bring it up to date: its
+   peers are done and no longer join view changes or pacemaker rotations. *)
+let test_fill_recovers_deaf_replica factory () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let seg = segment4 ~leader:0 in
+  let w = make_world ~n:4 ~config ~segment:seg ~factory ~batch_source:batch_for in
+  w.deaf.(3) <- true;
+  start_all w;
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 60) w.engine;
+  for node = 0 to 2 do
+    check_int
+      (Printf.sprintf "peer %d decided the segment" node)
+      (Core.Segment.seq_count seg)
+      (List.length (announced_at w node))
+  done;
+  check_int "the deaf replica decided nothing" 0 (List.length (announced_at w 3));
+  check_bool "the deaf replica asked for FILLs" true (w.fill_requests.(3) > 0);
+  w.deaf.(3) <- false;
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 200) w.engine;
+  assert_sb_complete w seg ~expect_nil:false
+
+(* n = 7, f = 2.  Two peers answer a forged value (f matching answers) and
+   one of them repeats itself; none of that may be adopted.  The true value
+   is adopted exactly when its (f+1)-th distinct answer arrives. *)
+let test_fill_needs_f_plus_1 factory fill () =
+  let n = 7 in
+  let config = Core.Config.pbft_default ~n in
+  let seg =
+    List.hd
+      (Core.Segment.make_epoch ~config ~epoch:0 ~start_sn:0 ~leaders:(Array.init n (fun i -> i)))
+  in
+  let w = make_world ~n ~config ~segment:seg ~factory ~batch_source:batch_for in
+  let me = 6 in
+  let inst = Option.get w.instances.(me) in
+  Core.Orderer_intf.start inst;
+  let sn = seg.Core.Segment.seq_nrs.(0) in
+  let real = batch_for sn and forged = batch_for (sn + 1000) in
+  let answer ~src p = Core.Orderer_intf.on_message inst ~src (fill seg ~sn p) in
+  answer ~src:1 forged;
+  answer ~src:2 forged;
+  answer ~src:2 forged;
+  answer ~src:3 real;
+  answer ~src:4 real;
+  check_int "f matching answers are not adopted" 0 (List.length (announced_at w me));
+  answer ~src:5 real;
+  answer ~src:0 real;
+  match announced_at w me with
+  | [ (sn', p) ] ->
+      check_int "adopted sn" sn sn';
+      check_bool "adopted the value f+1 peers agree on" true
+        (Iss_crypto.Hash.equal (Proto.Proposal.digest p) (Proto.Proposal.digest real))
+  | anns -> Alcotest.failf "expected one adoption, got %d announcements" (List.length anns)
+
+(* The leader proposes one batch per second, so the segment takes far
+   longer than the 10 s recovery period, but no replica ever goes a whole
+   period without announcing: the progress gate keeps FILL quiet. *)
+let test_fill_quiet_while_announcing factory ~batch_delay () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let seg = segment4 ~leader:0 in
+  let w = make_world ~n:4 ~config ~segment:seg ~factory ~batch_source:batch_for in
+  w.batch_delay <- batch_delay;
+  start_all w;
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 30) w.engine;
+  let so_far = List.length (announced_at w 1) in
+  check_bool "still deciding after three recovery periods" true
+    (so_far > 0 && so_far < Core.Segment.seq_count seg);
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 300) w.engine;
+  assert_sb_complete w seg ~expect_nil:false;
+  Array.iteri
+    (fun node sent -> check_int (Printf.sprintf "node %d sent no FILL request" node) 0 sent)
+    w.fill_requests
+
+let test_runtime_timer () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let w = empty_world ~n:4 ~batch_source:batch_for in
+  let rt = Rt.create (mock_ctx w ~config 0) (segment4 ~leader:0) in
+  let timer = Rt.timer rt in
+  let fired = ref [] in
+  let fire tag () = fired := (tag, Sim.Engine.now w.engine) :: !fired in
+  Rt.start rt;
+  Timer.arm timer ~delay:(Sim.Time_ns.ms 10) (fire "first");
+  Timer.arm timer ~delay:(Sim.Time_ns.ms 20) (fire "re-armed");
+  check_bool "armed" true (Timer.armed timer);
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 1) w.engine;
+  Alcotest.(check (list (pair string int)))
+    "re-arming cancels the pending fire" [ ("re-armed", Sim.Time_ns.ms 20) ] !fired;
+  check_bool "disarmed after firing" false (Timer.armed timer);
+  Timer.arm timer ~delay:(Sim.Time_ns.ms 10) (fire "after stop");
+  Rt.stop rt;
+  check_bool "stop disarms" false (Timer.armed timer);
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 2) w.engine;
+  check_int "nothing fires after stop" 1 (List.length !fired)
+
 (* [Pbft.Votes] against the table it replaced: a [(view, node) -> digest]
    map where a peer's first vote per view sticks ([add]) and a replica's own
    vote may be overwritten ([set]), with quorum counts taken by a full
@@ -308,4 +436,28 @@ let () =
         ] );
       ( "hotstuff",
         [ Alcotest.test_case "three-chain flush" `Quick test_hotstuff_three_chain_flush ] );
+      ( "fill",
+        List.concat_map
+          (fun (name, factory, fill, batch_delay) ->
+            [
+              Alcotest.test_case (name ^ " deaf replica recovers") `Quick
+                (test_fill_recovers_deaf_replica factory);
+              Alcotest.test_case (name ^ " needs f+1 answers") `Quick
+                (test_fill_needs_f_plus_1 factory fill);
+              Alcotest.test_case (name ^ " quiet while announcing") `Quick
+                (test_fill_quiet_while_announcing factory ~batch_delay);
+            ])
+          [
+            ( "pbft",
+              Pbft.Pbft_orderer.factory,
+              pbft_fill,
+              (* all batches requested at once: space them out by sn *)
+              fun sn -> Sim.Time_ns.ms (250 * sn) );
+            ( "hotstuff",
+              Hotstuff.Hotstuff_orderer.factory,
+              hotstuff_fill,
+              (* one batch request per decided view *)
+              fun _ -> Sim.Time_ns.sec 1 );
+          ] );
+      ("runtime", [ Alcotest.test_case "timer re-arm and stop" `Quick test_runtime_timer ]);
     ]

@@ -48,51 +48,6 @@ let test_rng_zipf () =
   check_bool "rank 1 most frequent" true (counts.(1) > counts.(2) && counts.(2) > counts.(5))
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (Sim.Heap.push h) xs;
-      let rec drain acc =
-        match Sim.Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
-
-let test_heap_peek () =
-  let h = Sim.Heap.create ~cmp:compare in
-  check_bool "empty peek" true (Sim.Heap.peek h = None);
-  Sim.Heap.push h 5;
-  Sim.Heap.push h 2;
-  Sim.Heap.push h 9;
-  check_bool "peek min" true (Sim.Heap.peek h = Some 2);
-  check_int "length" 3 (Sim.Heap.length h)
-
-let test_heap_releases_elements () =
-  (* The heap must not retain popped/cleared elements past its logical
-     size: regression for stale references surviving in the backing array. *)
-  let h = Sim.Heap.create ~cmp:(fun (a, _) (b, _) -> compare (a : int) b) in
-  let w = Weak.create 4 in
-  for i = 0 to 3 do
-    let v = (i, ref i) in
-    Weak.set w i (Some v);
-    Sim.Heap.push h v
-  done;
-  ignore (Sim.Heap.pop h);
-  ignore (Sim.Heap.pop h);
-  Gc.full_major ();
-  check_bool "popped element 0 collected" false (Weak.check w 0);
-  check_bool "popped element 1 collected" false (Weak.check w 1);
-  check_bool "live element 2 retained" true (Weak.check w 2);
-  check_bool "live element 3 retained" true (Weak.check w 3);
-  Sim.Heap.clear h;
-  Gc.full_major ();
-  check_bool "cleared element 2 collected" false (Weak.check w 2);
-  check_bool "cleared element 3 collected" false (Weak.check w 3)
-
-(* ------------------------------------------------------------------ *)
 (* Event queue (timing wheel + overflow heap) *)
 
 module Q = Sim.Event_queue
@@ -540,12 +495,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf;
-        ] );
-      ( "heap",
-        [
-          qc prop_heap_sorts;
-          Alcotest.test_case "peek/length" `Quick test_heap_peek;
-          Alcotest.test_case "releases popped elements" `Quick test_heap_releases_elements;
         ] );
       ( "event queue",
         [
