@@ -382,7 +382,8 @@ let micro () =
     Array.init 4096 (fun i ->
         Proto.Request.make ~client:(i mod 64) ~ts:(i / 64) ~submitted_at:0 ())
   in
-  let queue = Core.Bucket_queue.create ~num_buckets:1 in
+  let queue = Core.Bucket_queue.create ~num_buckets:16 in
+  let segment_buckets = List.init 16 Fun.id in
   let tests =
     [
       Test.make ~name:"sha256-1KiB"
@@ -391,14 +392,16 @@ let micro () =
         (Staged.stage (fun () -> Iss_crypto.Merkle.root digests));
       Test.make ~name:"batch-make-4096"
         (Staged.stage (fun () -> Proto.Batch.make requests));
-      (* A request's whole stay in a one-bucket queue: arrive, be cut,
-         commit.  The commits empty the index, so every round starts fresh. *)
+      (* A request's whole stay in the queues: arrive in one of 16 buckets,
+         be cut in arrival order across all of them as a segment's batch is,
+         commit.  The commits empty the index, so every round starts
+         fresh. *)
       Test.make ~name:"bucket-queue-cycle-2048"
         (Staged.stage (fun () ->
              for i = 0 to 2047 do
                ignore (Core.Bucket_queue.add queue requests.(i))
              done;
-             ignore (Core.Bucket_queue.cut queue ~bucket:0 ~max:2048);
+             ignore (Core.Bucket_queue.cut queue ~buckets:segment_buckets ~max:2048);
              for i = 0 to 2047 do
                Core.Bucket_queue.commit queue requests.(i).Proto.Request.id
              done));

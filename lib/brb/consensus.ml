@@ -8,7 +8,6 @@ let digest_of = function
   | Some v -> Iss_crypto.Hash.of_string ("bc:val:" ^ v)
 
 type t = {
-  engine : Engine.t;
   n : int;
   quorum : int;
   me : Proto.Ids.node_id;
@@ -25,14 +24,13 @@ type t = {
   decide_votes : (Proto.Ids.node_id, Iss_crypto.Hash.t * value) Hashtbl.t;
   mutable pending_proposal : (int * value) option;  (* held until evaluable *)
   mutable output : value option;
-  mutable timer : Engine.timer_id option;
+  timer : Engine.Timer.t;  (* view timeout *)
   mutable active : bool;
 }
 
 let create ~engine ~n ~me ~instance ~send ~acceptable ~decide
     ?(view_timeout = Time_ns.sec 2) () =
   {
-    engine;
     n;
     quorum = Proto.Ids.quorum ~n;
     me;
@@ -49,7 +47,7 @@ let create ~engine ~n ~me ~instance ~send ~acceptable ~decide
     decide_votes = Hashtbl.create 8;
     pending_proposal = None;
     output = None;
-    timer = None;
+    timer = Engine.Timer.create engine;
     active = false;
   }
 
@@ -65,7 +63,7 @@ let coordinator t view = view mod t.n
 let conclude t v =
   if t.output = None then begin
     t.output <- Some v;
-    (match t.timer with Some timer -> Engine.cancel t.engine timer | None -> ());
+    Engine.Timer.cancel t.timer;
     bcast t (Brb_msg.Bc_decide { instance = t.instance; view = t.view; value = v });
     t.decide_cb v
   end
@@ -115,20 +113,15 @@ let try_evaluate_pending t =
   | Some _ | None -> ()
 
 let rec arm_timer t =
-  (match t.timer with Some timer -> Engine.cancel t.engine timer | None -> ());
-  if t.active && t.output = None then begin
-    let timeout = t.view_timeout * (1 lsl min t.view 16) in
-    t.timer <-
-      Some
-        (Engine.schedule t.engine ~delay:timeout (fun () ->
-             t.timer <- None;
-             if t.active && t.output = None then begin
-               t.view <- t.view + 1;
-               t.pending_proposal <- None;
-               maybe_coordinate t;
-               arm_timer t
-             end))
-  end
+  if t.active && t.output = None then
+    Engine.Timer.arm t.timer ~delay:(t.view_timeout * (1 lsl min t.view 16)) (fun () ->
+        if t.active && t.output = None then begin
+          t.view <- t.view + 1;
+          t.pending_proposal <- None;
+          maybe_coordinate t;
+          arm_timer t
+        end)
+  else Engine.Timer.cancel t.timer
 
 and maybe_coordinate t =
   if coordinator t t.view = t.me && t.output = None then begin
@@ -149,7 +142,7 @@ let propose t value =
     t.active <- true;
     maybe_coordinate t;
     try_evaluate_pending t;
-    if t.timer = None then arm_timer t
+    if not (Engine.Timer.armed t.timer) then arm_timer t
   end
 
 let on_message t ~src msg =
@@ -208,8 +201,4 @@ let on_message t ~src msg =
 
 let stop t =
   t.active <- false;
-  match t.timer with
-  | Some timer ->
-      Engine.cancel t.engine timer;
-      t.timer <- None
-  | None -> ()
+  Engine.Timer.cancel t.timer

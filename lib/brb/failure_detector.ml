@@ -1,14 +1,9 @@
 module Time_ns = Sim.Time_ns
 module Engine = Sim.Engine
 
-type peer = {
-  mutable timeout : Time_ns.span;
-  mutable timer : Engine.timer_id option;
-  mutable suspected : bool;
-}
+type peer = { mutable timeout : Time_ns.span; timer : Engine.Timer.t; mutable suspected : bool }
 
 type t = {
-  engine : Engine.t;
   n : int;
   me : Proto.Ids.node_id;
   send : dst:Proto.Ids.node_id -> Brb_msg.t -> unit;
@@ -16,22 +11,23 @@ type t = {
   peers : peer array;
   mutable suspect_listeners : (Proto.Ids.node_id -> unit) list;
   mutable restore_listeners : (Proto.Ids.node_id -> unit) list;
-  mutable beat_timer : Engine.timer_id option;
+  beat_timer : Engine.Timer.t;
   mutable running : bool;
 }
 
 let create ~engine ~n ~me ~send ?(beat_interval = Time_ns.ms 500)
     ?(initial_timeout = Time_ns.sec 2) () =
   {
-    engine;
     n;
     me;
     send;
     beat_interval;
-    peers = Array.init n (fun _ -> { timeout = initial_timeout; timer = None; suspected = false });
+    peers =
+      Array.init n (fun _ ->
+          { timeout = initial_timeout; timer = Engine.Timer.create engine; suspected = false });
     suspect_listeners = [];
     restore_listeners = [];
-    beat_timer = None;
+    beat_timer = Engine.Timer.create engine;
     running = false;
   }
 
@@ -43,30 +39,23 @@ let suspects t = List.filter (fun p -> t.peers.(p).suspected) (List.init t.n (fu
 
 let arm_peer t p =
   let peer = t.peers.(p) in
-  (match peer.timer with Some timer -> Engine.cancel t.engine timer | None -> ());
-  peer.timer <-
-    Some
-      (Engine.schedule t.engine ~delay:peer.timeout (fun () ->
-           peer.timer <- None;
-           if t.running && not peer.suspected then begin
-             peer.suspected <- true;
-             (* Doubling keeps eventual weak accuracy: post-GST the timeout
-                outgrows the network delay and stops firing for correct
-                peers. *)
-             peer.timeout <- peer.timeout * 2;
-             List.iter (fun f -> f p) t.suspect_listeners
-           end))
+  Engine.Timer.arm peer.timer ~delay:peer.timeout (fun () ->
+      if t.running && not peer.suspected then begin
+        peer.suspected <- true;
+        (* Doubling keeps eventual weak accuracy: post-GST the timeout
+           outgrows the network delay and stops firing for correct peers. *)
+        peer.timeout <- peer.timeout * 2;
+        List.iter (fun f -> f p) t.suspect_listeners
+      end)
 
 let rec arm_beat t =
-  t.beat_timer <-
-    Some
-      (Engine.schedule t.engine ~delay:t.beat_interval (fun () ->
-           if t.running then begin
-             for dst = 0 to t.n - 1 do
-               if dst <> t.me then t.send ~dst Brb_msg.Fd_beat
-             done;
-             arm_beat t
-           end))
+  Engine.Timer.arm t.beat_timer ~delay:t.beat_interval (fun () ->
+      if t.running then begin
+        for dst = 0 to t.n - 1 do
+          if dst <> t.me then t.send ~dst Brb_msg.Fd_beat
+        done;
+        arm_beat t
+      end)
 
 let start t =
   if not t.running then begin
@@ -95,7 +84,5 @@ let on_message t ~src msg =
 
 let stop t =
   t.running <- false;
-  (match t.beat_timer with Some timer -> Engine.cancel t.engine timer | None -> ());
-  Array.iter
-    (fun p -> match p.timer with Some timer -> Engine.cancel t.engine timer | None -> ())
-    t.peers
+  Engine.Timer.cancel t.beat_timer;
+  Array.iter (fun p -> Engine.Timer.cancel p.timer) t.peers

@@ -151,10 +151,6 @@ let front f =
   | e :: _ when ring == dummy || e.seq < ring.seq -> e
   | _ -> ring
 
-let oldest_seq t ~bucket =
-  let e = front t.fifos.(bucket) in
-  if e == dummy then None else Some e.seq
-
 let pop t f =
   let e = front f in
   (match f.behind with
@@ -165,9 +161,26 @@ let pop t f =
   t.pending <- t.pending - 1;
   e.req
 
-let cut t ~bucket ~max =
-  let f = t.fifos.(bucket) in
-  Array.init (Stdlib.max 0 (min max f.count)) (fun _ -> pop t f)
+(* The fifo among [buckets] whose front arrived first, the earlier one in
+   the list on equal arrival numbers; [best] if none beats [best_seq]. *)
+let rec oldest t buckets best best_seq =
+  match buckets with
+  | [] -> best
+  | b :: rest ->
+      let f = t.fifos.(b) in
+      if f.count = 0 then oldest t rest best best_seq
+      else
+        let seq = (front f).seq in
+        if seq < best_seq then oldest t rest f seq else oldest t rest best best_seq
+
+let cut t ~buckets ~max =
+  match buckets with
+  | [] -> [||]
+  | b0 :: _ ->
+      let queued = List.fold_left (fun n b -> n + t.fifos.(b).count) 0 buckets in
+      Array.init
+        (Stdlib.max 0 (min max queued))
+        (fun _ -> pop t (oldest t buckets t.fifos.(b0) max_int))
 
 let commit t id =
   let key = Proto.Request.id_key id in

@@ -13,7 +13,13 @@
       cut into a proposal that was aborted with ⊥, or evicted by drop-oldest
       shedding — re-enters at its {e original} arrival position (§3.2
       "maintaining its reception order"), whether it comes back through
-      {!resurrect} or a client retransmission through {!add}.
+      {!resurrect} or a client retransmission through {!add};
+    - {b merged cut}: a segment's batch is cut across all its buckets at
+      once, oldest arrival first (cutBatch of Algorithm 2).  Arrival
+      numbers are unique except one case: an id the node never numbered
+      that {!resurrect} queues shares the next arrival number with the next
+      first-time arrival.  On such a tie between two buckets the one listed
+      first in the cut wins.
 
     Representation: one {!Proto.Request.Key_tbl} maps a request id to an
     entry holding the request, its arrival number and a queued flag, and
@@ -22,7 +28,8 @@
     than the ring's newest.  A commit unlinks a queued entry by clearing its
     flag; the dead slot is skipped when it reaches the front.  Every
     operation is O(1) amortized except a re-entry, which is linear in the
-    bucket's re-entry list. *)
+    bucket's re-entry list, and a cut, which compares the fronts of the
+    listed buckets for each request it takes. *)
 
 type t
 
@@ -57,14 +64,13 @@ val resurrect : t -> Proto.Request.t -> unit
     node never numbered is queued at the next arrival number without
     consuming it. *)
 
-val cut : t -> bucket:int -> max:int -> Proto.Request.t array
-(** Removes and returns up to [max] of [bucket]'s oldest requests, oldest
-    first — the batch-cutting primitive (Algorithm 2, cutBatch).  A cut
-    request keeps its arrival number until it commits. *)
-
-val oldest_seq : t -> bucket:int -> int option
-(** Arrival number of [bucket]'s oldest queued request (for the k-way merge
-    across a segment's buckets). *)
+val cut : t -> buckets:int list -> max:int -> Proto.Request.t array
+(** Removes and returns up to [max] of the oldest requests queued in
+    [buckets], in arrival order across them — the batch-cutting primitive
+    (Algorithm 2, cutBatch), over a segment's buckets.  On equal arrival
+    numbers the bucket listed first gives up its request first.  A cut
+    request keeps its arrival number until it commits.  [buckets] must be
+    distinct. *)
 
 val commit : t -> Proto.Request.id -> unit
 (** Forgets the request: unqueues it if queued and drops its arrival

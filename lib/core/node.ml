@@ -9,8 +9,10 @@ type batcher = {
   b_interval : Time_ns.span;  (* rate-limit spacing between cuts (§4.4.1) *)
   waiting : (int * (Proto.Proposal.t -> unit)) Queue.t;
   mutable last_cut : Time_ns.t;
-  mutable timer : Engine.timer_id option;
-  mutable wake_at : Time_ns.t;  (* when [timer] fires; avoids re-arm churn *)
+  timer : Engine.Timer.t;
+  mutable wake_at : Time_ns.t;
+      (* when [timer] fires, else [max_int]; avoids re-arm churn.  A dropped
+         batcher keeps it, so a late poke re-arms only an earlier wake. *)
 }
 
 type epoch_state = {
@@ -23,15 +25,14 @@ type epoch_state = {
   mutable e_remaining : int;  (* uncommitted sequence numbers of this epoch *)
 }
 
-type cp_vote = {
-  v_max_sn : int;
-  v_root : Iss_crypto.Hash.t;
-  v_req_count : int;
-  v_policy : string;
-  v_sig : Iss_crypto.Signature.signature;
+(* One epoch's checkpoint votes, keyed by the signed material: it encodes
+   (epoch, max_sn, root, req_count, policy) one-to-one, so matching votes
+   share a key. *)
+type cp_state = {
+  cp_votes : (string, Proto.Ids.node_id * Iss_crypto.Signature.signature) Hashtbl.t;
+  cp_signers : (Proto.Ids.node_id, unit) Hashtbl.t;  (* a signer's first vote sticks *)
+  mutable cp_stable : bool;
 }
-
-type cp_state = { cp_votes : (Proto.Ids.node_id, cp_vote) Hashtbl.t; mutable cp_stable : bool }
 
 type t = {
   config : Config.t;
@@ -56,6 +57,7 @@ type t = {
   bucket_batcher : batcher option array;
   checkpoints : (int, cp_state) Hashtbl.t;
   stable_certs : (int, Proto.Message.checkpoint_cert) Hashtbl.t;
+  mutable newest_stable : int;  (* highest epoch in [stable_certs], -1 if none *)
   epoch_bounds : (int, int * int) Hashtbl.t;  (* epoch -> (start sn, length) *)
   mutable cpu_free : Time_ns.t;
   mutable req_cum : int;
@@ -138,15 +140,9 @@ let checkpoint_lag t =
   (* Epochs between the newest stable checkpoint this node holds and the
      epoch it is working in.  A caught-up node has certificates through
      epoch e-1 while in epoch e, i.e. lag 0. *)
-  let best = Hashtbl.fold (fun e _ acc -> Stdlib.max e acc) t.stable_certs (-1) in
-  Stdlib.max 0 (t.epoch.e_num - 1 - best)
+  Stdlib.max 0 (t.epoch.e_num - 1 - t.newest_stable)
 
-let last_stable_checkpoint t =
-  (* Deterministic by construction: reduce to the maximum epoch key, then
-     look it up.  A fold picking "the" maximal value would depend on hash
-     iteration order if two entries ever compared equal. *)
-  let best = Hashtbl.fold (fun e _ acc -> Stdlib.max e acc) t.stable_certs (-1) in
-  if best < 0 then None else Hashtbl.find_opt t.stable_certs best
+let last_stable_checkpoint t = Hashtbl.find_opt t.stable_certs t.newest_stable
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle tracing (DESIGN.md §8).
@@ -172,32 +168,10 @@ let trace_batch_once tr ~node phase batch =
 let trace_proposal_send t msg =
   match t.tracer with
   | None -> ()
-  | Some tr -> (
-      match msg with
-      | Proto.Message.Pbft
-          {
-            Proto.Pbft_msg.body =
-              Proto.Pbft_msg.Preprepare { proposal = Proto.Proposal.Batch b; _ };
-            _;
-          } ->
-          trace_batch_once tr ~node:t.id Obs.Tracer.Sb_broadcast b
-      | Proto.Message.Hotstuff
-          {
-            Proto.Hotstuff_msg.body =
-              Proto.Hotstuff_msg.Proposal_msg { proposal = Proto.Proposal.Batch b; _ };
-            _;
-          } ->
-          trace_batch_once tr ~node:t.id Obs.Tracer.Sb_broadcast b
-      | Proto.Message.Raft
-          { Proto.Raft_msg.body = Proto.Raft_msg.Append_entries { entries; _ }; _ } ->
-          List.iter
-            (fun (e : Proto.Raft_msg.entry) ->
-              match e.Proto.Raft_msg.proposal with
-              | Proto.Proposal.Batch b ->
-                  trace_batch_once tr ~node:t.id Obs.Tracer.Sb_broadcast b
-              | Proto.Proposal.Nil -> ())
-            entries
-      | _ -> ())
+  | Some tr ->
+      Proto.Message.iter_proposed_batches
+        (trace_batch_once tr ~node:t.id Obs.Tracer.Sb_broadcast)
+        msg
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing *)
@@ -266,8 +240,12 @@ let admit_request t ~bucket (r : Proto.Request.t) =
   | Config.Drop_oldest ->
       Array.iter
         (fun victim -> note_pushback t victim ~retry_after:shed_hint ~shed:true)
-        (Bucket_queue.cut t.queues ~bucket ~max:1);
+        (Bucket_queue.cut t.queues ~buckets:[ bucket ] ~max:1);
       true
+
+let disarm (b : batcher) =
+  Engine.Timer.cancel b.timer;
+  b.wake_at <- max_int
 
 let rec submit t (r : Proto.Request.t) =
   if not t.halted then
@@ -319,35 +297,6 @@ and segment_pending t (seg : Segment.t) =
     (fun acc bucket -> acc + Bucket_queue.length t.queues ~bucket)
     0 seg.Segment.buckets
 
-and cut_segment_batch t (seg : Segment.t) =
-  (* k-way merge: repeatedly take the globally oldest request across the
-     segment's bucket queues (cutBatch of Algorithm 2). *)
-  let max_size = t.config.Config.max_batch_size in
-  let out = ref [] in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue && !count < max_size do
-    let best = ref None in
-    List.iter
-      (fun b ->
-        match Bucket_queue.oldest_seq t.queues ~bucket:b with
-        | Some s -> (
-            match !best with
-            | Some (s', _) when s' <= s -> ()
-            | _ -> best := Some (s, b))
-        | None -> ())
-      seg.Segment.buckets;
-    match !best with
-    | None -> continue := false
-    | Some (_, b) -> (
-        match Bucket_queue.cut t.queues ~bucket:b ~max:1 with
-        | [| r |] ->
-            out := r :: !out;
-            incr count
-        | _ -> continue := false)
-  done;
-  Proto.Batch.make (Array.of_list (List.rev !out))
-
 and try_cut t (b : batcher) =
   if (not t.halted) && not (Queue.is_empty b.waiting) then begin
     let now = Engine.now t.engine in
@@ -373,7 +322,14 @@ and try_cut t (b : batcher) =
     in
     if cut_now then begin
       let sn, callback = Queue.pop b.waiting in
-      let batch = if t.straggler then Proto.Batch.empty else cut_segment_batch t b.b_seg in
+      let batch =
+        if t.straggler then Proto.Batch.empty
+        else
+          (* cutBatch of Algorithm 2: the segment's oldest requests. *)
+          Proto.Batch.make
+            (Bucket_queue.cut t.queues ~buckets:b.b_seg.Segment.buckets
+               ~max:t.config.Config.max_batch_size)
+      in
       (match t.tracer with
       | Some tr -> trace_batch_once tr ~node:t.id Obs.Tracer.Cut batch
       | None -> ());
@@ -382,11 +338,7 @@ and try_cut t (b : batcher) =
       Proto.Batch.iter
         (fun r -> Key_tbl.replace t.seen_proposed (Proto.Request.id_key r.Proto.Request.id) sn)
         batch;
-      (match b.timer with
-      | Some timer ->
-          Engine.cancel t.engine timer;
-          b.timer <- None
-      | None -> ());
+      disarm b;
       callback (Proto.Proposal.Batch batch);
       try_cut t b
     end
@@ -399,17 +351,11 @@ and try_cut t (b : batcher) =
       (* Re-arm only when the required wake precedes the armed one (e.g. the
          batch just became full); otherwise the pending timer re-evaluates
          anyway.  This keeps arrival-driven pokes allocation-free. *)
-      let needs_rearm =
-        match b.timer with Some _ -> wake < b.wake_at | None -> true
-      in
-      if needs_rearm then begin
-        (match b.timer with Some timer -> Engine.cancel t.engine timer | None -> ());
+      if wake < b.wake_at then begin
         b.wake_at <- wake;
-        b.timer <-
-          Some
-            (Engine.schedule t.engine ~delay:(Time_ns.diff wake now) (fun () ->
-                 b.timer <- None;
-                 try_cut t b))
+        Engine.Timer.arm b.timer ~delay:(Time_ns.diff wake now) (fun () ->
+            b.wake_at <- max_int;
+            try_cut t b)
       end
     end
   end
@@ -417,6 +363,10 @@ and try_cut t (b : batcher) =
 let request_batch t (b : batcher) ~sn callback =
   Queue.push (sn, callback) b.waiting;
   try_cut t b
+
+let drop_batchers t =
+  List.iter (fun b -> Engine.Timer.cancel b.timer) t.my_batchers;
+  t.my_batchers <- []
 
 (* ------------------------------------------------------------------ *)
 (* Proposal validation — the follower-side checks of §4.2 (common design
@@ -659,10 +609,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
         e_remaining = !remaining;
       };
     (* Tear down batchers of the previous epoch. *)
-    List.iter
-      (fun b -> match b.timer with Some timer -> Engine.cancel t.engine timer | None -> ())
-      t.my_batchers;
-    t.my_batchers <- [];
+    drop_batchers t;
     Array.fill t.bucket_batcher 0 (Array.length t.bucket_batcher) None;
     (* Instantiate one SB orderer per segment; set up batchers for mine. *)
     let num_leaders = Array.length leaders in
@@ -682,8 +629,8 @@ and start_epoch t ~epoch ~start_sn ~leaders =
               b_interval = interval;
               waiting = Queue.create ();
               last_cut = Engine.now t.engine;
-              timer = None;
-              wake_at = Time_ns.zero;
+              timer = Engine.Timer.create t.engine;
+              wake_at = max_int;
             }
           in
           t.my_batchers <- b :: t.my_batchers;
@@ -747,47 +694,39 @@ and handle_checkpoint t ~epoch ~max_sn ~root ~req_count ~policy ~signer ~sig_ =
       match Hashtbl.find_opt t.checkpoints epoch with
       | Some cp -> cp
       | None ->
-          let cp = { cp_votes = Hashtbl.create 8; cp_stable = false } in
+          let cp =
+            { cp_votes = Hashtbl.create 8; cp_signers = Hashtbl.create 8; cp_stable = false }
+          in
           Hashtbl.replace t.checkpoints epoch cp;
           cp
     in
-    if not (Hashtbl.mem cp.cp_votes signer) then begin
-      Hashtbl.replace cp.cp_votes signer
-        { v_max_sn = max_sn; v_root = root; v_req_count = req_count; v_policy = policy; v_sig = sig_ };
-      if not cp.cp_stable then begin
-        let matching =
-          Hashtbl.fold
-            (fun node v acc ->
-              if
-                v.v_max_sn = max_sn
-                && Iss_crypto.Hash.equal v.v_root root
-                && v.v_req_count = req_count && v.v_policy = policy
-              then (node, v.v_sig) :: acc
-              else acc)
-            cp.cp_votes []
-        in
-        if List.length matching >= cp_quorum t then begin
-          cp.cp_stable <- true;
-          (* Sort the certificate's signer list by node id: [matching] came
-             out of a Hashtbl fold whose order reflects each node's own
-             vote-arrival history, and the certificate travels (state
-             transfer) — downstream choices such as {!pick_st_target} must
-             not inherit a per-node-history order. *)
-          let matching = List.sort (fun (a, _) (b, _) -> compare a b) matching in
-          Hashtbl.replace t.stable_certs epoch
-            {
-              Proto.Message.cc_epoch = epoch;
-              cc_max_sn = max_sn;
-              cc_root = root;
-              cc_req_count = req_count;
-              cc_policy = policy;
-              cc_sigs = matching;
-            };
-          gc_stable t
-        end
+    if (not cp.cp_stable) && not (Hashtbl.mem cp.cp_signers signer) then begin
+      Hashtbl.replace cp.cp_signers signer ();
+      Hashtbl.add cp.cp_votes material (signer, sig_);
+      let matching = Hashtbl.find_all cp.cp_votes material in
+      if List.length matching >= cp_quorum t then begin
+        cp.cp_stable <- true;
+        (* Sort the certificate's signer list by node id: [matching] is in
+           this node's vote-arrival order, and the certificate travels
+           (state transfer) — downstream choices such as {!pick_st_target}
+           must not inherit a per-node-history order. *)
+        add_stable t
+          {
+            Proto.Message.cc_epoch = epoch;
+            cc_max_sn = max_sn;
+            cc_root = root;
+            cc_req_count = req_count;
+            cc_policy = policy;
+            cc_sigs = List.sort (fun (a, _) (b, _) -> compare a b) matching;
+          };
+        gc_stable t
       end
     end
   end
+
+and add_stable t (cert : Proto.Message.checkpoint_cert) =
+  Hashtbl.replace t.stable_certs cert.cc_epoch cert;
+  t.newest_stable <- Stdlib.max t.newest_stable cert.cc_epoch
 
 and gc_stable t =
   (* Garbage-collect orderer instances of epochs that are both behind us and
@@ -817,8 +756,7 @@ and prune_log t =
      that lagged further behind simply asks the next target.  Proposer-side
      batch copies ([proposed]) and checkpoint vote accumulators of the
      pruned epochs go with them. *)
-  let best = Hashtbl.fold (fun e _ acc -> Stdlib.max e acc) t.stable_certs (-1) in
-  let horizon = best - t.config.Config.log_retention_epochs in
+  let horizon = t.newest_stable - t.config.Config.log_retention_epochs in
   if horizon >= 0 then begin
     (* Newest stable certificate at or below the horizon bounds the cut. *)
     let cut_epoch =
@@ -837,16 +775,10 @@ and prune_log t =
       if Log.pruned_below t.log < min cut_sn (Log.first_undelivered t.log) then begin
         ignore (Log.prune t.log ~below_sn:cut_sn);
         let cut_sn = Log.pruned_below t.log in
-        let stale_sns =
-          Hashtbl.fold (fun sn _ acc -> if sn < cut_sn then sn :: acc else acc) t.proposed []
-        in
-        List.iter (Hashtbl.remove t.proposed) stale_sns;
-        let stale_epochs =
-          Hashtbl.fold
-            (fun e _ acc -> if e <= cut_epoch then e :: acc else acc)
-            t.checkpoints []
-        in
-        List.iter (Hashtbl.remove t.checkpoints) stale_epochs
+        Hashtbl.filter_map_inplace (fun sn b -> if sn < cut_sn then None else Some b) t.proposed;
+        Hashtbl.filter_map_inplace
+          (fun e cp -> if e <= cut_epoch then None else Some cp)
+          t.checkpoints
       end
     end
   end
@@ -864,18 +796,12 @@ and arm_lag_check t =
            nothing for long-finished epochs, so a laggard typically only
            collects certificates of newer epochs) — fetch the log
            instead of waiting. *)
-        let best =
-          Hashtbl.fold
-            (fun e _ acc -> if e >= epoch_at_arm then Stdlib.max e acc else acc)
-            t.stable_certs (-1)
-        in
-        let evidence = if best < 0 then None else Hashtbl.find_opt t.stable_certs best in
-        match evidence with
-        | Some cert ->
+        (match last_stable_checkpoint t with
+        | Some cert when cert.cc_epoch >= epoch_at_arm ->
             let target = pick_st_target t cert in
-            send t ~dst:target (Proto.Message.State_request { from_sn = t.epoch.e_start });
-            arm_lag_check t
-        | None -> arm_lag_check t
+            send t ~dst:target (Proto.Message.State_request { from_sn = t.epoch.e_start })
+        | Some _ | None -> ());
+        arm_lag_check t
       end)
 
 and pick_st_target t (cert : Proto.Message.checkpoint_cert) =
@@ -975,7 +901,7 @@ and handle_state_reply t ~entries ~(cert : Proto.Message.checkpoint_cert) =
     if contiguous && Iss_crypto.Hash.equal (Iss_crypto.Merkle.root digests) cert.cc_root then begin
       (* Adopt the certificate (so we can serve it onwards) and commit. *)
       if not (Hashtbl.mem t.stable_certs cert.cc_epoch) then begin
-        Hashtbl.replace t.stable_certs cert.cc_epoch cert;
+        add_stable t cert;
         (match sorted with
         | (first, _) :: _ ->
             Hashtbl.replace t.epoch_bounds cert.cc_epoch (first, List.length sorted)
@@ -1004,7 +930,7 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
     Log.jump t.log ~to_sn ~total_delivered:cert.cc_req_count;
     t.req_cum <- cert.cc_req_count;
     Leader_policy.restore t.policy cert.cc_policy;
-    Hashtbl.replace t.stable_certs cert.cc_epoch cert;
+    add_stable t cert;
     (* Everything buffered before the jump refers to skipped history:
        in-flight proposals, per-epoch vote accumulators and the orderer
        instances of abandoned epochs (all instances are from epochs <= the
@@ -1018,16 +944,10 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
     Hashtbl.reset t.proposed;
     Key_tbl.reset t.seen_proposed;
     Bucket_queue.clear t.queues;
-    let stale_epochs =
-      Hashtbl.fold
-        (fun e _ acc -> if e <= cert.cc_epoch then e :: acc else acc)
-        t.checkpoints []
-    in
-    List.iter (Hashtbl.remove t.checkpoints) stale_epochs;
-    List.iter
-      (fun b -> match b.timer with Some timer -> Engine.cancel t.engine timer | None -> ())
-      t.my_batchers;
-    t.my_batchers <- [];
+    Hashtbl.filter_map_inplace
+      (fun e cp -> if e <= cert.cc_epoch then None else Some cp)
+      t.checkpoints;
+    drop_batchers t;
     advance_epoch t ~finished:cert.cc_epoch ~start_sn:to_sn
   end
 
@@ -1122,6 +1042,7 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
       bucket_batcher = Array.make num_buckets None;
       checkpoints = Hashtbl.create 16;
       stable_certs = Hashtbl.create 16;
+      newest_stable = -1;
       epoch_bounds = Hashtbl.create 16;
       cpu_free = Time_ns.zero;
       req_cum = 0;
@@ -1147,9 +1068,7 @@ let on_message t ~src msg = handle_message t ~src msg
 
 let halt t =
   t.halted <- true;
-  List.iter
-    (fun b -> match b.timer with Some timer -> Engine.cancel t.engine timer | None -> ())
-    t.my_batchers
+  List.iter (fun b -> Engine.Timer.cancel b.timer) t.my_batchers
 
 let recover t =
   if t.halted then begin
@@ -1163,7 +1082,7 @@ let recover t =
     List.iter
       (fun b ->
         b.last_cut <- now;
-        b.timer <- None;
+        disarm b;
         try_cut t b)
       t.my_batchers;
     (* Catch up proactively: ask f+1 distinct peers for everything that

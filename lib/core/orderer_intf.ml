@@ -24,47 +24,9 @@
     benefit of the doubt. *)
 type verdict = Accept | Reject | Reject_malicious
 
-(** A one-shot timer that can be re-armed: at most one fire is pending. *)
-module Timer : sig
-  type t
-
-  val create : Sim.Engine.t -> t
-
-  val arm : t -> delay:Sim.Time_ns.span -> (unit -> unit) -> unit
-  (** Run the action after [delay], cancelling any fire still pending. *)
-
-  val cancel : t -> unit
-  val armed : t -> bool
-end = struct
-  type t = {
-    engine : Sim.Engine.t;
-    mutable pending : Sim.Engine.timer_id option;
-    mutable action : unit -> unit;
-    mutable fire : unit -> unit;  (* allocated once: clears [pending], runs [action] *)
-  }
-
-  let create engine =
-    let t = { engine; pending = None; action = ignore; fire = ignore } in
-    t.fire <-
-      (fun () ->
-        t.pending <- None;
-        t.action ());
-    t
-
-  let cancel t =
-    match t.pending with
-    | Some id ->
-        Sim.Engine.cancel t.engine id;
-        t.pending <- None
-    | None -> ()
-
-  let arm t ~delay action =
-    cancel t;
-    t.action <- action;
-    t.pending <- Some (Sim.Engine.schedule t.engine ~delay t.fire)
-
-  let armed t = Option.is_some t.pending
-end
+(** The simulator's re-armable one-shot timer, re-exported so an orderer
+    never names [Sim.Engine]. *)
+module Timer = Sim.Engine.Timer
 
 type ctx = {
   node : Proto.Ids.node_id;

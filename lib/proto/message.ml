@@ -39,6 +39,20 @@ let checkpoint_material ~epoch ~max_sn ~root ~req_count ~policy =
   Printf.sprintf "checkpoint:%d:%d:%s:%d:%s" epoch max_sn (Iss_crypto.Hash.to_hex root)
     req_count policy
 
+let iter_proposed_batches f = function
+  | Pbft { Pbft_msg.body = Pbft_msg.Preprepare { proposal = Proposal.Batch b; _ }; _ }
+  | Hotstuff
+      { Hotstuff_msg.body = Hotstuff_msg.Proposal_msg { proposal = Proposal.Batch b; _ }; _ } ->
+      f b
+  | Raft { Raft_msg.body = Raft_msg.Append_entries { entries; _ }; _ } ->
+      List.iter
+        (fun (e : Raft_msg.entry) ->
+          match e.proposal with Proposal.Batch b -> f b | Proposal.Nil -> ())
+        entries
+  | Pbft _ | Hotstuff _ | Raft _ | Request_msg _ | Reply _ | Busy _ | Bucket_update _
+  | Checkpoint_msg _ | State_request _ | State_reply _ | Mir_epoch_change _ | Garbled _ ->
+      ()
+
 let cert_size cert =
   32 + Iss_crypto.Hash.size + String.length cert.cc_policy
   + (List.length cert.cc_sigs * (8 + Iss_crypto.Signature.wire_size))

@@ -67,5 +67,11 @@ val checkpoint_material :
   epoch:int -> max_sn:int -> root:Iss_crypto.Hash.t -> req_count:int -> policy:string -> string
 (** Canonical bytes a CHECKPOINT signature covers. *)
 
+val iter_proposed_batches : (Batch.t -> unit) -> t -> unit
+(** Applies the function to each batch a leader proposes in the message, in
+    order: the batch of a PBFT pre-prepare or a HotStuff proposal, and of
+    every entry of a Raft append.  A ⊥ proposal carries no batch, and every
+    other message (votes, view changes, checkpoints, [Garbled]) none. *)
+
 val wire_size : t -> int
 val pp : Format.formatter -> t -> unit

@@ -183,29 +183,18 @@ let record_worthy = function
   | Msg.Pbft _ | Msg.Hotstuff _ | Msg.Checkpoint_msg _ -> true
   | _ -> false
 
-let batch_of_message = function
-  | Msg.Pbft
-      { Proto.Pbft_msg.body = Proto.Pbft_msg.Preprepare { proposal = Proto.Proposal.Batch b; _ }; _ }
-  | Msg.Hotstuff
-      {
-        Proto.Hotstuff_msg.body =
-          Proto.Hotstuff_msg.Proposal_msg { proposal = Proto.Proposal.Batch b; _ };
-        _;
-      } ->
-      Some b
-  | _ -> None
-
 let record st ~dst msg =
   if record_worthy msg then begin
     st.ring.(st.ring_next) <- Some (dst, msg);
     st.ring_next <- (st.ring_next + 1) mod ring_capacity
   end;
-  match batch_of_message msg with
-  | Some b when Proto.Batch.length b > 0 ->
-      let r = (Proto.Batch.requests b).(0) in
-      st.req_ring.(st.req_next) <- Some r;
-      st.req_next <- (st.req_next + 1) mod ring_capacity
-  | _ -> ()
+  Msg.iter_proposed_batches
+    (fun b ->
+      if Proto.Batch.length b > 0 then begin
+        st.req_ring.(st.req_next) <- Some (Proto.Batch.requests b).(0);
+        st.req_next <- (st.req_next + 1) mod ring_capacity
+      end)
+    msg
 
 let next_replay st ~dst msg =
   let stale = ref [] in

@@ -63,3 +63,35 @@ let run ?until t =
       done
 
 let events_executed t = t.executed
+
+module Timer = struct
+  type engine = t
+
+  type t = {
+    engine : engine;
+    mutable pending : Q.event;  (* [Q.nil] while disarmed *)
+    mutable action : unit -> unit;
+    mutable fire : unit -> unit;  (* allocated once: disarms, runs [action] *)
+  }
+
+  let create engine =
+    let t = { engine; pending = Q.nil; action = ignore; fire = ignore } in
+    t.fire <-
+      (fun () ->
+        t.pending <- Q.nil;
+        t.action ());
+    t
+
+  let cancel t =
+    if t.pending != Q.nil then begin
+      Q.cancel t.engine.queue t.pending;
+      t.pending <- Q.nil
+    end
+
+  let arm t ~delay action =
+    cancel t;
+    t.action <- action;
+    t.pending <- schedule t.engine ~delay t.fire
+
+  let armed t = t.pending != Q.nil
+end

@@ -62,3 +62,24 @@ val step : t -> bool
 val events_executed : t -> int
 (** Total events executed so far (cancelled events excluded); useful for
     reporting simulation effort. *)
+
+(** A one-shot timer that can be re-armed: at most one fire is pending.
+    The one timer every protocol layer uses — orderers (through
+    [Core.Orderer_intf]), the node's batchers, and [lib/brb]'s failure
+    detector and consensus — so none of them holds a {!timer_id}. *)
+module Timer : sig
+  type engine := t
+  type t
+
+  val create : engine -> t
+  (** A disarmed timer. *)
+
+  val arm : t -> delay:Time_ns.span -> (unit -> unit) -> unit
+  (** Run the action after [delay], cancelling any fire still pending. *)
+
+  val cancel : t -> unit
+  (** Disarm; a no-op when nothing is pending. *)
+
+  val armed : t -> bool
+  (** A fire is pending. *)
+end

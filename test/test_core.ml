@@ -16,15 +16,47 @@ let ts_of (batch : Proto.Request.t array) =
 (* One bucket, so every request shares a FIFO. *)
 let single () = Bq.create ~num_buckets:1
 
+let cut1 q ~max = Bq.cut q ~buckets:[ 0 ] ~max
+
+(* Two buckets, for cuts that merge arrival order across them. *)
+let two () = Bq.create ~num_buckets:2
+
+(* Client 1's first request from timestamp [from] on that maps to [bucket]
+   of a two-bucket queue. *)
+let in_bucket bucket from =
+  let rec go ts =
+    if Proto.Request.bucket_of_id ~num_buckets:2 { Proto.Request.client = 1; ts } = bucket then
+      req ~client:1 ~ts
+    else go (ts + 1)
+  in
+  go from
+
+let ts_of_req (r : Proto.Request.t) = r.id.Proto.Request.ts
+
 let test_bq_fifo () =
   let q = single () in
   for i = 0 to 9 do
     check_bool "add" true (Bq.add q (req ~client:1 ~ts:i))
   done;
   check_int "length" 10 (Bq.length q ~bucket:0);
-  Alcotest.(check (list int)) "oldest four" [ 0; 1; 2; 3 ] (ts_of (Bq.cut q ~bucket:0 ~max:4));
+  Alcotest.(check (list int)) "oldest four" [ 0; 1; 2; 3 ] (ts_of (cut1 q ~max:4));
   check_int "remaining" 6 (Bq.length q ~bucket:0);
-  check_int "pending" 6 (Bq.pending q)
+  check_int "pending" 6 (Bq.pending q);
+  (* Across buckets, a cut takes the oldest arrivals wherever they are
+     queued, whatever the order the buckets are listed in. *)
+  let q = two () in
+  let a0 = in_bucket 0 0 in
+  let b0 = in_bucket 1 0 in
+  let a1 = in_bucket 0 (ts_of_req a0 + 1) in
+  let b1 = in_bucket 1 (ts_of_req b0 + 1) in
+  List.iter (fun r -> ignore (Bq.add q r)) [ a0; b0; b1; a1 ];
+  Alcotest.(check (list int)) "merged arrival order"
+    (List.map ts_of_req [ a0; b0; b1 ])
+    (ts_of (Bq.cut q ~buckets:[ 1; 0 ] ~max:3));
+  Alcotest.(check (list int)) "a cut of one bucket leaves the other" []
+    (ts_of (Bq.cut q ~buckets:[ 1 ] ~max:3));
+  Alcotest.(check (list int)) "the rest" [ ts_of_req a1 ]
+    (ts_of (Bq.cut q ~buckets:[ 0; 1 ] ~max:3))
 
 let test_bq_idempotent_add () =
   let q = single () in
@@ -36,25 +68,27 @@ let test_bq_idempotent_add () =
 
 (* Removal on commit, queued or not. *)
 let test_bq_remove () =
-  let q = single () in
-  let r1 = req ~client:1 ~ts:1 and r2 = req ~client:1 ~ts:2 in
-  ignore (Bq.add q r1);
-  ignore (Bq.add q r2);
+  let q = two () in
+  let r1 = in_bucket 0 0 in
+  let r2 = in_bucket 1 0 in
+  let r3 = in_bucket 0 (ts_of_req r1 + 1) in
+  List.iter (fun r -> ignore (Bq.add q r)) [ r1; r2; r3 ];
   Bq.commit q r1.id;
   check_bool "committed request unqueued" false (Bq.queued q r1.id);
   check_bool "other request still queued" true (Bq.queued q r2.id);
   Bq.commit q r1.id;
-  check_int "one left" 1 (Bq.length q ~bucket:0);
-  Alcotest.(check (option int)) "r2 now oldest" (Some 1) (Bq.oldest_seq q ~bucket:0);
-  Alcotest.(check (list int)) "r2 cut" [ 2 ] (ts_of (Bq.cut q ~bucket:0 ~max:5));
+  check_int "one left in its bucket" 1 (Bq.length q ~bucket:0);
+  Alcotest.(check (list int)) "r2 now oldest" [ ts_of_req r2 ]
+    (ts_of (Bq.cut q ~buckets:[ 0; 1 ] ~max:1));
   (* Committing a cut request forgets its arrival number: the id, were it
      ever queued again, would be a new arrival. *)
   Bq.commit q r2.id;
-  let r3 = req ~client:1 ~ts:3 in
-  ignore (Bq.add q r3);
+  let r4 = in_bucket 0 (ts_of_req r3 + 1) in
+  ignore (Bq.add q r4);
   ignore (Bq.add q r2);
-  Alcotest.(check (list int)) "forgotten id re-enters last" [ 3; 2 ]
-    (ts_of (Bq.cut q ~bucket:0 ~max:5))
+  Alcotest.(check (list int)) "forgotten id re-enters last"
+    (List.map ts_of_req [ r3; r4; r2 ])
+    (ts_of (Bq.cut q ~buckets:[ 1; 0 ] ~max:5))
 
 let test_bq_resurrect_order () =
   let q = single () in
@@ -62,30 +96,38 @@ let test_bq_resurrect_order () =
   Array.iter (fun r -> ignore (Bq.add q r)) rs;
   (* Cut 0,1,2 as if proposing, then resurrect 1: it must come out before 3
      and 4, at its original arrival position. *)
-  ignore (Bq.cut q ~bucket:0 ~max:3);
+  ignore (cut1 q ~max:3);
   Bq.resurrect q rs.(1);
   Alcotest.(check (list int)) "resurrected keeps reception order" [ 1; 3; 4 ]
-    (ts_of (Bq.cut q ~bucket:0 ~max:10))
+    (ts_of (cut1 q ~max:10))
 
 (* A request that left its queue without committing — cut into a batch, or
-   evicted as drop-oldest does with [cut ~max:1] — and is then re-submitted
-   re-enters at its original arrival position, not behind later arrivals. *)
+   evicted as drop-oldest does with a one-request cut of its bucket — and is
+   then re-submitted re-enters at its original arrival position, not behind
+   later arrivals, in other buckets too. *)
 let test_bq_rearrival_order () =
-  let q = single () in
-  let rs = Array.init 6 (fun i -> req ~client:1 ~ts:i) in
+  let q = two () in
+  let rs = Array.make 6 (in_bucket 0 0) in
+  for i = 1 to 5 do
+    rs.(i) <- in_bucket 0 (ts_of_req rs.(i - 1) + 1)
+  done;
+  let other = in_bucket 1 0 in
   for i = 0 to 3 do
     ignore (Bq.add q rs.(i))
   done;
-  Alcotest.(check (list int)) "evicted" [ 0 ] (ts_of (Bq.cut q ~bucket:0 ~max:1));
-  Alcotest.(check (list int)) "cut" [ 1; 2 ] (ts_of (Bq.cut q ~bucket:0 ~max:2));
+  ignore (Bq.add q other);
+  let ts is = List.map (fun i -> ts_of_req rs.(i)) is in
+  Alcotest.(check (list int)) "evicted" (ts [ 0 ]) (ts_of (Bq.cut q ~buckets:[ 0 ] ~max:1));
+  Alcotest.(check (list int)) "cut" (ts [ 1; 2 ]) (ts_of (Bq.cut q ~buckets:[ 0 ] ~max:2));
   ignore (Bq.add q rs.(4));
   check_bool "cut request re-submitted" true (Bq.add q rs.(2));
   check_bool "evicted request re-submitted" true (Bq.add q rs.(0));
   ignore (Bq.add q rs.(5));
-  Alcotest.(check (option int)) "evicted request is oldest again" (Some 0)
-    (Bq.oldest_seq q ~bucket:0);
-  Alcotest.(check (list int)) "original arrival order" [ 0; 2; 3; 4; 5 ]
-    (ts_of (Bq.cut q ~bucket:0 ~max:10))
+  Alcotest.(check (list int)) "evicted request is oldest again, across buckets" (ts [ 0 ])
+    (ts_of (Bq.cut q ~buckets:[ 1; 0 ] ~max:1));
+  Alcotest.(check (list int)) "original arrival order"
+    (ts [ 2; 3 ] @ [ ts_of_req other ] @ ts [ 4; 5 ])
+    (ts_of (Bq.cut q ~buckets:[ 1; 0 ] ~max:10))
 
 (* A commit of an id this node never queued — it only validated it — leaves
    the queues and the arrival order as they were. *)
@@ -93,30 +135,47 @@ let test_bq_commit_unknown () =
   let q = single () in
   let a = req ~client:1 ~ts:0 and b = req ~client:1 ~ts:1 and c = req ~client:1 ~ts:2 in
   List.iter (fun r -> ignore (Bq.add q r)) [ a; b; c ];
-  ignore (Bq.cut q ~bucket:0 ~max:1);
+  ignore (cut1 q ~max:1);
   Bq.commit q { Proto.Request.client = 9; ts = 9 };
   check_int "length unchanged" 2 (Bq.length q ~bucket:0);
   check_int "pending unchanged" 2 (Bq.pending q);
   check_bool "never queued" false (Bq.queued q { Proto.Request.client = 9; ts = 9 });
   check_bool "cut request re-submitted" true (Bq.add q a);
   Alcotest.(check (list int)) "cut request back at the front" [ 0; 1; 2 ]
-    (ts_of (Bq.cut q ~bucket:0 ~max:10))
+    (ts_of (cut1 q ~max:10))
 
 (* Resurrecting an id the node never numbered queues it at the next arrival
-   number without consuming it. *)
+   number without consuming it, so the next fresh arrival shares that
+   number; a cut across both buckets breaks the tie by list order. *)
 let test_bq_resurrect_unknown () =
-  let q = single () in
-  ignore (Bq.add q (req ~client:1 ~ts:0));
-  ignore (Bq.cut q ~bucket:0 ~max:1);
-  Bq.resurrect q (req ~client:1 ~ts:7);
-  Alcotest.(check (option int)) "next arrival number" (Some 1) (Bq.oldest_seq q ~bucket:0);
-  ignore (Bq.cut q ~bucket:0 ~max:1);
-  ignore (Bq.add q (req ~client:1 ~ts:8));
-  Alcotest.(check (option int)) "number not consumed" (Some 1) (Bq.oldest_seq q ~bucket:0)
+  let first = in_bucket 0 0 in
+  let stray = in_bucket 0 (ts_of_req first + 1) in
+  let fresh = in_bucket 1 0 in
+  let later = in_bucket 0 (ts_of_req stray + 1) in
+  let cut_after_tie buckets =
+    let q = two () in
+    ignore (Bq.add q first);
+    ignore (Bq.cut q ~buckets:[ 0 ] ~max:1);
+    Bq.resurrect q stray;
+    ignore (Bq.add q fresh);
+    ignore (Bq.add q later);
+    ts_of (Bq.cut q ~buckets ~max:3)
+  in
+  Alcotest.(check (list int)) "tie goes to the first listed bucket"
+    (List.map ts_of_req [ stray; fresh; later ])
+    (cut_after_tie [ 0; 1 ]);
+  Alcotest.(check (list int)) "number not consumed"
+    (List.map ts_of_req [ fresh; stray; later ])
+    (cut_after_tie [ 1; 0 ])
 
 (* Model-based property over four buckets: the queues behave like a table
    of arrival numbers, first given on first arrival and dropped on commit,
-   plus a set of queued ids that each bucket cuts in arrival order. *)
+   plus a set of queued ids that a cut over 1-4 listed buckets takes in
+   arrival order, the earlier-listed bucket first on equal numbers.  Equal
+   numbers arise as in a node: an unnumbered id that is resurrected shares
+   the next arrival number.  An operation that would give two ids of one
+   bucket the same number is skipped, since only the cross-bucket rule is
+   specified. *)
 let prop_bq_model =
   let open QCheck in
   let num_buckets = 4 in
@@ -127,7 +186,14 @@ let prop_bq_model =
           (6, map (fun ts -> `Add ts) (int_range 0 50));
           (2, map (fun ts -> `Commit ts) (int_range 0 50));
           (2, map (fun ts -> `Resurrect ts) (int_range 0 50));
-          (3, map2 (fun b k -> `Cut (b, k)) (int_range 0 (num_buckets - 1)) (int_range 1 5));
+          ( 3,
+            map2
+              (fun bs k -> `Cut (bs, k))
+              (map2
+                 (fun order m -> List.filteri (fun i _ -> i < m) order)
+                 (shuffle_l (List.init num_buckets Fun.id))
+                 (int_range 1 num_buckets))
+              (int_range 1 5) );
         ])
   in
   Test.make ~name:"bucket queue matches reference model" ~count:300
@@ -147,10 +213,19 @@ let prop_bq_model =
         incr added;
         high := max !high (occupancy (bucket_of ts))
       in
+      (* Whether a first-seen [ts] may take the next number: no id of its
+         bucket holds that number already. *)
+      let may_number ts =
+        Hashtbl.mem numbered ts
+        || not
+             (Hashtbl.fold
+                (fun ts' s acc -> acc || (s = !next && bucket_of ts' = bucket_of ts))
+                numbered false)
+      in
       List.iter
         (fun op ->
           match op with
-          | `Add ts ->
+          | `Add ts when may_number ts ->
               let got = Bq.add q (req ~client:7 ~ts) in
               let expect = not (Hashtbl.mem queued ts) in
               if got <> expect then ok := false;
@@ -161,29 +236,36 @@ let prop_bq_model =
                 end;
                 enqueue ts
               end
+          | `Add _ -> ()
           | `Commit ts ->
               Bq.commit q { Proto.Request.client = 7; ts };
               Hashtbl.remove numbered ts;
               Hashtbl.remove queued ts
-          | `Resurrect ts ->
-              (* Only numbered ids: an unnumbered one would tie with the next
-                 arrival (test_bq_resurrect_unknown pins that case). *)
-              if Hashtbl.mem numbered ts then begin
-                Bq.resurrect q (req ~client:7 ~ts);
-                if not (Hashtbl.mem queued ts) then enqueue ts
-              end
-          | `Cut (b, k) ->
-              let in_bucket =
+          | `Resurrect ts when may_number ts ->
+              Bq.resurrect q (req ~client:7 ~ts);
+              if not (Hashtbl.mem numbered ts) then Hashtbl.replace numbered ts !next;
+              if not (Hashtbl.mem queued ts) then enqueue ts
+          | `Resurrect _ -> ()
+          | `Cut (bs, k) ->
+              let rank b =
+                let rec go i = function
+                  | b' :: rest -> if b' = b then Some i else go (i + 1) rest
+                  | [] -> None
+                in
+                go 0 bs
+              in
+              let expected =
                 Hashtbl.fold
                   (fun ts () acc ->
-                    if bucket_of ts = b then (Hashtbl.find numbered ts, ts) :: acc else acc)
+                    match rank (bucket_of ts) with
+                    | Some i -> (Hashtbl.find numbered ts, i, ts) :: acc
+                    | None -> acc)
                   queued []
                 |> List.sort compare
+                |> List.filteri (fun i _ -> i < k)
+                |> List.map (fun (_, _, ts) -> ts)
               in
-              let oldest = match in_bucket with (s, _) :: _ -> Some s | [] -> None in
-              if Bq.oldest_seq q ~bucket:b <> oldest then ok := false;
-              let expected = List.filteri (fun i _ -> i < k) in_bucket |> List.map snd in
-              if ts_of (Bq.cut q ~bucket:b ~max:k) <> expected then ok := false;
+              if ts_of (Bq.cut q ~buckets:bs ~max:k) <> expected then ok := false;
               List.iter (Hashtbl.remove queued) expected)
         ops;
       !ok
@@ -761,6 +843,75 @@ let test_validate_proposal_verdicts () =
     [ pick ~client:8 0 ]
 
 (* ------------------------------------------------------------------ *)
+(* Checkpoints (§3.5)
+
+   One node, fed hand-signed CHECKPOINT votes.  Its own votes are taken off
+   the wire it broadcasts them on, so the signed material is the node's. *)
+
+let test_checkpoint_quorum () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let announce = ref None in
+  let orderer_factory (ctx : Core.Orderer_intf.ctx) _ =
+    announce := Some ctx.announce;
+    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+  in
+  let own_votes = Hashtbl.create 4 (* epoch -> node 0's vote *) in
+  let send ~dst msg =
+    match msg with
+    | Proto.Message.Checkpoint_msg { epoch; _ } when dst = 1 -> Hashtbl.replace own_votes epoch msg
+    | _ -> ()
+  in
+  let node =
+    Core.Node.create ~config ~id:0 ~engine:(Sim.Engine.create ()) ~send ~orderer_factory ()
+  in
+  Core.Node.start node;
+  (* Decide every position of epochs 0 and 1 with an empty batch. *)
+  let sn = ref 0 in
+  while Core.Node.current_epoch node < 2 do
+    Option.get !announce ~sn:!sn (Proto.Proposal.Batch Proto.Batch.empty);
+    incr sn
+  done;
+  let vote ~epoch ?root signer =
+    match Hashtbl.find own_votes epoch with
+    | Proto.Message.Checkpoint_msg m ->
+        let root = Option.value root ~default:m.root in
+        let material =
+          Proto.Message.checkpoint_material ~epoch ~max_sn:m.max_sn ~root ~req_count:m.req_count
+            ~policy:m.policy
+        in
+        let sig_ = Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id:signer) material in
+        Core.Node.on_message node ~src:signer
+          (Proto.Message.Checkpoint_msg { m with root; signer; sig_ })
+    | _ -> assert false
+  in
+  let signers () =
+    match Core.Node.last_stable_checkpoint node with
+    | Some cert -> List.map fst cert.Proto.Message.cc_sigs
+    | None -> []
+  in
+  check_int "no certificate: lag of two epochs" 2 (Core.Node.checkpoint_lag node);
+  (* Node 2 first signs a corrupted root, as a Bad_checkpoint attacker
+     does: a valid signature over the wrong material.  Its correct vote
+     afterwards is a second vote and is ignored. *)
+  vote ~epoch:0 ~root:(Iss_crypto.Hash.of_string "corrupted") 2;
+  vote ~epoch:0 3;
+  vote ~epoch:0 2;
+  vote ~epoch:0 1;
+  Alcotest.(check (list int)) "2 matching votes of 3 needed" [] (signers ());
+  vote ~epoch:0 0;
+  Alcotest.(check (list int)) "quorum, signers sorted, corrupted vote left out" [ 0; 1; 3 ]
+    (signers ());
+  check_int "lag follows the certificate" 1 (Core.Node.checkpoint_lag node);
+  vote ~epoch:1 3;
+  vote ~epoch:1 2;
+  vote ~epoch:1 1;
+  Alcotest.(check (list int)) "newer certificate" [ 1; 2; 3 ] (signers ());
+  check_int "caught up" 0 (Core.Node.checkpoint_lag node);
+  vote ~epoch:0 2;
+  Alcotest.(check (list int)) "a late vote for an older epoch changes nothing" [ 1; 2; 3 ]
+    (signers ())
+
+(* ------------------------------------------------------------------ *)
 (* Config *)
 
 let test_config_validation () =
@@ -870,6 +1021,7 @@ let () =
           qc prop_watermarks_overflow_no_duplicate;
           qc prop_watermarks_overflow_no_false_positive;
         ] );
+      ("checkpoints", [ Alcotest.test_case "quorum certificate" `Quick test_checkpoint_quorum ]);
       ( "validation",
         [ Alcotest.test_case "proposal verdicts" `Quick test_validate_proposal_verdicts ] );
       ( "config",

@@ -132,6 +132,103 @@ let test_checkpoint_material_distinct () =
   check_bool "req_count in material" false (String.equal m1 m4);
   check_bool "policy in material" false (String.equal m1 m5)
 
+(* The batches a leader proposes, and nothing else: the node traces
+   SB-broadcast and the Byzantine replay attack records requests through
+   this one reader. *)
+let test_iter_proposed_batches () =
+  let batch k = Proto.Batch.make (Array.init k (fun i -> req ~client:k ~ts:i)) in
+  let b1 = batch 1 and b2 = batch 2 and b3 = batch 3 in
+  let proposed msg =
+    let got = ref [] in
+    Proto.Message.iter_proposed_batches (fun b -> got := b :: !got) msg;
+    List.rev !got
+  in
+  let same name expected msg =
+    check_bool name true
+      (List.equal (fun a b -> a == b) expected (proposed msg))
+  in
+  let pbft body = Proto.Message.Pbft { Proto.Pbft_msg.instance = 3; body } in
+  let hotstuff body = Proto.Message.Hotstuff { Proto.Hotstuff_msg.instance = 3; body } in
+  let raft body = Proto.Message.Raft { Proto.Raft_msg.instance = 3; body } in
+  let digest = Iss_crypto.Hash.of_int 1 in
+  let cert =
+    {
+      Proto.Message.cc_epoch = 0;
+      cc_max_sn = 255;
+      cc_root = digest;
+      cc_req_count = 0;
+      cc_policy = "";
+      cc_sigs = [];
+    }
+  in
+  let preprepare proposal = pbft (Proto.Pbft_msg.Preprepare { view = 0; sn = 5; proposal }) in
+  same "pre-prepare" [ b1 ] (preprepare (Proto.Proposal.Batch b1));
+  same "pre-prepare of nil" [] (preprepare Proto.Proposal.Nil);
+  same "hotstuff proposal" [ b2 ]
+    (hotstuff
+       (Proto.Hotstuff_msg.Proposal_msg
+          {
+            view = 4;
+            sn = 5;
+            parent = digest;
+            proposal = Proto.Proposal.Batch b2;
+            justify = None;
+          }));
+  let entry idx proposal = { Proto.Raft_msg.idx; term = 1; proposal } in
+  same "raft append, nil entry skipped" [ b1; b3 ]
+    (raft
+       (Proto.Raft_msg.Append_entries
+          {
+            term = 1;
+            prev_idx = -1;
+            prev_term = 0;
+            entries =
+              [
+                entry 0 (Proto.Proposal.Batch b1);
+                entry 1 Proto.Proposal.Nil;
+                entry 2 (Proto.Proposal.Batch b3);
+              ];
+            leader_commit = -1;
+          }));
+  List.iter
+    (fun (name, msg) -> same name [] msg)
+    [
+      ("pbft prepare", pbft (Proto.Pbft_msg.Prepare { view = 0; sn = 5; digest }));
+      ("pbft commit", pbft (Proto.Pbft_msg.Commit { view = 0; sn = 5; digest }));
+      ( "pbft new-view",
+        pbft
+          (Proto.Pbft_msg.New_view
+             { view = 1; view_changes = []; preprepares = [ (5, Proto.Proposal.Batch b1) ] }) );
+      ( "hotstuff vote",
+        hotstuff
+          (Proto.Hotstuff_msg.Vote
+             {
+               view = 4;
+               digest;
+               share =
+                 Iss_crypto.Threshold.sign_share (Iss_crypto.Threshold.setup ~n:4 ~t:3) ~signer:0
+                   "m";
+             }) );
+      ( "hotstuff new-view",
+        hotstuff (Proto.Hotstuff_msg.New_view { view = 4; rotation = 1; justify = None }) );
+      ( "raft reply",
+        raft (Proto.Raft_msg.Append_reply { term = 1; success = true; match_idx = 0 }) );
+      ( "checkpoint",
+        Proto.Message.Checkpoint_msg
+          {
+            epoch = 0;
+            max_sn = 255;
+            root = digest;
+            req_count = 0;
+            policy = "";
+            signer = 1;
+            sig_ = Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id:1) "m";
+          } );
+      ( "state reply",
+        Proto.Message.State_reply { entries = [ (5, Proto.Proposal.Batch b1) ]; cert } );
+      ("garbled pre-prepare", Proto.Message.Garbled (preprepare (Proto.Proposal.Batch b1)));
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -154,5 +251,6 @@ let () =
           Alcotest.test_case "sizes monotone" `Quick test_message_sizes_monotone;
           Alcotest.test_case "hotstuff vote size" `Quick test_hotstuff_msg_sizes;
           Alcotest.test_case "checkpoint material" `Quick test_checkpoint_material_distinct;
+          Alcotest.test_case "proposed batches" `Quick test_iter_proposed_batches;
         ] );
     ]
