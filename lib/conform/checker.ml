@@ -1,4 +1,4 @@
-(* The differential conformance checker (DESIGN.md §9).
+(* The invariant checker (DESIGN.md §6, §9).
 
    Consumes the raw per-node delivery stream plus the submitted workload and
    checks the observed behaviour against the reference model of an idealized
@@ -10,6 +10,8 @@
    - no fabrication: every delivered request was submitted;
    - exactly-once: no node delivers a request twice, and no request is
      ordered at two different log positions;
+   - no delivered-then-shed: a node never sheds a request it has already
+     delivered;
    - Eq. (2) numbering: request sequence numbers chain exactly across the
      observed log positions, starting at 0.  (Positions holding ⊥ or an
      empty keep-alive batch deliver nothing and are never observed; they
@@ -21,9 +23,8 @@
      ordered after timestamp [t - window] of the same client (§3.7's
      client watermark windows, checked globally post hoc).
 
-   The checker is deliberately independent of [Cluster]'s online invariant
-   checker: it re-derives every property from the observer streams alone, so
-   the two implementations cross-validate each other. *)
+   [Runner.Cluster] owns the one instance of a run and feeds it from its
+   delivery, shed, submission and give-up paths. *)
 
 type entry = {
   e_digest : Iss_crypto.Hash.t;
@@ -189,26 +190,42 @@ let check_log_structure t =
       sns
   end
 
+(* Every submitted request must reach its reply quorum or be given up.  The
+   report lists the first missing requests (in table order) so a failing
+   chaos run can be traced without a re-run. *)
 let check_liveness t =
-  let missing = ref 0 and unquorate = ref 0 and example = ref None in
+  let unordered = ref 0 and unquorate = ref 0 and first = ref [] in
+  let note r counter =
+    incr counter;
+    if !unordered + !unquorate <= 10 then first := r :: !first
+  in
   Hashtbl.iter
     (fun key (r : Proto.Request.t) ->
       if not (Hashtbl.mem t.gave_up key) then
-      match Hashtbl.find_opt t.req_sn key with
-      | None ->
-          incr missing;
-          if !example = None then example := Some r
-      | Some sn -> (
-          match Hashtbl.find_opt t.global sn with
-          | Some e when e.e_nodes >= t.reply_quorum -> ()
-          | _ ->
-              incr unquorate;
-              if !example = None then example := Some r))
+        match Hashtbl.find_opt t.req_sn key with
+        | None -> note r unordered
+        | Some sn -> (
+            match Hashtbl.find_opt t.global sn with
+            | Some e when e.e_nodes >= t.reply_quorum -> ()
+            | _ -> note r unquorate))
     t.submitted;
-  if !missing > 0 || !unquorate > 0 then
-    let r = Option.get !example in
-    fail t "%d submitted requests never ordered, %d short of the reply quorum of %d (e.g. client %d ts %d)"
-      !missing !unquorate t.reply_quorum r.id.Proto.Request.client r.id.Proto.Request.ts
+  let missing = !unordered + !unquorate in
+  if missing > 0 then begin
+    let b = Buffer.create 256 in
+    Printf.bprintf b
+      "%d of %d submitted requests never reached their reply quorum of %d (%d never ordered, \
+       %d ordered but short of the quorum; %d explicitly gave up).  First missing requests:"
+      missing (Hashtbl.length t.submitted) t.reply_quorum !unordered !unquorate
+      (Hashtbl.length t.gave_up);
+    List.iter
+      (fun (r : Proto.Request.t) ->
+        Printf.bprintf b "\n  client %d ts %d (submitted at t=%.3fs)" r.id.Proto.Request.client
+          r.id.Proto.Request.ts
+          (Sim.Time_ns.to_sec_f r.Proto.Request.submitted_at))
+      (List.rev !first);
+    if missing > 10 then Buffer.add_string b "\n  ...";
+    fail t "%s" (Buffer.contents b)
+  end
 
 let check_clients t =
   (* Per-client view: delivered timestamps must form the exact contiguous

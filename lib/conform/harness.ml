@@ -5,10 +5,13 @@
 
    Each (scenario, protocol) pair is simulated twice:
 
-   - once fully instrumented (lifecycle tracer + metric registry + the
-     cluster's online invariant checker), which also cross-checks the
-     observability layer's own accounting against the conformance checker;
+   - once fully instrumented (lifecycle tracer + metric registry), which
+     also cross-checks the observability layer's own accounting against the
+     checker;
    - once bare (no tracer, no registry).
+
+   Both runs are checked by the one invariant checker the cluster owns
+   (Cluster.enable_invariants).
 
    The two runs must produce identical behaviour fingerprints: any
    divergence means either nondeterminism (e.g. an insertion-order-dependent
@@ -153,33 +156,18 @@ let run_protocol ?(instrumented = true) (sc : Scenario.t) protocol :
           ~n:sc.Scenario.n ~seed:sc.Scenario.seed ()
       in
       let config = Cluster.config cluster in
-      let checker =
-        Checker.create ~n:sc.Scenario.n ~reply_quorum:(Cluster.reply_quorum cluster)
-          ~window:config.Core.Config.client_watermark_window
-      in
-      List.iter (Checker.set_byzantine checker) (Scenario.byzantine_nodes sc);
-      Cluster.set_submission_observer cluster (Checker.note_submitted checker);
-      Cluster.set_delivery_observer cluster (fun ~node ~sn ~first_request_sn batch ->
-          Checker.note_delivery checker ~node ~sn ~first_request_sn batch);
       let shape, retry_budget =
         match sc.Scenario.overload with
         | None -> (Runner.Workload.Steady, None)
-        | Some o ->
-            (* The checker re-derives the shed / give-up conformance rules
-               from its own observer feed, cross-validating the cluster's
-               online delivered-then-shed check. *)
-            Cluster.set_shed_observer cluster (fun ~node ~shed r ->
-                if shed then Checker.note_shed checker ~node r);
-            Cluster.set_give_up_observer cluster (Checker.note_gave_up checker);
-            (match o with
-             | Scenario.Flash_crowd { at_s; factor; len_s; _ } ->
-                 Runner.Workload.Flash_crowd { at_s; factor; len_s }
-             | Scenario.Hot_bucket { skew; _ } -> Runner.Workload.Hot_bucket { skew }),
-            Some overload_retry_budget
+        | Some (Scenario.Flash_crowd { at_s; factor; len_s; _ }) ->
+            (Runner.Workload.Flash_crowd { at_s; factor; len_s }, Some overload_retry_budget)
+        | Some (Scenario.Hot_bucket { skew; _ }) ->
+            (Runner.Workload.Hot_bucket { skew }, Some overload_retry_budget)
       in
       let schedule = Faults.make ~name:(Scenario.name sc) sc.Scenario.faults in
       Faults.apply schedule cluster;
       Cluster.enable_invariants cluster;
+      let checker = Option.get (Cluster.checker cluster) in
       Cluster.start cluster;
       let run_until = Time_ns.of_sec_f (run_until_s sc config) in
       Runner.Workload.start ~cluster ~rate:sc.Scenario.rate
@@ -188,21 +176,18 @@ let run_protocol ?(instrumented = true) (sc : Scenario.t) protocol :
         ~until:(Time_ns.of_sec_f sc.Scenario.duration_s) ();
       match
         Sim.Engine.run ~until:run_until engine;
-        Cluster.check_liveness cluster
+        Checker.finalize checker
       with
-      | exception Cluster.Invariant_violation report ->
-          Error (Printf.sprintf "online invariant checker: %s" report)
-      | () -> (
-          match Checker.finalize checker with
-          | Error msg -> Error msg
-          | Ok stats -> (
-              let fingerprint = Checker.fingerprint checker in
-              match (registry, tracer) with
-              | Some registry, Some tracer -> (
-                  match check_obs_consistency ~cluster ~registry ~tracer ~engine stats with
-                  | Some msg -> Error (Printf.sprintf "observability self-consistency: %s" msg)
-                  | None -> Ok { fingerprint; stats })
-              | _ -> Ok { fingerprint; stats })))
+      | exception Cluster.Invariant_violation report -> Error report
+      | Error msg -> Error msg
+      | Ok stats -> (
+          let fingerprint = Checker.fingerprint checker in
+          match (registry, tracer) with
+          | Some registry, Some tracer -> (
+              match check_obs_consistency ~cluster ~registry ~tracer ~engine stats with
+              | Some msg -> Error (Printf.sprintf "observability self-consistency: %s" msg)
+              | None -> Ok { fingerprint; stats })
+          | _ -> Ok { fingerprint; stats }))
 
 (* ------------------------------------------------------------------ *)
 (* Full conformance for one scenario: all three ISS instantiations, each

@@ -1,9 +1,8 @@
 (** Conformance harness (DESIGN.md §9).
 
     Runs a fuzzed {!Scenario} against all three ISS instantiations
-    (ISS-PBFT, ISS-HotStuff, ISS-Raft), feeding every submission and
-    per-node delivery to the differential {!Checker}, with the cluster's
-    online invariant checker enabled as a second, independent net.
+    (ISS-PBFT, ISS-HotStuff, ISS-Raft) under the invariant {!Checker}
+    the cluster owns ({!Runner.Cluster.enable_invariants}).
 
     Each (scenario, protocol) pair runs twice — fully instrumented
     (lifecycle tracer + metric registry, whose accounting is cross-checked

@@ -107,7 +107,6 @@ let validate ?protocol t =
     | Ok () -> Faults.validate ?protocol (Faults.make ~name:(name t) t.faults) ~n:t.n
 
 let has_byzantine t = Faults.has_byzantine (Faults.make ~name:(name t) t.faults)
-let byzantine_nodes t = Faults.byzantine_nodes (Faults.make ~name:(name t) t.faults)
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec (repro files).  Spans are encoded as integer nanoseconds;

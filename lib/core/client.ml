@@ -176,7 +176,7 @@ and submit_now t =
   let ts = t.next_ts in
   t.next_ts <- ts + 1;
   let req =
-    Proto.Request.make ~client:t.id ~ts ~payload_size:t.config.Config.request_payload
+    Proto.Request.make ~client:t.id ~ts
       ~sig_data:(if t.sign then Proto.Request.Presumed true else Proto.Request.Unsigned)
       ~submitted_at:(Engine.now t.engine) ()
   in

@@ -22,17 +22,12 @@ type t = {
   min_segment_size : int;
   epoch_change_timeout : Sim.Time_ns.span;
   client_signatures : bool;
-  request_payload : int;
   client_watermark_window : int;
-  backoff_ban_period : int;
-  backoff_decrease : int;
-  cpu_parallelism : int;
   log_retention_epochs : int;
   flow_control : bool;
   bucket_capacity : int;
   shed_policy : shed_policy;
   pushback_watermark : float;
-  pushback_hint : Sim.Time_ns.span;
 }
 
 let num_buckets t = t.buckets_per_leader * t.n
@@ -56,17 +51,12 @@ let base ~n ~protocol =
     min_segment_size = 2;
     epoch_change_timeout = Sim.Time_ns.sec 10;
     client_signatures = true;
-    request_payload = 500;
     client_watermark_window = 512;
-    backoff_ban_period = 4;
-    backoff_decrease = 1;
-    cpu_parallelism = 32;
     log_retention_epochs = 4;
     flow_control = false;
     bucket_capacity = 4096;
     shed_policy = Reject_new;
     pushback_watermark = 0.75;
-    pushback_hint = Sim.Time_ns.ms 500;
   }
 
 (* Table 1 presets. *)
@@ -112,14 +102,12 @@ let validate t =
     fail "min_batch_timeout exceeds max_batch_timeout"
   else if t.epoch_change_timeout <= 0 then fail "epoch_change_timeout must be positive"
   else if t.client_watermark_window <= 0 then fail "client_watermark_window must be positive"
-  else if t.cpu_parallelism <= 0 then fail "cpu_parallelism must be positive"
   else if t.log_retention_epochs <= 0 then fail "log_retention_epochs must be positive"
   else if (match t.batch_rate with Some r -> r <= 0.0 | None -> false) then
     fail "batch_rate must be positive when set"
   else if t.bucket_capacity <= 0 then fail "bucket_capacity must be positive"
   else if t.pushback_watermark <= 0.0 || t.pushback_watermark > 1.0 then
     fail "pushback_watermark must be in (0, 1] (got %g)" t.pushback_watermark
-  else if t.pushback_hint <= 0 then fail "pushback_hint must be positive"
   else begin
     match t.leader_policy with
     | Fixed [] -> fail "Fixed leader policy needs at least one leader"

@@ -47,14 +47,8 @@ type t = {
       (** SB-level failure-detection timeout (PBFT view change /
           HotStuff pacemaker / Raft election base) *)
   client_signatures : bool;  (** Table 1: ECDSA for BFT, none for Raft *)
-  request_payload : int;  (** bytes; 500 in the evaluation *)
   client_watermark_window : int;
       (** per-client in-flight request budget per epoch (§3.7) *)
-  backoff_ban_period : int;  (** BACKOFF policy: initial ban, in epochs *)
-  backoff_decrease : int;  (** BACKOFF: linear ban decrease per good epoch *)
-  cpu_parallelism : int;
-      (** effective cores for crypto work (the paper's nodes shard signature
-          verification over 32 VCPUs) *)
   log_retention_epochs : int;
       (** How many epochs of committed log entries a node keeps below its
           newest stable checkpoint before GC prunes them ({!Log.prune}).
@@ -74,9 +68,6 @@ type t = {
       (** Occupancy fraction of [bucket_capacity] at which the node starts
           sending advisory [Busy] pushback (before it actually sheds);
           in (0, 1]. *)
-  pushback_hint : Sim.Time_ns.span;
-      (** Base server-suggested backoff carried in [Busy] replies.  Scaled
-          up with occupancy; doubled when the request was actually shed. *)
 }
 
 val num_buckets : t -> int

@@ -1,6 +1,6 @@
 type state =
   | Simple
-  | Backoff of { penalty : int array; ban_period : int; decrease : int }
+  | Backoff of { penalty : int array }
   | Blacklist of { last_failure : int array; f : int }
   | Fixed of Proto.Ids.node_id array
   | Straggler_aware of { last_failure : int array; f : int }
@@ -15,18 +15,18 @@ type leader_stats = {
   ls_requests : int;
 }
 
+(* BACKOFF: a leader's first failure bans it for this many epochs, and
+   every good epoch takes [backoff_decrease] off its ban. *)
+let backoff_ban_period = 4
+let backoff_decrease = 1
+
 let create (config : Config.t) =
   let n = config.Config.n in
   let state =
     match config.Config.leader_policy with
     | Config.Simple -> Simple
     | Config.Backoff ->
-        Backoff
-          {
-            penalty = Array.make n 0;
-            ban_period = config.Config.backoff_ban_period;
-            decrease = config.Config.backoff_decrease;
-          }
+        Backoff { penalty = Array.make n 0 }
     | Config.Blacklist -> Blacklist { last_failure = Array.make n (-1); f = Config.max_faulty config }
     | Config.Fixed leaders -> Fixed (Array.of_list (List.sort_uniq compare leaders))
     | Config.Straggler_aware ->
@@ -63,14 +63,14 @@ let epoch_finished t ~epoch ~failed ?(stats = []) () =
       List.iter
         (fun leader -> if epoch > last_failure.(leader) then last_failure.(leader) <- epoch)
         (stragglers_of stats)
-  | Backoff { penalty; ban_period; decrease } ->
+  | Backoff { penalty } ->
       let failed_now = Array.make t.n false in
       List.iter (fun (leader, _) -> failed_now.(leader) <- true) failed;
       for i = 0 to t.n - 1 do
         if failed_now.(i) then
           (* Double an active ban; start a fresh one otherwise. *)
-          penalty.(i) <- (if penalty.(i) > 0 then (penalty.(i) * 2) - 1 else ban_period)
-        else if penalty.(i) > 0 then penalty.(i) <- max 0 (penalty.(i) - decrease)
+          penalty.(i) <- (if penalty.(i) > 0 then (penalty.(i) * 2) - 1 else backoff_ban_period)
+        else if penalty.(i) > 0 then penalty.(i) <- max 0 (penalty.(i) - backoff_decrease)
       done
 
 let leaders t ~epoch:_ =

@@ -190,8 +190,12 @@ let broadcast t msg =
     send t ~dst msg
   done
 
+(* Effective cores for crypto work: the paper's nodes shard signature
+   verification over 32 VCPUs. *)
+let cpu_parallelism = 32
+
 let charge_cpu t cost k =
-  let effective = cost / t.config.Config.cpu_parallelism in
+  let effective = cost / cpu_parallelism in
   let start = max (Engine.now t.engine) t.cpu_free in
   let done_at = Time_ns.add start effective in
   t.cpu_free <- done_at;
@@ -199,7 +203,7 @@ let charge_cpu t cost k =
 
 (* Horizon-only variant for fire-and-forget CPU accounting (no event). *)
 let charge_cpu_sync t cost =
-  let effective = cost / t.config.Config.cpu_parallelism in
+  let effective = cost / cpu_parallelism in
   t.cpu_free <- Time_ns.add (max (Engine.now t.engine) t.cpu_free) effective
 
 let cp_quorum t =
@@ -220,6 +224,10 @@ let note_pushback t (r : Proto.Request.t) ~retry_after ~shed =
   t.pushback_count <- t.pushback_count + 1;
   match t.hooks.on_pushback with Some f -> f t r ~retry_after ~shed | None -> ()
 
+(* Base server-suggested backoff carried in [Busy] replies: scaled up with
+   bucket occupancy, doubled when the request was actually shed. *)
+let pushback_hint = Time_ns.ms 500
+
 (* Admission control (flow_control only).  Returns whether [r] may be added
    to its [bucket]; sheds — the incoming request (Reject_new) or the oldest
    queued one (Drop_oldest) — when the bucket is at capacity.  A request
@@ -232,7 +240,7 @@ let admit_request t ~bucket (r : Proto.Request.t) =
   || Bucket_queue.length t.queues ~bucket < cfg.Config.bucket_capacity
   || Bucket_queue.queued t.queues r.Proto.Request.id
   ||
-  let shed_hint = 2 * cfg.Config.pushback_hint in
+  let shed_hint = 2 * pushback_hint in
   match cfg.Config.shed_policy with
   | Config.Reject_new ->
       note_pushback t r ~retry_after:shed_hint ~shed:true;
@@ -280,7 +288,7 @@ let rec submit t (r : Proto.Request.t) =
             if float_of_int occ >= t.config.Config.pushback_watermark *. float_of_int cap
             then
               note_pushback t r
-                ~retry_after:(max 1 (t.config.Config.pushback_hint * occ / cap))
+                ~retry_after:(max 1 (pushback_hint * occ / cap))
                 ~shed:false
           end;
           match t.bucket_batcher.(bucket) with

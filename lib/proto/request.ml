@@ -12,7 +12,10 @@ type t = {
   submitted_at : Sim.Time_ns.t;
 }
 
-let make ~client ~ts ?(payload_size = 500) ?(sig_data = Presumed true) ~submitted_at () =
+(* The paper's request size: 500 B, an average Bitcoin transaction. *)
+let payload_bytes = 500
+
+let make ~client ~ts ?(payload_size = payload_bytes) ?(sig_data = Presumed true) ~submitted_at () =
   { id = { client; ts }; payload_size; sig_data; submitted_at }
 
 let signing_material r =

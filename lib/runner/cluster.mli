@@ -3,7 +3,12 @@
     Builds a complete simulated deployment — engine, WAN, replicas wired to
     one of the seven systems the paper evaluates — and measures what the
     paper measures: end-to-end latency (submission until a reply quorum of
-    f+1 nodes has delivered) and delivered throughput over 1-second bins. *)
+    f+1 nodes has delivered) and delivered throughput over 1-second bins.
+
+    With {!enable_invariants} the cluster also owns the run's one
+    invariant checker ({!Checker}, DESIGN.md §6): it feeds the checker
+    every submission, per-node delivery, shed and give-up, and aborts the
+    run at the first violation. *)
 
 type system =
   | Iss of Core.Config.protocol  (** the paper's contribution *)
@@ -83,42 +88,41 @@ val ensure_adversary : t -> Adversary.t
 val adversary : t -> Adversary.t option
 
 val mark_byzantine : t -> int -> unit
-(** Exempt a node from the cross-node safety / exactly-once invariants and
-    from reply-quorum counting: the checked invariants quantify over correct
+(** Exempt a node from the checked invariants ({!Checker.set_byzantine})
+    and from reply-quorum counting: the invariants quantify over correct
     nodes only.  {!Faults.apply} marks every node its schedule attacks. *)
 
 (** {2 Invariant checking (chaos harness)} *)
 
 exception Invariant_violation of string
-(** Raised — aborting the simulation — with a readable report when a checked
-    invariant breaks. *)
+(** Raised — aborting the simulation — with the simulated time and the
+    checker's report when a checked invariant breaks. *)
 
 val enable_invariants : t -> unit
-(** Turn on cross-node invariant checking (implies delivery tracking):
-    {ul
-    {- {b safety}: no two non-halted nodes deliver different batches (or the
-       same batch with different request sequence numbers) at the same log
-       position — checked on every delivery;}
-    {- {b exactly-once}: no node delivers the same request twice — checked on
-       every delivery;}
-    {- {b liveness}: every workload-submitted request reaches its reply
-       quorum — checked by {!check_liveness} once the run (faults plus a
-       grace period) has completed.}}
-    Off by default: the bookkeeping holds every submitted request id, which
-    huge fault-free benchmark runs cannot afford. *)
+(** Create the run's {!Checker} (from [n], the reply quorum and the
+    client watermark window, with the nodes marked Byzantine so far) and
+    feed it from now on.  A violation the checker records at a delivery or
+    shed raises {!Invariant_violation} right there.  Call before {!start}.
+    Off by default: the checker holds every submitted request id, which
+    huge fault-free benchmark runs cannot afford.  Idempotent. *)
 
 val check_liveness : t -> unit
-(** Raises {!Invariant_violation} listing the first missing requests if any
+(** Run {!Checker.finalize}: raises {!Invariant_violation} if any
     submitted request has neither reached its reply quorum nor explicitly
-    given up its retry budget ({!note_gave_up}).  Call after the engine has
-    run past all faults plus a recovery bound. *)
+    given up its retry budget ({!note_gave_up}) — the report lists the
+    first missing requests — or if an end-of-run structural check fails.
+    Call after the engine has run past all faults plus a recovery bound.
+    Raises [Invalid_argument] without {!enable_invariants}. *)
+
+val checker : t -> Checker.t option
+(** The checker {!enable_invariants} created, if any. *)
 
 (** {2 Overload accounting (flow control)} *)
 
 val note_gave_up : t -> Proto.Request.t -> unit
 (** Record that a client exhausted its retry budget for this request and
     abandoned it.  Idempotent per request.  The liveness check accepts
-    given-up requests as terminal; the give-up observer fires once. *)
+    given-up requests as terminal. *)
 
 val gave_up_count : t -> int
 (** Requests explicitly abandoned via {!note_gave_up}. *)
@@ -129,17 +133,6 @@ val shed_total : t -> int
 val pushback_total : t -> int
 (** Pushback notifications issued (advisory and shedding), summed over all
     nodes. *)
-
-val set_shed_observer : t -> (node:int -> shed:bool -> Proto.Request.t -> unit) -> unit
-(** Install a hook fired on every node-side pushback event: [shed = true]
-    for an actual drop (admission refusal or drop-oldest eviction),
-    [shed = false] for the advisory watermark warning.  The conformance
-    harness records shed events through this; at most one observer.  Fires
-    only when [flow_control] is enabled. *)
-
-val set_give_up_observer : t -> (Proto.Request.t -> unit) -> unit
-(** Install a hook fired once per request abandoned via {!note_gave_up};
-    at most one observer. *)
 
 (** {2 Measurement} *)
 
@@ -154,7 +147,7 @@ val delivered_quorum : t -> int
 
 val note_submitted : t -> Proto.Request.t -> unit
 (** Workload bookkeeping: register a submitted request (for the delivered /
-    offered accounting). *)
+    offered accounting, and with the checker when invariants are on). *)
 
 val submitted : t -> int
 
@@ -167,17 +160,6 @@ val tracer : t -> Obs.Tracer.t option
 
 val client_datacenter : t -> client:int -> int
 (** Placement of a virtual client (round-robin over the datacenters). *)
-
-val set_delivery_observer :
-  t -> (node:int -> sn:int -> first_request_sn:int -> Proto.Batch.t -> unit) -> unit
-(** Install a hook called on {e every} per-node batch delivery (before the
-    quorum accounting).  The conformance harness records the complete
-    per-node delivered sequences through this; at most one observer. *)
-
-val set_submission_observer : t -> (Proto.Request.t -> unit) -> unit
-(** Install a hook called for every workload-submitted request (from
-    {!note_submitted}).  The conformance harness builds its reference
-    workload set through this; at most one observer. *)
 
 val enable_delivery_tracking : t -> unit
 (** Track per-request delivery (needed by the workload's resubmission

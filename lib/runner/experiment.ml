@@ -193,15 +193,15 @@ type sweep = {
   quick : bool;
 }
 
-let overload_tweak ?(capacity = 64) ?(policy = Core.Config.Reject_new) () c =
+let overload_tweak () c =
   {
     c with
     Core.Config.max_batch_size = 64;
     batch_rate = Some 32.0;
     min_epoch_length = 64;
     flow_control = true;
-    bucket_capacity = capacity;
-    shed_policy = policy;
+    bucket_capacity = 64;
+    shed_policy = Core.Config.Reject_new;
   }
 
 let overload_ceiling = 32.0 *. 64.0

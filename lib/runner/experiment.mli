@@ -112,12 +112,11 @@ type sweep = {
   quick : bool;
 }
 
-val overload_tweak :
-  ?capacity:int -> ?policy:Core.Config.shed_policy -> unit -> Core.Config.t -> Core.Config.t
+val overload_tweak : unit -> Core.Config.t -> Core.Config.t
 (** The throttled flow-control configuration the overload experiments use:
     batch rate 32/s × 64-request batches (analytical ceiling 2048 req/s),
-    64-entry epochs, flow control on with [capacity]-request buckets
-    (default 64) and [policy] (default [Reject_new]). *)
+    64-entry epochs, flow control on with 64-request buckets and
+    [Reject_new] shedding. *)
 
 val overload_ceiling : float
 (** Analytical saturation of the {!overload_tweak} configuration, req/s. *)

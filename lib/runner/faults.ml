@@ -60,11 +60,7 @@ let byzantine_window = function
   | Slow_link _ ->
       None
 
-let byzantine_nodes t =
-  List.sort_uniq compare
-    (List.filter_map (fun s -> Option.map (fun (n, _, _) -> n) (byzantine_window s)) t.spec)
-
-let has_byzantine t = byzantine_nodes t <> []
+let has_byzantine t = List.exists (fun s -> Option.is_some (byzantine_window s)) t.spec
 
 let heal_s t = List.fold_left (fun acc e -> Float.max acc (last_event_s e)) 0.0 t.spec
 

@@ -83,10 +83,8 @@ val validate :
     instant.  Overlapping attack windows on the {e same} node are legal but
     suspicious (the later window wins) — they are reported through [warn]. *)
 
-val byzantine_nodes : t -> int list
-(** Sorted, deduplicated ids of nodes with at least one active-malice spec. *)
-
 val has_byzantine : t -> bool
+(** At least one node has an active-malice spec. *)
 
 val apply : t -> Cluster.t -> unit
 (** Compile the schedule to simulator events (call before running the

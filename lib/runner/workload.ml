@@ -138,7 +138,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
         if hot then enroll c;
         let submitted_at = Time_ns.add at offset in
         let r =
-          Proto.Request.make ~client ~ts ~payload_size:config.Core.Config.request_payload
+          Proto.Request.make ~client ~ts
             ~sig_data:
               (if config.Core.Config.client_signatures then Proto.Request.Presumed true
                else Proto.Request.Unsigned)

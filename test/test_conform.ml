@@ -8,7 +8,6 @@
    tier-1 exercises the same path as [iss_sim conform]. *)
 
 module Scenario = Conform.Scenario
-module Checker = Conform.Checker
 module Harness = Conform.Harness
 module Shrink = Conform.Shrink
 
@@ -142,7 +141,51 @@ let test_checker_rejects_lost_request () =
   let a = req ~client:7 ~ts:0 and b = req ~client:7 ~ts:1 in
   submit ck [ a; b ];
   Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ a ]);
-  expect_violation "lost request" "never ordered" ck
+  expect_violation "lost request" "never ordered" ck;
+  expect_violation "lost request is listed" "client 7 ts 1 (submitted at t=0.000s)" ck
+
+let test_checker_rejects_unquorate_position () =
+  (* Ordered, but only one of the two nodes the reply quorum needs ever
+     delivered the position: the client never gets its replies. *)
+  let ck = new_checker ~reply_quorum:2 () in
+  let a = req ~client:7 ~ts:0 in
+  submit ck [ a ];
+  Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  expect_violation "unquorate position" "short of the quorum" ck
+
+let test_checker_rejects_renumbering () =
+  (* Same batch at the same position, numbered from different first request
+     sequence numbers: the two logs diverge earlier.  Node 1 has no earlier
+     delivery, so only the cross-node comparison can catch it. *)
+  let ck = new_checker ~reply_quorum:1 () in
+  let a = req ~client:7 ~ts:0 in
+  submit ck [ a ];
+  Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  Checker.note_delivery ck ~node:1 ~sn:0 ~first_request_sn:5 (batch [ a ]);
+  expect_violation "renumbering" "numbered sn 0" ck
+
+let test_checker_rejects_delivered_then_shed () =
+  let ck = new_checker ~reply_quorum:1 () in
+  let a = req ~client:7 ~ts:0 in
+  submit ck [ a ];
+  Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  Checker.note_shed ck ~node:0 a;
+  expect_violation "delivered then shed" "already delivered" ck
+
+let test_checker_exempts_byzantine () =
+  (* Byzantine node 0 delivers a batch of its own at sn 0 first.  That is
+     no violation, and it must not become the baseline the two correct
+     nodes are compared against. *)
+  let ck = new_checker ~n:3 ~reply_quorum:2 () in
+  Checker.set_byzantine ck 0;
+  let a = req ~client:7 ~ts:0 and forged = req ~client:9 ~ts:0 in
+  submit ck [ a ];
+  Checker.note_delivery ck ~node:0 ~sn:0 ~first_request_sn:0 (batch [ forged ]);
+  Checker.note_delivery ck ~node:1 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  Checker.note_delivery ck ~node:2 ~sn:0 ~first_request_sn:0 (batch [ a ]);
+  let stats = expect_ok "Byzantine first delivery" ck in
+  check_int "quorate requests" 1 stats.Checker.quorum_requests;
+  check_int "Byzantine progress still counted" 1 stats.Checker.per_node_delivered.(0)
 
 let test_checker_rejects_window_violation () =
   (* window = 4: ts 4 may only be ordered after ts 0 of the same client. *)
@@ -306,6 +349,11 @@ let () =
           Alcotest.test_case "out of order" `Quick test_checker_rejects_out_of_order;
           Alcotest.test_case "Eq. 2 break" `Quick test_checker_rejects_eq2_break;
           Alcotest.test_case "lost request" `Quick test_checker_rejects_lost_request;
+          Alcotest.test_case "unquorate position" `Quick test_checker_rejects_unquorate_position;
+          Alcotest.test_case "renumbering" `Quick test_checker_rejects_renumbering;
+          Alcotest.test_case "delivered then shed" `Quick
+            test_checker_rejects_delivered_then_shed;
+          Alcotest.test_case "Byzantine node exempt" `Quick test_checker_exempts_byzantine;
           Alcotest.test_case "window violation" `Quick test_checker_rejects_window_violation;
         ] );
       ( "shrink",

@@ -49,7 +49,7 @@ let conformance_part () =
     (* Count sheds through one extra bare PBFT run so the sweep can assert
        the overload machinery actually fired across the corpus. *)
     match Conform.Harness.run_protocol ~instrumented:false sc Core.Config.PBFT with
-    | Ok r -> sheds_seen := !sheds_seen + r.Conform.Harness.stats.Conform.Checker.shed
+    | Ok r -> sheds_seen := !sheds_seen + r.Conform.Harness.stats.Checker.shed
     | Error _ -> ()
   done;
   if !failed > 0 then begin

@@ -123,6 +123,33 @@ let test_throughput_series_sums_to_delivered () =
     (float_of_int r.Runner.Experiment.delivered)
     sum
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A request registered with the cluster but never sent to any node cannot
+   reach its reply quorum: the end-of-run check must name it. *)
+let test_liveness_names_lost_request () =
+  let module Cluster = Runner.Cluster in
+  let make () = Cluster.create ~system:(Cluster.Iss Core.Config.PBFT) ~n:4 ~seed:1L () in
+  let lost = Proto.Request.make ~client:42 ~ts:7 ~submitted_at:(Sim.Time_ns.ms 250) () in
+  let cluster = make () in
+  Cluster.enable_invariants cluster;
+  Cluster.start cluster;
+  Cluster.note_submitted cluster lost;
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 1) (Cluster.engine cluster);
+  (match Cluster.check_liveness cluster with
+  | () -> Alcotest.fail "a request no node ever saw passed the liveness check"
+  | exception Cluster.Invariant_violation report ->
+      check_bool
+        (Printf.sprintf "report %S names the request" report)
+        true
+        (contains report "client 42 ts 7 (submitted at t=0.250s)"));
+  Alcotest.check_raises "liveness without enable_invariants"
+    (Invalid_argument "Cluster.check_liveness: call enable_invariants first") (fun () ->
+      Cluster.check_liveness (make ()))
+
 let () =
   Alcotest.run "runner"
     [
@@ -137,6 +164,9 @@ let () =
             test_throughput_series_sums_to_delivered;
           Alcotest.test_case "saturation estimates" `Quick test_saturation_estimates_positive;
         ] );
+      ( "invariants",
+        [ Alcotest.test_case "liveness names a lost request" `Quick test_liveness_names_lost_request ]
+      );
       ( "mir-gate",
         [
           Alcotest.test_case "gate protocol" `Quick test_mir_gate;
