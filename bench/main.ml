@@ -10,6 +10,7 @@
 
 module E = Runner.Experiment
 module C = Runner.Cluster
+module F = Runner.Faults
 
 let scale =
   match Sys.getenv_opt "ISS_BENCH_SCALE" with
@@ -155,6 +156,16 @@ let fig6 () =
 let fault_n = 32
 let fault_rate = 16_400.0
 
+(* The §6.4 faults: a crash of node 1 at the start of epoch 0 or just
+   before its last epoch-0 proposal, and a node straggling all run long. *)
+let epoch_start_crash = F.Crash { node = 1; at_s = 0.0 }
+
+let epoch_end_crash =
+  let config = C.config_of_system ~system:(C.Iss Core.Config.PBFT) ~n:fault_n () in
+  F.Crash { node = 1; at_s = F.epoch_end_s config }
+
+let straggler node = F.Straggle { node; from_s = 0.0; until_s = Float.infinity }
+
 (* Fig. 7: leader policy impact under one crash (epoch start / epoch end). *)
 let fig7 () =
   header
@@ -182,7 +193,7 @@ let fig7 () =
           Printf.printf "%-12s %-10s mean=%6.2fs  p95=%6.2fs  tput=%8.0f req/s\n%!" fault_name
             pname r.E.mean_latency_s r.E.p95_latency_s r.E.throughput)
         policies)
-    [ ("epoch-start", E.Crash_at (1, 0.0)); ("epoch-end", E.Crash_epoch_end 1) ]
+    [ ("epoch-start", epoch_start_crash); ("epoch-end", epoch_end_crash) ]
 
 (* Fig. 8: crash impact vs experiment duration (latency converges to
    fault-free as BLACKLIST excises the crashed leader). *)
@@ -203,8 +214,8 @@ let fig8 () =
             fault_name r.E.mean_latency_s r.E.p95_latency_s)
         [
           ("fault-free", []);
-          ("epoch-start", [ E.Crash_at (1, 0.0) ]);
-          ("epoch-end", [ E.Crash_epoch_end 1 ]);
+          ("epoch-start", [ epoch_start_crash ]);
+          ("epoch-end", [ epoch_end_crash ]);
         ])
     [ 20.0; 45.0 ]
 
@@ -219,7 +230,7 @@ let fig9 () =
       in
       emit ~series:true ~extra:[ ("fault", Obs.Jsonx.String fault_name) ] r;
       print_series (Printf.sprintf "--- crash at %s ---" fault_name) r.E.series)
-    [ ("epoch start", [ E.Crash_at (1, 0.0) ]); ("epoch end", [ E.Crash_epoch_end 1 ]) ]
+    [ ("epoch start", [ epoch_start_crash ]); ("epoch end", [ epoch_end_crash ]) ]
 
 (* Fig. 10: Mir-BFT throughput over time with one epoch-start crash; the
    crashed node periodically becomes epoch primary and stalls everyone. *)
@@ -228,7 +239,7 @@ let fig10 () =
   (* Crash node 3: it becomes Mir epoch primary at epochs 3, 35, 67, ... so
      the recurring full-timeout stall appears early in the run. *)
   let r =
-    E.run ~faults:[ E.Crash_at (3, 0.0) ] ~system:C.Mir ~n:fault_n ~rate:fault_rate
+    E.run ~faults:[ F.Crash { node = 3; at_s = 0.0 } ] ~system:C.Mir ~n:fault_n ~rate:fault_rate
       ~duration_s:(dur 75.0) ~seed ()
   in
   emit ~series:true ~extra:[ ("fault", Obs.Jsonx.String "epoch-start-crash") ] r;
@@ -245,7 +256,7 @@ let fig11 () =
      (BLACKLIST, n=32)";
   List.iter
     (fun k ->
-      let faults = List.init k (fun i -> E.Straggler (1 + i)) in
+      let faults = List.init k (fun i -> straggler (1 + i)) in
       let r =
         E.run ~faults ~system:(C.Iss Core.Config.PBFT) ~n:fault_n ~rate:fault_rate
           ~duration_s:(dur 40.0) ~seed ()
@@ -259,7 +270,7 @@ let fig11 () =
 let fig12 () =
   header "Figure 12: ISS-PBFT throughput over time with one Byzantine straggler (n=32)";
   let r =
-    E.run ~faults:[ E.Straggler 1 ] ~system:(C.Iss Core.Config.PBFT) ~n:fault_n
+    E.run ~faults:[ straggler 1 ] ~system:(C.Iss Core.Config.PBFT) ~n:fault_n
       ~rate:fault_rate ~duration_s:(dur 45.0) ~seed ()
   in
   emit ~series:true ~extra:[ ("stragglers", Obs.Jsonx.Int 1) ] r;
@@ -362,7 +373,7 @@ let ablations () =
   List.iter
     (fun (pname, policy) ->
       let r =
-        E.run ~policy ~faults:[ E.Straggler 1 ] ~system:(C.Iss Core.Config.PBFT)
+        E.run ~policy ~faults:[ straggler 1 ] ~system:(C.Iss Core.Config.PBFT)
           ~n:32 ~rate:16_400.0 ~duration_s:(dur 60.0) ~seed ()
       in
       Printf.printf "%-16s tput=%8.0f req/s  mean lat=%6.2fs  p95=%6.2fs\n%!" pname

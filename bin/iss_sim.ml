@@ -36,31 +36,33 @@ let policy_conv =
   Arg.conv (parse, print)
 
 let fault_conv =
-  (* "3@10" = crash node 3 at t=10s; "3@end" = epoch-end crash;
-     "straggler:3" = node 3 is a Byzantine straggler. *)
+  (* "3@10" = crash node 3 at t=10s; "3@end" = crash node 3 just before its
+     last epoch-0 proposal; "straggler:3" = node 3 straggles all run long.
+     The epoch-end time depends on the run's configuration, so a parsed
+     fault is a function of it, kept with its text for printing. *)
+  let module F = Runner.Faults in
   let parse s =
-    match String.split_on_char ':' s with
-    | [ "straggler"; node ] -> (
-        match int_of_string_opt node with
-        | Some node -> Ok (Runner.Experiment.Straggler node)
-        | None -> Error (`Msg "straggler:<node>"))
-    | _ -> (
-        match String.split_on_char '@' s with
-        | [ node; "end" ] -> (
-            match int_of_string_opt node with
-            | Some node -> Ok (Runner.Experiment.Crash_epoch_end node)
-            | None -> Error (`Msg "crash spec: <node>@end"))
-        | [ node; at ] -> (
-            match (int_of_string_opt node, float_of_string_opt at) with
-            | Some node, Some at -> Ok (Runner.Experiment.Crash_at (node, at))
-            | _ -> Error (`Msg "crash spec: <node>@<seconds>"))
-        | _ -> Error (`Msg "fault spec: <node>@<seconds>, <node>@end or straggler:<node>"))
+    let fault =
+      match String.split_on_char ':' s with
+      | [ "straggler"; node ] -> (
+          match int_of_string_opt node with
+          | Some node -> Ok (fun _ -> F.Straggle { node; from_s = 0.0; until_s = Float.infinity })
+          | None -> Error (`Msg "straggler:<node>"))
+      | _ -> (
+          match String.split_on_char '@' s with
+          | [ node; "end" ] -> (
+              match int_of_string_opt node with
+              | Some node -> Ok (fun config -> F.Crash { node; at_s = F.epoch_end_s config })
+              | None -> Error (`Msg "crash spec: <node>@end"))
+          | [ node; at ] -> (
+              match (int_of_string_opt node, float_of_string_opt at) with
+              | Some node, Some at_s -> Ok (fun _ -> F.Crash { node; at_s })
+              | _ -> Error (`Msg "crash spec: <node>@<seconds>"))
+          | _ -> Error (`Msg "fault spec: <node>@<seconds>, <node>@end or straggler:<node>"))
+    in
+    Result.map (fun of_config -> (s, of_config)) fault
   in
-  let print fmt = function
-    | Runner.Experiment.Crash_at (node, at) -> Format.fprintf fmt "%d@%g" node at
-    | Runner.Experiment.Crash_epoch_end node -> Format.fprintf fmt "%d@end" node
-    | Runner.Experiment.Straggler node -> Format.fprintf fmt "straggler:%d" node
-  in
+  let print fmt (s, _) = Format.pp_print_string fmt s in
   Arg.conv (parse, print)
 
 let system_arg =
@@ -83,7 +85,8 @@ let policy_arg =
   Arg.(
     value
     & opt (some policy_conv) None
-    & info [ "policy" ] ~doc:"Leader selection policy (simple, backoff, blacklist).")
+    & info [ "policy" ]
+        ~doc:"Leader selection policy (simple, backoff, blacklist, straggler-aware).")
 
 let series_arg =
   Arg.(value & flag & info [ "series" ] ~doc:"Print the 1-second throughput series.")
@@ -297,6 +300,8 @@ let run_cmd =
           shed_policy = Option.value shed_policy ~default:c.Core.Config.shed_policy;
         }
     in
+    let config = Runner.Cluster.config_of_system ?policy ~tweak ~system ~n () in
+    let faults = List.map (fun (_, of_config) -> of_config config) faults in
     let rate =
       match offered_load with
       | None -> rate

@@ -5,6 +5,7 @@
 
 module Rng = Sim.Rng
 module Faults = Runner.Faults
+module Adversary = Runner.Adversary
 module J = Obs.Jsonx
 
 type overload =
@@ -114,6 +115,8 @@ let has_byzantine t = Faults.has_byzantine (Faults.make ~name:(name t) t.faults)
 
 let spec_to_json (s : Faults.spec) =
   let obj kind fields = J.Obj (("kind", J.String kind) :: fields) in
+  let ints l = J.List (List.map (fun i -> J.Int i) l) in
+  let window from_s until_s = [ ("from_s", J.Float from_s); ("until_s", J.Float until_s) ] in
   match s with
   | Faults.Crash { node; at_s } ->
       obj "crash" [ ("node", J.Int node); ("at_s", J.Float at_s) ]
@@ -123,50 +126,26 @@ let spec_to_json (s : Faults.spec) =
       obj "crash_recover"
         [ ("node", J.Int node); ("at_s", J.Float at_s); ("down_s", J.Float down_s) ]
   | Faults.Isolate { node; from_s; until_s } ->
-      obj "isolate"
-        [ ("node", J.Int node); ("from_s", J.Float from_s); ("until_s", J.Float until_s) ]
+      obj "isolate" (("node", J.Int node) :: window from_s until_s)
   | Faults.Split { minority; from_s; until_s } ->
-      obj "split"
-        [
-          ("minority", J.List (List.map (fun i -> J.Int i) minority));
-          ("from_s", J.Float from_s);
-          ("until_s", J.Float until_s);
-        ]
+      obj "split" (("minority", ints minority) :: window from_s until_s)
   | Faults.Drop { prob; from_s; until_s } ->
-      obj "drop"
-        [ ("prob", J.Float prob); ("from_s", J.Float from_s); ("until_s", J.Float until_s) ]
+      obj "drop" (("prob", J.Float prob) :: window from_s until_s)
   | Faults.Straggle { node; from_s; until_s } ->
-      obj "straggle"
-        [ ("node", J.Int node); ("from_s", J.Float from_s); ("until_s", J.Float until_s) ]
+      obj "straggle" (("node", J.Int node) :: window from_s until_s)
   | Faults.Slow_link { a; b; extra; from_s; until_s } ->
       obj "slow_link"
-        [
-          ("a", J.Int a);
-          ("b", J.Int b);
-          ("extra_ns", J.Int extra);
-          ("from_s", J.Float from_s);
-          ("until_s", J.Float until_s);
-        ]
-  | Faults.Equivocate { node; from_s; until_s } ->
-      obj "equivocate"
-        [ ("node", J.Int node); ("from_s", J.Float from_s); ("until_s", J.Float until_s) ]
-  | Faults.Censor { node; buckets; from_s; until_s } ->
-      obj "censor"
-        [
-          ("node", J.Int node);
-          ("buckets", J.List (List.map (fun i -> J.Int i) buckets));
-          ("from_s", J.Float from_s);
-          ("until_s", J.Float until_s);
-        ]
-  | Faults.Corrupt_sig { node; from_s; until_s } ->
-      obj "corrupt_sig"
-        [ ("node", J.Int node); ("from_s", J.Float from_s); ("until_s", J.Float until_s) ]
-  | Faults.Replay { node; from_s; until_s } ->
-      obj "replay"
-        [ ("node", J.Int node); ("from_s", J.Float from_s); ("until_s", J.Float until_s) ]
-  | Faults.Bad_checkpoint { node; from_s; until_s } ->
-      obj "bad_checkpoint"
-        [ ("node", J.Int node); ("from_s", J.Float from_s); ("until_s", J.Float until_s) ]
+        ([ ("a", J.Int a); ("b", J.Int b); ("extra_ns", J.Int extra) ] @ window from_s until_s)
+  | Faults.Byzantine { node; attack; from_s; until_s } ->
+      let kind, payload =
+        match attack with
+        | Adversary.Equivocate -> ("equivocate", [])
+        | Adversary.Censor { buckets } -> ("censor", [ ("buckets", ints buckets) ])
+        | Adversary.Corrupt_sig -> ("corrupt_sig", [])
+        | Adversary.Replay -> ("replay", [])
+        | Adversary.Bad_checkpoint -> ("bad_checkpoint", [])
+      in
+      obj kind ((("node", J.Int node) :: payload) @ window from_s until_s)
 
 let field name json =
   match J.member name json with
@@ -185,7 +164,33 @@ let float_field name json =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "field %S: expected number" name)
 
+let ints_field name json =
+  let* v = field name json in
+  match J.to_list v with
+  | None -> Error (Printf.sprintf "field %S: expected list" name)
+  | Some items ->
+      List.fold_right
+        (fun item acc ->
+          let* acc = acc in
+          match item with
+          | J.Int i -> Ok (i :: acc)
+          | _ -> Error (Printf.sprintf "field %S: expected ints" name))
+        items (Ok [])
+
 let spec_of_json json =
+  let window () =
+    let* from_s = float_field "from_s" json in
+    let* until_s = float_field "until_s" json in
+    Ok (from_s, until_s)
+  in
+  let node_window make =
+    let* node = int_field "node" json in
+    let* from_s, until_s = window () in
+    Ok (make node from_s until_s)
+  in
+  let byzantine attack =
+    node_window (fun node from_s until_s -> Faults.Byzantine { node; attack; from_s; until_s })
+  in
   let* kind = field "kind" json in
   match kind with
   | J.String "crash" ->
@@ -202,82 +207,30 @@ let spec_of_json json =
       let* down_s = float_field "down_s" json in
       Ok (Faults.Crash_recover { node; at_s; down_s })
   | J.String "isolate" ->
-      let* node = int_field "node" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
-      Ok (Faults.Isolate { node; from_s; until_s })
+      node_window (fun node from_s until_s -> Faults.Isolate { node; from_s; until_s })
   | J.String "split" ->
-      let* minority = field "minority" json in
-      let* minority =
-        match J.to_list minority with
-        | None -> Error "field \"minority\": expected list"
-        | Some items ->
-            List.fold_right
-              (fun item acc ->
-                let* acc = acc in
-                match item with
-                | J.Int i -> Ok (i :: acc)
-                | _ -> Error "field \"minority\": expected ints")
-              items (Ok [])
-      in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
+      let* minority = ints_field "minority" json in
+      let* from_s, until_s = window () in
       Ok (Faults.Split { minority; from_s; until_s })
   | J.String "drop" ->
       let* prob = float_field "prob" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
+      let* from_s, until_s = window () in
       Ok (Faults.Drop { prob; from_s; until_s })
   | J.String "straggle" ->
-      let* node = int_field "node" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
-      Ok (Faults.Straggle { node; from_s; until_s })
+      node_window (fun node from_s until_s -> Faults.Straggle { node; from_s; until_s })
   | J.String "slow_link" ->
       let* a = int_field "a" json in
       let* b = int_field "b" json in
       let* extra = int_field "extra_ns" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
+      let* from_s, until_s = window () in
       Ok (Faults.Slow_link { a; b; extra; from_s; until_s })
-  | J.String "equivocate" ->
-      let* node = int_field "node" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
-      Ok (Faults.Equivocate { node; from_s; until_s })
+  | J.String "equivocate" -> byzantine Adversary.Equivocate
   | J.String "censor" ->
-      let* node = int_field "node" json in
-      let* buckets = field "buckets" json in
-      let* buckets =
-        match J.to_list buckets with
-        | None -> Error "field \"buckets\": expected list"
-        | Some items ->
-            List.fold_right
-              (fun item acc ->
-                let* acc = acc in
-                match item with
-                | J.Int i -> Ok (i :: acc)
-                | _ -> Error "field \"buckets\": expected ints")
-              items (Ok [])
-      in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
-      Ok (Faults.Censor { node; buckets; from_s; until_s })
-  | J.String "corrupt_sig" ->
-      let* node = int_field "node" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
-      Ok (Faults.Corrupt_sig { node; from_s; until_s })
-  | J.String "replay" ->
-      let* node = int_field "node" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
-      Ok (Faults.Replay { node; from_s; until_s })
-  | J.String "bad_checkpoint" ->
-      let* node = int_field "node" json in
-      let* from_s = float_field "from_s" json in
-      let* until_s = float_field "until_s" json in
-      Ok (Faults.Bad_checkpoint { node; from_s; until_s })
+      let* buckets = ints_field "buckets" json in
+      byzantine (Adversary.Censor { buckets })
+  | J.String "corrupt_sig" -> byzantine Adversary.Corrupt_sig
+  | J.String "replay" -> byzantine Adversary.Replay
+  | J.String "bad_checkpoint" -> byzantine Adversary.Bad_checkpoint
   | J.String other -> Error (Printf.sprintf "unknown fault kind %S" other)
   | _ -> Error "field \"kind\": expected string"
 

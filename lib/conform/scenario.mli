@@ -52,7 +52,4 @@ val of_json : Obs.Jsonx.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val spec_to_json : Runner.Faults.spec -> Obs.Jsonx.t
-val spec_of_json : Obs.Jsonx.t -> (Runner.Faults.spec, string) result
-
 val pp : Format.formatter -> t -> unit

@@ -13,36 +13,24 @@ let quant x = Float.round (x *. 1000.0) /. 1000.0
 (* Halve the active window of one fault spec (recovery delay, partition /
    loss / straggle / slow-link width).  Returns None when the spec has no
    window to shrink or it is already minimal. *)
-let halve_window = function
-  | Faults.Crash_recover { node; at_s; down_s } when down_s > 0.5 ->
-      Some (Faults.Crash_recover { node; at_s; down_s = quant (down_s /. 2.0) })
-  | Faults.Isolate { node; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some (Faults.Isolate { node; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Split { minority; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some (Faults.Split { minority; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Drop { prob; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some (Faults.Drop { prob; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Straggle { node; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some (Faults.Straggle { node; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Slow_link { a; b; extra; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some
-        (Faults.Slow_link
-           { a; b; extra; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Equivocate { node; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some (Faults.Equivocate { node; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Censor { node; buckets; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some
-        (Faults.Censor
-           { node; buckets; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Corrupt_sig { node; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some
-        (Faults.Corrupt_sig { node; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Replay { node; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some (Faults.Replay { node; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
-  | Faults.Bad_checkpoint { node; from_s; until_s } when until_s -. from_s > 0.5 ->
-      Some
-        (Faults.Bad_checkpoint
-           { node; from_s; until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) })
+let halve_window spec =
+  let half from_s until_s = quant (from_s +. ((until_s -. from_s) /. 2.0)) in
+  let wide from_s until_s = until_s -. from_s > 0.5 in
+  match spec with
+  | Faults.Crash_recover r when r.down_s > 0.5 ->
+      Some (Faults.Crash_recover { r with down_s = quant (r.down_s /. 2.0) })
+  | Faults.Isolate r when wide r.from_s r.until_s ->
+      Some (Faults.Isolate { r with until_s = half r.from_s r.until_s })
+  | Faults.Split r when wide r.from_s r.until_s ->
+      Some (Faults.Split { r with until_s = half r.from_s r.until_s })
+  | Faults.Drop r when wide r.from_s r.until_s ->
+      Some (Faults.Drop { r with until_s = half r.from_s r.until_s })
+  | Faults.Straggle r when wide r.from_s r.until_s ->
+      Some (Faults.Straggle { r with until_s = half r.from_s r.until_s })
+  | Faults.Slow_link r when wide r.from_s r.until_s ->
+      Some (Faults.Slow_link { r with until_s = half r.from_s r.until_s })
+  | Faults.Byzantine r when wide r.from_s r.until_s ->
+      Some (Faults.Byzantine { r with until_s = half r.from_s r.until_s })
   | _ -> None
 
 let spec_nodes = function
@@ -51,11 +39,7 @@ let spec_nodes = function
   | Faults.Crash_recover { node; _ }
   | Faults.Isolate { node; _ }
   | Faults.Straggle { node; _ }
-  | Faults.Equivocate { node; _ }
-  | Faults.Censor { node; _ }
-  | Faults.Corrupt_sig { node; _ }
-  | Faults.Replay { node; _ }
-  | Faults.Bad_checkpoint { node; _ } ->
+  | Faults.Byzantine { node; _ } ->
       [ node ]
   | Faults.Split { minority; _ } -> minority
   | Faults.Drop _ -> []

@@ -37,5 +37,3 @@ val on_message : t -> src:int -> Proto.Message.t -> bool
 (** Feed every incoming message here first; returns [true] when the message
     was a Mir epoch-change announcement (consumed), [false] otherwise (pass
     it to the node). *)
-
-val primary_of_epoch : n:int -> epoch:int -> Proto.Ids.node_id

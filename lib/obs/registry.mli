@@ -16,8 +16,6 @@ type t
 
 val create : unit -> t
 
-val register : t -> ?node:int -> name:string -> kind -> unit
-
 val counter : t -> ?node:int -> name:string -> (unit -> int) -> unit
 val gauge : t -> ?node:int -> name:string -> (unit -> float) -> unit
 val histogram : t -> ?node:int -> name:string -> Sim.Metrics.Histogram.t -> unit

@@ -355,52 +355,6 @@ let recover_at t ~node ~at =
       Sim.Network.recover t.net node;
       Core.Node.recover t.nodes.(node))
 
-(* Estimated spacing between consecutive proposals of one segment when no
-   batch-rate cap applies (HotStuff).  Proposals then pipeline through the
-   ordering protocol, leaving roughly one WAN round trip between successive
-   batches of a segment; we bound that by twice the topology's largest
-   one-way latency, floored by the configured minimum batch timeout.  This
-   estimate only positions the injected epoch-end crash — it is not a
-   correctness parameter, just "late enough in the epoch to hurt". *)
-let uncapped_proposal_interval_estimate (cfg : Core.Config.t) =
-  Float.max
-    (2.0 *. Time_ns.to_sec_f (Sim.Topology.max_latency ()))
-    (Time_ns.to_sec_f cfg.Core.Config.min_batch_timeout)
-
-(* Aim for 80 % through the victim's segment: past the epoch's midpoint
-   (so recovery cannot ride on the same epoch change) but safely before the
-   estimated last proposal, given the interval estimate's slack. *)
-let epoch_end_crash_fraction = 0.8
-
-let crash_epoch_end t ~node =
-  (* Crash just before the node's last epoch-0 proposal.  With a fixed
-     batch rate, its k-th proposal leaves at ~k * interval; without one
-     (HotStuff), fall back on the pipeline-spacing estimate above. *)
-  let cfg = t.config in
-  let leaders =
-    match cfg.Core.Config.leader_policy with
-    | Core.Config.Fixed l -> List.length l
-    | Core.Config.Simple | Core.Config.Backoff | Core.Config.Blacklist
-    | Core.Config.Straggler_aware ->
-        t.n
-  in
-  let epoch_len = Core.Config.epoch_length cfg ~leaders in
-  let seg_len = epoch_len / leaders in
-  let at =
-    match cfg.Core.Config.batch_rate with
-    | Some rate ->
-        let interval = float_of_int leaders /. rate in
-        Time_ns.of_sec_f ((float_of_int seg_len -. 0.5) *. interval)
-    | None ->
-        Time_ns.of_sec_f
-          (epoch_end_crash_fraction *. float_of_int seg_len
-          *. uncapped_proposal_interval_estimate cfg)
-  in
-  crash_at t ~node ~at
-
-let set_stragglers t stragglers =
-  List.iter (fun node -> Core.Node.set_straggler t.nodes.(node) true) stragglers
-
 let enable_delivery_tracking t = t.track_delivered_ids <- true
 
 let request_delivered t (r : Proto.Request.t) =

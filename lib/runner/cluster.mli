@@ -60,7 +60,10 @@ val create :
 
 val start : t -> unit
 
-(** {2 Fault injection (§6.4)} *)
+(** {2 Fault injection (§6.4)}
+
+    The crash primitives {!Faults.apply} compiles [Crash], [Recover] and
+    [Crash_recover] specs to. *)
 
 val crash_at : t -> node:int -> at:Sim.Time_ns.t -> unit
 (** Crash: silence the node's network endpoint and halt its timers. *)
@@ -69,14 +72,6 @@ val recover_at : t -> node:int -> at:Sim.Time_ns.t -> unit
 (** Crash-recovery: revive the node's network endpoint and un-halt it; the
     node keeps its durable pre-crash state and catches up via state
     transfer (see {!Core.Node.recover}). *)
-
-val crash_epoch_end : t -> node:int -> unit
-(** Schedule a crash just before the node would propose the last sequence
-    number of its epoch-0 segment — the paper's worst case for epoch
-    duration. *)
-
-val set_stragglers : t -> int list -> unit
-(** Byzantine stragglers (§6.4.2). *)
 
 (** {2 Active-malice adversary (DESIGN.md §10)} *)
 

@@ -21,35 +21,26 @@ type result = {
   gave_up : int;
 }
 
-type fault =
-  | Crash_at of int * float
-  | Crash_epoch_end of int
-  | Straggler of int
-
 let run ?engine ?policy ?tweak ?(faults = []) ?scenario ?num_clients ?(warmup_s = 5.0)
     ?tracer ?registry ?shape ?retry_budget ?resubmit ~system ~n ~rate ~duration_s ~seed () =
   let cluster = Cluster.create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () in
   let engine = Cluster.engine cluster in
   let until = Time_ns.of_sec_f duration_s in
-  List.iter
-    (fun fault ->
-      match fault with
-      | Crash_at (node, at_s) -> Cluster.crash_at cluster ~node ~at:(Time_ns.of_sec_f at_s)
-      | Crash_epoch_end node -> Cluster.crash_epoch_end cluster ~node
-      | Straggler node -> Cluster.set_stragglers cluster [ node ])
-    faults;
-  (match scenario with
-  | None -> ()
-  | Some sc ->
-      let protocol =
-        match system with Cluster.Iss p | Cluster.Single p -> Some p | Cluster.Mir -> None
-      in
-      (match Faults.validate ?protocol sc ~n with
-      | Ok () -> ()
-      | Error e ->
-          invalid_arg (Printf.sprintf "fault scenario %S: %s" (Faults.name sc) e));
-      Faults.apply sc cluster;
-      Cluster.enable_invariants cluster);
+  let install sc =
+    let protocol =
+      match system with Cluster.Iss p | Cluster.Single p -> Some p | Cluster.Mir -> None
+    in
+    (match Faults.validate ?protocol sc ~n with
+    | Ok () -> ()
+    | Error e -> invalid_arg (Printf.sprintf "fault scenario %S: %s" (Faults.name sc) e));
+    Faults.apply sc cluster
+  in
+  if faults <> [] then install (Faults.make ~name:"faults" faults);
+  Option.iter
+    (fun sc ->
+      install sc;
+      Cluster.enable_invariants cluster)
+    scenario;
   Cluster.start cluster;
   (* Fault scenarios need the client resubmission mechanism of §4.3;
      overload runs opt in explicitly so shed requests get re-driven. *)

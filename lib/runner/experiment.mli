@@ -25,16 +25,11 @@ type result = {
   gave_up : int;  (** requests whose client exhausted its retry budget *)
 }
 
-type fault =
-  | Crash_at of int * float  (** node, seconds *)
-  | Crash_epoch_end of int
-  | Straggler of int
-
 val run :
   ?engine:Sim.Engine.t ->
   ?policy:Core.Config.leader_policy_kind ->
   ?tweak:(Core.Config.t -> Core.Config.t) ->
-  ?faults:fault list ->
+  ?faults:Faults.spec list ->
   ?scenario:Faults.t ->
   ?num_clients:int ->
   ?warmup_s:float ->
@@ -55,11 +50,14 @@ val run :
     (the first [warmup_s], default 5 s, excluded from throughput/latency
     aggregation of the summary — the series keeps everything).
 
-    [scenario] runs a declarative fault schedule under the chaos harness:
-    the schedule is validated and compiled to engine events, cross-node
-    invariant checking is enabled (raising {!Cluster.Invariant_violation}
-    on a safety breach), the run is extended past the schedule's heal time
-    plus {!Faults.liveness_grace_s}, and liveness — every submitted request
+    [faults] (the paper's figure faults) are validated ({!Faults.validate},
+    raising [Invalid_argument] on a bad schedule) and compiled by
+    {!Faults.apply}; the run is measured as is, unchecked.  [scenario] runs
+    a declarative fault schedule under the chaos harness: the schedule is
+    validated and compiled the same way, cross-node invariant checking is
+    enabled (raising {!Cluster.Invariant_violation} on a safety breach), the
+    run is extended past the schedule's heal time plus
+    {!Faults.liveness_grace_s}, and liveness — every submitted request
     delivered — is asserted at the end.
 
     [shape], [retry_budget] and [resubmit] pass through to

@@ -10,14 +10,10 @@ type spec =
   | Drop of { prob : float; from_s : float; until_s : float }
   | Straggle of { node : int; from_s : float; until_s : float }
   | Slow_link of { a : int; b : int; extra : Time_ns.span; from_s : float; until_s : float }
-  (* Active-malice windows (Byzantine adversary; DESIGN.md §10).  During the
+  (* Active-malice window (Byzantine adversary; DESIGN.md §10).  During the
      window the node's outgoing traffic is rewritten by the cluster's
      {!Adversary} proxy while the node itself keeps running honest code. *)
-  | Equivocate of { node : int; from_s : float; until_s : float }
-  | Censor of { node : int; buckets : int list; from_s : float; until_s : float }
-  | Corrupt_sig of { node : int; from_s : float; until_s : float }
-  | Replay of { node : int; from_s : float; until_s : float }
-  | Bad_checkpoint of { node : int; from_s : float; until_s : float }
+  | Byzantine of { node : int; attack : Adversary.attack; from_s : float; until_s : float }
 
 type t = { name : string; spec : spec list }
 
@@ -41,21 +37,12 @@ let last_event_s = function
   | Drop { until_s; _ }
   | Straggle { until_s; _ }
   | Slow_link { until_s; _ }
-  | Equivocate { until_s; _ }
-  | Censor { until_s; _ }
-  | Corrupt_sig { until_s; _ }
-  | Replay { until_s; _ }
-  | Bad_checkpoint { until_s; _ } ->
+  | Byzantine { until_s; _ } ->
       until_s
 
 (* The Byzantine specs, as (node, window); [None] for benign faults. *)
 let byzantine_window = function
-  | Equivocate { node; from_s; until_s }
-  | Censor { node; from_s; until_s; _ }
-  | Corrupt_sig { node; from_s; until_s }
-  | Replay { node; from_s; until_s }
-  | Bad_checkpoint { node; from_s; until_s } ->
-      Some (node, from_s, until_s)
+  | Byzantine { node; from_s; until_s; _ } -> Some (node, from_s, until_s)
   | Crash _ | Recover _ | Crash_recover _ | Isolate _ | Split _ | Drop _ | Straggle _
   | Slow_link _ ->
       None
@@ -82,22 +69,19 @@ let pp_spec fmt = function
   | Slow_link { a; b; extra; from_s; until_s } ->
       Format.fprintf fmt "link %d<->%d +%a during [%gs, %gs]" a b Time_ns.pp extra from_s
         until_s
-  | Equivocate { node; from_s; until_s } ->
-      Format.fprintf fmt "node %d equivocates during [%gs, %gs]" node from_s until_s
-  | Censor { node; buckets = []; from_s; until_s } ->
-      Format.fprintf fmt "node %d censors all requests during [%gs, %gs]" node from_s until_s
-  | Censor { node; buckets; from_s; until_s } ->
-      Format.fprintf fmt "node %d censors buckets {%s} during [%gs, %gs]" node
-        (String.concat "," (List.map string_of_int buckets))
-        from_s until_s
-  | Corrupt_sig { node; from_s; until_s } ->
-      Format.fprintf fmt "node %d emits unverifiable signatures during [%gs, %gs]" node from_s
-        until_s
-  | Replay { node; from_s; until_s } ->
-      Format.fprintf fmt "node %d replays stale messages during [%gs, %gs]" node from_s until_s
-  | Bad_checkpoint { node; from_s; until_s } ->
-      Format.fprintf fmt "node %d advertises corrupt checkpoints during [%gs, %gs]" node from_s
-        until_s
+  | Byzantine { node; attack; from_s; until_s } ->
+      let deed =
+        match attack with
+        | Adversary.Equivocate -> "equivocates"
+        | Adversary.Censor { buckets = [] } -> "censors all requests"
+        | Adversary.Censor { buckets } ->
+            Printf.sprintf "censors buckets {%s}"
+              (String.concat "," (List.map string_of_int buckets))
+        | Adversary.Corrupt_sig -> "emits unverifiable signatures"
+        | Adversary.Replay -> "replays stale messages"
+        | Adversary.Bad_checkpoint -> "advertises corrupt checkpoints"
+      in
+      Format.fprintf fmt "node %d %s during [%gs, %gs]" node deed from_s until_s
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>scenario %S (heals at %gs):@,%a@]" t.name (heal_s t)
@@ -110,81 +94,60 @@ let ( let* ) = Result.bind
 
 let validate ?protocol ?(warn = fun (_ : string) -> ()) t ~n =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let check_node node = node >= 0 && node < n in
-  let check_window ~from_s ~until_s = from_s >= 0.0 && until_s > from_s in
-  let check_byzantine ~node ~from_s ~until_s =
-    if not (check_node node) then fail "node %d out of range [0,%d)" node n
-    else if not (check_window ~from_s ~until_s) then fail "bad window [%g, %g]" from_s until_s
-    else
-      match protocol with
-      | Some Core.Config.Raft ->
-          fail
-            "Byzantine fault on node %d: Raft is a crash-fault-tolerant protocol and makes no \
-             guarantees against active malice; Byzantine specs require PBFT or HotStuff"
-            node
-      | Some Core.Config.PBFT | Some Core.Config.HotStuff | None -> Ok ()
+  let in_range node = node >= 0 && node < n in
+  let node_ok node = if in_range node then Ok () else fail "node %d out of range [0,%d)" node n in
+  let window_ok ~from_s ~until_s =
+    if from_s >= 0.0 && until_s > from_s then Ok ()
+    else fail "bad window [%g, %g]" from_s until_s
   in
-  let rec go = function
-    | [] -> Ok ()
-    | e :: rest -> (
-        let ok =
-          match e with
-          | Crash { node; at_s } | Recover { node; at_s } ->
-              if not (check_node node) then fail "node %d out of range [0,%d)" node n
-              else if at_s < 0.0 then fail "negative fault time %g" at_s
-              else Ok ()
-          | Crash_recover { node; at_s; down_s } ->
-              if not (check_node node) then fail "node %d out of range [0,%d)" node n
-              else if at_s < 0.0 || down_s <= 0.0 then
-                fail "crash-recover needs at_s >= 0 and down_s > 0"
-              else Ok ()
-          | Isolate { node; from_s; until_s } ->
-              if not (check_node node) then fail "node %d out of range [0,%d)" node n
-              else if not (check_window ~from_s ~until_s) then
-                fail "bad window [%g, %g]" from_s until_s
-              else Ok ()
-          | Split { minority; from_s; until_s } ->
-              if minority = [] then fail "empty minority in split"
-              else if List.exists (fun m -> not (check_node m)) minority then
-                fail "split minority contains an out-of-range node"
-              else if 2 * List.length minority >= n then
-                fail "split minority of %d is not a minority of %d" (List.length minority) n
-              else if not (check_window ~from_s ~until_s) then
-                fail "bad window [%g, %g]" from_s until_s
-              else Ok ()
-          | Drop { prob; from_s; until_s } ->
-              if prob < 0.0 || prob >= 1.0 then fail "drop probability %g outside [0, 1)" prob
-              else if not (check_window ~from_s ~until_s) then
-                fail "bad window [%g, %g]" from_s until_s
-              else Ok ()
-          | Straggle { node; from_s; until_s } ->
-              if not (check_node node) then fail "node %d out of range [0,%d)" node n
-              else if not (check_window ~from_s ~until_s) then
-                fail "bad window [%g, %g]" from_s until_s
-              else Ok ()
-          | Slow_link { a; b; extra; from_s; until_s } ->
-              if not (check_node a && check_node b) then fail "slow-link endpoint out of range"
-              else if extra <= 0 then fail "slow-link extra latency must be positive"
-              else if not (check_window ~from_s ~until_s) then
-                fail "bad window [%g, %g]" from_s until_s
-              else Ok ()
-          | Equivocate { node; from_s; until_s }
-          | Corrupt_sig { node; from_s; until_s }
-          | Replay { node; from_s; until_s }
-          | Bad_checkpoint { node; from_s; until_s } ->
-              check_byzantine ~node ~from_s ~until_s
-          | Censor { node; buckets; from_s; until_s } ->
-              let num_buckets = 16 * n in
-              (* buckets_per_leader defaults to 16; the exact bound is
-                 re-checked against the real config when the batch is cut,
-                 so this only guards against obviously-nonsense specs. *)
-              if List.exists (fun b -> b < 0 || b >= num_buckets) buckets then
-                fail "censor bucket out of range [0,%d)" num_buckets
-              else check_byzantine ~node ~from_s ~until_s
+  let check = function
+    | Crash { node; at_s } | Recover { node; at_s } ->
+        let* () = node_ok node in
+        if at_s < 0.0 then fail "negative fault time %g" at_s else Ok ()
+    | Crash_recover { node; at_s; down_s } ->
+        let* () = node_ok node in
+        if at_s < 0.0 || down_s <= 0.0 then fail "crash-recover needs at_s >= 0 and down_s > 0"
+        else Ok ()
+    | Isolate { node; from_s; until_s } | Straggle { node; from_s; until_s } ->
+        let* () = node_ok node in
+        window_ok ~from_s ~until_s
+    | Split { minority; from_s; until_s } ->
+        if minority = [] then fail "empty minority in split"
+        else if not (List.for_all in_range minority) then
+          fail "split minority contains an out-of-range node"
+        else if 2 * List.length minority >= n then
+          fail "split minority of %d is not a minority of %d" (List.length minority) n
+        else window_ok ~from_s ~until_s
+    | Drop { prob; from_s; until_s } ->
+        if prob < 0.0 || prob >= 1.0 then fail "drop probability %g outside [0, 1)" prob
+        else window_ok ~from_s ~until_s
+    | Slow_link { a; b; extra; from_s; until_s } ->
+        if not (in_range a && in_range b) then fail "slow-link endpoint out of range"
+        else if extra <= 0 then fail "slow-link extra latency must be positive"
+        else window_ok ~from_s ~until_s
+    | Byzantine { node; attack; from_s; until_s } -> (
+        (* buckets_per_leader defaults to 16; the exact bound is re-checked
+           against the real config when the batch is cut, so this only
+           guards against obviously-nonsense specs. *)
+        let num_buckets = 16 * n in
+        let* () =
+          match attack with
+          | Adversary.Censor { buckets }
+            when List.exists (fun b -> b < 0 || b >= num_buckets) buckets ->
+              fail "censor bucket out of range [0,%d)" num_buckets
+          | _ -> Ok ()
         in
-        match ok with Ok () -> go rest | Error _ as e -> e)
+        let* () = node_ok node in
+        let* () = window_ok ~from_s ~until_s in
+        match protocol with
+        | Some Core.Config.Raft ->
+            fail
+              "Byzantine fault on node %d: Raft is a crash-fault-tolerant protocol and makes no \
+               guarantees against active malice; Byzantine specs require PBFT or HotStuff"
+              node
+        | Some Core.Config.PBFT | Some Core.Config.HotStuff | None -> Ok ())
   in
-  let* () = go t.spec in
+  let* () = List.fold_left (fun ok e -> Result.bind ok (fun () -> check e)) (Ok ()) t.spec in
   (* Cross-spec checks over the Byzantine windows. *)
   let windows = List.filter_map byzantine_window t.spec in
   (* Overlapping windows on the same node compose in unspecified ways (the
@@ -249,16 +212,6 @@ let apply t cluster =
              else if List.mem id minority then 1
              else 0))
   in
-  (* Byzantine windows: instantiate the adversary proxy (only schedules that
-     get here pay for it — honest runs keep the direct send path), mark the
-     node for invariant exemption, and bracket the attack with engine
-     events. *)
-  let byzantine ~node ~from_s ~until_s attack =
-    let adv = Cluster.ensure_adversary cluster in
-    Cluster.mark_byzantine cluster node;
-    at from_s (fun () -> Adversary.set_attack adv ~node (Some attack));
-    at until_s (fun () -> Adversary.set_attack adv ~node None)
-  in
   (* Same single-active-function situation for link-latency spikes. *)
   let slow_links : (int * int, Time_ns.span) Hashtbl.t = Hashtbl.create 4 in
   let refresh_links () =
@@ -296,8 +249,12 @@ let apply t cluster =
           at from_s (fun () -> Sim.Network.set_drop_probability net prob);
           at until_s (fun () -> Sim.Network.set_drop_probability net 0.0)
       | Straggle { node; from_s; until_s } ->
-          at from_s (fun () -> Core.Node.set_straggler nodes.(node) true);
-          at until_s (fun () -> Core.Node.set_straggler nodes.(node) false)
+          (* Open at 0: set before the run starts, since the node reads the
+             flag at its first batch cut and a t=0 event would be one more
+             event in the run. *)
+          let straggle b () = Core.Node.set_straggler nodes.(node) b in
+          if from_s = 0.0 then straggle true () else at from_s (straggle true);
+          if until_s < Float.infinity then at until_s (straggle false)
       | Slow_link { a; b; extra; from_s; until_s } ->
           let key = (min a b, max a b) in
           at from_s (fun () ->
@@ -306,17 +263,52 @@ let apply t cluster =
           at until_s (fun () ->
               Hashtbl.remove slow_links key;
               refresh_links ())
-      | Equivocate { node; from_s; until_s } ->
-          byzantine ~node ~from_s ~until_s Adversary.Equivocate
-      | Censor { node; buckets; from_s; until_s } ->
-          byzantine ~node ~from_s ~until_s (Adversary.Censor { buckets })
-      | Corrupt_sig { node; from_s; until_s } ->
-          byzantine ~node ~from_s ~until_s Adversary.Corrupt_sig
-      | Replay { node; from_s; until_s } ->
-          byzantine ~node ~from_s ~until_s Adversary.Replay
-      | Bad_checkpoint { node; from_s; until_s } ->
-          byzantine ~node ~from_s ~until_s Adversary.Bad_checkpoint)
+      | Byzantine { node; attack; from_s; until_s } ->
+          (* Only schedules that get here pay for the adversary proxy: honest
+             runs keep the direct send path.  The node is exempt from the
+             invariants from the start. *)
+          let adv = Cluster.ensure_adversary cluster in
+          Cluster.mark_byzantine cluster node;
+          at from_s (fun () -> Adversary.set_attack adv ~node (Some attack));
+          at until_s (fun () -> Adversary.set_attack adv ~node None))
     t.spec
+
+(* ------------------------------------------------------------------ *)
+(* Epoch-end crash time *)
+
+(* Estimated spacing between consecutive proposals of one segment when no
+   batch-rate cap applies (HotStuff).  Proposals then pipeline through the
+   ordering protocol, leaving roughly one WAN round trip between successive
+   batches of a segment; we bound that by twice the topology's largest
+   one-way latency, floored by the configured minimum batch timeout.  This
+   estimate only positions the injected epoch-end crash — it is not a
+   correctness parameter, just "late enough in the epoch to hurt". *)
+let uncapped_proposal_interval_estimate (cfg : Core.Config.t) =
+  Float.max
+    (2.0 *. Time_ns.to_sec_f (Sim.Topology.max_latency ()))
+    (Time_ns.to_sec_f cfg.Core.Config.min_batch_timeout)
+
+(* Aim for 80 % through the victim's segment: past the epoch's midpoint
+   (so recovery cannot ride on the same epoch change) but safely before the
+   estimated last proposal, given the interval estimate's slack. *)
+let epoch_end_crash_fraction = 0.8
+
+let epoch_end_s (cfg : Core.Config.t) =
+  (* With a fixed batch rate, a node's k-th proposal leaves at
+     ~k * interval; without one (HotStuff), fall back on the
+     pipeline-spacing estimate above. *)
+  let leaders =
+    match cfg.Core.Config.leader_policy with
+    | Core.Config.Fixed l -> List.length l
+    | Core.Config.Simple | Core.Config.Backoff | Core.Config.Blacklist
+    | Core.Config.Straggler_aware ->
+        cfg.Core.Config.n
+  in
+  let seg_len = Core.Config.epoch_length cfg ~leaders / leaders in
+  match cfg.Core.Config.batch_rate with
+  | Some rate -> (float_of_int seg_len -. 0.5) *. (float_of_int leaders /. rate)
+  | None ->
+      epoch_end_crash_fraction *. float_of_int seg_len *. uncapped_proposal_interval_estimate cfg
 
 (* ------------------------------------------------------------------ *)
 (* Liveness bound *)
@@ -371,6 +363,7 @@ let bft_f ~n = max 1 ((n - 1) / 3)
 let named ~n name =
   let victim = 1 mod n in
   let far = (n - 1 + n) mod n in
+  let attack attack = Byzantine { node = victim; attack; from_s = 2.0; until_s = 22.0 } in
   match String.lowercase_ascii name with
   | "crash-recover" ->
       Ok (make ~name [ Crash_recover { node = victim; at_s = 5.0; down_s = 20.0 } ])
@@ -391,12 +384,10 @@ let named ~n name =
   (* Active-malice scenarios (BFT protocols only; validation rejects them
      for Raft).  One attacker, one window; the paired-defense acceptance
      tests (test_byzantine.ml) run exactly these. *)
-  | "byz-equivocate" -> Ok (make ~name [ Equivocate { node = victim; from_s = 2.0; until_s = 22.0 } ])
-  | "byz-censor" ->
-      Ok (make ~name [ Censor { node = victim; buckets = []; from_s = 2.0; until_s = 22.0 } ])
-  | "byz-corrupt-sig" ->
-      Ok (make ~name [ Corrupt_sig { node = victim; from_s = 2.0; until_s = 22.0 } ])
-  | "byz-replay" -> Ok (make ~name [ Replay { node = victim; from_s = 2.0; until_s = 22.0 } ])
+  | "byz-equivocate" -> Ok (make ~name [ attack Adversary.Equivocate ])
+  | "byz-censor" -> Ok (make ~name [ attack (Adversary.Censor { buckets = [] }) ])
+  | "byz-corrupt-sig" -> Ok (make ~name [ attack Adversary.Corrupt_sig ])
+  | "byz-replay" -> Ok (make ~name [ attack Adversary.Replay ])
   | "byz-bad-checkpoint" ->
       (* The corrupt-checkpoint attack only bites when someone consumes
          checkpoints: pair it with a crash-recovery so the recovering node
@@ -405,17 +396,18 @@ let named ~n name =
       Ok
         (make ~name
            [
-             Bad_checkpoint { node = victim; from_s = 2.0; until_s = 40.0 };
+             Byzantine
+               { node = victim; attack = Adversary.Bad_checkpoint; from_s = 2.0; until_s = 40.0 };
              Crash_recover { node = far; at_s = 8.0; down_s = 12.0 };
            ])
   | other -> Error (Printf.sprintf "unknown fault scenario %S" other)
 
-let byz_scenario_names =
-  [ "byz-equivocate"; "byz-censor"; "byz-corrupt-sig"; "byz-replay"; "byz-bad-checkpoint" ]
-
 let scenario_names =
-  [ "crash-recover"; "partition-heal"; "split-brain"; "lossy"; "straggler-window"; "slow-link"; "chaos" ]
-  @ byz_scenario_names
+  [
+    "crash-recover"; "partition-heal"; "split-brain"; "lossy"; "straggler-window"; "slow-link";
+    "chaos"; "byz-equivocate"; "byz-censor"; "byz-corrupt-sig"; "byz-replay";
+    "byz-bad-checkpoint";
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Randomized chaos schedules *)
@@ -472,24 +464,25 @@ let random_byzantine ~seed ~n ~duration_s =
   let from_s = Sim.Rng.uniform_range rng ~lo:(0.08 *. d) ~hi:(0.2 *. d) in
   let until_s = Sim.Rng.uniform_range rng ~lo:(0.4 *. d) ~hi:(0.5 *. d) in
   let victim = Sim.Rng.int rng n in
+  let attack attack = Byzantine { node = victim; attack; from_s; until_s } in
   let events =
     match Sim.Rng.int rng 5 with
-    | 0 -> [ Equivocate { node = victim; from_s; until_s } ]
+    | 0 -> [ attack Adversary.Equivocate ]
     | 1 ->
         let buckets =
           if Sim.Rng.bool rng then []
           else [ Sim.Rng.int rng (16 * n) ]
         in
-        [ Censor { node = victim; buckets; from_s; until_s } ]
-    | 2 -> [ Corrupt_sig { node = victim; from_s; until_s } ]
-    | 3 -> [ Replay { node = victim; from_s; until_s } ]
+        [ attack (Adversary.Censor { buckets }) ]
+    | 2 -> [ attack Adversary.Corrupt_sig ]
+    | 3 -> [ attack Adversary.Replay ]
     | _ ->
         (* Make the corrupted checkpoints matter: a different node
            crash-recovers inside the attack window and must state-transfer
            past the attacker's poisoned certificates. *)
         let other = (victim + 1 + Sim.Rng.int rng (n - 1)) mod n in
         [
-          Bad_checkpoint { node = victim; from_s; until_s };
+          attack Adversary.Bad_checkpoint;
           Crash_recover
             { node = other; at_s = from_s +. 0.1 *. d; down_s = 0.15 *. d };
         ]

@@ -1,11 +1,13 @@
-(** Declarative fault schedules (the chaos harness).
+(** Declarative fault schedules: the repository's one fault vocabulary.
 
     A schedule is a list of fault specs with wall-clock (simulated) activation
     times; {!apply} compiles it into engine events against a {!Cluster.t}.
     All faults from the surviving-process model of the paper's §6.4 are
     expressible: crashes with and without recovery, partitions that heal,
-    windows of probabilistic message loss, Byzantine stragglers, and per-link
-    latency spikes.
+    windows of probabilistic message loss, Byzantine stragglers, per-link
+    latency spikes and active-malice attacks.  The paper's figures (7-12)
+    and the chaos, conformance and Byzantine harnesses all describe their
+    faults with it.
 
     Schedules are plain data: they can be validated ({!validate}), printed
     ({!pp}), inspected for their heal time ({!heal_s}), generated from a seed
@@ -30,7 +32,10 @@ type spec =
       (** Drop every node-to-node message independently with probability
           [prob] during the window. *)
   | Straggle of { node : int; from_s : float; until_s : float }
-      (** Byzantine straggler (proposes empty batches) during the window. *)
+      (** Byzantine straggler (proposes empty batches) during the window.  A
+          window opening at 0 is in force before the run starts, and one
+          closing at [Float.infinity] never closes: together, the whole-run
+          straggler of §6.4.2. *)
   | Slow_link of {
       a : int;
       b : int;
@@ -40,23 +45,10 @@ type spec =
     }
       (** Add [extra] propagation latency to both directions of one link
           during the window. *)
-  | Equivocate of { node : int; from_s : float; until_s : float }
-      (** Active malice: the node sends conflicting proposals for the same
-          sequence number to disjoint receiver subsets (see
-          {!Adversary.attack}).  BFT protocols only. *)
-  | Censor of { node : int; buckets : int list; from_s : float; until_s : float }
-      (** Active malice: the node filters requests of the given buckets out
-          of the proposals it sends ([buckets = []] censors everything).
-          BFT protocols only. *)
-  | Corrupt_sig of { node : int; from_s : float; until_s : float }
-      (** Active malice: every control message the node sends carries an
-          invalid authenticator.  BFT protocols only. *)
-  | Replay of { node : int; from_s : float; until_s : float }
-      (** Active malice: the node re-injects stale protocol messages and
-          previously proposed client requests.  BFT protocols only. *)
-  | Bad_checkpoint of { node : int; from_s : float; until_s : float }
-      (** Active malice: the node corrupts the state root in its checkpoint
-          votes and state-transfer certificates.  BFT protocols only. *)
+  | Byzantine of { node : int; attack : Adversary.attack; from_s : float; until_s : float }
+      (** Active malice: during the window the node's outgoing traffic is
+          rewritten by [attack] (see {!Adversary.attack}).  BFT protocols
+          only. *)
 
 type t
 
@@ -92,6 +84,11 @@ val apply : t -> Cluster.t -> unit
     its own group and an active split adds one more.  Overlapping slow-link
     windows on distinct links compose likewise. *)
 
+val epoch_end_s : Core.Config.t -> float
+(** When to crash a node so that it fails just before proposing the last
+    sequence number of its epoch-0 segment — the paper's worst case for
+    epoch duration (Figs. 7-9).  Feed it to a [Crash]. *)
+
 val fast : Core.Config.t -> Core.Config.t
 (** The chaos-test configuration: shortened epochs and tight timeouts.
     {!liveness_grace_s} derives from these fields, so shrinking them
@@ -113,9 +110,6 @@ val named : n:int -> string -> (t, string) result
     pairs the attack with a crash-recovery so the recovering node must
     state-transfer past the attacker's poisoned certificates). *)
 
-val byz_scenario_names : string list
-(** The active-malice subset of {!scenario_names}. *)
-
 val scenario_names : string list
 (** Names accepted by {!named}, plus ["chaos"] (seed-derived {!random}). *)
 
@@ -127,7 +121,7 @@ val random : seed:int64 -> n:int -> duration_s:float -> t
 val random_byzantine : seed:int64 -> n:int -> duration_s:float -> t
 (** Generate a schedule with a single active-malice window (one attacker,
     one attack kind, opening early and closing by mid-run); a
-    [Bad_checkpoint] draw also crash-recovers a second node inside the
+    [Bad_checkpoint] attack also crash-recovers a second node inside the
     window.  Deterministic in [seed].  BFT protocols only. *)
 
 val pp : Format.formatter -> t -> unit

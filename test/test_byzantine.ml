@@ -23,6 +23,7 @@
 
 module Time_ns = Sim.Time_ns
 module Faults = Runner.Faults
+module Adversary = Runner.Adversary
 module Cluster = Runner.Cluster
 
 let check_bool = Alcotest.(check bool)
@@ -192,7 +193,9 @@ let test_zero_perturbation () =
 (* Validation of Byzantine schedules *)
 
 let test_validate_byzantine () =
-  let eq = [ Faults.Equivocate { node = 1; from_s = 2.0; until_s = 10.0 } ] in
+  let eq =
+    [ Faults.Byzantine { node = 1; attack = Adversary.Equivocate; from_s = 2.0; until_s = 10.0 } ]
+  in
   (* Accepted for the BFT protocols, with and without a protocol hint... *)
   List.iter
     (fun protocol ->
@@ -209,8 +212,10 @@ let test_validate_byzantine () =
      Faults.validate
        (Faults.make ~name:"byz2"
           [
-            Faults.Equivocate { node = 1; from_s = 2.0; until_s = 10.0 };
-            Faults.Corrupt_sig { node = 2; from_s = 5.0; until_s = 12.0 };
+            Faults.Byzantine
+              { node = 1; attack = Adversary.Equivocate; from_s = 2.0; until_s = 10.0 };
+            Faults.Byzantine
+              { node = 2; attack = Adversary.Corrupt_sig; from_s = 5.0; until_s = 12.0 };
           ])
        ~n:4
    with
@@ -221,8 +226,10 @@ let test_validate_byzantine () =
      Faults.validate
        (Faults.make ~name:"byz-seq"
           [
-            Faults.Equivocate { node = 1; from_s = 2.0; until_s = 8.0 };
-            Faults.Corrupt_sig { node = 2; from_s = 9.0; until_s = 14.0 };
+            Faults.Byzantine
+              { node = 1; attack = Adversary.Equivocate; from_s = 2.0; until_s = 8.0 };
+            Faults.Byzantine
+              { node = 2; attack = Adversary.Corrupt_sig; from_s = 9.0; until_s = 14.0 };
           ])
        ~n:4
    with
@@ -235,8 +242,9 @@ let test_validate_byzantine () =
        ~warn:(fun w -> warnings := w :: !warnings)
        (Faults.make ~name:"byz-overlap"
           [
-            Faults.Equivocate { node = 1; from_s = 2.0; until_s = 10.0 };
-            Faults.Replay { node = 1; from_s = 8.0; until_s = 14.0 };
+            Faults.Byzantine
+              { node = 1; attack = Adversary.Equivocate; from_s = 2.0; until_s = 10.0 };
+            Faults.Byzantine { node = 1; attack = Adversary.Replay; from_s = 8.0; until_s = 14.0 };
           ])
        ~n:4
    with

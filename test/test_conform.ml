@@ -10,6 +10,7 @@
 module Scenario = Conform.Scenario
 module Harness = Conform.Harness
 module Shrink = Conform.Shrink
+module Adversary = Runner.Adversary
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -29,6 +30,70 @@ let test_scenario_roundtrip () =
     | Ok sc' ->
         check_bool (Printf.sprintf "seed %d round-trips exactly" k) true (sc = sc')
   done
+
+(* One spec of every fault kind with the exact JSON a committed repro
+   carries for it.  [of_seed] never draws some of these (recover, split,
+   bucketed censor), so the seed round-trip above cannot pin them. *)
+let golden_specs =
+  let open Runner.Faults in
+  [
+    (Crash { node = 2; at_s = 1.5 }, {|{"kind":"crash","node":2,"at_s":1.5}|});
+    (Recover { node = 2; at_s = 3.25 }, {|{"kind":"recover","node":2,"at_s":3.25}|});
+    ( Crash_recover { node = 1; at_s = 0.5; down_s = 2.0 },
+      {|{"kind":"crash_recover","node":1,"at_s":0.5,"down_s":2}|} );
+    ( Isolate { node = 3; from_s = 1.0; until_s = 2.5 },
+      {|{"kind":"isolate","node":3,"from_s":1,"until_s":2.5}|} );
+    ( Split { minority = [ 1 ]; from_s = 0.75; until_s = 1.75 },
+      {|{"kind":"split","minority":[1],"from_s":0.75,"until_s":1.75}|} );
+    ( Drop { prob = 0.05; from_s = 0.5; until_s = 4.5 },
+      {|{"kind":"drop","prob":0.05,"from_s":0.5,"until_s":4.5}|} );
+    ( Straggle { node = 2; from_s = 2.0; until_s = 9.0 },
+      {|{"kind":"straggle","node":2,"from_s":2,"until_s":9}|} );
+    ( Slow_link { a = 0; b = 1; extra = Sim.Time_ns.ms 100; from_s = 1.0; until_s = 8.0 },
+      {|{"kind":"slow_link","a":0,"b":1,"extra_ns":100000000,"from_s":1,"until_s":8}|} );
+    ( Byzantine { node = 1; attack = Adversary.Equivocate; from_s = 2.0; until_s = 11.0 },
+      {|{"kind":"equivocate","node":1,"from_s":2,"until_s":11}|} );
+    ( Byzantine
+        { node = 1; attack = Adversary.Censor { buckets = [] }; from_s = 2.0; until_s = 12.0 },
+      {|{"kind":"censor","node":1,"buckets":[],"from_s":2,"until_s":12}|} );
+    ( Byzantine
+        {
+          node = 1;
+          attack = Adversary.Censor { buckets = [ 3; 17 ] };
+          from_s = 2.0;
+          until_s = 12.0;
+        },
+      {|{"kind":"censor","node":1,"buckets":[3,17],"from_s":2,"until_s":12}|} );
+    ( Byzantine { node = 1; attack = Adversary.Corrupt_sig; from_s = 2.0; until_s = 13.0 },
+      {|{"kind":"corrupt_sig","node":1,"from_s":2,"until_s":13}|} );
+    ( Byzantine { node = 1; attack = Adversary.Replay; from_s = 2.0; until_s = 14.0 },
+      {|{"kind":"replay","node":1,"from_s":2,"until_s":14}|} );
+    ( Byzantine { node = 1; attack = Adversary.Bad_checkpoint; from_s = 2.0; until_s = 15.0 },
+      {|{"kind":"bad_checkpoint","node":1,"from_s":2,"until_s":15}|} );
+  ]
+
+let test_spec_codec_golden () =
+  List.iter
+    (fun (spec, expected) ->
+      let sc =
+        {
+          Scenario.seed = 1L;
+          n = 4;
+          rate = 100.0;
+          num_clients = 4;
+          duration_s = 5.0;
+          faults = [ spec ];
+          overload = None;
+        }
+      in
+      (match Obs.Jsonx.member "faults" (Scenario.to_json sc) with
+      | Some (Obs.Jsonx.List [ json ]) ->
+          Alcotest.(check string) "exact encoding" expected (Obs.Jsonx.to_string json)
+      | _ -> Alcotest.failf "%s: no single-entry faults list" expected);
+      match Scenario.of_string (Scenario.to_string sc) with
+      | Error e -> Alcotest.failf "%s does not decode: %s" expected e
+      | Ok sc' -> check_bool (expected ^ " round-trips exactly") true (sc = sc'))
+    golden_specs
 
 let test_scenario_deterministic () =
   for k = 1 to 10 do
@@ -337,6 +402,7 @@ let () =
         [
           Alcotest.test_case "json round-trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
+          Alcotest.test_case "fault codec golden" `Quick test_spec_codec_golden;
         ] );
       ( "checker",
         [

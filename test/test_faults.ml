@@ -12,6 +12,7 @@
 
 module Time_ns = Sim.Time_ns
 module Faults = Runner.Faults
+module Adversary = Runner.Adversary
 module Cluster = Runner.Cluster
 
 let check_bool = Alcotest.(check bool)
@@ -68,11 +69,7 @@ let test_heal_time_all_constructors () =
     | Faults.Drop { until_s; _ }
     | Faults.Straggle { until_s; _ }
     | Faults.Slow_link { until_s; _ }
-    | Faults.Equivocate { until_s; _ }
-    | Faults.Censor { until_s; _ }
-    | Faults.Corrupt_sig { until_s; _ }
-    | Faults.Replay { until_s; _ }
-    | Faults.Bad_checkpoint { until_s; _ } ->
+    | Faults.Byzantine { until_s; _ } ->
         until_s
   in
   let one_of_each =
@@ -85,11 +82,13 @@ let test_heal_time_all_constructors () =
       Faults.Drop { prob = 0.05; from_s = 0.5; until_s = 4.5 };
       Faults.Straggle { node = 2; from_s = 2.0; until_s = 9.0 };
       Faults.Slow_link { a = 0; b = 1; extra = Time_ns.ms 100; from_s = 1.0; until_s = 8.0 };
-      Faults.Equivocate { node = 1; from_s = 2.0; until_s = 11.0 };
-      Faults.Censor { node = 1; buckets = []; from_s = 2.0; until_s = 12.0 };
-      Faults.Corrupt_sig { node = 1; from_s = 2.0; until_s = 13.0 };
-      Faults.Replay { node = 1; from_s = 2.0; until_s = 14.0 };
-      Faults.Bad_checkpoint { node = 1; from_s = 2.0; until_s = 15.0 };
+      Faults.Byzantine { node = 1; attack = Adversary.Equivocate; from_s = 2.0; until_s = 11.0 };
+      Faults.Byzantine
+        { node = 1; attack = Adversary.Censor { buckets = [] }; from_s = 2.0; until_s = 12.0 };
+      Faults.Byzantine { node = 1; attack = Adversary.Corrupt_sig; from_s = 2.0; until_s = 13.0 };
+      Faults.Byzantine { node = 1; attack = Adversary.Replay; from_s = 2.0; until_s = 14.0 };
+      Faults.Byzantine
+        { node = 1; attack = Adversary.Bad_checkpoint; from_s = 2.0; until_s = 15.0 };
     ]
   in
   List.iter

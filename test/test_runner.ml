@@ -51,12 +51,38 @@ let test_single_leader_below_iss () =
 let test_crash_fault_injection () =
   let r =
     quick_run
-      ~faults:[ Runner.Experiment.Crash_at (1, 0.0) ]
+      ~faults:[ Runner.Faults.Crash { node = 1; at_s = 0.0 } ]
       ~system:(Runner.Cluster.Iss Core.Config.PBFT) ~n:4 ~rate:1000.0 ~duration_s:40.0 ()
   in
   (* The system survives the crash and keeps delivering. *)
   check_bool "delivered despite crash" true (r.Runner.Experiment.delivered > 0);
   check_bool "latency includes the fault recovery" true (r.Runner.Experiment.p95_latency_s > 0.0)
+
+(* The figure-fault path (Figs. 7-12): an epoch-end crash and a whole-run
+   straggler through [Experiment.run ~faults], pinned to the numbers these
+   runs produce.  Any drift in how the faults are compiled shows here. *)
+let test_figure_faults () =
+  let check name faults (submitted, delivered, events, messages, p50, p99) =
+    let r =
+      Runner.Experiment.run ~faults ~system:(Runner.Cluster.Iss Core.Config.PBFT) ~n:4
+        ~rate:500.0 ~duration_s:12.0 ~seed:7L ()
+    in
+    check_int (name ^ " submitted") submitted r.Runner.Experiment.submitted;
+    check_int (name ^ " delivered") delivered r.Runner.Experiment.delivered;
+    check_int (name ^ " sim events") events r.Runner.Experiment.sim_events;
+    check_int (name ^ " net messages") messages r.Runner.Experiment.net_messages;
+    Alcotest.(check (float 0.0)) (name ^ " p50") p50 r.Runner.Experiment.p50_latency_s;
+    Alcotest.(check (float 0.0)) (name ^ " p99") p99 r.Runner.Experiment.p99_latency_s
+  in
+  let config =
+    Runner.Cluster.config_of_system ~system:(Runner.Cluster.Iss Core.Config.PBFT) ~n:4 ()
+  in
+  check "epoch-end crash"
+    [ Runner.Faults.Crash { node = 1; at_s = Runner.Faults.epoch_end_s config } ]
+    (6005, 2470, 18312, 180, 2.3718034719999999, 4.3178273840000001);
+  check "whole-run straggler"
+    [ Runner.Faults.Straggle { node = 1; from_s = 0.0; until_s = Float.infinity } ]
+    (6005, 2973, 21066, 225, 3.3525062459999999, 6.2314602580000003)
 
 let test_mir_gate () =
   let engine = Sim.Engine.create () in
@@ -163,6 +189,7 @@ let () =
           Alcotest.test_case "series sums to delivered" `Slow
             test_throughput_series_sums_to_delivered;
           Alcotest.test_case "saturation estimates" `Quick test_saturation_estimates_positive;
+          Alcotest.test_case "figure faults" `Quick test_figure_faults;
         ] );
       ( "invariants",
         [ Alcotest.test_case "liveness names a lost request" `Quick test_liveness_names_lost_request ]
