@@ -65,7 +65,7 @@ let () =
   let submit ~client ~ts key value =
     let r =
       Proto.Request.make ~client ~ts ~payload_size:(String.length key + String.length value)
-        ~sig_data:Proto.Request.Unsigned ~submitted_at:(Sim.Engine.now engine) ()
+        ~signed:false ~submitted_at:(Sim.Engine.now engine) ()
     in
     Hashtbl.replace ops (Proto.Request.id_key r.id) (Put { key; value });
     Array.iter (fun node -> Core.Node.submit node r) nodes

@@ -15,14 +15,12 @@ type t = {
   id : Proto.Ids.client_id;
   engine : Engine.t;
   send : dst:int -> Proto.Message.t -> unit;
-  sign : bool;
   retransmit : bool;
   retx_base : Time_ns.span;  (* first retransmission delay; doubles per try *)
   retx_max : Time_ns.span;  (* exponential-backoff ceiling *)
   jitter : float;  (* multiplicative backoff jitter amplitude, 0 = none *)
   retry_budget : int;  (* retransmissions before the client gives up *)
   on_give_up : Proto.Request.t -> unit;
-  keypair : Iss_crypto.Signature.keypair;
   on_complete : Proto.Request.t -> latency:Time_ns.span -> unit;
   mutable next_ts : int;
   mutable floor : int;  (* lowest unconfirmed timestamp *)
@@ -39,10 +37,9 @@ type t = {
   mutable pushback_count : int;
 }
 
-let create ~config ~id ~engine ~send ?sign ?(retransmit = true) ?retx_base ?retx_max
+let create ~config ~id ~engine ~send ?(retransmit = true) ?retx_base ?retx_max
     ?(jitter = 0.0) ?(retry_budget = max_int) ?(on_give_up = fun _ -> ())
     ?(on_complete = fun _ ~latency:_ -> ()) () =
-  let sign = match sign with Some s -> s | None -> config.Config.client_signatures in
   (* Defaults scale with the deployment's failure-detection timeout: a reply
      can legitimately take a batch timeout plus a WAN round trip, so the
      first retry waits a sizeable fraction of the epoch-change timeout. *)
@@ -59,14 +56,12 @@ let create ~config ~id ~engine ~send ?sign ?(retransmit = true) ?retx_base ?retx
     id;
     engine;
     send;
-    sign;
     retransmit;
     retx_base;
     retx_max;
     jitter;
     retry_budget = (if retry_budget < 0 then 0 else retry_budget);
     on_give_up;
-    keypair = Iss_crypto.Signature.genkey ~id;
     on_complete;
     next_ts = 0;
     floor = 0;
@@ -176,11 +171,9 @@ and submit_now t =
   let ts = t.next_ts in
   t.next_ts <- ts + 1;
   let req =
-    Proto.Request.make ~client:t.id ~ts
-      ~sig_data:(if t.sign then Proto.Request.Presumed true else Proto.Request.Unsigned)
+    Proto.Request.make ~client:t.id ~ts ~signed:t.config.Config.client_signatures
       ~submitted_at:(Engine.now t.engine) ()
   in
-  let req = if t.sign then Proto.Request.sign t.keypair req else req in
   Hashtbl.replace t.pending ts
     { request = req; repliers = []; retx = 0; not_before = Time_ns.zero };
   send_request t req;

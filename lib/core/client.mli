@@ -24,7 +24,6 @@ val create :
   id:Proto.Ids.client_id ->
   engine:Sim.Engine.t ->
   send:(dst:int -> Proto.Message.t -> unit) ->
-  ?sign:bool ->
   ?retransmit:bool ->
   ?retx_base:Sim.Time_ns.span ->
   ?retx_max:Sim.Time_ns.span ->
@@ -34,8 +33,8 @@ val create :
   ?on_complete:(Proto.Request.t -> latency:Sim.Time_ns.span -> unit) ->
   unit ->
   t
-(** [sign] (default from [config.client_signatures]) attaches real simulated
-    signatures.  [on_complete] fires when the reply quorum is reached.
+(** Requests are signed by the client's key when [config.client_signatures]
+    is set.  [on_complete] fires when the reply quorum is reached.
     [retransmit] (default [true]) enables exponential-backoff
     retransmission of unconfirmed requests; [retx_base] is the first retry
     delay (default: a quarter of the epoch-change timeout, at least 1 s)

@@ -6,21 +6,27 @@
     on is (a) unforgeability, (b) wire size, and (c) CPU cost of sign/verify.
 
     This module provides all three:
-    - a signature is the SHA-256 of (secret key ‖ message); since secret
-      keys never leave this module, only the keyholder can produce a digest
-      that verifies — unforgeable under the same "cannot invert the hash"
-      assumption the paper makes about its PKI;
+    - a signature records its signer and the message it covers, and the
+      type is abstract, so only {!sign} with the signer's keypair can build
+      one that {!verify} accepts: unforgeability is enforced by the type
+      system, not computed.  No host hashing is spent on it;
     - signatures report a 64-byte wire size (ECDSA P-256 signature size);
     - {!sign_cost_ns} / {!verify_cost_ns} expose calibrated CPU budgets that
-      the simulator charges on its virtual clock. *)
+      the simulator charges on its virtual clock.
+
+    Client request signatures follow the same rule but are stored inline
+    in the request ({!Proto.Request}), built only from a {!keypair}. *)
 
 type keypair
-type public_key
+type public_key = private int
+(** A process's public key is its identity. *)
+
 type signature
 
 val genkey : id:int -> keypair
 (** Deterministic key generation from a numeric identity (the simulation's
-    PKI: every process is "identified by its public key"). *)
+    PKI: every process is "identified by its public key").  Only the
+    process [id] itself calls it for its own identity. *)
 
 val public : keypair -> public_key
 
@@ -29,7 +35,9 @@ val public_of_id : int -> public_key
     directory. *)
 
 val sign : keypair -> string -> signature
+
 val verify : public_key -> string -> signature -> bool
+(** [verify pk msg s]: [s] was made by [pk]'s keypair over exactly [msg]. *)
 
 val wire_size : int
 (** Bytes a signature occupies on the wire (64, as ECDSA P-256). *)
@@ -40,7 +48,3 @@ val sign_cost_ns : int
 
 val verify_cost_ns : int
 (** Simulated CPU time to verify (~200 µs). *)
-
-val forged : unit -> signature
-(** A structurally valid but never-verifying signature, for adversarial
-    tests. *)

@@ -11,8 +11,11 @@
     - the combined signature verifies against the group's public parameters
       and the message.
 
-    Like {!Signature}, unforgeability rests on hashing with secrets that
-    never leave the module, and wire sizes / CPU costs mirror BLS12-381. *)
+    Like {!Signature}, values are abstract: a share records its group's
+    [(n, t)], its signer and the message it covers, and a combined signature
+    its group and message, so only {!sign_share} and {!combine} can build
+    values that verify.  No host hashing is spent; wire sizes and CPU costs
+    (charged on the virtual clock by the caller) mirror BLS12-381. *)
 
 type group
 (** Public parameters of a (t, n) group. *)
@@ -24,8 +27,6 @@ val setup : n:int -> t:int -> group
 (** Deterministic setup for parties [0..n-1] with threshold [t].
     Raises [Invalid_argument] unless [0 < t <= n]. *)
 
-val threshold : group -> int
-
 val sign_share : group -> signer:int -> string -> share
 (** Raises [Invalid_argument] if [signer] is outside [0..n-1]. *)
 
@@ -33,7 +34,7 @@ val verify_share : group -> signer:int -> string -> share -> bool
 
 val combine : group -> string -> share list -> combined option
 (** [combine g msg shares] is [Some sig] when [shares] contains at least
-    [threshold g] valid shares over [msg] from distinct signers, [None]
+    [t] valid shares over [msg] from distinct signers, [None]
     otherwise. *)
 
 val verify : group -> string -> combined -> bool

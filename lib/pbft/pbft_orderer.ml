@@ -111,25 +111,23 @@ module Orderer = struct
             | None -> acc)
           t.slots []
       in
-      let vc =
-        {
-          Msg.new_view;
-          prepared;
-          vc_signer = t.ctx.Core.Orderer_intf.node;
-          vc_sig = Iss_crypto.Signature.forged ();
-        }
+      let vc_signer = t.ctx.Core.Orderer_intf.node in
+      let material =
+        Msg.view_change_material ~instance:t.seg.Core.Segment.instance ~new_view ~vc_signer
+          prepared
       in
-      let material = Msg.view_change_material ~instance:t.seg.Core.Segment.instance vc in
-      let vc =
-        { vc with Msg.vc_sig = Iss_crypto.Signature.sign t.ctx.Core.Orderer_intf.keypair material }
-      in
+      let vc_sig = Iss_crypto.Signature.sign t.ctx.Core.Orderer_intf.keypair material in
+      let vc = { Msg.new_view; prepared; vc_signer; vc_sig } in
       t.view <- new_view;
       broadcast_pbft t (Msg.View_change vc);
       arm_vc_timer t
     end
 
   let verify_vc t (vc : Msg.view_change) =
-    let material = Msg.view_change_material ~instance:t.seg.Core.Segment.instance vc in
+    let material =
+      Msg.view_change_material ~instance:t.seg.Core.Segment.instance ~new_view:vc.Msg.new_view
+        ~vc_signer:vc.Msg.vc_signer vc.Msg.prepared
+    in
     Iss_crypto.Signature.verify
       (Iss_crypto.Signature.public_of_id vc.Msg.vc_signer)
       material vc.Msg.vc_sig

@@ -22,15 +22,15 @@ type body =
 
 type t = { instance : int; body : body }
 
-let view_change_material ~instance vc =
+let view_change_material ~instance ~new_view ~vc_signer prepared =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "pbft-vc:%d:%d:%d:" instance vc.new_view vc.vc_signer);
+  Buffer.add_string buf (Printf.sprintf "pbft-vc:%d:%d:%d:" instance new_view vc_signer);
   List.iter
     (fun pc ->
       Buffer.add_string buf
         (Printf.sprintf "%d/%d/%s;" pc.sn pc.view
            (Iss_crypto.Hash.to_hex (Proposal.digest pc.proposal))))
-    vc.prepared;
+    prepared;
   Buffer.contents buf
 
 let header = 24 (* instance + view + sn + type tag *)

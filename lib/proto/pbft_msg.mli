@@ -43,8 +43,10 @@ type body =
 
 type t = { instance : int; body : body }
 
-val view_change_material : instance:int -> view_change -> string
-(** Canonical byte string a view-change signature covers. *)
+val view_change_material :
+  instance:int -> new_view:int -> vc_signer:Ids.node_id -> prepared_cert list -> string
+(** Canonical byte string a view-change signature covers: every field of
+    {!view_change} but the signature itself. *)
 
 val wire_size : t -> int
 val pp : Format.formatter -> t -> unit

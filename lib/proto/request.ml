@@ -1,9 +1,8 @@
 type id = { client : Ids.client_id; ts : int }
 
 type sig_data =
-  | Signed of Iss_crypto.Signature.signature
-  | Presumed of bool
   | Unsigned
+  | Signed of { signer : Iss_crypto.Signature.public_key; covers : id }
 
 type t = {
   id : id;
@@ -15,24 +14,24 @@ type t = {
 (* The paper's request size: 500 B, an average Bitcoin transaction. *)
 let payload_bytes = 500
 
-let make ~client ~ts ?(payload_size = payload_bytes) ?(sig_data = Presumed true) ~submitted_at () =
-  { id = { client; ts }; payload_size; sig_data; submitted_at }
+let signed_by kp id = Signed { signer = Iss_crypto.Signature.public kp; covers = id }
 
-let signing_material r =
-  Printf.sprintf "req:%d:%d:%d" r.id.client r.id.ts r.payload_size
+let make ~client ~ts ?(payload_size = payload_bytes) ?(signed = true) ~submitted_at () =
+  let id = { client; ts } in
+  let sig_data =
+    if signed then signed_by (Iss_crypto.Signature.genkey ~id:client) id else Unsigned
+  in
+  { id; payload_size; sig_data; submitted_at }
 
-let sign kp r = { r with sig_data = Signed (Iss_crypto.Signature.sign kp (signing_material r)) }
+let sign kp r = { r with sig_data = signed_by kp r.id }
+
+let equal_id a b = a.client = b.client && a.ts = b.ts
 
 let signature_valid r =
   match r.sig_data with
-  | Unsigned -> true
-  | Presumed ok -> ok
-  | Signed s ->
-      Iss_crypto.Signature.verify
-        (Iss_crypto.Signature.public_of_id r.id.client)
-        (signing_material r) s
-
-let equal_id a b = a.client = b.client && a.ts = b.ts
+  | Unsigned -> false
+  | Signed { signer; covers } ->
+      (signer :> int) = r.id.client && (covers == r.id || equal_id covers r.id)
 
 let id_key id = (id.client lsl 31) lor (id.ts land 0x7FFFFFFF)
 
@@ -63,7 +62,7 @@ let wire_size r =
   let sig_bytes =
     match r.sig_data with
     | Unsigned -> 0
-    | Signed _ | Presumed _ -> Iss_crypto.Signature.wire_size
+    | Signed _ -> Iss_crypto.Signature.wire_size
   in
   r.payload_size + id_wire_size + sig_bytes
 

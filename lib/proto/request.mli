@@ -7,19 +7,18 @@
 
     The payload itself is never materialized — the simulator only needs its
     byte size (for the network) and the request's identity (for bucketing
-    and deduplication).  The client's signature over [(id, o)] is carried
-    either as a real {!Iss_crypto.Signature.signature} (unit tests,
-    adversarial scenarios) or as a pre-evaluated verdict (large benchmark
-    runs, where re-hashing millions of requests would only heat the host
-    CPU; the {e simulated} verification cost is charged on the virtual clock
-    either way). *)
+    and deduplication).  In a BFT deployment every request carries its
+    client's signature over its identity (paper Table 1); CFT deployments
+    (Raft) send requests unsigned. *)
 
 type id = { client : Ids.client_id; ts : int }
 
-type sig_data =
-  | Signed of Iss_crypto.Signature.signature
-  | Presumed of bool  (** [Presumed ok]: verification outcome decided at creation *)
+type sig_data = private
   | Unsigned  (** CFT deployments (Raft) skip client signatures, cf. Table 1 *)
+  | Signed of { signer : Iss_crypto.Signature.public_key; covers : id }
+      (** A signature by [signer] over the identity [covers], stored inline
+          (one 3-word block per request).  The type is private: only {!make}
+          and {!sign} build one, from the signer's keypair. *)
 
 type t = {
   id : id;
@@ -32,20 +31,21 @@ val make :
   client:Ids.client_id ->
   ts:int ->
   ?payload_size:int ->
-  ?sig_data:sig_data ->
+  ?signed:bool ->
   submitted_at:Sim.Time_ns.t ->
   unit ->
   t
-(** Defaults: 500-byte payload, [Presumed true]. *)
+(** Defaults: 500-byte payload, signed by the client's own key
+    ([~signed:false]: [Unsigned]). *)
 
 val sign : Iss_crypto.Signature.keypair -> t -> t
-(** Replace the signature with a real one over the request identity and
-    payload size (standing in for the payload bytes). *)
+(** Replace the signature with one by the given key over the request's
+    identity. *)
 
 val signature_valid : t -> bool
-(** Evaluates the carried signature.  [Unsigned] counts as valid — whether a
-    deployment {e requires} signatures is the validator's decision
-    (see {!Core.Config}). *)
+(** The request carries a signature by its own client over its own id.
+    [Unsigned] is not valid: a deployment that requires client signatures
+    (see {!Core.Config}) refuses it.  Allocates nothing. *)
 
 val equal_id : id -> id -> bool
 val id_key : id -> int

@@ -92,24 +92,23 @@ let equivocation_side t ~src ~dst =
 (* The conflicting value: drop the first request of the batch when it has
    one (a strictly valid sub-batch — this side tests pure quorum
    intersection), or substitute a fabricated request when the batch is empty
-   (the fabricated request carries a failing signature and lands in a bucket
-   the segment does not own, so receivers additionally exercise the
-   Reject_malicious ingress path). *)
-let fabricated_request ~sn =
-  Proto.Request.make ~client:999_983 ~ts:(sn + 1)
-    ~payload_size:64
-    ~sig_data:(Proto.Request.Presumed false)
-    ~submitted_at:Sim.Time_ns.zero ()
+   (the attacker signs it with its own key, not the client's, so receivers
+   additionally exercise the Reject_malicious ingress path). *)
+let fabricated_request ~attacker ~sn =
+  Proto.Request.sign
+    (Iss_crypto.Signature.genkey ~id:attacker)
+    (Proto.Request.make ~client:999_983 ~ts:(sn + 1) ~payload_size:64 ~signed:false
+       ~submitted_at:Sim.Time_ns.zero ())
 
-let conflicting_batch ~sn (batch : Proto.Batch.t) =
+let conflicting_batch ~attacker ~sn (batch : Proto.Batch.t) =
   let reqs = Proto.Batch.requests batch in
   if Array.length reqs > 0 then
     Proto.Batch.make (Array.sub reqs 1 (Array.length reqs - 1))
-  else Proto.Batch.make [| fabricated_request ~sn |]
+  else Proto.Batch.make [| fabricated_request ~attacker ~sn |]
 
-let equivocate_proposal ~sn = function
+let equivocate_proposal ~attacker ~sn = function
   | Proto.Proposal.Nil -> Proto.Proposal.Nil
-  | Proto.Proposal.Batch b -> Proto.Proposal.Batch (conflicting_batch ~sn b)
+  | Proto.Proposal.Batch b -> Proto.Proposal.Batch (conflicting_batch ~attacker ~sn b)
 
 (* ------------------------------------------------------------------ *)
 (* Censorship: filter chosen buckets (or, with [buckets = []], every
@@ -231,7 +230,7 @@ let route t ~src ~dst msg =
           | Original -> [ (dst, msg) ]
           | Silence -> []
           | Conflicting ->
-              let proposal = equivocate_proposal ~sn proposal in
+              let proposal = equivocate_proposal ~attacker:src ~sn proposal in
               [
                 ( dst,
                   Msg.Pbft
@@ -248,7 +247,7 @@ let route t ~src ~dst msg =
                 {
                   node with
                   Proto.Hotstuff_msg.proposal =
-                    equivocate_proposal ~sn:node.Proto.Hotstuff_msg.sn
+                    equivocate_proposal ~attacker:src ~sn:node.Proto.Hotstuff_msg.sn
                       node.Proto.Hotstuff_msg.proposal;
                 }
               in

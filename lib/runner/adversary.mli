@@ -38,6 +38,11 @@ val create : n:int -> config:Core.Config.t -> t
 val set_attack : t -> node:int -> attack option -> unit
 (** Open ([Some _]) or close ([None]) a node's attack window. *)
 
+val fabricated_request : attacker:int -> sn:int -> Proto.Request.t
+(** The request an equivocating [attacker] invents for an empty proposal at
+    [sn]: client 999,983's next request, signed with the attacker's own key
+    instead of the client's. *)
+
 val active : t -> node:int -> attack option
 
 val route : t -> src:int -> dst:int -> Proto.Message.t -> (int * Proto.Message.t) list

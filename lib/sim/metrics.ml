@@ -50,10 +50,6 @@ module Histogram = struct
 
   let min t = if t.size = 0 then 0.0 else (ensure_sorted t; t.samples.(0))
   let max t = if t.size = 0 then 0.0 else (ensure_sorted t; t.samples.(t.size - 1))
-
-  let clear t =
-    t.size <- 0;
-    t.sorted <- true
 end
 
 module Series = struct
@@ -90,13 +86,4 @@ module Series = struct
     let per_bin = bins t ~until in
     let scale = 1e9 /. float_of_int t.bin in
     Array.map (fun x -> x *. scale) per_bin
-end
-
-module Counter = struct
-  type t = { mutable v : int }
-
-  let create () = { v = 0 }
-  let incr t = t.v <- t.v + 1
-  let add t n = t.v <- t.v + n
-  let get t = t.v
 end

@@ -3,8 +3,7 @@
     - {!Histogram} records individual samples (e.g. request latencies) and
       reports count / mean / percentiles.
     - {!Series} bins a counter over fixed time windows (e.g. throughput over
-      1-second intervals as in the paper's Figures 9, 10 and 12).
-    - {!Counter} is a plain monotonic counter. *)
+      1-second intervals as in the paper's Figures 9, 10 and 12). *)
 
 module Histogram : sig
   type t
@@ -21,7 +20,6 @@ module Histogram : sig
 
   val min : t -> float
   val max : t -> float
-  val clear : t -> unit
 end
 
 module Series : sig
@@ -36,13 +34,4 @@ module Series : sig
 
   val rate_per_sec : t -> until:Time_ns.t -> float array
   (** Per-bin sums normalized to events per second. *)
-end
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
 end

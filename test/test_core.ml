@@ -801,10 +801,12 @@ let test_validate_proposal_verdicts () =
   let sn k = seg.Core.Segment.seq_nrs.(k) in
   (* The first request of [client] from timestamp [from] on whose bucket the
      segment owns (or, with [~in_seg:false], does not own). *)
-  let pick ?(in_seg = true) ~client from =
+  let pick ?(in_seg = true) ?signed ~client from =
     let rec go ts =
       let bucket = Proto.Request.bucket_of_id ~num_buckets { Proto.Request.client; ts } in
-      if Core.Segment.owns_bucket seg bucket = in_seg then req ~client ~ts else go (ts + 1)
+      if Core.Segment.owns_bucket seg bucket = in_seg then
+        Proto.Request.make ~client ~ts ?signed ~submitted_at:0 ()
+      else go (ts + 1)
     in
     go from
   in
@@ -840,7 +842,25 @@ let test_validate_proposal_verdicts () =
   expect "a prefix before a late failure leaves no residue" Core.Orderer_intf.Reject ~sn:(sn 5)
     [ pick ~client:8 0; far ];
   expect "... so its clean request is accepted elsewhere" Core.Orderer_intf.Accept ~sn:(sn 6)
-    [ pick ~client:8 0 ]
+    [ pick ~client:8 0 ];
+  (* Signatures alone: each request below is fresh and in one of the
+     segment's buckets, so only its signature can sink it. *)
+  expect "unsigned request" Core.Orderer_intf.Reject_malicious ~sn:(sn 7)
+    [ pick ~signed:false ~client:9 0 ];
+  let fabricated =
+    let rec go sn =
+      let r = Runner.Adversary.fabricated_request ~attacker:1 ~sn in
+      if Core.Segment.owns_bucket seg (Proto.Request.bucket_of_id ~num_buckets r.Proto.Request.id)
+      then r
+      else go (sn + 1)
+    in
+    go 0
+  in
+  expect "the adversary's fabricated request" Core.Orderer_intf.Reject_malicious ~sn:(sn 7)
+    [ fabricated ];
+  let client = fabricated.Proto.Request.id.Proto.Request.client in
+  expect "... accepted once its client signs it" Core.Orderer_intf.Accept ~sn:(sn 7)
+    [ Proto.Request.sign (Iss_crypto.Signature.genkey ~id:client) fabricated ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints (§3.5)

@@ -91,9 +91,34 @@ let test_signature_verify () =
     (Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id 42) "other" s);
   check_bool "wrong key" false
     (Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id 43) "message" s);
-  check_bool "forged rejected" false
-    (Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id 42) "message"
-       (Iss_crypto.Signature.forged ()))
+  (* Node 43 signing the same message cannot pass for 42, and vice versa. *)
+  let other = Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id:43) "message" in
+  check_bool "wrong-key signature rejected" false
+    (Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id 42) "message" other);
+  check_bool "... and verifies for its own signer" true
+    (Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id 43) "message" other)
+
+(* A signature binds both its signer and its message: across a grid of keys
+   and messages, it verifies only at its own (key, message) pair. *)
+let test_signature_binding () =
+  let msgs = [ "a"; "b"; "ab"; "" ] in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun msg ->
+          let s = Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id) msg in
+          List.iter
+            (fun id' ->
+              List.iter
+                (fun msg' ->
+                  check_bool
+                    (Printf.sprintf "sig(%d,%S) at (%d,%S)" id msg id' msg')
+                    (id = id' && msg = msg')
+                    (Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id id') msg' s))
+                msgs)
+            [ 0; 1; 7 ])
+        msgs)
+    [ 0; 1; 7 ]
 
 let prop_signature_roundtrip =
   QCheck.Test.make ~name:"sign/verify round trip" ~count:100
@@ -132,8 +157,7 @@ let test_threshold_share_verify () =
   check_bool "wrong signer" false (Iss_crypto.Threshold.verify_share g ~signer:1 "m" s);
   check_bool "wrong msg" false (Iss_crypto.Threshold.verify_share g ~signer:2 "x" s)
 
-(* Share secrets are memoized per group: once both groups have derived
-   signer 2's secret, each must still reject the other's share. *)
+(* Each of two live groups keeps rejecting the other's share. *)
 let test_threshold_groups_isolated () =
   let g1 = Iss_crypto.Threshold.setup ~n:4 ~t:3 in
   let g2 = Iss_crypto.Threshold.setup ~n:7 ~t:5 in
@@ -144,6 +168,31 @@ let test_threshold_groups_isolated () =
   check_bool "g1 share in g2" false (Iss_crypto.Threshold.verify_share g2 ~signer:2 "m" s1);
   check_bool "g2 share in g1" false (Iss_crypto.Threshold.verify_share g1 ~signer:2 "m" s2);
   check_bool "g1 share still in g1" true (Iss_crypto.Threshold.verify_share g1 ~signer:2 "m" s1)
+
+(* Shares and QCs are bound to their group's (n, t) and to their message:
+   one from another group, or over another message, neither verifies nor
+   combines. *)
+let test_threshold_binding () =
+  let module T = Iss_crypto.Threshold in
+  let g = T.setup ~n:4 ~t:3 and g' = T.setup ~n:4 ~t:2 and h = T.setup ~n:5 ~t:3 in
+  let shares g msg = List.init 3 (fun i -> T.sign_share g ~signer:i msg) in
+  let qc g msg =
+    match T.combine g msg (shares g msg) with Some c -> c | None -> Alcotest.fail "combine"
+  in
+  check_bool "own QC verifies" true (T.verify g "m" (qc g "m"));
+  check_bool "QC over another message" false (T.verify g "m" (qc g "x"));
+  List.iter
+    (fun (name, other) ->
+      check_bool (name ^ ": share does not verify") false
+        (T.verify_share g ~signer:0 "m" (T.sign_share other ~signer:0 "m"));
+      check_bool (name ^ ": shares do not combine") true (T.combine g "m" (shares other "m") = None);
+      check_bool (name ^ ": QC does not verify") false (T.verify g "m" (qc other "m")))
+    [ ("other t", g'); ("other n", h) ];
+  check_bool "shares over another message do not combine" true
+    (T.combine g "m" (shares g "x") = None);
+  (* A same-(n, t) setup is the same deterministic group. *)
+  check_bool "same (n, t) is the same group" true
+    (T.verify (T.setup ~n:4 ~t:3) "m" (qc g "m"))
 
 let test_threshold_signer_range () =
   let g = Iss_crypto.Threshold.setup ~n:4 ~t:3 in
@@ -225,13 +274,18 @@ let () =
           Alcotest.test_case "hex of every byte" `Quick test_hex_all_bytes;
         ] );
       ( "signature",
-        [ Alcotest.test_case "verify/reject" `Quick test_signature_verify; qc prop_signature_roundtrip ]
+        [
+          Alcotest.test_case "verify/reject" `Quick test_signature_verify;
+          Alcotest.test_case "binds signer and message" `Quick test_signature_binding;
+          qc prop_signature_roundtrip;
+        ]
       );
       ( "threshold",
         [
           Alcotest.test_case "combine rules" `Quick test_threshold_combine;
           Alcotest.test_case "share verify" `Quick test_threshold_share_verify;
           Alcotest.test_case "groups isolated" `Quick test_threshold_groups_isolated;
+          Alcotest.test_case "binds group and message" `Quick test_threshold_binding;
           Alcotest.test_case "signer range" `Quick test_threshold_signer_range;
           Alcotest.test_case "invalid setup" `Quick test_threshold_setup_invalid;
         ] );

@@ -300,9 +300,11 @@ let test_invalid_signature_rejected () =
   let config = Core.Config.pbft_default ~n:4 in
   let c = build config in
   Array.iter Core.Node.start c.nodes;
+  (* Signed, but with node 1's key rather than client 700's. *)
   let bad =
-    Proto.Request.make ~client:700 ~ts:0 ~sig_data:(Proto.Request.Presumed false)
-      ~submitted_at:Sim.Time_ns.zero ()
+    Proto.Request.sign
+      (Iss_crypto.Signature.genkey ~id:1)
+      (Proto.Request.make ~client:700 ~ts:0 ~submitted_at:Sim.Time_ns.zero ())
   in
   let good = Proto.Request.make ~client:701 ~ts:0 ~submitted_at:Sim.Time_ns.zero () in
   submit_all c bad;
@@ -313,6 +315,25 @@ let test_invalid_signature_rejected () =
   match ds with
   | [ d ] -> check_int "it is the good one" 701 d.request.Proto.Request.id.Proto.Request.client
   | _ -> Alcotest.fail "unexpected deliveries"
+
+(* A deployment that requires client signatures refuses a request that
+   carries none: a Byzantine leader must not save the 64 B by stripping it. *)
+let test_unsigned_rejected () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let c = build config in
+  Array.iter Core.Node.start c.nodes;
+  let unsigned =
+    Proto.Request.make ~client:702 ~ts:0 ~signed:false ~submitted_at:Sim.Time_ns.zero ()
+  in
+  let good = Proto.Request.make ~client:703 ~ts:0 ~submitted_at:Sim.Time_ns.zero () in
+  submit_all c unsigned;
+  submit_all c good;
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 30) c.engine;
+  match deliveries_at c 0 with
+  | [ d ] ->
+      check_int "only the signed request delivered" 703
+        d.request.Proto.Request.id.Proto.Request.client
+  | ds -> Alcotest.failf "expected 1 delivery, got %d" (List.length ds)
 
 let test_out_of_window_rejected () =
   let config = Core.Config.pbft_default ~n:4 in
@@ -357,6 +378,7 @@ let () =
       ( "request-validation",
         [
           Alcotest.test_case "invalid signature rejected" `Quick test_invalid_signature_rejected;
+          Alcotest.test_case "unsigned request rejected" `Quick test_unsigned_rejected;
           Alcotest.test_case "out-of-window rejected" `Quick test_out_of_window_rejected;
         ] );
     ]

@@ -40,8 +40,26 @@ let test_request_wire_size () =
   let r = req ~client:1 ~ts:1 in
   (* 500 payload + 16 id + 64 signature. *)
   check_int "default request wire size" 580 (Proto.Request.wire_size r);
-  let unsigned = Proto.Request.make ~client:1 ~ts:1 ~sig_data:Proto.Request.Unsigned ~submitted_at:0 () in
+  let unsigned = Proto.Request.make ~client:1 ~ts:1 ~signed:false ~submitted_at:0 () in
   check_int "unsigned request smaller" 516 (Proto.Request.wire_size unsigned)
+
+(* A request's signature binds its client's key and its id: a request
+   signed by another key, re-labelled after signing, or unsigned is
+   invalid; an equal copy of the id is not a re-label. *)
+let test_request_signature_binding () =
+  let valid = Proto.Request.signature_valid in
+  let r = req ~client:3 ~ts:9 in
+  check_bool "default request is signed by its client" true (valid r);
+  check_bool "equal copy of the id" true
+    (valid { r with Proto.Request.id = { Proto.Request.client = 3; ts = 9 } });
+  check_bool "re-labelled timestamp" false
+    (valid { r with Proto.Request.id = { Proto.Request.client = 3; ts = 10 } });
+  check_bool "signed by another key" false
+    (valid (Proto.Request.sign (Iss_crypto.Signature.genkey ~id:4) r));
+  check_bool "re-signed by its client" true
+    (valid (Proto.Request.sign (Iss_crypto.Signature.genkey ~id:3) r));
+  check_bool "unsigned" false
+    (valid (Proto.Request.make ~client:3 ~ts:9 ~signed:false ~submitted_at:0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Batches *)
@@ -239,6 +257,7 @@ let () =
         [
           Alcotest.test_case "id_key injective" `Quick test_request_id_key_injective;
           Alcotest.test_case "wire sizes" `Quick test_request_wire_size;
+          Alcotest.test_case "signature binding" `Quick test_request_signature_binding;
         ] );
       ( "batches",
         [
