@@ -416,9 +416,9 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
           else if
             (* not proposed at another sn this epoch; inside the client's
                watermark window and (b) not committed in an earlier epoch *)
-            (match Key_tbl.find_opt t.seen_proposed (Proto.Request.id_key r.id) with
-            | Some sn' -> sn' <> sn
-            | None -> false)
+            (match Key_tbl.find t.seen_proposed (Proto.Request.id_key r.id) with
+            | sn' -> sn' <> sn
+            | exception Not_found -> false)
             || Watermarks.status t.watermarks r.id <> Watermarks.Fresh
           then Orderer_intf.Reject
           else check (i + 1)
@@ -1001,9 +1001,10 @@ and route_instance t ~src ~instance msg =
     buf := (src, msg) :: !buf
   end
   else begin
-    match Hashtbl.find_opt t.orderers instance with
-    | Some inst -> Orderer_intf.on_message inst ~src msg
-    | None -> ()  (* instance already garbage-collected; late message *)
+    (* [find], not [find_opt]: every protocol message passes here. *)
+    match Hashtbl.find t.orderers instance with
+    | inst -> Orderer_intf.on_message inst ~src msg
+    | exception Not_found -> ()  (* instance already garbage-collected; late message *)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -8,7 +8,12 @@
 
     The paper advances windows at epoch boundaries; we advance the floor as
     deliveries arrive, which admits a superset of the paper's valid requests
-    and is equally safe (duplicates are filtered by delivery tracking). *)
+    and is equally safe (duplicates are filtered by delivery tracking).
+
+    Per client the tracker keeps the floor and a bitmap over the timestamps
+    above it.  The bitmap starts at 64 bits and doubles whenever a delivery
+    lands beyond it, so delivery tracking is exact and its memory follows
+    how far out of order the client's deliveries actually run. *)
 
 type t
 

@@ -34,10 +34,12 @@ module Orderer = struct
 
   let primary t view = (t.seg.Core.Segment.leader + view) mod t.n
 
+  (* [find], not [find_opt]: a hit allocates nothing.  Callers pass only
+     sns of the segment, so a peer cannot grow the table by naming others. *)
   let slot t sn =
-    match Hashtbl.find_opt t.slots sn with
-    | Some s -> s
-    | None ->
+    match Hashtbl.find t.slots sn with
+    | s -> s
+    | exception Not_found ->
         let s =
           {
             sn;
@@ -175,8 +177,8 @@ module Orderer = struct
   (* Accept a pre-prepare (from the live primary or replayed out of a
      NEW-VIEW) and respond with a PREPARE vote. *)
   let accept_preprepare t ~view ~sn proposal =
-    let s = slot t sn in
     if Rt.is_decided t.rt sn then begin
+      let s = slot t sn in
       (* Already committed here; a later view may re-propose the value for
          peers that missed the original quorum (e.g. under message loss).
          Vote PREPARE and COMMIT straight away — a quorum already committed
@@ -196,6 +198,7 @@ module Orderer = struct
       | Some _ | None -> ()
     end
     else if Core.Segment.contains_sn t.seg sn then begin
+      let s = slot t sn in
       let fresh =
         match s.accepted with Some (v, _) -> v < view | None -> true
       in
@@ -357,10 +360,10 @@ module Orderer = struct
             (* Only the primary of the view may propose. *)
             if src = primary t view && view = t.view then
               accept_preprepare t ~view ~sn proposal
-        | Msg.Prepare { view; sn; digest } ->
+        | Msg.Prepare { view; sn; digest } when Core.Segment.contains_sn t.seg sn ->
             let s = slot t sn in
             if Votes.add s.prepares ~view ~node:src digest then try_commit t s
-        | Msg.Commit { view; sn; digest } ->
+        | Msg.Commit { view; sn; digest } when Core.Segment.contains_sn t.seg sn ->
             let s = slot t sn in
             if Votes.add s.commits ~view ~node:src digest then try_announce t s
         | Msg.View_change vc -> handle_view_change t ~src vc
@@ -374,8 +377,9 @@ module Orderer = struct
                 t.ctx.Core.Orderer_intf.send ~dst:src
                   (pbft ~instance (Msg.Fill { sn; view; proposal })))
         | Msg.Fill { sn; view; proposal } ->
-            let s = slot t sn in
-            if Rt.fill_confirms t.rt ~src ~sn proposal then force_commit t s ~view proposal)
+            if Rt.fill_confirms t.rt ~src ~sn proposal then
+              force_commit t (slot t sn) ~view proposal
+        | Msg.Prepare _ | Msg.Commit _ -> ())
     | _ -> ()
 
   let stop t = Rt.stop t.rt

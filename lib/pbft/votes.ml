@@ -1,26 +1,28 @@
 module Hash = Iss_crypto.Hash
 
-(* The lookups below recurse over the lists directly instead of returning
-   options: a vote handler runs O(n) times per slot, and an option per
-   lookup is measurable allocation at n=64. *)
+(* No vote, lookup or record below allocates an option: a vote handler runs
+   O(n) times per slot, and an option per vote is measurable allocation at
+   n=64.  The lists are walked directly, and [by_node] marks "no vote yet"
+   with [no_vote], a digest no peer can send (compared physically). *)
 
 type count = { digest : Hash.t; mutable votes : int }
 
 type view_tally = {
   view : int;
-  by_node : Hash.t option array;  (* node -> digest it voted for *)
+  by_node : Hash.t array;  (* node -> digest it voted for, or [no_vote] *)
   mutable counts : count list;  (* one entry per distinct digest *)
 }
 
 type t = { n : int; mutable views : view_tally list }
 
+let no_vote = Hash.of_raw (String.make Hash.size '\000')
 let create ~n = { n; views = [] }
 
 let rec view_tally t view = function
   | v :: _ when v.view = view -> v
   | _ :: rest -> view_tally t view rest
   | [] ->
-      let v = { view; by_node = Array.make t.n None; counts = [] } in
+      let v = { view; by_node = Array.make t.n no_vote; counts = [] } in
       t.views <- v :: t.views;
       v
 
@@ -36,19 +38,16 @@ let bump v digest delta =
     v.counts <- { digest; votes = delta } :: v.counts
 
 let record v ~node digest =
-  (match v.by_node.(node) with Some old -> bump v old (-1) | None -> ());
-  v.by_node.(node) <- Some digest;
+  let old = v.by_node.(node) in
+  if old != no_vote then bump v old (-1);
+  v.by_node.(node) <- digest;
   bump v digest 1
 
 let add t ~view ~node digest =
   node >= 0 && node < t.n
   &&
   let v = view_tally t view t.views in
-  match v.by_node.(node) with
-  | Some _ -> false
-  | None ->
-      record v ~node digest;
-      true
+  v.by_node.(node) == no_vote && (record v ~node digest; true)
 
 let set t ~view ~node digest =
   if node >= 0 && node < t.n then record (view_tally t view t.views) ~node digest

@@ -130,11 +130,10 @@ type t = {
   far : Eheap.h; (* overflow: beyond the level-1 window at insert time *)
   mutable live : int;
   mutable tombs : int; (* cancelled but still stored *)
-  mutable free : event; (* freelist of fired anonymous records *)
-  mutable free_n : int;
+  mutable free : event;
+      (* freelist of fired anonymous records: uncapped, it grows once to the
+         peak number of anonymous events in flight and then recycles *)
 }
-
-let max_free = 4096
 
 let create () =
   {
@@ -154,7 +153,6 @@ let create () =
     live = 0;
     tombs = 0;
     free = nil;
-    free_n = 0;
   }
 
 let live t = t.live
@@ -241,7 +239,6 @@ let alloc t ~time ~flags action =
   if t.free != nil then begin
     let ev = t.free in
     t.free <- ev.next;
-    t.free_n <- t.free_n - 1;
     ev.time <- time;
     ev.seq <- seq;
     ev.flags <- flags;
@@ -264,10 +261,9 @@ let add_anon t ~time action =
 
 let release t ev =
   ev.action <- noop;
-  if ev.flags land flag_anon <> 0 && t.free_n < max_free then begin
+  if ev.flags land flag_anon <> 0 then begin
     ev.next <- t.free;
-    t.free <- ev;
-    t.free_n <- t.free_n + 1
+    t.free <- ev
   end
 
 (* A tombstone encountered on a move/pop path: drop it for good. *)

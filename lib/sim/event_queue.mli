@@ -49,7 +49,9 @@ val add : t -> time:int -> (unit -> unit) -> event
 val add_anon : t -> time:int -> (unit -> unit) -> unit
 (** Fire-and-forget insert: no handle escapes, so the event record is
     recycled through an internal freelist after it fires ({!release}) —
-    the allocation-free path for the network's per-message events. *)
+    the allocation-free path for the network's per-message events.  The
+    freelist is uncapped: it grows to the peak number of anonymous events
+    in flight, after which inserts allocate nothing. *)
 
 val cancel : t -> event -> unit
 (** Lazily cancel.  No-op on already-fired or already-cancelled events. *)

@@ -24,9 +24,11 @@ type 'a endpoint = {
 (* A message in flight, flattened into one mutable record instead of two
    nested closures.  The same record (and its single [k] closure) carries the
    message through both hops — arrival at the receiver NIC, then delivery —
-   and is recycled through a freelist afterwards, so the steady-state send
-   path allocates nothing: the engine events are anonymous ([Engine.post_at],
-   recycled too) and the envelope is reused. *)
+   and is recycled through an uncapped freelist afterwards.  The freelist
+   grows once to the peak number of messages in flight and then serves
+   every send, so the steady-state send path allocates nothing: the engine
+   events are anonymous ([Engine.post_at], recycled the same way) and the
+   envelope is reused. *)
 type 'a envelope = {
   mutable dst_ep : 'a endpoint;
   mutable env_src : int;
@@ -43,7 +45,7 @@ type 'a t = {
   engine : Engine.t;
   config : config;
   rng : Rng.t;
-  endpoints : (int, 'a endpoint) Hashtbl.t;
+  mutable endpoints : 'a endpoint array;  (* by id; unused ids hold [env_nil.dst_ep] *)
   mutable partition : (int -> int) option;
   mutable drop_prob : float;
   mutable link_latency : (int -> int -> Time_ns.span) option;
@@ -51,7 +53,6 @@ type 'a t = {
   mutable total_bytes : int;
   env_nil : 'a envelope;  (* freelist sentinel, never a real message *)
   mutable env_free : 'a envelope;
-  mutable env_free_n : int;
   (* One-entry serialization-time memo: protocol traffic is dominated by a
      handful of repeated sizes (batches, votes), and multicast repeats the
      same size n-1 times back to back, so this removes nearly every
@@ -60,7 +61,6 @@ type 'a t = {
   mutable tt_span : Time_ns.span;
 }
 
-let max_free_envelopes = 4096
 let noop_handler ~src:_ ~size:_ _ = ()
 let noop () = ()
 
@@ -98,7 +98,7 @@ let create ?(config = default_config) engine ~rng () =
     engine;
     config;
     rng;
-    endpoints = Hashtbl.create 64;
+    endpoints = [||];
     partition = None;
     drop_prob = 0.0;
     link_latency = None;
@@ -106,14 +106,21 @@ let create ?(config = default_config) engine ~rng () =
     total_bytes = 0;
     env_nil;
     env_free = env_nil;
-    env_free_n = 0;
     tt_bytes = -1;
     tt_span = 0;
   }
 
+let registered t id =
+  id >= 0 && id < Array.length t.endpoints && t.endpoints.(id) != t.env_nil.dst_ep
+
 let add_endpoint t ~id ~category ~datacenter ~handler =
-  if Hashtbl.mem t.endpoints id then invalid_arg "Network.add_endpoint: duplicate id";
-  Hashtbl.replace t.endpoints id
+  if id < 0 || registered t id then invalid_arg "Network.add_endpoint: bad or duplicate id";
+  let len = Array.length t.endpoints in
+  if id >= len then
+    t.endpoints <-
+      Array.init (max (id + 1) (2 * len)) (fun i ->
+          if i < len then t.endpoints.(i) else t.env_nil.dst_ep);
+  t.endpoints.(id) <-
     {
       category;
       datacenter;
@@ -124,9 +131,8 @@ let add_endpoint t ~id ~category ~datacenter ~handler =
     }
 
 let endpoint t id =
-  match Hashtbl.find_opt t.endpoints id with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Network: unknown endpoint %d" id)
+  if registered t id then t.endpoints.(id)
+  else invalid_arg (Printf.sprintf "Network: unknown endpoint %d" id)
 
 (* Which NIC a node uses depends on who it talks to: private (0) for other
    nodes, public (1) for clients.  Clients have a single NIC. *)
@@ -151,14 +157,11 @@ let partitioned t src dst =
   | Some group -> group src <> group dst
 
 let release_env t env =
-  if t.env_free_n < max_free_envelopes then begin
-    (* Drop the payload so a parked envelope doesn't pin a delivered
-       message's data until its next reuse. *)
-    env.payload <- Obj.magic 0;
-    env.env_next <- t.env_free;
-    t.env_free <- env;
-    t.env_free_n <- t.env_free_n + 1
-  end
+  (* Drop the payload so a parked envelope doesn't pin a delivered
+     message's data until its next reuse. *)
+  env.payload <- Obj.magic 0;
+  env.env_next <- t.env_free;
+  t.env_free <- env
 
 (* Both hops of a message, driven by the envelope's own [k] closure.
    Hop 1 (arrival): receiver-side NIC serialization — re-check crash state,
@@ -185,7 +188,6 @@ let alloc_env t ~dst_ep ~src ~size ~payload ~serialize ~rx_nic =
   let env = t.env_free in
   if env != t.env_nil then begin
     t.env_free <- env.env_next;
-    t.env_free_n <- t.env_free_n - 1;
     env.env_next <- t.env_nil;
     env.dst_ep <- dst_ep;
     env.env_src <- src;

@@ -49,7 +49,9 @@ val add_endpoint :
   handler:(src:int -> size:int -> 'a -> unit) ->
   unit
 (** Registers endpoint [id].  [datacenter] indexes {!Topology.datacenters}.
-    The handler is invoked at delivery time. *)
+    The handler is invoked at delivery time.  Endpoints live in an array
+    indexed by id, so ids should be small; a negative or duplicate id
+    raises [Invalid_argument]. *)
 
 val send : 'a t -> src:int -> dst:int -> size:int -> 'a -> unit
 (** [size] is the application payload size in bytes; framing overhead is

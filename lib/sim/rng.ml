@@ -1,5 +1,7 @@
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   field would box a fresh [Int64] on every draw. *)
 type t = {
-  mutable state : int64;
+  state : Bytes.t;
   mutable zipf_cache : zipf_table option;
 }
 
@@ -7,20 +9,22 @@ and zipf_table = { zn : int; zs : float; cdf : float array }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed; zipf_cache = None }
+let create ~seed =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 seed;
+  { state; zipf_cache = None }
 
 (* SplitMix64 core: add the golden gamma, then mix with two xor-shift-multiply
-   rounds (constants from the reference implementation). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+   rounds (constants from the reference implementation).  Inlined so that
+   [int], [float] and [bool] keep the whole computation unboxed. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed; zipf_cache = None }
+let split t = create ~seed:(next_int64 t)
 
 let int t bound =
   assert (bound > 0);
@@ -29,7 +33,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) land max_int in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled to [0,1), as in the standard doubles recipe. *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound

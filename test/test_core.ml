@@ -764,6 +764,80 @@ let prop_watermarks_overflow_no_false_positive =
             [ 0; 1; 2 ])
         ops)
 
+(* The tracker against a reference set: deliveries far outside any
+   acceptance window (up to 100 windows ahead of the floor) grow the ring
+   instead of losing information, so [delivered] and [floor] are exact. *)
+let prop_watermarks_exact =
+  let window = 8 in
+  QCheck.Test.make ~name:"delivered and floor match a reference set" ~count:200
+    QCheck.(list_of_size Gen.(1 -- 80) (pair (int_bound 2) (int_bound (100 * window))))
+    (fun ops ->
+      let w = Core.Watermarks.create ~window in
+      let noted = Hashtbl.create 64 in
+      List.for_all
+        (fun (client, ts) ->
+          Core.Watermarks.note_delivered w { Proto.Request.client; ts };
+          Hashtbl.replace noted (client, ts) ();
+          let floor = ref 0 in
+          while Hashtbl.mem noted (client, !floor) do
+            incr floor
+          done;
+          Core.Watermarks.floor w client = !floor
+          && List.for_all
+               (fun ts ->
+                 Core.Watermarks.delivered w { Proto.Request.client; ts }
+                 = Hashtbl.mem noted (client, ts))
+               (List.init ((101 * window) + 1) Fun.id))
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guards: per-request and per-vote paths allocate nothing once
+   their state exists. *)
+
+(* Words the minor heap grew by per call of [f], over [n] calls; the
+   probe's own boxed floats stay far below 0.01 words per call. *)
+let words_per_call ~n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_no_alloc what words =
+  if words >= 0.01 then Alcotest.failf "%s allocates %.2f words per call" what words
+
+let test_watermarks_allocate_nothing () =
+  let w = Core.Watermarks.create ~window:512 in
+  let id ts = { Proto.Request.client = 7; ts } in
+  let ids = Array.init 10_001 id in
+  Core.Watermarks.note_delivered w ids.(0);
+  check_no_alloc "Watermarks.status"
+    (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.status w ids.(i))));
+  (* Pairwise swapped (2, 1, 4, 3, ...): out of order, yet inside the ring. *)
+  check_no_alloc "Watermarks.note_delivered"
+    (words_per_call ~n:10_000 (fun i ->
+         Core.Watermarks.note_delivered w ids.(if i land 1 = 1 then i + 1 else i - 1)));
+  check_int "floor" 10_001 (Core.Watermarks.floor w 7)
+
+let test_votes_add_allocates_nothing () =
+  let n = 64 in
+  let digest = Iss_crypto.Hash.of_int 1 in
+  let tallies =
+    Array.init 200 (fun _ ->
+        let v = Pbft.Votes.create ~n in
+        ignore (Pbft.Votes.add v ~view:0 ~node:0 digest);
+        v)
+  in
+  let words =
+    words_per_call ~n:200 (fun i ->
+        for node = 1 to n - 1 do
+          ignore (Pbft.Votes.add tallies.(i - 1) ~view:0 ~node digest)
+        done)
+    /. float_of_int (n - 1)
+  in
+  check_no_alloc "Votes.add" words;
+  check_int "every vote counted" n (Pbft.Votes.count tallies.(0) ~view:0 digest)
+
 (* ------------------------------------------------------------------ *)
 (* Proposal validation (§4.2 principle 3)
 
@@ -1040,6 +1114,12 @@ let () =
           qc prop_watermarks_permutation;
           qc prop_watermarks_overflow_no_duplicate;
           qc prop_watermarks_overflow_no_false_positive;
+          qc prop_watermarks_exact;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "watermark lookups" `Quick test_watermarks_allocate_nothing;
+          Alcotest.test_case "PBFT vote" `Quick test_votes_add_allocates_nothing;
         ] );
       ("checkpoints", [ Alcotest.test_case "quorum certificate" `Quick test_checkpoint_quorum ]);
       ( "validation",

@@ -353,6 +353,44 @@ let test_runtime_timer () =
   Sim.Engine.run ~until:(Sim.Time_ns.sec 2) w.engine;
   check_int "nothing fires after stop" 1 (List.length !fired)
 
+(* A peer naming sequence numbers outside the segment gets no vote state
+   allocated for them: PREPARE, COMMIT and FILL for such sns are dropped
+   before any slot exists, so a faulty node cannot grow the instance. *)
+let test_pbft_ignores_out_of_segment_sns () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let seg = segment4 ~leader:0 in
+  let w =
+    make_world ~n:4 ~config ~segment:seg ~factory:Pbft.Pbft_orderer.factory
+      ~batch_source:batch_for
+  in
+  let inst = Option.get w.instances.(1) in
+  Core.Orderer_intf.start inst;
+  let count = 10_000 in
+  let digest = Iss_crypto.Hash.of_int 7 in
+  let sn i = 1_000_000 + i in
+  check_bool "sns lie outside the segment" false (Core.Segment.contains_sn seg (sn 0));
+  let words_per_msg body =
+    let msgs =
+      Array.init count (fun i ->
+          Proto.Message.Pbft
+            { Proto.Pbft_msg.instance = seg.Core.Segment.instance; body = body (sn i) })
+    in
+    let before = Gc.minor_words () in
+    Array.iter (fun msg -> Core.Orderer_intf.on_message inst ~src:2 msg) msgs;
+    (Gc.minor_words () -. before) /. float_of_int count
+  in
+  List.iter
+    (fun (what, body) ->
+      let words = words_per_msg body in
+      if words >= 1.0 then
+        Alcotest.failf "%s allocates %.1f words per out-of-segment sn" what words)
+    [
+      ("PREPARE", fun sn -> Proto.Pbft_msg.Prepare { view = 0; sn; digest });
+      ("COMMIT", fun sn -> Proto.Pbft_msg.Commit { view = 0; sn; digest });
+      ("FILL", fun sn -> Proto.Pbft_msg.Fill { sn; view = 0; proposal = batch_for sn });
+    ];
+  check_int "nothing announced" 0 (List.length (announced_at w 1))
+
 (* [Pbft.Votes] against the table it replaced: a [(view, node) -> digest]
    map where a peer's first vote per view sticks ([add]) and a replica's own
    vote may be overwritten ([set]), with quorum counts taken by a full
@@ -426,6 +464,8 @@ let () =
       ( "pbft",
         [
           Alcotest.test_case "no commit without quorum" `Quick test_pbft_commit_quorum_needed;
+          Alcotest.test_case "out-of-segment sns allocate nothing" `Quick
+            test_pbft_ignores_out_of_segment_sns;
           QCheck_alcotest.to_alcotest prop_pbft_votes_match_recount;
         ] );
       ( "raft",

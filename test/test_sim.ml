@@ -3,6 +3,19 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Words the minor heap grew by per call of [f], over [n] calls.  The
+   probe's own boxed floats add a few words in total, far below one word
+   per call, so a zero-allocation guard checks for less than 0.01. *)
+let words_per_call ~n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_no_alloc what words =
+  if words >= 0.01 then Alcotest.failf "%s allocates %.2f words per call" what words
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -26,6 +39,53 @@ let test_rng_bounds () =
     let f = Sim.Rng.float rng 2.5 in
     check_bool "float in range" true (f >= 0.0 && f < 2.5)
   done
+
+(* The SplitMix64 stream for seed 42, pinned: a change to how the state is
+   stored must not change a single draw (every fingerprint depends on it). *)
+let test_rng_golden () =
+  let first8 f =
+    let rng = Sim.Rng.create ~seed:42L in
+    List.init 8 (fun _ -> f rng)
+  in
+  Alcotest.(check (list int64))
+    "next_int64"
+    [
+      -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+      4028864712777624925L; -3677692746721775708L;
+    ]
+    (first8 Sim.Rng.next_int64);
+  Alcotest.(check (list int))
+    "int 1000" [ 853; 72; 964; 941; 812; 265; 231; 977 ]
+    (first8 (fun rng -> Sim.Rng.int rng 1000));
+  Alcotest.(check (list (float 0.0)))
+    "float 1.0"
+    [
+      0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+      0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+      0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1;
+    ]
+    (first8 (fun rng -> Sim.Rng.float rng 1.0));
+  Alcotest.(check (list bool))
+    "bool" [ true; true; false; false; false; false; true; false ] (first8 Sim.Rng.bool);
+  let child = Sim.Rng.split (Sim.Rng.create ~seed:42L) in
+  Alcotest.(check (list int64))
+    "split child"
+    [
+      6332618229526065668L; -816328817471504299L; 8971565426155258802L;
+      1242533817266198696L; -5959852680200513735L; 1245346008178237623L;
+      3603600226484403572L; -4893543810735773810L;
+    ]
+    (List.init 8 (fun _ -> Sim.Rng.next_int64 child))
+
+(* A draw allocates nothing; [float] only boxes the float it returns, since
+   an unboxed result needs cross-module inlining. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Sim.Rng.create ~seed:3L in
+  check_no_alloc "Rng.int" (words_per_call ~n:10_000 (fun () -> ignore (Sim.Rng.int rng 1000)));
+  check_no_alloc "Rng.bool" (words_per_call ~n:10_000 (fun () -> ignore (Sim.Rng.bool rng)));
+  let words = words_per_call ~n:10_000 (fun () -> ignore (Sim.Rng.float rng 1.0)) in
+  if words >= 2.01 then Alcotest.failf "Rng.float allocates %.2f words per call" words
 
 let test_rng_exponential_mean () =
   let rng = Sim.Rng.create ~seed:6L in
@@ -239,6 +299,20 @@ let test_engine_cancel_releases_closure () =
   Sim.Engine.cancel e id;
   Gc.full_major ();
   check_bool "cancelled closure collected" false (Weak.check w 0)
+
+(* The freelist has no cap: once it has grown to the peak in-flight set, a
+   second wave of that size reuses every record. *)
+let test_engine_warm_post_allocates_nothing () =
+  let e = Sim.Engine.create () in
+  let noop () = () in
+  let wave () =
+    for i = 1 to 10_000 do
+      Sim.Engine.post_at e ~at:(Sim.Engine.now e + i) noop
+    done;
+    Sim.Engine.run e
+  in
+  wave ();
+  check_no_alloc "warm Engine.post_at" (words_per_call ~n:1 wave /. 10_000.)
 
 let test_engine_post_recycles () =
   (* Fire-and-forget events run through the record freelist; a long chain
@@ -466,6 +540,28 @@ let test_network_drop_probability () =
   Sim.Engine.run e;
   check_bool "about half dropped" true (!got > 350 && !got < 650)
 
+(* A warm send, from [send] through delivery, allocates nothing: envelopes
+   and events come from freelists that grew to the 10,000 in flight, the
+   endpoints are an array and the jitter draw is unboxed. *)
+let test_network_warm_send_allocates_nothing () =
+  let e = Sim.Engine.create () in
+  let net = Sim.Network.create e ~rng:(Sim.Rng.create ~seed:1L) () in
+  let got = ref 0 in
+  Sim.Network.add_endpoint net ~id:0 ~category:Sim.Network.Node ~datacenter:0
+    ~handler:(fun ~src:_ ~size:_ _ -> ());
+  Sim.Network.add_endpoint net ~id:1 ~category:Sim.Network.Node ~datacenter:3
+    ~handler:(fun ~src:_ ~size:_ () -> incr got);
+  let wave () =
+    for _ = 1 to 10_000 do
+      Sim.Network.send net ~src:0 ~dst:1 ~size:100 ()
+    done;
+    Sim.Engine.run e
+  in
+  wave ();
+  let words = words_per_call ~n:1 wave /. 10_000. in
+  check_int "both waves delivered" 20_000 !got;
+  check_no_alloc "warm Network.send" words
+
 let test_network_charge () =
   let e, net = make_net () in
   Sim.Network.add_endpoint net ~id:0 ~category:Sim.Network.Node ~datacenter:0
@@ -495,6 +591,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "event queue",
         [
@@ -515,6 +613,8 @@ let () =
           Alcotest.test_case "cancel releases closure" `Quick
             test_engine_cancel_releases_closure;
           Alcotest.test_case "post recycles records" `Quick test_engine_post_recycles;
+          Alcotest.test_case "warm post allocates nothing" `Quick
+            test_engine_warm_post_allocates_nothing;
           qc prop_engine_matches_model;
         ] );
       ( "metrics",
@@ -535,5 +635,7 @@ let () =
           Alcotest.test_case "crash and partition" `Quick test_network_crash_and_partition;
           Alcotest.test_case "drop probability" `Quick test_network_drop_probability;
           Alcotest.test_case "charge" `Quick test_network_charge;
+          Alcotest.test_case "warm send allocates nothing" `Quick
+            test_network_warm_send_allocates_nothing;
         ] );
     ]
