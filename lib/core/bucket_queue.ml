@@ -10,14 +10,18 @@
    unlinks it, or until a commit clears [queued] in place, drops the entry
    from the index and leaves [trim] to skip the dead slot.  So an indexed
    entry that is not queued is linked nowhere, and a re-entry re-links that
-   same entry. *)
+   same entry.
+
+   Memory follows use: a bucket holds the shared empty ring until its first
+   add, and the index starts small, since a node indexes only the requests
+   sent to it. *)
 
 module Key_tbl = Proto.Request.Key_tbl
 
 type entry = { mutable req : Proto.Request.t; seq : int; mutable queued : bool }
 
 type fifo = {
-  mutable ring : entry array;  (* capacity a power of two *)
+  mutable ring : entry array;  (* [empty_ring] or a power-of-two capacity *)
   mutable head : int;  (* logical index of the oldest slot *)
   mutable tail : int;  (* logical index one past the newest *)
   mutable behind : entry list;  (* re-entries, sorted ascending by seq *)
@@ -37,13 +41,14 @@ type t = {
   mutable max_occupancy : int;
 }
 
-let initial_capacity = 64
+let initial_capacity = 8
 
 (* Fills empty ring slots; never queued, never indexed. *)
 let dummy =
   { req = Proto.Request.make ~client:(-1) ~ts:0 ~submitted_at:0 (); seq = -1; queued = false }
 
-let create_ring () = Array.make initial_capacity dummy
+(* Every bucket's ring until its first add; never written. *)
+let empty_ring = [||]
 
 let create ~num_buckets =
   {
@@ -51,14 +56,14 @@ let create ~num_buckets =
     fifos =
       Array.init num_buckets (fun _ ->
           {
-            ring = create_ring ();
+            ring = empty_ring;
             head = 0;
             tail = 0;
             behind = [];
             count = 0;
             last_seq = min_int;
           });
-    index = Key_tbl.create 65536;
+    index = Key_tbl.create 64;
     next_seq = 0;
     pending = 0;
     total_added = 0;
@@ -83,9 +88,10 @@ let slot f logical = f.ring.(logical land (Array.length f.ring - 1))
 let grow f =
   let cap = Array.length f.ring in
   if f.tail - f.head = cap then begin
-    let ring = Array.make (2 * cap) dummy in
+    let cap' = if cap = 0 then initial_capacity else 2 * cap in
+    let ring = Array.make cap' dummy in
     for i = f.head to f.tail - 1 do
-      ring.(i land ((2 * cap) - 1)) <- slot f i
+      ring.(i land (cap' - 1)) <- slot f i
     done;
     f.ring <- ring
   end
@@ -199,7 +205,7 @@ let commit t id =
 let clear t =
   Array.iter
     (fun f ->
-      f.ring <- create_ring ();
+      f.ring <- empty_ring;
       f.head <- 0;
       f.tail <- 0;
       f.behind <- [];

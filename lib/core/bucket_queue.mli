@@ -29,7 +29,11 @@
     flag; the dead slot is skipped when it reaches the front.  Every
     operation is O(1) amortized except a re-entry, which is linear in the
     bucket's re-entry list, and a cut, which compares the fronts of the
-    listed buckets for each request it takes. *)
+    listed buckets for each request it takes.
+
+    Memory follows use: a bucket gets its ring on its first add (and
+    {!clear} takes it back), and the index starts small and grows with the
+    requests the node holds. *)
 
 type t
 

@@ -1,6 +1,5 @@
 module Time_ns = Sim.Time_ns
 module Engine = Sim.Engine
-module Key_tbl = Proto.Request.Key_tbl
 
 type orderer_factory = Orderer_intf.ctx -> Segment.t -> Orderer_intf.instance
 
@@ -46,9 +45,8 @@ type t = {
   threshold_group : Iss_crypto.Threshold.group;
   log : Log.t;
   queues : Bucket_queue.t;
-  seen_proposed : int Key_tbl.t;  (* id key -> sn accepted this epoch, until committed *)
   proposed : (int, Proto.Batch.t) Hashtbl.t;  (* sn -> batch I proposed *)
-  watermarks : Watermarks.t;
+  watermarks : Watermarks.t;  (* windows, deliveries and this epoch's proposals *)
   policy : Leader_policy.t;
   mutable epoch : epoch_state;
   orderers : (int, Orderer_intf.instance) Hashtbl.t;  (* instance id -> *)
@@ -264,16 +262,16 @@ let rec submit t (r : Proto.Request.t) =
            could starve when every original reply was lost in transit. *)
         match t.hooks.on_duplicate with Some f -> f t r | None -> ())
     | Watermarks.Outside_window -> ()
+    | Watermarks.Proposed ->
+        (* Already accepted into an in-flight proposal this epoch: a
+           retransmission re-entering the queues while the original sits in
+           an undecided batch would make this node cut it into a second
+           batch, which honest followers must then reject wholesale. *)
+        ()
     | Watermarks.Fresh ->
-        (* Also refuse copies of requests already accepted into an in-flight
-           proposal this epoch (seen_proposed): a retransmission re-entering
-           the queues while the original sits in an undecided batch would
-           make this node cut it into a second batch, which honest followers
-           must then reject wholesale. *)
         let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
         if
-          (not (Key_tbl.mem t.seen_proposed (Proto.Request.id_key r.id)))
-          && ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
+          ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
           && admit_request t ~bucket r
           && Bucket_queue.add t.queues r
         then begin
@@ -344,7 +342,7 @@ and try_cut t (b : batcher) =
       b.last_cut <- now;
       Hashtbl.replace t.proposed sn batch;
       Proto.Batch.iter
-        (fun r -> Key_tbl.replace t.seen_proposed (Proto.Request.id_key r.Proto.Request.id) sn)
+        (fun r -> Watermarks.note_proposed t.watermarks r.Proto.Request.id ~sn)
         batch;
       disarm b;
       callback (Proto.Proposal.Batch batch);
@@ -416,10 +414,10 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
           else if
             (* not proposed at another sn this epoch; inside the client's
                watermark window and (b) not committed in an earlier epoch *)
-            (match Key_tbl.find t.seen_proposed (Proto.Request.id_key r.id) with
-            | sn' -> sn' <> sn
-            | exception Not_found -> false)
-            || Watermarks.status t.watermarks r.id <> Watermarks.Fresh
+            match Watermarks.status t.watermarks r.id with
+            | Watermarks.Fresh -> false
+            | Watermarks.Proposed -> Watermarks.proposed_at t.watermarks r.id <> sn
+            | Watermarks.Delivered | Watermarks.Outside_window -> true
           then Orderer_intf.Reject
           else check (i + 1)
         end
@@ -428,8 +426,7 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
       let verdict = check 0 in
       if verdict = Orderer_intf.Accept then
         Array.iter
-          (fun (r : Proto.Request.t) ->
-            Key_tbl.replace t.seen_proposed (Proto.Request.id_key r.id) sn)
+          (fun (r : Proto.Request.t) -> Watermarks.note_proposed t.watermarks r.id ~sn)
           reqs;
       verdict
 
@@ -464,10 +461,9 @@ let rec process_commit t ~sn proposal ~resurrectable =
     | Proto.Proposal.Batch batch ->
         Proto.Batch.iter
           (fun (r : Proto.Request.t) ->
-            (* From here on the watermarks refuse the request, so
-               seen_proposed and the queues need only hold undecided ones. *)
+            (* From here on the watermarks refuse the request and forget
+               its proposal, so the queues need only hold undecided ones. *)
             Watermarks.note_delivered t.watermarks r.id;
-            Key_tbl.remove t.seen_proposed (Proto.Request.id_key r.id);
             Bucket_queue.commit t.queues r.id)
           batch
     | Proto.Proposal.Nil -> (
@@ -599,7 +595,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
         ~epoch ~leaders
     in
     Hashtbl.replace t.epoch_bounds epoch (start_sn, len);
-    Key_tbl.reset t.seen_proposed;
+    Watermarks.clear_proposals t.watermarks;
     (* Some positions may already be committed (state transfer outran the
        epoch machinery); count only the genuinely open ones. *)
     let remaining = ref 0 in
@@ -950,7 +946,7 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
     Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
     Hashtbl.reset t.orderers;
     Hashtbl.reset t.proposed;
-    Key_tbl.reset t.seen_proposed;
+    Watermarks.clear_proposals t.watermarks;
     Bucket_queue.clear t.queues;
     Hashtbl.filter_map_inplace
       (fun e cp -> if e <= cert.cc_epoch then None else Some cp)
@@ -1031,7 +1027,6 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(min n ((2 * f) + 1));
       log = Log.create ();
       queues = Bucket_queue.create ~num_buckets;
-      seen_proposed = Key_tbl.create 65536;
       proposed = Hashtbl.create 64;
       watermarks = Watermarks.create ~window:config.Config.client_watermark_window;
       policy = Leader_policy.create config;

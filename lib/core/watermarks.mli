@@ -1,4 +1,5 @@
-(** Per-client request watermark windows (paper §3.7).
+(** Per-client request watermark windows (paper §3.7), and the requests
+    proposed this epoch (§4.2).
 
     Clients may have at most [window] requests in flight: request timestamps
     must fall inside [\[floor, floor + window)], where [floor] is the length
@@ -10,10 +11,19 @@
     deliveries arrive, which admits a superset of the paper's valid requests
     and is equally safe (duplicates are filtered by delivery tracking).
 
-    Per client the tracker keeps the floor and a bitmap over the timestamps
-    above it.  The bitmap starts at 64 bits and doubles whenever a delivery
-    lands beyond it, so delivery tracking is exact and its memory follows
-    how far out of order the client's deliveries actually run. *)
+    A node must also not propose or accept a request twice in one epoch
+    (§4.2): {!note_proposed} records the sn a fresh request was proposed at,
+    until it is delivered or {!clear_proposals} starts a new epoch.  That is
+    keyed by the same (client, timestamp) identity as the window, so it
+    lives in the same per-client record.
+
+    Per client the tracker keeps the floor, a bitmap over the timestamps
+    above it and a ring of proposal sns over the same range.  The bitmap
+    starts at 64 bits and doubles whenever a delivery lands beyond it, so
+    delivery tracking is exact and its memory follows how far out of order
+    the client's deliveries actually run.  The proposal ring starts empty
+    and doubles on demand up to the window.  Reads never add a client:
+    one without a record reads as floor 0, nothing delivered or proposed. *)
 
 type t
 
@@ -31,13 +41,32 @@ val delivered : t -> Proto.Request.id -> bool
     instead of one entry per request ever committed. *)
 
 type status =
-  | Fresh  (** [floor <= ts < floor + window] and not delivered *)
+  | Fresh
+      (** [floor <= ts < floor + window], not delivered, and not noted by
+          {!note_proposed} this epoch *)
+  | Proposed  (** like [Fresh], but noted by {!note_proposed} this epoch *)
   | Delivered  (** what {!delivered} answers [true] for *)
   | Outside_window  (** not delivered, and at or beyond [floor + window] *)
 
 val status : t -> Proto.Request.id -> status
-(** The window check and {!delivered} in one client lookup: the per-request
-    intake and validation check.  Only [Fresh] requests are acceptable. *)
+(** The window, proposal and delivery checks in one client lookup: the
+    per-request intake and validation check.  Intake accepts only [Fresh]
+    requests. *)
+
+val no_proposal : int
+(** What {!proposed_at} answers for a request without a noted sn: [-1]. *)
+
+val note_proposed : t -> Proto.Request.id -> sn:int -> unit
+(** Record that the request was cut or accepted into the proposal at [sn]
+    this epoch, replacing any earlier sn.  Ignored unless {!status} is
+    [Fresh] or [Proposed]. *)
+
+val proposed_at : t -> Proto.Request.id -> int
+(** The sn last noted for the request since {!clear_proposals}, or
+    {!no_proposal} if none was or the request is delivered. *)
+
+val clear_proposals : t -> unit
+(** Forget every noted proposal (a new epoch, or a checkpoint jump). *)
 
 val floor : t -> Proto.Ids.client_id -> int
 val window : t -> int

@@ -276,6 +276,24 @@ let prop_bq_model =
       && Bq.total_added q = !added
       && Bq.max_occupancy q = !high)
 
+(* A bucket gets its ring on its first add: with none, each bucket costs
+   its 7-word record and its slot in the bucket array, and the smallest ring
+   would add 2 more words.  [clear] hands every ring back. *)
+let test_bq_no_ring_until_add () =
+  let num_buckets = 2048 in
+  let q = Bq.create ~num_buckets in
+  let words () = Obj.reachable_words (Obj.repr q) in
+  let bound = 9 * num_buckets in
+  if words () >= bound then
+    Alcotest.failf "empty queue holds %d words, per-bucket rings from %d" (words ()) bound;
+  for ts = 0 to (4 * num_buckets) - 1 do
+    ignore (Bq.add q (req ~client:1 ~ts))
+  done;
+  check_bool "adds give buckets rings" true (words () >= bound);
+  Bq.clear q;
+  if words () >= bound then
+    Alcotest.failf "cleared queue holds %d words, per-bucket rings from %d" (words ()) bound
+
 (* ------------------------------------------------------------------ *)
 (* Bucket assignment *)
 
@@ -790,6 +808,95 @@ let prop_watermarks_exact =
                (List.init ((101 * window) + 1) Fun.id))
         ops)
 
+(* Reads never add a client: an unknown one reads as floor 0 with nothing
+   delivered or proposed, and a thousand of them leave the table as it was. *)
+let test_watermarks_reads_do_not_insert () =
+  let w = Core.Watermarks.create ~window:8 in
+  let id client ts = { Proto.Request.client; ts } in
+  let words () = Obj.reachable_words (Obj.repr w) in
+  let empty = words () in
+  for client = 0 to 999 do
+    check_int "unknown floor" 0 (Core.Watermarks.floor w client);
+    check_bool "unknown fresh" true
+      (Core.Watermarks.status w (id client 7) = Core.Watermarks.Fresh);
+    check_bool "unknown past window" true
+      (Core.Watermarks.status w (id client 8) = Core.Watermarks.Outside_window);
+    check_bool "unknown undelivered" false (Core.Watermarks.delivered w (id client 0));
+    check_int "unknown unproposed" Core.Watermarks.no_proposal
+      (Core.Watermarks.proposed_at w (id client 0))
+  done;
+  check_int "table unchanged by reads" empty (words ());
+  Core.Watermarks.note_proposed w (id 5 3) ~sn:11;
+  check_bool "a proposal adds its client" true (words () > empty);
+  check_int "noted sn" 11 (Core.Watermarks.proposed_at w (id 5 3));
+  check_bool "noted reads as proposed" true
+    (Core.Watermarks.status w (id 5 3) = Core.Watermarks.Proposed)
+
+(* The per-client proposal record against a reference table of id -> sn
+   with [Node]'s old semantics: a fresh request's sn is noted, delivery
+   removes it, an epoch change clears all.  Operations name a timestamp by
+   its offset from the client's floor: proposals land up to the window
+   above it (and a little outside), deliveries near it, so floors advance
+   past noted slots and rings grow (from 2 slots) while holding entries. *)
+let prop_watermarks_proposals_exact =
+  let window = 32 and clients = [ 0; 1; 2 ] in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 6,
+            map3
+              (fun c d sn -> `Propose (c, d, sn))
+              (int_bound 2) (int_range (-2) (window + 2)) (int_bound 50) );
+          (5, map2 (fun c d -> `Deliver (c, d)) (int_bound 2) (int_bound 6));
+          (1, return `Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"proposals match a reference table" ~count:300
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 150) op_gen))
+    (fun ops ->
+      let w = Core.Watermarks.create ~window in
+      let delivered = Hashtbl.create 64 and proposed = Hashtbl.create 64 in
+      let floor c =
+        let f = ref 0 in
+        while Hashtbl.mem delivered (c, !f) do
+          incr f
+        done;
+        !f
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Propose (c, d, sn) ->
+              let ts = max 0 (floor c + d) in
+              if (not (Hashtbl.mem delivered (c, ts))) && ts < floor c + window then
+                Hashtbl.replace proposed (c, ts) sn;
+              Core.Watermarks.note_proposed w { Proto.Request.client = c; ts } ~sn
+          | `Deliver (c, d) ->
+              let ts = floor c + d in
+              Hashtbl.replace delivered (c, ts) ();
+              Hashtbl.remove proposed (c, ts);
+              Core.Watermarks.note_delivered w { Proto.Request.client = c; ts }
+          | `Clear ->
+              Hashtbl.reset proposed;
+              Core.Watermarks.clear_proposals w);
+          List.for_all
+            (fun c ->
+              List.for_all
+                (fun ts ->
+                  let id = { Proto.Request.client = c; ts } in
+                  let expect =
+                    Option.value
+                      (Hashtbl.find_opt proposed (c, ts))
+                      ~default:Core.Watermarks.no_proposal
+                  in
+                  Core.Watermarks.proposed_at w id = expect
+                  && (Core.Watermarks.status w id = Core.Watermarks.Proposed)
+                     = (expect <> Core.Watermarks.no_proposal))
+                (List.init (floor c + (2 * window)) Fun.id))
+            clients)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Allocation guards: per-request and per-vote paths allocate nothing once
    their state exists. *)
@@ -818,6 +925,19 @@ let test_watermarks_allocate_nothing () =
     (words_per_call ~n:10_000 (fun i ->
          Core.Watermarks.note_delivered w ids.(if i land 1 = 1 then i + 1 else i - 1)));
   check_int "floor" 10_001 (Core.Watermarks.floor w 7)
+
+(* A warm client's proposal, asked about and noted inside its ring. *)
+let test_watermarks_proposals_allocate_nothing () =
+  let w = Core.Watermarks.create ~window:512 in
+  let ids = Array.init 64 (fun ts -> { Proto.Request.client = 7; ts }) in
+  Core.Watermarks.note_proposed w ids.(63) ~sn:0;
+  check_no_alloc "Watermarks.note_proposed"
+    (words_per_call ~n:10_000 (fun i -> Core.Watermarks.note_proposed w ids.(i land 63) ~sn:i));
+  check_no_alloc "Watermarks.proposed_at"
+    (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.proposed_at w ids.(i land 63))));
+  check_no_alloc "Watermarks.status of a proposed request"
+    (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.status w ids.(i land 63))));
+  check_int "last noted sn" 10_000 (Core.Watermarks.proposed_at w ids.(10_000 land 63))
 
 let test_votes_add_allocates_nothing () =
   let n = 64 in
@@ -1074,6 +1194,7 @@ let () =
           Alcotest.test_case "commit of an unqueued id" `Quick test_bq_commit_unknown;
           Alcotest.test_case "resurrect unnumbered id" `Quick test_bq_resurrect_unknown;
           qc prop_bq_model;
+          Alcotest.test_case "no ring until the first add" `Quick test_bq_no_ring_until_add;
         ] );
       ( "bucket-assignment",
         [
@@ -1115,10 +1236,14 @@ let () =
           qc prop_watermarks_overflow_no_duplicate;
           qc prop_watermarks_overflow_no_false_positive;
           qc prop_watermarks_exact;
+          Alcotest.test_case "reads do not insert" `Quick test_watermarks_reads_do_not_insert;
+          qc prop_watermarks_proposals_exact;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "watermark lookups" `Quick test_watermarks_allocate_nothing;
+          Alcotest.test_case "watermark proposals" `Quick
+            test_watermarks_proposals_allocate_nothing;
           Alcotest.test_case "PBFT vote" `Quick test_votes_add_allocates_nothing;
         ] );
       ("checkpoints", [ Alcotest.test_case "quorum certificate" `Quick test_checkpoint_quorum ]);

@@ -176,6 +176,22 @@ let test_liveness_names_lost_request () =
     (Invalid_argument "Cluster.check_liveness: call enable_invariants first") (fun () ->
       Cluster.check_liveness (make ()))
 
+(* Paper scale must not cost memory before any request arrives: per-node
+   request state (bucket rings, the request index, proposal records) grows
+   with use, so ISS-PBFT at n=128 leaves well under 100 MB live after
+   [create] + [start]. *)
+let test_paper_scale_setup_memory () =
+  let module Cluster = Runner.Cluster in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let cluster = Cluster.create ~system:(Cluster.Iss Core.Config.PBFT) ~n:128 ~seed:42L () in
+  Cluster.start cluster;
+  Gc.compact ();
+  let live_words = (Gc.stat ()).Gc.live_words - before in
+  let live_mb = float_of_int (live_words * (Sys.word_size / 8)) /. 1e6 in
+  ignore (Sys.opaque_identity cluster);
+  if live_mb >= 100.0 then Alcotest.failf "n=128 holds %.1f MB live after start" live_mb
+
 let () =
   Alcotest.run "runner"
     [
@@ -193,6 +209,9 @@ let () =
         ] );
       ( "invariants",
         [ Alcotest.test_case "liveness names a lost request" `Quick test_liveness_names_lost_request ]
+      );
+      ( "memory",
+        [ Alcotest.test_case "n=128 set-up under 100 MB live" `Quick test_paper_scale_setup_memory ]
       );
       ( "mir-gate",
         [
