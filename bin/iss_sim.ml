@@ -392,13 +392,6 @@ let topology_cmd =
 (* ------------------------------------------------------------------ *)
 (* Differential conformance fuzzing (DESIGN.md §9) *)
 
-let protocol_of_name s =
-  match String.lowercase_ascii s with
-  | "pbft" -> Some Core.Config.PBFT
-  | "hotstuff" -> Some Core.Config.HotStuff
-  | "raft" -> Some Core.Config.Raft
-  | _ -> None
-
 let conform_cmd =
   let seeds_arg =
     Arg.(
@@ -436,72 +429,47 @@ let conform_cmd =
     Format.eprintf "scenario: %s@." (Conform.Scenario.to_string f.Conform.Harness.scenario);
     (match save with
     | Some dir ->
-        let file = Conform.Harness.save_repro f ~dir in
+        let file = Conform.Repro.save f ~dir in
         Format.eprintf "repro written to %s@." file
     | None -> ());
     exit 1
   in
   let replay ~shrink ~save file =
-    let contents = In_channel.with_open_text file In_channel.input_all in
-    match Obs.Jsonx.of_string contents with
+    match Conform.Repro.load file with
     | Error e ->
         Format.eprintf "%s: %s@." file e;
         exit 2
-    | Ok json -> (
-        let scenario_json =
-          match Obs.Jsonx.member "scenario" json with Some s -> s | None -> json
-        in
-        match Conform.Scenario.of_json scenario_json with
-        | Error e ->
-            Format.eprintf "%s: %s@." file e;
-            exit 2
-        | Ok sc -> (
-            let protocols =
-              match Obs.Jsonx.member "protocol" json with
-              | Some (Obs.Jsonx.String p) -> (
-                  match protocol_of_name p with
-                  | Some p -> [ p ]
-                  | None ->
-                      Format.eprintf "%s: unknown protocol %S@." file p;
-                      exit 2)
-              | _ -> Conform.Harness.protocols
-            in
-            Format.printf "replaying %a against %s@." Conform.Scenario.pp sc
-              (String.concat ", " (List.map Core.Config.protocol_name protocols));
-            (* Behaviour fingerprint check: print each protocol's SHA-256
-               fingerprint and, when the repro file carries a committed
-               "fingerprints" field, verify bit-identity against it. *)
-            let pinned p =
-              match Obs.Jsonx.member "fingerprints" json with
-              | Some (Obs.Jsonx.Obj kvs) -> (
-                  match List.assoc_opt (Core.Config.protocol_name p) kvs with
-                  | Some (Obs.Jsonx.String fp) -> Some fp
-                  | _ -> None)
-              | _ -> None
-            in
-            let rec go = function
-              | [] -> Format.printf "conformance: OK@."
-              | p :: rest -> (
-                  match Conform.Harness.check_protocol sc p with
-                  | Error f -> fail_and_exit ~shrink ~save f
-                  | Ok () -> (
-                      match Conform.Harness.run_protocol ~instrumented:false sc p with
-                      | Error e ->
-                          Format.eprintf "%s: %s@." (Core.Config.protocol_name p) e;
+    | Ok repro ->
+        let sc = repro.Conform.Repro.scenario in
+        Format.printf "replaying %a against %s@." Conform.Scenario.pp sc
+          (String.concat ", " (List.map Core.Config.protocol_name repro.Conform.Repro.protocols));
+        (* Behaviour fingerprint check: print each protocol's SHA-256
+           fingerprint and, when the repro file carries a committed
+           "fingerprints" field, verify bit-identity against it. *)
+        let rec go = function
+          | [] -> Format.printf "conformance: OK@."
+          | p :: rest -> (
+              match Conform.Harness.check_protocol sc p with
+              | Error f -> fail_and_exit ~shrink ~save f
+              | Ok () -> (
+                  match Conform.Harness.run_protocol ~instrumented:false sc p with
+                  | Error e ->
+                      Format.eprintf "%s: %s@." (Core.Config.protocol_name p) e;
+                      exit 1
+                  | Ok r -> (
+                      Format.printf "%s fingerprint %s@." (Core.Config.protocol_name p)
+                        r.Conform.Harness.fingerprint;
+                      match Conform.Repro.pinned repro p with
+                      | Some expected when expected <> r.Conform.Harness.fingerprint ->
+                          Format.eprintf "%s: fingerprint drifted from committed value %s@."
+                            (Core.Config.protocol_name p) expected;
                           exit 1
-                      | Ok r -> (
-                          Format.printf "%s fingerprint %s@."
-                            (Core.Config.protocol_name p) r.Conform.Harness.fingerprint;
-                          match pinned p with
-                          | Some expected when expected <> r.Conform.Harness.fingerprint ->
-                              Format.eprintf
-                                "%s: fingerprint drifted from committed value %s@."
-                                (Core.Config.protocol_name p) expected;
-                              exit 1
-                          | Some _ -> Format.printf "  matches committed fingerprint@."; go rest
-                          | None -> go rest)))
-            in
-            go protocols))
+                      | Some _ ->
+                          Format.printf "  matches committed fingerprint@.";
+                          go rest
+                      | None -> go rest)))
+        in
+        go repro.Conform.Repro.protocols
   in
   let go seeds start shrink replay_file save =
     match replay_file with

@@ -41,11 +41,3 @@ val check_scenario : Scenario.t -> (unit, failure) result
 
 val check_seed : int64 -> (unit, failure) result
 (** [check_scenario (Scenario.of_seed seed)]. *)
-
-val repro_to_json : failure -> Obs.Jsonx.t
-
-val save_repro : failure -> dir:string -> string
-(** Write a self-contained repro (scenario + protocol + first violation)
-    into [dir]; returns the file path.  Repro files are what
-    [test/conform_corpus/] holds and what [iss_sim conform --replay]
-    consumes. *)

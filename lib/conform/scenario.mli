@@ -7,12 +7,6 @@
     scenario can be committed to [test/conform_corpus/] and replayed
     bit-identically. *)
 
-type overload =
-  | Flash_crowd of { at_s : float; factor : float; len_s : float; drop_oldest : bool }
-      (** offered load steps to [factor]x during [\[at_s, at_s + len_s)] *)
-  | Hot_bucket of { skew : float; drop_oldest : bool }
-      (** requests target a Zipf([skew])-hot bucket *)
-
 type t = {
   seed : int64;  (** drives the cluster RNG and every fuzzer draw *)
   n : int;
@@ -20,7 +14,7 @@ type t = {
   num_clients : int;  (** small pools stress the per-client watermark window *)
   duration_s : float;  (** submission window; runs extend to heal + grace *)
   faults : Runner.Faults.spec list;
-  overload : overload option;
+  overload : Overload.t option;
       (** when present the harness runs with flow control on (tiny buckets,
           shed policy from [drop_oldest]), the overload workload shape and a
           finite client retry budget — exercising the shed / give-up

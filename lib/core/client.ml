@@ -171,7 +171,7 @@ and submit_now t =
   let ts = t.next_ts in
   t.next_ts <- ts + 1;
   let req =
-    Proto.Request.make ~client:t.id ~ts ~signed:t.config.Config.client_signatures
+    Proto.Request.make ~client:t.id ~ts ~signed:(Config.client_signatures t.config)
       ~submitted_at:(Engine.now t.engine) ()
   in
   Hashtbl.replace t.pending ts

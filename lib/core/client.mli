@@ -33,13 +33,13 @@ val create :
   ?on_complete:(Proto.Request.t -> latency:Sim.Time_ns.span -> unit) ->
   unit ->
   t
-(** Requests are signed by the client's key when [config.client_signatures]
-    is set.  [on_complete] fires when the reply quorum is reached.
-    [retransmit] (default [true]) enables exponential-backoff
-    retransmission of unconfirmed requests; [retx_base] is the first retry
-    delay (default: a quarter of the epoch-change timeout, at least 1 s)
-    and [retx_max] the backoff ceiling (default: twice the epoch-change
-    timeout).
+(** Requests are signed by the client's key when
+    [Config.client_signatures config] holds.  [on_complete] fires when the
+    reply quorum is reached.  [retransmit] (default [true]) enables
+    exponential-backoff retransmission of unconfirmed requests;
+    [retx_base] is the first retry delay (default: a quarter of the
+    epoch-change timeout, at least 1 s) and [retx_max] the backoff ceiling
+    (default: twice the epoch-change timeout).
 
     [jitter] scales every backoff delay by a uniform factor in
     [1-jitter, 1+jitter] drawn from the client's own seeded RNG, so clients

@@ -21,7 +21,6 @@ type t = {
   min_epoch_length : int;
   min_segment_size : int;
   epoch_change_timeout : Sim.Time_ns.span;
-  client_signatures : bool;
   client_watermark_window : int;
   log_retention_epochs : int;
   flow_control : bool;
@@ -33,6 +32,8 @@ type t = {
 let num_buckets t = t.buckets_per_leader * t.n
 
 let epoch_length t ~leaders = max t.min_epoch_length (leaders * t.min_segment_size)
+
+let client_signatures t = match t.protocol with PBFT | HotStuff -> true | Raft -> false
 
 let max_faulty t = Proto.Ids.max_faulty ~n:t.n
 let strong_quorum t = Proto.Ids.quorum ~n:t.n
@@ -50,7 +51,6 @@ let base ~n ~protocol =
     min_epoch_length = 256;
     min_segment_size = 2;
     epoch_change_timeout = Sim.Time_ns.sec 10;
-    client_signatures = true;
     client_watermark_window = 512;
     log_retention_epochs = 4;
     flow_control = false;
@@ -80,7 +80,6 @@ let raft_default ~n =
     (* Raft needs a batch timeout longer than a WAN round trip to avoid
        re-sending proposals before they are acknowledged (§6.2). *)
     min_batch_timeout = Sim.Time_ns.ms 600;
-    client_signatures = false;
   }
 
 let default_for protocol ~n =
@@ -139,7 +138,7 @@ let pp fmt t =
     (match t.batch_rate with Some r -> Printf.sprintf "%.0f b/s" r | None -> "unthrottled")
     Sim.Time_ns.pp t.min_batch_timeout Sim.Time_ns.pp t.max_batch_timeout t.min_epoch_length
     t.min_segment_size Sim.Time_ns.pp t.epoch_change_timeout
-    (if t.client_signatures then "256-bit ECDSA (simulated)" else "none")
+    (if client_signatures t then "256-bit ECDSA (simulated)" else "none")
     (if t.flow_control then
        Printf.sprintf "on (cap=%d, %s, watermark=%.2f)" t.bucket_capacity
          (shed_policy_name t.shed_policy) t.pushback_watermark

@@ -46,7 +46,6 @@ type t = {
   epoch_change_timeout : Sim.Time_ns.span;
       (** SB-level failure-detection timeout (PBFT view change /
           HotStuff pacemaker / Raft election base) *)
-  client_signatures : bool;  (** Table 1: ECDSA for BFT, none for Raft *)
   client_watermark_window : int;
       (** per-client in-flight request budget per epoch (§3.7) *)
   log_retention_epochs : int;
@@ -76,6 +75,10 @@ val num_buckets : t -> int
 val epoch_length : t -> leaders:int -> int
 (** Length of an epoch led by [leaders] nodes:
     [max min_epoch_length (leaders * min_segment_size)]. *)
+
+val client_signatures : t -> bool
+(** Table 1: clients sign requests (ECDSA) under the BFT protocols, not
+    under Raft. *)
 
 val max_faulty : t -> int
 val strong_quorum : t -> int

@@ -7,6 +7,9 @@ type batcher = {
   b_seg : Segment.t;
   b_interval : Time_ns.span;  (* rate-limit spacing between cuts (§4.4.1) *)
   waiting : (int * (Proto.Proposal.t -> unit)) Queue.t;
+  cut_batches : Proto.Batch.t array;
+      (* by segment index: the batch last cut for that sn, kept so a ⊥
+         commit there can return its requests to the queues *)
   mutable last_cut : Time_ns.t;
   timer : Engine.Timer.t;
   mutable wake_at : Time_ns.t;
@@ -19,8 +22,10 @@ type epoch_state = {
   e_start : int;
   e_len : int;
   e_leaders : Proto.Ids.node_id array;
-  e_segments : Segment.t list;
   e_bucket_leaders : Proto.Ids.node_id array;
+  e_batcher : batcher option;
+      (* the segment this node leads, if any: an epoch's leaders are
+         distinct, so a node leads at most one segment per epoch *)
   mutable e_remaining : int;  (* uncommitted sequence numbers of this epoch *)
 }
 
@@ -45,14 +50,11 @@ type t = {
   threshold_group : Iss_crypto.Threshold.group;
   log : Log.t;
   queues : Bucket_queue.t;
-  proposed : (int, Proto.Batch.t) Hashtbl.t;  (* sn -> batch I proposed *)
   watermarks : Watermarks.t;  (* windows, deliveries and this epoch's proposals *)
   policy : Leader_policy.t;
   mutable epoch : epoch_state;
   orderers : (int, Orderer_intf.instance) Hashtbl.t;  (* instance id -> *)
   future_buffer : (int, (int * Proto.Message.t) list ref) Hashtbl.t;
-  mutable my_batchers : batcher list;
-  bucket_batcher : batcher option array;
   checkpoints : (int, cp_state) Hashtbl.t;
   stable_certs : (int, Proto.Message.checkpoint_cert) Hashtbl.t;
   mutable newest_stable : int;  (* highest epoch in [stable_certs], -1 if none *)
@@ -271,12 +273,12 @@ let rec submit t (r : Proto.Request.t) =
     | Watermarks.Fresh ->
         let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
         if
-          ((not t.config.Config.client_signatures) || Proto.Request.signature_valid r)
+          ((not (Config.client_signatures t.config)) || Proto.Request.signature_valid r)
           && admit_request t ~bucket r
           && Bucket_queue.add t.queues r
         then begin
           trace_event t Obs.Tracer.Enqueue r;
-          if t.config.Config.client_signatures then
+          if Config.client_signatures t.config then
             charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
           if t.config.Config.flow_control then begin
             (* Watermark backpressure: warn the client before shedding
@@ -289,14 +291,19 @@ let rec submit t (r : Proto.Request.t) =
                 ~retry_after:(max 1 (pushback_hint * occ / cap))
                 ~shed:false
           end;
-          match t.bucket_batcher.(bucket) with
-          | Some b -> try_cut t b
-          | None -> ()
+          poke_batcher t ~bucket
         end
 
 (* ------------------------------------------------------------------ *)
 (* Batching: the propose() logic of Algorithm 2 plus the paper's
    rate-limiting (§4.4.1) and the straggler behaviour of §6.4.2. *)
+
+(* Wake this node's batcher when [bucket] is one of its segment's.  The
+   option comes first: before [start] the bucket map is empty. *)
+and poke_batcher t ~bucket =
+  match t.epoch.e_batcher with
+  | Some b when t.epoch.e_bucket_leaders.(bucket) = t.id -> try_cut t b
+  | Some _ | None -> ()
 
 and segment_pending t (seg : Segment.t) =
   List.fold_left
@@ -340,7 +347,7 @@ and try_cut t (b : batcher) =
       | Some tr -> trace_batch_once tr ~node:t.id Obs.Tracer.Cut batch
       | None -> ());
       b.last_cut <- now;
-      Hashtbl.replace t.proposed sn batch;
+      b.cut_batches.(Segment.sn_index b.b_seg sn) <- batch;
       Proto.Batch.iter
         (fun r -> Watermarks.note_proposed t.watermarks r.Proto.Request.id ~sn)
         batch;
@@ -370,9 +377,7 @@ let request_batch t (b : batcher) ~sn callback =
   Queue.push (sn, callback) b.waiting;
   try_cut t b
 
-let drop_batchers t =
-  List.iter (fun b -> Engine.Timer.cancel b.timer) t.my_batchers;
-  t.my_batchers <- []
+let cancel_batcher t = Option.iter (fun b -> Engine.Timer.cancel b.timer) t.epoch.e_batcher
 
 (* ------------------------------------------------------------------ *)
 (* Proposal validation — the follower-side checks of §4.2 (common design
@@ -382,14 +387,6 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
   match proposal with
   | Proto.Proposal.Nil -> Orderer_intf.Accept
   | Proto.Proposal.Batch batch ->
-      (* O(1) bucket-ownership check: a bucket belongs to this segment iff
-         the epoch's assignment maps it to the segment's leader.  Falls back
-         to the segment's own list for instances of older epochs. *)
-      let owns_bucket =
-        if seg.Segment.epoch = t.epoch.e_num then fun bucket ->
-          t.epoch.e_bucket_leaders.(bucket) = seg.Segment.leader
-        else fun bucket -> Segment.owns_bucket seg bucket
-      in
       let num_buckets = Config.num_buckets t.config in
       let reqs = Proto.Batch.requests batch in
       (* The first failing request decides the verdict.  Failures split into
@@ -405,11 +402,11 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
           if
             (* (a) request validity: a forged client signature proves the
                leader fabricated or tampered with the request. *)
-            (t.config.Config.client_signatures && not (Proto.Request.signature_valid r))
+            (Config.client_signatures t.config && not (Proto.Request.signature_valid r))
             (* (c) maps to one of the segment's buckets: §4.2 principle 3 —
                a request outside the segment's buckets can only appear if
                the leader ignored the epoch's bucket assignment. *)
-            || not (owns_bucket (Proto.Request.bucket_of_id ~num_buckets r.id))
+            || not (Segment.owns_bucket seg (Proto.Request.bucket_of_id ~num_buckets r.id))
           then Orderer_intf.Reject_malicious
           else if
             (* not proposed at another sn this epoch; inside the client's
@@ -443,7 +440,7 @@ let resurrect t (batch : Proto.Batch.t) =
            aborted batch returns while the bucket has refilled. *)
         if admit_request t ~bucket r then begin
           Bucket_queue.resurrect t.queues r;
-          match t.bucket_batcher.(bucket) with Some b -> try_cut t b | None -> ()
+          poke_batcher t ~bucket
         end
       end)
     batch
@@ -469,11 +466,14 @@ let rec process_commit t ~sn proposal ~resurrectable =
     | Proto.Proposal.Nil -> (
         (* If I proposed a batch for this position and ⊥ was delivered
            instead, return the requests to their queues (Algorithm 1
-           line 47). *)
-        if resurrectable then
-          match Hashtbl.find_opt t.proposed sn with
-          | Some mine -> resurrect t mine
-          | None -> ()));
+           line 47).  Only a current-epoch sn can get here: an epoch
+           starts once every earlier sn is committed or jumped over, and
+           [Log.commit] refuses those. *)
+        match t.epoch.e_batcher with
+        | Some b when resurrectable ->
+            let k = Segment.sn_index b.b_seg sn in
+            if k >= 0 then resurrect t b.cut_batches.(k)
+        | Some _ | None -> ()));
     (* Deliver the contiguous prefix. *)
     t.locally_delivered <-
       t.locally_delivered
@@ -589,11 +589,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
   if not t.halted then begin
     let segments = Segment.make_epoch ~config:t.config ~epoch ~start_sn ~leaders in
     let len = Config.epoch_length t.config ~leaders:(Array.length leaders) in
-    let bucket_leaders =
-      Bucket_assignment.assign ~n:t.config.Config.n
-        ~num_buckets:(Config.num_buckets t.config)
-        ~epoch ~leaders
-    in
+    let bucket_leaders = (List.hd segments).Segment.bucket_leaders in
     Hashtbl.replace t.epoch_bounds epoch (start_sn, len);
     Watermarks.clear_proposals t.watermarks;
     (* Some positions may already be committed (state transfer outran the
@@ -602,45 +598,39 @@ and start_epoch t ~epoch ~start_sn ~leaders =
     for sn = start_sn to start_sn + len - 1 do
       if not (Log.is_committed t.log ~sn) then incr remaining
     done;
+    (* Tear down the previous epoch's batcher; set one up for my segment. *)
+    cancel_batcher t;
+    let interval =
+      match t.config.Config.batch_rate with
+      | Some rate ->
+          max t.config.Config.min_batch_timeout
+            (Time_ns.of_sec_f (float_of_int (Array.length leaders) /. rate))
+      | None -> t.config.Config.min_batch_timeout
+    in
+    let batcher =
+      List.find_opt (fun (seg : Segment.t) -> seg.Segment.leader = t.id) segments
+      |> Option.map (fun seg ->
+             {
+               b_seg = seg;
+               b_interval = interval;
+               waiting = Queue.create ();
+               cut_batches = Array.make (Segment.seq_count seg) Proto.Batch.empty;
+               last_cut = Engine.now t.engine;
+               timer = Engine.Timer.create t.engine;
+               wake_at = max_int;
+             })
+    in
     t.epoch <-
       {
         e_num = epoch;
         e_start = start_sn;
         e_len = len;
         e_leaders = leaders;
-        e_segments = segments;
         e_bucket_leaders = bucket_leaders;
+        e_batcher = batcher;
         e_remaining = !remaining;
       };
-    (* Tear down batchers of the previous epoch. *)
-    drop_batchers t;
-    Array.fill t.bucket_batcher 0 (Array.length t.bucket_batcher) None;
-    (* Instantiate one SB orderer per segment; set up batchers for mine. *)
-    let num_leaders = Array.length leaders in
-    let interval =
-      match t.config.Config.batch_rate with
-      | Some rate ->
-          max t.config.Config.min_batch_timeout
-            (Time_ns.of_sec_f (float_of_int num_leaders /. rate))
-      | None -> t.config.Config.min_batch_timeout
-    in
-    List.iter
-      (fun (seg : Segment.t) ->
-        if seg.Segment.leader = t.id then begin
-          let b =
-            {
-              b_seg = seg;
-              b_interval = interval;
-              waiting = Queue.create ();
-              last_cut = Engine.now t.engine;
-              timer = Engine.Timer.create t.engine;
-              wake_at = max_int;
-            }
-          in
-          t.my_batchers <- b :: t.my_batchers;
-          List.iter (fun bucket -> t.bucket_batcher.(bucket) <- Some b) seg.Segment.buckets
-        end)
-      segments;
+    (* Instantiate one SB orderer per segment. *)
     List.iter
       (fun (seg : Segment.t) ->
         let ctx = make_ctx t seg in
@@ -664,11 +654,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
   end
 
 and make_ctx t (seg : Segment.t) : Orderer_intf.ctx =
-  let batcher =
-    if seg.Segment.leader = t.id then
-      List.find_opt (fun b -> b.b_seg.Segment.instance = seg.Segment.instance) t.my_batchers
-    else None
-  in
+  let batcher = if seg.Segment.leader = t.id then t.epoch.e_batcher else None in
   {
     Orderer_intf.node = t.id;
     config = t.config;
@@ -757,9 +743,8 @@ and prune_log t =
      ago and recent peers have moved past them, so retaining the full
      history would grow memory without bound in long runs.  The retained
      window is what this node can still serve via state transfer; a peer
-     that lagged further behind simply asks the next target.  Proposer-side
-     batch copies ([proposed]) and checkpoint vote accumulators of the
-     pruned epochs go with them. *)
+     that lagged further behind simply asks the next target.  Checkpoint
+     vote accumulators of the pruned epochs go with them. *)
   let horizon = t.newest_stable - t.config.Config.log_retention_epochs in
   if horizon >= 0 then begin
     (* Newest stable certificate at or below the horizon bounds the cut. *)
@@ -778,8 +763,6 @@ and prune_log t =
       let cut_sn = min (cert.Proto.Message.cc_max_sn + 1) t.epoch.e_start in
       if Log.pruned_below t.log < min cut_sn (Log.first_undelivered t.log) then begin
         ignore (Log.prune t.log ~below_sn:cut_sn);
-        let cut_sn = Log.pruned_below t.log in
-        Hashtbl.filter_map_inplace (fun sn b -> if sn < cut_sn then None else Some b) t.proposed;
         Hashtbl.filter_map_inplace
           (fun e cp -> if e <= cut_epoch then None else Some cp)
           t.checkpoints
@@ -924,11 +907,12 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
      then re-enter the epoch machinery right after the checkpoint.
 
      The caller verified the quorum.  Per-client watermark floors cannot be
-     reconstructed (the skipped requests are gone); they self-heal through
-     the ring-overflow degrade path as post-jump deliveries arrive, which
-     only makes this node temporarily stricter/looser as a validator —
-     never a source of double delivery (the log positions themselves stay
-     exactly-once). *)
+     reconstructed (the skipped requests are gone), so the node keeps its
+     old ones.  A client whose skipped requests it never delivers keeps a
+     floor below them, and the node refuses that client's requests past
+     [floor + window] as [Outside_window].  That makes it a stricter
+     validator and intake for the client, never a source of double
+     delivery (the log positions themselves stay exactly-once). *)
   let to_sn = cert.Proto.Message.cc_max_sn + 1 in
   if to_sn > Log.first_undelivered t.log then begin
     Log.jump t.log ~to_sn ~total_delivered:cert.cc_req_count;
@@ -945,13 +929,12 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
        leader does not recover. *)
     Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
     Hashtbl.reset t.orderers;
-    Hashtbl.reset t.proposed;
     Watermarks.clear_proposals t.watermarks;
     Bucket_queue.clear t.queues;
     Hashtbl.filter_map_inplace
       (fun e cp -> if e <= cert.cc_epoch then None else Some cp)
       t.checkpoints;
-    drop_batchers t;
+    cancel_batcher t;
     advance_epoch t ~finished:cert.cc_epoch ~start_sn:to_sn
   end
 
@@ -1027,7 +1010,6 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(min n ((2 * f) + 1));
       log = Log.create ();
       queues = Bucket_queue.create ~num_buckets;
-      proposed = Hashtbl.create 64;
       watermarks = Watermarks.create ~window:config.Config.client_watermark_window;
       policy = Leader_policy.create config;
       epoch =
@@ -1036,14 +1018,12 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
           e_start = 0;
           e_len = 0;
           e_leaders = [||];
-          e_segments = [];
           e_bucket_leaders = [||];
+          e_batcher = None;
           e_remaining = max_int;
         };
       orderers = Hashtbl.create 64;
       future_buffer = Hashtbl.create 8;
-      my_batchers = [];
-      bucket_batcher = Array.make num_buckets None;
       checkpoints = Hashtbl.create 16;
       stable_certs = Hashtbl.create 16;
       newest_stable = -1;
@@ -1072,7 +1052,7 @@ let on_message t ~src msg = handle_message t ~src msg
 
 let halt t =
   t.halted <- true;
-  List.iter (fun b -> Engine.Timer.cancel b.timer) t.my_batchers
+  cancel_batcher t
 
 let recover t =
   if t.halted then begin
@@ -1080,15 +1060,15 @@ let recover t =
     let now = Engine.now t.engine in
     (* The CPU backlog died with the process. *)
     t.cpu_free <- now;
-    (* Restart batching for the segments this node leads in its current
-       epoch: halt cancelled the timers, and pending cut requests from the
+    (* Restart batching for the segment this node leads in its current
+       epoch: halt cancelled the timer, and pending cut requests from the
        orderers are still queued in [b.waiting]. *)
-    List.iter
+    Option.iter
       (fun b ->
         b.last_cut <- now;
         disarm b;
         try_cut t b)
-      t.my_batchers;
+      t.epoch.e_batcher;
     (* Catch up proactively: ask f+1 distinct peers for everything that
        stabilized while we were down (at least one of them is correct and
        has it).  Epochs arrive as self-contained (entries, certificate)

@@ -83,7 +83,7 @@ val halt : t -> unit
 val recover : t -> unit
 (** Crash-recovery: un-halt the node and rejoin the cluster.  The node keeps
     its pre-crash durable state (log, checkpoints, queues — the crash model
-    is fail-recover with stable storage), restarts its batchers, and
+    is fail-recover with stable storage), restarts its batcher, and
     catches up on everything it missed by requesting state transfer from
     f+1 peers; the standard lag check then keeps pulling stabilized epochs
     until it draws level and participates normally again.  No-op when not

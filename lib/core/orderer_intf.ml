@@ -135,7 +135,7 @@ module Runtime = struct
 
   (** CPU time to verify the client signatures of a proposal's requests. *)
   let signature_cost t = function
-    | Proto.Proposal.Batch b when t.ctx.config.Config.client_signatures ->
+    | Proto.Proposal.Batch b when Config.client_signatures t.ctx.config ->
         Proto.Batch.length b * Iss_crypto.Signature.verify_cost_ns
     | Proto.Proposal.Batch _ | Proto.Proposal.Nil -> 0
 

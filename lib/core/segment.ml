@@ -5,6 +5,7 @@ type t = {
   leader_index : int;
   seq_nrs : int array;
   buckets : int list;
+  bucket_leaders : Proto.Ids.node_id array;
   first_sn : int;
   epoch_length : int;
 }
@@ -15,7 +16,7 @@ let make_epoch ~config ~epoch ~start_sn ~leaders =
   let len = Config.epoch_length config ~leaders:num_leaders in
   let n = config.Config.n in
   let num_buckets = Config.num_buckets config in
-  let owner = Bucket_assignment.assign ~n ~num_buckets ~epoch ~leaders in
+  let bucket_leaders = Bucket_assignment.assign ~n ~num_buckets ~epoch ~leaders in
   List.init num_leaders (fun k ->
       let leader = leaders.(k) in
       let seq_nrs =
@@ -24,7 +25,7 @@ let make_epoch ~config ~epoch ~start_sn ~leaders =
       in
       let buckets = ref [] in
       for b = num_buckets - 1 downto 0 do
-        if owner.(b) = leader then buckets := b :: !buckets
+        if bucket_leaders.(b) = leader then buckets := b :: !buckets
       done;
       {
         epoch;
@@ -33,6 +34,7 @@ let make_epoch ~config ~epoch ~start_sn ~leaders =
         leader_index = k;
         seq_nrs;
         buckets = !buckets;
+        bucket_leaders;
         first_sn = start_sn;
         epoch_length = len;
       })
@@ -52,7 +54,7 @@ let sn_index t sn =
 
 let contains_sn t sn = sn_index t sn >= 0
 
-let owns_bucket t b = List.mem b t.buckets
+let owns_bucket t b = t.bucket_leaders.(b) = t.leader
 
 let pp fmt t =
   Format.fprintf fmt "segment(e%d,i%d,leader n%d,%d seqnrs,%d buckets)" t.epoch t.instance

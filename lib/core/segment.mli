@@ -12,6 +12,9 @@ type t = {
   leader_index : int;  (** k: position of the leader in the epoch's leader list *)
   seq_nrs : int array;  (** ascending sequence numbers of this segment *)
   buckets : int list;  (** bucket numbers assigned to this segment *)
+  bucket_leaders : Proto.Ids.node_id array;
+      (** the epoch's bucket -> leader map ({!Bucket_assignment.assign}),
+          one array shared by all of the epoch's segments *)
   first_sn : int;  (** first sequence number of the {e epoch} *)
   epoch_length : int;
 }
@@ -32,6 +35,8 @@ val seq_count : t -> int
 val contains_sn : t -> int -> bool
 
 val owns_bucket : t -> int -> bool
+(** [owns_bucket t b]: the epoch's assignment maps bucket [b] to [t]'s
+    leader.  O(1). *)
 
 val sn_index : t -> int -> int
 (** Position of a sequence number within the segment (0-based), [-1] when

@@ -217,3 +217,36 @@ let to_float = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Field readers for decoders *)
+
+let ( let* ) r f = Result.bind r f
+
+let field name json =
+  match member name json with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing field %S" name)
+
+let int_field name json =
+  let* v = field name json in
+  match v with Int i -> Ok i | _ -> Error (Printf.sprintf "field %S: expected int" name)
+
+let float_field name json =
+  let* v = field name json in
+  match to_float v with
+  | Some f -> Ok f
+  | None -> Error (Printf.sprintf "field %S: expected number" name)
+
+let list_field name decode json =
+  let* v = field name json in
+  match v with
+  | List items ->
+      List.fold_right
+        (fun item acc ->
+          let* acc = acc in
+          match decode item with
+          | Ok x -> Ok (x :: acc)
+          | Error e -> Error (Printf.sprintf "field %S: %s" name e))
+        items (Ok [])
+  | _ -> Error (Printf.sprintf "field %S: expected list" name)

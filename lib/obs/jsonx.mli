@@ -27,3 +27,15 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 val to_float : t -> float option
 (** [Int] widens to float. *)
+
+(** {2 Field readers (decoders)}
+
+    Each reads one field of an [Obj]; the [Error] names the field. *)
+
+val field : string -> t -> (t, string) result
+val int_field : string -> t -> (int, string) result
+val float_field : string -> t -> (float, string) result
+(** [Int] widens to float. *)
+
+val list_field : string -> (t -> ('a, string) result) -> t -> ('a list, string) result
+(** Decodes every element; an element's [Error] is prefixed with the field. *)

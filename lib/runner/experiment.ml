@@ -21,8 +21,8 @@ type result = {
   gave_up : int;
 }
 
-let run ?engine ?policy ?tweak ?(faults = []) ?scenario ?num_clients ?(warmup_s = 5.0)
-    ?tracer ?registry ?shape ?retry_budget ?resubmit ~system ~n ~rate ~duration_s ~seed () =
+let run ?engine ?policy ?tweak ?(faults = []) ?scenario ?tracer ?registry ?shape ?retry_budget
+    ?resubmit ~system ~n ~rate ~duration_s ~seed () =
   let cluster = Cluster.create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () in
   let engine = Cluster.engine cluster in
   let until = Time_ns.of_sec_f duration_s in
@@ -60,12 +60,12 @@ let run ?engine ?policy ?tweak ?(faults = []) ?scenario ?num_clients ?(warmup_s 
         Time_ns.of_sec_f
           (Float.max duration_s (Faults.heal_s sc +. Faults.liveness_grace_s cfg))
   in
-  Workload.start ~cluster ~rate ?num_clients ~resubmit ?shape ?retry_budget
+  Workload.start ~cluster ~rate ~resubmit ?shape ?retry_budget
     ~shape_seed:seed ~sweep_until:run_until ~until ();
   Sim.Engine.run ~until:run_until engine;
   (match scenario with None -> () | Some _ -> Cluster.check_liveness cluster);
   let series = Cluster.throughput_series cluster ~until:run_until in
-  let warmup_bins = int_of_float warmup_s in
+  let warmup_bins = 5 (* one-second bins *) in
   let steady =
     if Array.length series > warmup_bins + 1 then
       Array.sub series warmup_bins (Array.length series - warmup_bins - 1)

@@ -31,8 +31,6 @@ val run :
   ?tweak:(Core.Config.t -> Core.Config.t) ->
   ?faults:Faults.spec list ->
   ?scenario:Faults.t ->
-  ?num_clients:int ->
-  ?warmup_s:float ->
   ?tracer:Obs.Tracer.t ->
   ?registry:Obs.Registry.t ->
   ?shape:Workload.shape ->
@@ -47,8 +45,8 @@ val run :
   result
 (** One measurement run: build the cluster, inject faults, offer load at
     [rate] for [duration_s] simulated seconds, report steady-state numbers
-    (the first [warmup_s], default 5 s, excluded from throughput/latency
-    aggregation of the summary — the series keeps everything).
+    (the first 5 s are excluded from the throughput average; the series
+    keeps everything).
 
     [faults] (the paper's figure faults) are validated ({!Faults.validate},
     raising [Invalid_argument] on a bad schedule) and compiled by

@@ -138,7 +138,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
         if hot then enroll c;
         let submitted_at = Time_ns.add at offset in
         let r =
-          Proto.Request.make ~client ~ts ~signed:config.Core.Config.client_signatures
+          Proto.Request.make ~client ~ts ~signed:(Core.Config.client_signatures config)
             ~submitted_at ()
         in
         Cluster.note_submitted cluster r;

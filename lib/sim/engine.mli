@@ -65,8 +65,8 @@ val events_executed : t -> int
 
 (** A one-shot timer that can be re-armed: at most one fire is pending.
     The one timer every protocol layer uses — orderers (through
-    [Core.Orderer_intf]), the node's batchers, and [lib/brb]'s failure
-    detector and consensus — so none of them holds a {!timer_id}. *)
+    [Core.Orderer_intf]) and the node's batcher — so none of them holds a
+    {!timer_id}. *)
 module Timer : sig
   type engine := t
   type t

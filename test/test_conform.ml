@@ -95,6 +95,48 @@ let test_spec_codec_golden () =
       | Ok sc' -> check_bool (expected ^ " round-trips exactly") true (sc = sc'))
     golden_specs
 
+(* The repro reader accepts what the writer emits, a bare scenario (every
+   protocol) and a "fingerprints" object, and refuses an unknown protocol. *)
+let test_repro_roundtrip () =
+  let module J = Obs.Jsonx in
+  let sc = Scenario.of_seed 3L in
+  let f = { Harness.scenario = sc; protocol = Core.Config.HotStuff; message = "boom" } in
+  (match Conform.Repro.of_json (Conform.Repro.to_json f) with
+  | Error e -> Alcotest.failf "written repro does not decode: %s" e
+  | Ok r ->
+      check_bool "scenario round-trips" true (r.Conform.Repro.scenario = sc);
+      check_bool "names its protocol" true (r.Conform.Repro.protocols = [ Core.Config.HotStuff ]);
+      check_bool "pins nothing" true (Conform.Repro.pinned r Core.Config.HotStuff = None));
+  (let file = Conform.Repro.save f ~dir:(Filename.get_temp_dir_name ()) in
+   let loaded = Conform.Repro.load file in
+   Sys.remove file;
+   match loaded with
+   | Error e -> Alcotest.failf "saved repro does not load: %s" e
+   | Ok r ->
+       check_bool "saved scenario loads back" true (r.Conform.Repro.scenario = sc);
+       check_bool "saved protocol loads back" true
+         (r.Conform.Repro.protocols = [ Core.Config.HotStuff ]));
+  (match
+     Conform.Repro.of_json
+       (J.Obj
+          [
+            ("fingerprints", J.Obj [ ("PBFT", J.String "ab") ]);
+            ("scenario", Scenario.to_json sc);
+          ])
+   with
+  | Error e -> Alcotest.failf "bare scenario does not decode: %s" e
+  | Ok r ->
+      check_bool "bare scenario: every protocol" true
+        (r.Conform.Repro.protocols = Harness.protocols);
+      check_bool "PBFT pinned" true (Conform.Repro.pinned r Core.Config.PBFT = Some "ab");
+      check_bool "Raft not pinned" true (Conform.Repro.pinned r Core.Config.Raft = None));
+  match
+    Conform.Repro.of_json
+      (J.Obj [ ("scenario", Scenario.to_json sc); ("protocol", J.String "paxos") ])
+  with
+  | Error e -> Alcotest.(check string) "unknown protocol" {|unknown protocol "paxos"|} e
+  | Ok _ -> Alcotest.fail "unknown protocol accepted"
+
 let test_scenario_deterministic () =
   for k = 1 to 10 do
     let a = Scenario.of_seed (Int64.of_int k) and b = Scenario.of_seed (Int64.of_int k) in
@@ -313,62 +355,30 @@ let corpus_files () =
     |> List.sort compare
   else []
 
-let protocol_of_name s =
-  match String.lowercase_ascii s with
-  | "pbft" -> Some Core.Config.PBFT
-  | "hotstuff" -> Some Core.Config.HotStuff
-  | "raft" -> Some Core.Config.Raft
-  | _ -> None
-
 (* Committed behaviour fingerprints: an engine or network change that
    reorders even one event delivery shows up here as a mismatch.  Update the
    corpus file's "fingerprints" field only for an *intentional* behaviour
    change. *)
-let pinned_fingerprint json proto =
-  match Obs.Jsonx.member "fingerprints" json with
-  | Some (Obs.Jsonx.Obj kvs) -> (
-      match List.assoc_opt (Core.Config.protocol_name proto) kvs with
-      | Some (Obs.Jsonx.String fp) -> Some fp
-      | _ -> None)
-  | _ -> None
-
 let replay_corpus_file file () =
-  let path = Filename.concat corpus_dir file in
-  let contents = In_channel.with_open_text path In_channel.input_all in
-  match Obs.Jsonx.of_string contents with
-  | Error e -> Alcotest.failf "%s: bad JSON: %s" file e
-  | Ok json -> (
-      let scenario_json =
-        match Obs.Jsonx.member "scenario" json with Some s -> s | None -> json
-      in
-      match Scenario.of_json scenario_json with
-      | Error e -> Alcotest.failf "%s: bad scenario: %s" file e
-      | Ok sc ->
-          let protocols =
-            match Obs.Jsonx.member "protocol" json with
-            | Some (Obs.Jsonx.String p) -> (
-                match protocol_of_name p with
-                | Some p -> [ p ]
-                | None -> Alcotest.failf "%s: unknown protocol %S" file p)
-            | _ -> Harness.protocols
-          in
-          List.iter
-            (fun p ->
-              (match Harness.check_protocol sc p with
-              | Ok () -> ()
-              | Error f ->
-                  Alcotest.failf "%s regressed: %s" file (Harness.failure_message f));
-              match pinned_fingerprint json p with
-              | None -> ()
-              | Some expected -> (
-                  match Harness.run_protocol ~instrumented:false sc p with
-                  | Error e -> Alcotest.failf "%s: replay failed: %s" file e
-                  | Ok r ->
-                      Alcotest.(check string)
-                        (Printf.sprintf "%s %s fingerprint pinned" file
-                           (Core.Config.protocol_name p))
-                        expected r.Harness.fingerprint))
-            protocols)
+  match Conform.Repro.load (Filename.concat corpus_dir file) with
+  | Error e -> Alcotest.failf "%s: %s" file e
+  | Ok repro ->
+      let sc = repro.Conform.Repro.scenario in
+      List.iter
+        (fun p ->
+          (match Harness.check_protocol sc p with
+          | Ok () -> ()
+          | Error f -> Alcotest.failf "%s regressed: %s" file (Harness.failure_message f));
+          match Conform.Repro.pinned repro p with
+          | None -> ()
+          | Some expected -> (
+              match Harness.run_protocol ~instrumented:false sc p with
+              | Error e -> Alcotest.failf "%s: replay failed: %s" file e
+              | Ok r ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s %s fingerprint pinned" file (Core.Config.protocol_name p))
+                    expected r.Harness.fingerprint))
+        repro.Conform.Repro.protocols
 
 (* The tier-1 fixed seed's fingerprints, pinned as constants: the engine
    rebuild (timing wheel) was required to reproduce these bit-identically,
@@ -403,6 +413,7 @@ let () =
           Alcotest.test_case "json round-trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "deterministic" `Quick test_scenario_deterministic;
           Alcotest.test_case "fault codec golden" `Quick test_spec_codec_golden;
+          Alcotest.test_case "repro round-trip" `Quick test_repro_roundtrip;
         ] );
       ( "checker",
         [

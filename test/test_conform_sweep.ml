@@ -15,7 +15,7 @@ let () =
         let f = Conform.Shrink.minimize_failure f in
         Format.eprintf "CONFORMANCE FAILURE@.%a@." Conform.Harness.pp_failure f;
         Format.eprintf "minimized repro (commit into test/conform_corpus/):@.%s@."
-          (Obs.Jsonx.to_string (Conform.Harness.repro_to_json f));
+          (Obs.Jsonx.to_string (Conform.Repro.to_json f));
         exit 1);
     if k mod 10 = 0 then Format.printf "conform sweep: %d/%d seeds OK@." k seeds
   done;

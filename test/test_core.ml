@@ -1015,46 +1015,59 @@ let test_validate_proposal_verdicts () =
           | Core.Orderer_intf.Reject_malicious -> "Reject_malicious"))
       ( = )
   in
-  let expect msg v ~sn:s reqs =
-    Alcotest.check verdict msg v (ctx.Core.Orderer_intf.validate_proposal seg ~sn:s (batch reqs))
+  let expect label msg v ~sn:s reqs =
+    Alcotest.check verdict (label ^ ": " ^ msg) v
+      (ctx.Core.Orderer_intf.validate_proposal seg ~sn:s (batch reqs))
   in
-  let a = pick ~client:1 0 and b = pick ~client:2 0 in
-  expect "fresh batch" Core.Orderer_intf.Accept ~sn:(sn 1) [ a; b ];
-  expect "same batch, same sn" Core.Orderer_intf.Accept ~sn:(sn 1) [ a; b ];
-  let c = pick ~client:3 0 in
-  expect "overlap at another sn" Core.Orderer_intf.Reject ~sn:(sn 2) [ c; b ];
-  let far = pick ~client:4 config.Core.Config.client_watermark_window in
-  expect "outside the watermark window" Core.Orderer_intf.Reject ~sn:(sn 3) [ far ];
-  let delivered = pick ~client:5 0 in
-  ctx.Core.Orderer_intf.announce ~sn:0 (batch [ delivered ]);
-  expect "already delivered" Core.Orderer_intf.Reject ~sn:(sn 3) [ delivered ];
-  let stray = pick ~in_seg:false ~client:6 0 in
-  expect "out of the segment's buckets" Core.Orderer_intf.Reject_malicious ~sn:(sn 3) [ c; stray ];
-  (* Neither rejection left [c] recorded: it is accepted at yet another sn. *)
-  let d = pick ~client:7 0 in
-  expect "rejected batches leave no residue" Core.Orderer_intf.Accept ~sn:(sn 4) [ c; d ];
-  expect "a prefix before a late failure leaves no residue" Core.Orderer_intf.Reject ~sn:(sn 5)
-    [ pick ~client:8 0; far ];
-  expect "... so its clean request is accepted elsewhere" Core.Orderer_intf.Accept ~sn:(sn 6)
-    [ pick ~client:8 0 ];
-  (* Signatures alone: each request below is fresh and in one of the
-     segment's buckets, so only its signature can sink it. *)
-  expect "unsigned request" Core.Orderer_intf.Reject_malicious ~sn:(sn 7)
-    [ pick ~signed:false ~client:9 0 ];
-  let fabricated =
-    let rec go sn =
-      let r = Runner.Adversary.fabricated_request ~attacker:1 ~sn in
-      if Core.Segment.owns_bucket seg (Proto.Request.bucket_of_id ~num_buckets r.Proto.Request.id)
-      then r
-      else go (sn + 1)
+  let verdicts label =
+    let expect = expect label in
+    let a = pick ~client:1 0 and b = pick ~client:2 0 in
+    expect "fresh batch" Core.Orderer_intf.Accept ~sn:(sn 1) [ a; b ];
+    expect "same batch, same sn" Core.Orderer_intf.Accept ~sn:(sn 1) [ a; b ];
+    let c = pick ~client:3 0 in
+    expect "overlap at another sn" Core.Orderer_intf.Reject ~sn:(sn 2) [ c; b ];
+    let far = pick ~client:4 config.Core.Config.client_watermark_window in
+    expect "outside the watermark window" Core.Orderer_intf.Reject ~sn:(sn 3) [ far ];
+    let delivered = pick ~client:5 0 in
+    ctx.Core.Orderer_intf.announce ~sn:0 (batch [ delivered ]);
+    expect "already delivered" Core.Orderer_intf.Reject ~sn:(sn 3) [ delivered ];
+    let stray = pick ~in_seg:false ~client:6 0 in
+    expect "out of the segment's buckets" Core.Orderer_intf.Reject_malicious ~sn:(sn 3)
+      [ c; stray ];
+    (* Neither rejection left [c] recorded: it is accepted at yet another sn. *)
+    let d = pick ~client:7 0 in
+    expect "rejected batches leave no residue" Core.Orderer_intf.Accept ~sn:(sn 4) [ c; d ];
+    expect "a prefix before a late failure leaves no residue" Core.Orderer_intf.Reject ~sn:(sn 5)
+      [ pick ~client:8 0; far ];
+    expect "... so its clean request is accepted elsewhere" Core.Orderer_intf.Accept ~sn:(sn 6)
+      [ pick ~client:8 0 ];
+    (* Signatures alone: each request below is fresh and in one of the
+       segment's buckets, so only its signature can sink it. *)
+    expect "unsigned request" Core.Orderer_intf.Reject_malicious ~sn:(sn 7)
+      [ pick ~signed:false ~client:9 0 ];
+    let fabricated =
+      let rec go sn =
+        let r = Runner.Adversary.fabricated_request ~attacker:1 ~sn in
+        let bucket = Proto.Request.bucket_of_id ~num_buckets r.Proto.Request.id in
+        if Core.Segment.owns_bucket seg bucket then r
+        else go (sn + 1)
+      in
+      go 0
     in
-    go 0
+    expect "the adversary's fabricated request" Core.Orderer_intf.Reject_malicious ~sn:(sn 7)
+      [ fabricated ];
+    let client = fabricated.Proto.Request.id.Proto.Request.client in
+    expect "... accepted once its client signs it" Core.Orderer_intf.Accept ~sn:(sn 7)
+      [ Proto.Request.sign (Iss_crypto.Signature.genkey ~id:client) fabricated ]
   in
-  expect "the adversary's fabricated request" Core.Orderer_intf.Reject_malicious ~sn:(sn 7)
-    [ fabricated ];
-  let client = fabricated.Proto.Request.id.Proto.Request.client in
-  expect "... accepted once its client signs it" Core.Orderer_intf.Accept ~sn:(sn 7)
-    [ Proto.Request.sign (Iss_crypto.Signature.genkey ~id:client) fabricated ]
+  verdicts "epoch 0";
+  (* ⊥ at every other epoch-0 sn finishes the epoch.  The epoch-0 segment
+     keeps its own bucket map, so its ctx judges as it did. *)
+  for s = 1 to Core.Config.epoch_length config ~leaders:4 - 1 do
+    ctx.Core.Orderer_intf.announce ~sn:s Proto.Proposal.Nil
+  done;
+  check_int "node entered epoch 1" 1 (Core.Node.current_epoch node);
+  verdicts "epoch 1, epoch-0 segment"
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints (§3.5)

@@ -259,7 +259,7 @@ let test_overload_scenario_conformance () =
       faults = [];
       overload =
         Some
-          (Conform.Scenario.Flash_crowd
+          (Conform.Overload.Flash_crowd
              { at_s = 1.0; factor = 8.0; len_s = 1.5; drop_oldest = false });
     }
   in
@@ -276,7 +276,7 @@ let test_overload_scenario_drop_oldest () =
       num_clients = 4;
       duration_s = 4.0;
       faults = [];
-      overload = Some (Conform.Scenario.Hot_bucket { skew = 1.2; drop_oldest = true });
+      overload = Some (Conform.Overload.Hot_bucket { skew = 1.2; drop_oldest = true });
     }
   in
   match Conform.Harness.check_protocol sc Core.Config.PBFT with

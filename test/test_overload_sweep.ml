@@ -21,10 +21,10 @@ module Experiment = Runner.Experiment
 let forced_overload k =
   let drop_oldest = k mod 2 = 0 in
   if k mod 4 < 2 then
-    Conform.Scenario.Flash_crowd
+    Conform.Overload.Flash_crowd
       { at_s = 1.0 +. (0.25 *. float_of_int (k mod 8)); factor = 8.0; len_s = 1.5; drop_oldest }
   else
-    Conform.Scenario.Hot_bucket
+    Conform.Overload.Hot_bucket
       { skew = 0.9 +. (0.1 *. float_of_int (k mod 6)); drop_oldest }
 
 let conformance_part () =
