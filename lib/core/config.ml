@@ -22,7 +22,6 @@ type t = {
   min_segment_size : int;
   epoch_change_timeout : Sim.Time_ns.span;
   client_watermark_window : int;
-  log_retention_epochs : int;
   flow_control : bool;
   bucket_capacity : int;
   shed_policy : shed_policy;
@@ -52,7 +51,6 @@ let base ~n ~protocol =
     min_segment_size = 2;
     epoch_change_timeout = Sim.Time_ns.sec 10;
     client_watermark_window = 512;
-    log_retention_epochs = 4;
     flow_control = false;
     bucket_capacity = 4096;
     shed_policy = Reject_new;
@@ -101,7 +99,6 @@ let validate t =
     fail "min_batch_timeout exceeds max_batch_timeout"
   else if t.epoch_change_timeout <= 0 then fail "epoch_change_timeout must be positive"
   else if t.client_watermark_window <= 0 then fail "client_watermark_window must be positive"
-  else if t.log_retention_epochs <= 0 then fail "log_retention_epochs must be positive"
   else if (match t.batch_rate with Some r -> r <= 0.0 | None -> false) then
     fail "batch_rate must be positive when set"
   else if t.bucket_capacity <= 0 then fail "bucket_capacity must be positive"

@@ -48,12 +48,6 @@ type t = {
           HotStuff pacemaker / Raft election base) *)
   client_watermark_window : int;
       (** per-client in-flight request budget per epoch (§3.7) *)
-  log_retention_epochs : int;
-      (** How many epochs of committed log entries a node keeps below its
-          newest stable checkpoint before GC prunes them ({!Log.prune}).
-          Bounds log memory in long runs; must cover the longest expected
-          recovery lag, since pruned epochs can no longer be served to a
-          catching-up peer via state transfer. *)
   flow_control : bool;
       (** Master switch for ingress admission control (default [false]).
           When off, every flow-control code path is skipped entirely so the

@@ -29,15 +29,6 @@ type epoch_state = {
   mutable e_remaining : int;  (* uncommitted sequence numbers of this epoch *)
 }
 
-(* One epoch's checkpoint votes, keyed by the signed material: it encodes
-   (epoch, max_sn, root, req_count, policy) one-to-one, so matching votes
-   share a key. *)
-type cp_state = {
-  cp_votes : (string, Proto.Ids.node_id * Iss_crypto.Signature.signature) Hashtbl.t;
-  cp_signers : (Proto.Ids.node_id, unit) Hashtbl.t;  (* a signer's first vote sticks *)
-  mutable cp_stable : bool;
-}
-
 type t = {
   config : Config.t;
   id : Proto.Ids.node_id;
@@ -55,10 +46,6 @@ type t = {
   mutable epoch : epoch_state;
   orderers : (int, Orderer_intf.instance) Hashtbl.t;  (* instance id -> *)
   future_buffer : (int, (int * Proto.Message.t) list ref) Hashtbl.t;
-  checkpoints : (int, cp_state) Hashtbl.t;
-  stable_certs : (int, Proto.Message.checkpoint_cert) Hashtbl.t;
-  mutable newest_stable : int;  (* highest epoch in [stable_certs], -1 if none *)
-  epoch_bounds : (int, int * int) Hashtbl.t;  (* epoch -> (start sn, length) *)
   mutable cpu_free : Time_ns.t;
   mutable req_cum : int;
       (* requests delivered through the end of the last finished epoch —
@@ -137,12 +124,8 @@ let bucket_queue_added t = Bucket_queue.total_added t.queues
 let bucket_queue_max_occupancy t = Bucket_queue.max_occupancy t.queues
 
 let checkpoint_lag t =
-  (* Epochs between the newest stable checkpoint this node holds and the
-     epoch it is working in.  A caught-up node has certificates through
-     epoch e-1 while in epoch e, i.e. lag 0. *)
-  Stdlib.max 0 (t.epoch.e_num - 1 - t.newest_stable)
-
-let last_stable_checkpoint t = Hashtbl.find_opt t.stable_certs t.newest_stable
+  (* A caught-up node in epoch e has certificates through e-1: lag 0. *)
+  Stdlib.max 0 (t.epoch.e_num - 1 - Log.newest_stable t.log)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle tracing (DESIGN.md §8).
@@ -158,6 +141,15 @@ let trace_event t phase (r : Proto.Request.t) =
   match t.tracer with
   | None -> ()
   | Some tr -> Obs.Tracer.event tr ~req:(Proto.Request.id_key r.id) ~node:t.id phase
+
+let trace_batch t phase batch =
+  match t.tracer with
+  | None -> ()
+  | Some tr ->
+      Proto.Batch.iter
+        (fun (r : Proto.Request.t) ->
+          Obs.Tracer.event tr ~req:(Proto.Request.id_key r.id) ~node:t.id phase)
+        batch
 
 let trace_batch_once tr ~node phase batch =
   Proto.Batch.iter
@@ -205,11 +197,6 @@ let charge_cpu t cost k =
 let charge_cpu_sync t cost =
   let effective = cost / cpu_parallelism in
   t.cpu_free <- Time_ns.add (max (Engine.now t.engine) t.cpu_free) effective
-
-let cp_quorum t =
-  match t.config.Config.protocol with
-  | Config.Raft -> Proto.Ids.majority ~n:t.config.Config.n
-  | Config.PBFT | Config.HotStuff -> Proto.Ids.quorum ~n:t.config.Config.n
 
 let epoch_of_instance t instance = instance / t.config.Config.n
 
@@ -447,15 +434,9 @@ let resurrect t (batch : Proto.Batch.t) =
 
 let rec process_commit t ~sn proposal ~resurrectable =
   if Log.commit t.log ~sn proposal then begin
-    (match (t.tracer, proposal) with
-    | Some tr, Proto.Proposal.Batch batch ->
-        Proto.Batch.iter
-          (fun (r : Proto.Request.t) ->
-            Obs.Tracer.event tr ~req:(Proto.Request.id_key r.id) ~node:t.id Obs.Tracer.Commit)
-          batch
-    | _ -> ());
     (match proposal with
     | Proto.Proposal.Batch batch ->
+        trace_batch t Obs.Tracer.Commit batch;
         Proto.Batch.iter
           (fun (r : Proto.Request.t) ->
             (* From here on the watermarks refuse the request and forget
@@ -478,14 +459,7 @@ let rec process_commit t ~sn proposal ~resurrectable =
     t.locally_delivered <-
       t.locally_delivered
       + Log.deliver_ready t.log ~on_batch:(fun ~sn ~first_request_sn batch ->
-           (match t.tracer with
-           | Some tr ->
-               Proto.Batch.iter
-                 (fun (r : Proto.Request.t) ->
-                   Obs.Tracer.event tr ~req:(Proto.Request.id_key r.id) ~node:t.id
-                     Obs.Tracer.Deliver)
-                 batch
-           | None -> ());
+           trace_batch t Obs.Tracer.Deliver batch;
            t.hooks.on_batch_deliver t ~sn ~first_request_sn batch;
            match t.hooks.on_deliver with
            | Some f ->
@@ -508,14 +482,11 @@ let rec process_commit t ~sn proposal ~resurrectable =
 
 and finish_epoch t =
   let e = t.epoch in
-  (* Failure evidence: ⊥ entries, attributed to their segment leaders. *)
-  let nils = Log.nil_entries t.log ~from_sn:e.e_start ~to_sn:(e.e_start + e.e_len - 1) in
   let num_leaders = Array.length e.e_leaders in
-  let failed =
-    List.map (fun sn -> (e.e_leaders.((sn - e.e_start) mod num_leaders), sn)) nils
-  in
-  (* Per-leader segment statistics for the STRAGGLER-AWARE policy (cheap:
-     one pass over the epoch's log entries, identical at every node). *)
+  (* One pass over the epoch's log entries, identical at every node: the
+     failure evidence (⊥ entries, attributed to their segment leaders) and
+     per-leader segment statistics for the STRAGGLER-AWARE policy. *)
+  let failed = ref [] in
   let batches = Array.make num_leaders 0 in
   let empties = Array.make num_leaders 0 in
   let requests = Array.make num_leaders 0 in
@@ -527,7 +498,8 @@ and finish_epoch t =
         let len = Proto.Batch.length b in
         if len = 0 then empties.(k) <- empties.(k) + 1;
         requests.(k) <- requests.(k) + len
-    | Some Proto.Proposal.Nil | None -> ()
+    | Some Proto.Proposal.Nil -> failed := (e.e_leaders.(k), sn) :: !failed
+    | None -> ()
   done;
   let stats =
     List.init num_leaders (fun k ->
@@ -538,30 +510,23 @@ and finish_epoch t =
           ls_requests = requests.(k);
         })
   in
-  Leader_policy.epoch_finished t.policy ~epoch:e.e_num ~failed ~stats ();
+  Leader_policy.epoch_finished t.policy ~epoch:e.e_num ~failed:(List.rev !failed) ~stats ();
   (* Eq. (2) cumulative request count through this epoch's end: the epoch's
      own total is the per-leader sum just computed.  (Log.total_delivered
      can already include later epochs' requests when state transfer
      committed ahead, so it is not usable here.) *)
   t.req_cum <- t.req_cum + Array.fold_left ( + ) 0 requests;
-  (* Checkpoint (§3.5): sign the Merkle root over the epoch's batches,
-     together with the request count and the leader-policy state — both
-     deterministic from the log, so all correct nodes sign identical
-     material and a lagging node can adopt them wholesale (checkpoint
-     jump) when the history itself has been pruned everywhere.  The policy
-     snapshot is taken before the leaderless-epoch skip below so a restoring
-     node replays the skip itself. *)
-  let digests = Log.batch_digests t.log ~from_sn:e.e_start ~to_sn:(e.e_start + e.e_len - 1) in
-  let root = Iss_crypto.Merkle.root digests in
-  let max_sn = e.e_start + e.e_len - 1 in
-  let req_count = t.req_cum in
-  let policy = Leader_policy.snapshot t.policy in
-  let material = Proto.Message.checkpoint_material ~epoch:e.e_num ~max_sn ~root ~req_count ~policy in
-  let sig_ = Iss_crypto.Signature.sign t.keypair material in
+  (* Checkpoint (§3.5) over the epoch's range, the request count and the
+     leader-policy state, all deterministic from the log: a lagging node
+     can adopt them wholesale (checkpoint jump).  The policy snapshot
+     precedes the leaderless-epoch skip, so a restoring node replays it. *)
+  let vote =
+    Log.checkpoint_vote t.log ~keypair:t.keypair ~signer:t.id ~epoch:e.e_num ~from_sn:e.e_start
+      ~to_sn:(e.e_start + e.e_len - 1) ~req_count:t.req_cum
+      ~policy:(Leader_policy.snapshot t.policy)
+  in
   charge_cpu t Iss_crypto.Signature.sign_cost_ns (fun () -> ());
-  broadcast t
-    (Proto.Message.Checkpoint_msg
-       { epoch = e.e_num; max_sn; root; req_count; policy; signer = t.id; sig_ });
+  broadcast t vote;
   advance_epoch t ~finished:e.e_num ~start_sn:(e.e_start + e.e_len)
 
 and advance_epoch t ~finished ~start_sn =
@@ -575,7 +540,6 @@ and advance_epoch t ~finished ~start_sn =
     incr guard;
     if !guard > 100_000 then failwith "Node: leader policy yields no leaders indefinitely";
     Leader_policy.epoch_finished t.policy ~epoch:!next ~failed:[] ();
-    Hashtbl.replace t.epoch_bounds !next (start_sn, 0);
     incr next;
     leaders := Leader_policy.leaders t.policy ~epoch:!next
   done;
@@ -590,7 +554,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
     let segments = Segment.make_epoch ~config:t.config ~epoch ~start_sn ~leaders in
     let len = Config.epoch_length t.config ~leaders:(Array.length leaders) in
     let bucket_leaders = (List.hd segments).Segment.bucket_leaders in
-    Hashtbl.replace t.epoch_bounds epoch (start_sn, len);
+    Log.set_range t.log ~epoch ~first_sn:start_sn ~length:len;
     Watermarks.clear_proposals t.watermarks;
     (* Some positions may already be committed (state transfer outran the
        epoch machinery); count only the genuinely open ones. *)
@@ -675,58 +639,17 @@ and make_ctx t (seg : Segment.t) : Orderer_intf.ctx =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoints (§3.5) *)
-
-and handle_checkpoint t ~epoch ~max_sn ~root ~req_count ~policy ~signer ~sig_ =
-  let material = Proto.Message.checkpoint_material ~epoch ~max_sn ~root ~req_count ~policy in
-  if Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id signer) material sig_ then begin
-    let cp =
-      match Hashtbl.find_opt t.checkpoints epoch with
-      | Some cp -> cp
-      | None ->
-          let cp =
-            { cp_votes = Hashtbl.create 8; cp_signers = Hashtbl.create 8; cp_stable = false }
-          in
-          Hashtbl.replace t.checkpoints epoch cp;
-          cp
-    in
-    if (not cp.cp_stable) && not (Hashtbl.mem cp.cp_signers signer) then begin
-      Hashtbl.replace cp.cp_signers signer ();
-      Hashtbl.add cp.cp_votes material (signer, sig_);
-      let matching = Hashtbl.find_all cp.cp_votes material in
-      if List.length matching >= cp_quorum t then begin
-        cp.cp_stable <- true;
-        (* Sort the certificate's signer list by node id: [matching] is in
-           this node's vote-arrival order, and the certificate travels
-           (state transfer) — downstream choices such as {!pick_st_target}
-           must not inherit a per-node-history order. *)
-        add_stable t
-          {
-            Proto.Message.cc_epoch = epoch;
-            cc_max_sn = max_sn;
-            cc_root = root;
-            cc_req_count = req_count;
-            cc_policy = policy;
-            cc_sigs = List.sort (fun (a, _) (b, _) -> compare a b) matching;
-          };
-        gc_stable t
-      end
-    end
-  end
-
-and add_stable t (cert : Proto.Message.checkpoint_cert) =
-  Hashtbl.replace t.stable_certs cert.cc_epoch cert;
-  t.newest_stable <- Stdlib.max t.newest_stable cert.cc_epoch
+(* Checkpoints and state transfer (§3.5): Log decides, the node acts. *)
 
 and gc_stable t =
   (* Garbage-collect orderer instances of epochs that are both behind us and
-     covered by a stable checkpoint. *)
+     covered by a stable checkpoint, then prune the log behind them. *)
   let current = t.epoch.e_num in
   let to_remove = ref [] in
   Hashtbl.iter
     (fun instance _ ->
       let e = epoch_of_instance t instance in
-      if e < current && Hashtbl.mem t.stable_certs e then to_remove := instance :: !to_remove)
+      if e < current && Log.is_stable t.log ~epoch:e then to_remove := instance :: !to_remove)
     t.orderers;
   List.iter
     (fun instance ->
@@ -735,43 +658,7 @@ and gc_stable t =
       | None -> ());
       Hashtbl.remove t.orderers instance)
     !to_remove;
-  prune_log t
-
-and prune_log t =
-  (* Prune committed entries of epochs at least [log_retention_epochs]
-     behind the newest stable checkpoint: a quorum signed off on them long
-     ago and recent peers have moved past them, so retaining the full
-     history would grow memory without bound in long runs.  The retained
-     window is what this node can still serve via state transfer; a peer
-     that lagged further behind simply asks the next target.  Checkpoint
-     vote accumulators of the pruned epochs go with them. *)
-  let horizon = t.newest_stable - t.config.Config.log_retention_epochs in
-  if horizon >= 0 then begin
-    (* Newest stable certificate at or below the horizon bounds the cut. *)
-    let cut_epoch =
-      Hashtbl.fold
-        (fun e _ acc -> if e <= horizon then Stdlib.max e acc else acc)
-        t.stable_certs (-1)
-    in
-    if cut_epoch >= 0 then begin
-      let cert = Hashtbl.find t.stable_certs cut_epoch in
-      (* Never prune into the current epoch: [finish_epoch] still reads the
-         whole range for statistics and the checkpoint Merkle root, and a
-         lagging node can hold stable certificates for epochs at or ahead
-         of the one it is working in ([Log.prune] additionally clamps to
-         the delivery frontier). *)
-      let cut_sn = min (cert.Proto.Message.cc_max_sn + 1) t.epoch.e_start in
-      if Log.pruned_below t.log < min cut_sn (Log.first_undelivered t.log) then begin
-        ignore (Log.prune t.log ~below_sn:cut_sn);
-        Hashtbl.filter_map_inplace
-          (fun e cp -> if e <= cut_epoch then None else Some cp)
-          t.checkpoints
-      end
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* State transfer (§3.5) *)
+  Log.prune_stable t.log ~below_sn:t.epoch.e_start
 
 and arm_lag_check t =
   let epoch_at_arm = t.epoch.e_num in
@@ -783,160 +670,48 @@ and arm_lag_check t =
            nothing for long-finished epochs, so a laggard typically only
            collects certificates of newer epochs) — fetch the log
            instead of waiting. *)
-        (match last_stable_checkpoint t with
+        (match Log.last_stable_checkpoint t.log with
         | Some cert when cert.cc_epoch >= epoch_at_arm ->
-            let target = pick_st_target t cert in
+            (* Rotate over the certificate's other signers. *)
+            let peers = Array.of_list (List.filter (fun s -> s <> t.id) (Log.signers cert)) in
+            let target =
+              if Array.length peers = 0 then (t.id + 1) mod t.config.Config.n
+              else begin
+                t.st_target <- t.st_target + 1;
+                peers.(t.st_target mod Array.length peers)
+              end
+            in
             send t ~dst:target (Proto.Message.State_request { from_sn = t.epoch.e_start })
         | Some _ | None -> ());
         arm_lag_check t
       end)
 
-and pick_st_target t (cert : Proto.Message.checkpoint_cert) =
-  (* Explicitly sort by node id: certificates built before signer lists were
-     canonicalized (or received from such a node) carry fold-ordered
-     signers, and the rotation below must not depend on that history. *)
-  let signers =
-    List.sort_uniq compare (List.filter (fun s -> s <> t.id) (List.map fst cert.cc_sigs))
-  in
-  let signers = Array.of_list signers in
-  if Array.length signers = 0 then (t.id + 1) mod t.config.Config.n
-  else begin
-    t.st_target <- t.st_target + 1;
-    signers.(t.st_target mod Array.length signers)
-  end
-
-and handle_state_request t ~src ~from_sn =
-  (* Answer with every stable epoch that covers [from_sn] onwards, each as a
-     self-contained (entries, certificate) pair, in epoch order — iterating
-     the Hashtbl directly would put replies on the wire in an
-     insertion-history order that differs across nodes.  Epochs pruned from
-     the log ({!Log.prune}) fail [range_complete] and are skipped. *)
-  let epochs = Hashtbl.fold (fun e _ acc -> e :: acc) t.stable_certs [] in
-  (* When GC already pruned part of what the requester asks for, no amount
-     of target rotation can recover it once every peer has pruned too.
-     Offer a checkpoint snapshot first (an entry-less reply): the oldest
-     stable certificate whose successor position we still retain, so the
-     requester loses as little history as possible and the entry replies
-     below connect seamlessly.  Sent before the entries so the requester
-     jumps, then fills in from there. *)
-  let pruned = Log.pruned_below t.log in
-  if from_sn < pruned then begin
-    let jump_cert =
-      List.fold_left
-        (fun acc e ->
-          let cert = Hashtbl.find t.stable_certs e in
-          if cert.Proto.Message.cc_max_sn + 1 >= pruned then
-            match acc with
-            | Some (best : Proto.Message.checkpoint_cert) when best.cc_max_sn <= cert.cc_max_sn ->
-                acc
-            | Some _ | None -> Some cert
-          else acc)
-        None (List.sort compare epochs)
-    in
-    match jump_cert with
-    | Some cert -> send t ~dst:src (Proto.Message.State_reply { entries = []; cert })
-    | None -> ()
-  end;
-  List.iter
-    (fun epoch ->
-      let cert = Hashtbl.find t.stable_certs epoch in
-      match Hashtbl.find_opt t.epoch_bounds epoch with
-      | Some (start, len) when len > 0 && start + len - 1 >= from_sn ->
-          if Log.range_complete t.log ~from_sn:start ~to_sn:(start + len - 1) then begin
-            let entries =
-              List.init len (fun i ->
-                  let sn = start + i in
-                  match Log.get t.log ~sn with
-                  | Some p -> (sn, p)
-                  | None -> assert false)
-            in
-            send t ~dst:src (Proto.Message.State_reply { entries; cert })
-          end
-      | Some _ | None -> ())
-    (List.sort compare epochs)
-
-and handle_state_reply t ~entries ~(cert : Proto.Message.checkpoint_cert) =
-  (* Verify the certificate: a quorum of valid signatures over the announced
-     root, and the entries actually hash to that root. *)
-  let material =
-    Proto.Message.checkpoint_material ~epoch:cert.cc_epoch ~max_sn:cert.cc_max_sn
-      ~root:cert.cc_root ~req_count:cert.cc_req_count ~policy:cert.cc_policy
-  in
-  let valid_sigs =
-    List.filter
-      (fun (node, s) ->
-        Iss_crypto.Signature.verify (Iss_crypto.Signature.public_of_id node) material s)
-      cert.cc_sigs
-  in
-  let distinct = List.sort_uniq compare (List.map fst valid_sigs) in
-  if List.length distinct >= cp_quorum t then begin
-    match entries with
-    | [] -> jump_to_checkpoint t cert
-    | _ :: _ ->
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-    let digests = Array.of_list (List.map (fun (_, p) -> Proto.Proposal.digest p) sorted) in
-    let contiguous =
-      match sorted with
-      | [] -> false
-      | (first, _) :: _ ->
-          List.for_all2
-            (fun (sn, _) i -> sn = first + i)
-            sorted
-            (List.init (List.length sorted) (fun i -> i))
-          && first + List.length sorted - 1 = cert.cc_max_sn
-    in
-    if contiguous && Iss_crypto.Hash.equal (Iss_crypto.Merkle.root digests) cert.cc_root then begin
-      (* Adopt the certificate (so we can serve it onwards) and commit. *)
-      if not (Hashtbl.mem t.stable_certs cert.cc_epoch) then begin
-        add_stable t cert;
-        (match sorted with
-        | (first, _) :: _ ->
-            Hashtbl.replace t.epoch_bounds cert.cc_epoch (first, List.length sorted)
-        | [] -> ())
-      end;
-      List.iter (fun (sn, p) -> process_commit t ~sn p ~resurrectable:false) sorted
-    end
-  end
-
 and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
-  (* Adopt a quorum-signed checkpoint without the history behind it: the
-     serving peer (and, transitively, everyone) pruned those epochs, so
-     replay is impossible.  Fast-forward everything the skipped epochs
-     would have produced: log frontier, Eq. (2) request numbering and the
-     leader-policy state (all covered by the certificate's signatures),
-     then re-enter the epoch machinery right after the checkpoint.
+  (* Log already jumped its frontier to the quorum-signed checkpoint: the
+     serving peer, and transitively everyone, pruned the history behind it.
+     Fast-forward what the skipped epochs would have produced — Eq. (2)
+     request count and leader-policy state, both signed — and re-enter the
+     epoch machinery right after the checkpoint.
 
-     The caller verified the quorum.  Per-client watermark floors cannot be
-     reconstructed (the skipped requests are gone), so the node keeps its
-     old ones.  A client whose skipped requests it never delivers keeps a
-     floor below them, and the node refuses that client's requests past
-     [floor + window] as [Outside_window].  That makes it a stricter
-     validator and intake for the client, never a source of double
-     delivery (the log positions themselves stay exactly-once). *)
-  let to_sn = cert.Proto.Message.cc_max_sn + 1 in
-  if to_sn > Log.first_undelivered t.log then begin
-    Log.jump t.log ~to_sn ~total_delivered:cert.cc_req_count;
-    t.req_cum <- cert.cc_req_count;
-    Leader_policy.restore t.policy cert.cc_policy;
-    add_stable t cert;
-    (* Everything buffered before the jump refers to skipped history:
-       in-flight proposals, per-epoch vote accumulators and the orderer
-       instances of abandoned epochs (all instances are from epochs <= the
-       certificate's — later ones cannot have started yet).  Queued client
-       requests may include ones delivered in the skipped range; clients
-       whose requests reached their reply quorum stop retransmitting, so
-       dropping the queues loses nothing that retransmission or another
-       leader does not recover. *)
-    Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
-    Hashtbl.reset t.orderers;
-    Watermarks.clear_proposals t.watermarks;
-    Bucket_queue.clear t.queues;
-    Hashtbl.filter_map_inplace
-      (fun e cp -> if e <= cert.cc_epoch then None else Some cp)
-      t.checkpoints;
-    cancel_batcher t;
-    advance_epoch t ~finished:cert.cc_epoch ~start_sn:to_sn
-  end
+     Per-client watermark floors cannot be reconstructed, so the node keeps
+     its old ones.  A client whose skipped requests it never delivers keeps
+     a floor below them, and the node refuses that client's requests past
+     [floor + window] as [Outside_window]: a stricter validator and intake
+     for the client, never a source of double delivery.
+
+     Everything buffered refers to skipped history: in-flight proposals and
+     the orderer instances of abandoned epochs (all from epochs <= the
+     certificate's).  Queued requests may include ones delivered in the
+     skipped range; clients retransmit what reached no reply quorum, so
+     dropping the queues loses nothing. *)
+  t.req_cum <- cert.cc_req_count;
+  Leader_policy.restore t.policy cert.cc_policy;
+  Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
+  Hashtbl.reset t.orderers;
+  Watermarks.clear_proposals t.watermarks;
+  Bucket_queue.clear t.queues;
+  cancel_batcher t;
+  advance_epoch t ~finished:cert.cc_epoch ~start_sn:(cert.cc_max_sn + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Message dispatch *)
@@ -946,9 +721,17 @@ and handle_message t ~src msg =
     match msg with
     | Proto.Message.Request_msg r -> submit t r
     | Proto.Message.Checkpoint_msg { epoch; max_sn; root; req_count; policy; signer; sig_ } ->
-        handle_checkpoint t ~epoch ~max_sn ~root ~req_count ~policy ~signer ~sig_
-    | Proto.Message.State_request { from_sn } -> handle_state_request t ~src ~from_sn
-    | Proto.Message.State_reply { entries; cert } -> handle_state_reply t ~entries ~cert
+        let quorum = Log.quorum t.config in
+        if Log.add_vote t.log ~quorum ~epoch ~max_sn ~root ~req_count ~policy ~signer ~sig_ then
+          gc_stable t
+    | Proto.Message.State_request { from_sn } ->
+        List.iter (send t ~dst:src) (Log.state_replies t.log ~from_sn)
+    | Proto.Message.State_reply { entries; cert } -> (
+        match Log.check_state_reply t.log ~quorum:(Log.quorum t.config) ~entries ~cert with
+        | Log.Verified sorted ->
+            List.iter (fun (sn, p) -> process_commit t ~sn p ~resurrectable:false) sorted
+        | Log.Jumped -> jump_to_checkpoint t cert
+        | Log.Refused -> ())
     | Proto.Message.Pbft { instance; _ }
     | Proto.Message.Hotstuff { instance; _ }
     | Proto.Message.Raft { instance; _ } ->
@@ -1024,10 +807,6 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
         };
       orderers = Hashtbl.create 64;
       future_buffer = Hashtbl.create 8;
-      checkpoints = Hashtbl.create 16;
-      stable_certs = Hashtbl.create 16;
-      newest_stable = -1;
-      epoch_bounds = Hashtbl.create 16;
       cpu_free = Time_ns.zero;
       req_cum = 0;
       locally_delivered = 0;
@@ -1069,12 +848,9 @@ let recover t =
         disarm b;
         try_cut t b)
       t.epoch.e_batcher;
-    (* Catch up proactively: ask f+1 distinct peers for everything that
-       stabilized while we were down (at least one of them is correct and
-       has it).  Epochs arrive as self-contained (entries, certificate)
-       replies and are committed through the normal state-transfer path,
-       which re-runs the epoch machinery so the node rejoins its segments.
-       The lag check keeps firing until the node draws level. *)
+    (* Catch up: ask f+1 distinct peers (one of them correct) for what
+       stabilized while we were down; the state-transfer replies re-run the
+       epoch machinery, and the lag check keeps firing until we draw level. *)
     let n = t.config.Config.n in
     let peers = min (n - 1) (Config.max_faulty t.config + 1) in
     for k = 1 to peers do

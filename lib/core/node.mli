@@ -1,10 +1,13 @@
 (** An ISS replica: the Manager/Orderer assembly of paper §4.1.
 
     The node owns the log, the bucket queues, epoch advancement, leader
-    selection, batching (with rate limiting), checkpointing and state
-    transfer.  Ordering itself is delegated to per-segment SB instances
-    created through an {!orderer_factory} — this is where PBFT, HotStuff or
-    Raft plug in.
+    selection and batching (with rate limiting).  Ordering itself is
+    delegated to per-segment SB instances created through an
+    {!orderer_factory} — this is where PBFT, HotStuff or Raft plug in.
+    Checkpoints and state transfer (§3.5) live in {!Log}: the node signs
+    and sends votes and replies, and acts on what Log decides — orderer
+    GC, commits of transferred entries, checkpoint jumps and the lag
+    check.
 
     The node is transport-agnostic: it receives a [send] function and
     exposes {!on_message}; the runner wires both to the simulated network
@@ -138,7 +141,6 @@ val pushback_count : t -> int
 (** [Busy] pushback notifications this node issued, advisory and shedding
     alike.  Always 0 when [flow_control] is off. *)
 
-val last_stable_checkpoint : t -> Proto.Message.checkpoint_cert option
 val epoch_leaders : t -> Proto.Ids.node_id array
 (** Leaders of the node's current epoch. *)
 

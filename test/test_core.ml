@@ -1112,7 +1112,7 @@ let test_checkpoint_quorum () =
     | _ -> assert false
   in
   let signers () =
-    match Core.Node.last_stable_checkpoint node with
+    match Core.Log.last_stable_checkpoint (Core.Node.log node) with
     | Some cert -> List.map fst cert.Proto.Message.cc_sigs
     | None -> []
   in
@@ -1137,6 +1137,265 @@ let test_checkpoint_quorum () =
   vote ~epoch:0 2;
   Alcotest.(check (list int)) "a late vote for an older epoch changes nothing" [ 1; 2; 3 ]
     (signers ())
+
+(* Checkpoints in Core.Log alone: no node, no cluster.  Epoch [e] spans
+   positions [e * cp_len, (e + 1) * cp_len), each a one-request batch, and
+   n = 4 needs 3 signatures. *)
+
+let cp_len = 4
+let cp_quorum = 3
+
+let log_with_epochs epochs =
+  let log = Core.Log.create () in
+  for e = 0 to epochs - 1 do
+    Core.Log.set_range log ~epoch:e ~first_sn:(e * cp_len) ~length:cp_len
+  done;
+  for sn = 0 to (epochs * cp_len) - 1 do
+    ignore (Core.Log.commit log ~sn (Proto.Proposal.Batch (batch_of [ (1, sn) ])))
+  done;
+  drain log;
+  log
+
+let cp_vote log ~epoch signer =
+  Core.Log.checkpoint_vote log
+    ~keypair:(Iss_crypto.Signature.genkey ~id:signer)
+    ~signer ~epoch ~from_sn:(epoch * cp_len)
+    ~to_sn:(((epoch + 1) * cp_len) - 1)
+    ~req_count:((epoch + 1) * cp_len) ~policy:"policy"
+
+(* [signer]'s vote on [epoch], with [root] if given, signed with [key]'s key. *)
+let cp_altered log ~epoch ?root ~key signer =
+  match cp_vote log ~epoch signer with
+  | Proto.Message.Checkpoint_msg m ->
+      let root = Option.value root ~default:m.root in
+      let material =
+        Proto.Message.checkpoint_material ~epoch ~max_sn:m.max_sn ~root ~req_count:m.req_count
+          ~policy:m.policy
+      in
+      let sig_ = Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id:key) material in
+      Proto.Message.Checkpoint_msg { m with root; sig_ }
+  | _ -> assert false
+
+let cp_cast log (m : Proto.Message.t) =
+  match m with
+  | Proto.Message.Checkpoint_msg { epoch; max_sn; root; req_count; policy; signer; sig_ } ->
+      Core.Log.add_vote log ~quorum:cp_quorum ~epoch ~max_sn ~root ~req_count ~policy ~signer
+        ~sig_
+  | _ -> assert false
+
+let cast log ~epoch signer = cp_cast log (cp_vote log ~epoch signer)
+
+let cert_signers log ~epoch =
+  match Core.Log.last_stable_checkpoint log with
+  | Some (cert : Proto.Message.checkpoint_cert) when cert.cc_epoch = epoch ->
+      List.map fst cert.cc_sigs
+  | Some _ | None -> []
+
+let test_log_vote_quorum () =
+  let log = log_with_epochs 1 in
+  check_bool "first vote" false (cast log ~epoch:0 3);
+  check_bool "second vote" false (cast log ~epoch:0 1);
+  check_bool "not stable below the quorum" false (Core.Log.is_stable log ~epoch:0);
+  check_bool "the third matching vote completes the quorum" true (cast log ~epoch:0 2);
+  Alcotest.(check (list int)) "signers sorted by node id" [ 1; 2; 3 ] (cert_signers log ~epoch:0);
+  check_int "newest stable epoch" 0 (Core.Log.newest_stable log);
+  check_bool "a vote after the quorum changes nothing" false (cast log ~epoch:0 0);
+  Alcotest.(check (list int)) "certificate unchanged" [ 1; 2; 3 ] (cert_signers log ~epoch:0)
+
+let test_log_vote_filters () =
+  let log = log_with_epochs 1 in
+  (* Node 2 first signs a corrupted root: a valid signature over the wrong
+     material.  Its correct vote afterwards is a second vote. *)
+  let root = Iss_crypto.Hash.of_string "corrupted" in
+  check_bool "corrupted-root vote" false (cp_cast log (cp_altered log ~epoch:0 ~root ~key:2 2));
+  check_bool "vote 3" false (cast log ~epoch:0 3);
+  check_bool "vote 1: two matching, the corrupted one does not count" false
+    (cast log ~epoch:0 1);
+  check_bool "node 2's second vote is ignored" false (cast log ~epoch:0 2);
+  (* A vote claiming node 0 but signed with node 2's key never counts. *)
+  check_bool "forged signature" false (cp_cast log (cp_altered log ~epoch:0 ~key:2 0));
+  check_bool "still no certificate" false (Core.Log.is_stable log ~epoch:0);
+  check_bool "node 0's own vote completes it" true (cast log ~epoch:0 0);
+  Alcotest.(check (list int)) "corrupted vote left out" [ 0; 1; 3 ] (cert_signers log ~epoch:0)
+
+(* The replies a server holding [epochs] stable epochs sends from [from_sn]. *)
+let stable_server epochs =
+  let log = log_with_epochs epochs in
+  for epoch = 0 to epochs - 1 do
+    List.iter (fun s -> ignore (cast log ~epoch s)) [ 0; 1; 2 ]
+  done;
+  log
+
+let replies log ~from_sn =
+  List.map
+    (function
+      | Proto.Message.State_reply { entries; cert } -> (List.map fst entries, cert)
+      | _ -> assert false)
+    (Core.Log.state_replies log ~from_sn)
+
+let test_log_reply_verification () =
+  let server = stable_server 2 in
+  let entries, cert =
+    match Core.Log.state_replies server ~from_sn:0 with
+    | Proto.Message.State_reply { entries; cert } :: _ -> (entries, cert)
+    | _ -> Alcotest.fail "no reply for epoch 0"
+  in
+  let client = Core.Log.create () in
+  let verdict ?(entries = entries) cert =
+    match Core.Log.check_state_reply client ~quorum:cp_quorum ~entries ~cert with
+    | Core.Log.Refused -> "refused"
+    | Core.Log.Jumped -> "jumped"
+    | Core.Log.Verified sorted -> Printf.sprintf "verified %d" (List.length sorted)
+  in
+  let check_verdict what expected ?entries cert =
+    Alcotest.(check string) what expected (verdict ?entries cert)
+  in
+  let sigs = cert.Proto.Message.cc_sigs in
+  check_verdict "two signatures" "refused" { cert with cc_sigs = List.tl sigs };
+  check_verdict "a signer counted twice" "refused"
+    { cert with cc_sigs = List.hd sigs :: List.rev (List.tl (List.rev sigs)) };
+  let bogus = Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id:3) "other material" in
+  check_verdict "an invalid signature is dropped before counting" "refused"
+    { cert with cc_sigs = (3, bogus) :: List.tl sigs };
+  check_verdict "a gap in the entries" "refused"
+    ~entries:(List.filter (fun (sn, _) -> sn <> 1) entries)
+    cert;
+  check_verdict "entries short of max_sn" "refused" ~entries:(List.rev (List.tl (List.rev entries)))
+    cert;
+  (* Renumbered entries keep the signed batches, hence the root: only the
+     contiguity check catches them. *)
+  check_verdict "the signed batches at positions with a gap" "refused"
+    ~entries:(List.map (fun (sn, p) -> ((if sn = 3 then 4 else sn), p)) entries)
+    cert;
+  check_verdict "the signed batches shifted past max_sn" "refused"
+    ~entries:(List.map (fun (sn, p) -> (sn + 1, p)) entries)
+    cert;
+  check_verdict "an entry that is not the signed one" "refused"
+    ~entries:(List.map (fun (sn, p) -> (sn, if sn = 2 then Proto.Proposal.Nil else p)) entries)
+    cert;
+  check_verdict "a wrong root" "refused" { cert with cc_root = Iss_crypto.Hash.of_string "x" };
+  check_bool "nothing adopted from refused replies" false (Core.Log.is_stable client ~epoch:0);
+  (match Core.Log.check_state_reply client ~quorum:cp_quorum ~entries:(List.rev entries) ~cert with
+  | Core.Log.Verified sorted ->
+      Alcotest.(check (list int)) "entries in sn order" [ 0; 1; 2; 3 ] (List.map fst sorted)
+  | Core.Log.Refused | Core.Log.Jumped -> Alcotest.fail "a valid reply was refused");
+  check_bool "certificate adopted" true (Core.Log.is_stable client ~epoch:0);
+  (* An entry-less snapshot fast-forwards the frontier, once. *)
+  let snapshot =
+    match Core.Log.last_stable_checkpoint server with Some c -> c | None -> assert false
+  in
+  check_verdict "snapshot" "jumped" ~entries:[] snapshot;
+  check_int "frontier past the snapshot" 8 (Core.Log.first_undelivered client);
+  check_int "Eq. (2) numbering adopted" 8 (Core.Log.total_delivered client);
+  check_verdict "a stale snapshot" "refused" ~entries:[] snapshot
+
+let test_log_serving () =
+  let server = stable_server 8 in
+  let epochs_of rs =
+    List.map (fun (sns, (c : Proto.Message.checkpoint_cert)) -> (c.cc_epoch, List.length sns)) rs
+  in
+  Alcotest.(check (list (pair int int)))
+    "every epoch, ascending" (List.init 8 (fun e -> (e, cp_len)))
+    (epochs_of (replies server ~from_sn:0));
+  (* Newest stable epoch 7: epochs up to 3 (sn < 16) are pruned. *)
+  Core.Log.prune_stable server ~below_sn:max_int;
+  check_int "pruned through epoch 3" 16 (Core.Log.pruned_below server);
+  check_bool "pruning keeps certificates" true (Core.Log.is_stable server ~epoch:0);
+  Alcotest.(check (list (pair int int)))
+    "snapshot first, then the retained epochs ascending"
+    [ (3, 0); (4, cp_len); (5, cp_len); (6, cp_len); (7, cp_len) ]
+    (epochs_of (replies server ~from_sn:5));
+  Alcotest.(check (list (pair int int)))
+    "no snapshot when nothing asked for is pruned"
+    [ (5, cp_len); (6, cp_len); (7, cp_len) ]
+    (epochs_of (replies server ~from_sn:22))
+
+(* A node that jumps to a checkpoint keeps the watermark floors it had: the
+   skipped requests cannot be replayed, so a client's floor stays below
+   them.  One node, fed a hand-signed entry-less State_reply. *)
+let test_jump_keeps_floors () =
+  let window = 8 in
+  let config =
+    { (Core.Config.pbft_default ~n:4) with Core.Config.client_watermark_window = window }
+  in
+  let ctxs = ref [] in
+  let orderer_factory ctx seg =
+    ctxs := (ctx, seg) :: !ctxs;
+    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+  in
+  let delivered = ref [] and duplicates = ref [] in
+  let hooks =
+    {
+      Core.Node.default_hooks with
+      on_deliver = Some (fun _ d -> delivered := d.Core.Log.request.Proto.Request.id :: !delivered);
+      on_duplicate = Some (fun _ r -> duplicates := r.Proto.Request.id :: !duplicates);
+    }
+  in
+  let node =
+    Core.Node.create ~config ~id:0 ~engine:(Sim.Engine.create ())
+      ~send:(fun ~dst:_ _ -> ())
+      ~orderer_factory ~hooks ()
+  in
+  Core.Node.start node;
+  let signed ts = Proto.Request.sign (Iss_crypto.Signature.genkey ~id:7) (req ~client:7 ~ts) in
+  let announce ~sn reqs =
+    let ctx, _ = List.hd !ctxs in
+    ctx.Core.Orderer_intf.announce ~sn
+      (Proto.Proposal.Batch (Proto.Batch.make (Array.of_list reqs)))
+  in
+  (* Client 7's first two requests deliver at sn 0: its floor is 2. *)
+  announce ~sn:0 [ signed 0; signed 1 ];
+  (* A quorum-signed checkpoint of epoch 0 that skips 40 requests. *)
+  let max_sn = Core.Config.epoch_length config ~leaders:4 - 1 in
+  let policy =
+    let p = Core.Leader_policy.create config in
+    Core.Leader_policy.epoch_finished p ~epoch:0 ~failed:[] ();
+    Core.Leader_policy.snapshot p
+  in
+  let root = Iss_crypto.Hash.of_string "skipped history" in
+  let material = Proto.Message.checkpoint_material ~epoch:0 ~max_sn ~root ~req_count:42 ~policy in
+  let cert =
+    {
+      Proto.Message.cc_epoch = 0;
+      cc_max_sn = max_sn;
+      cc_root = root;
+      cc_req_count = 42;
+      cc_policy = policy;
+      cc_sigs =
+        List.map
+          (fun s -> (s, Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id:s) material))
+          [ 1; 2; 3 ];
+    }
+  in
+  Core.Node.on_message node ~src:1 (Proto.Message.State_reply { entries = []; cert });
+  let log = Core.Node.log node in
+  check_int "jumped into epoch 1" 1 (Core.Node.current_epoch node);
+  check_int "frontier past the checkpoint" (max_sn + 1) (Core.Log.first_undelivered log);
+  check_int "numbering adopted" 42 (Core.Log.total_delivered log);
+  (* Old floors: ts 0 is still delivered, ts 2 + window is past the window
+     and ts 2 + window - 1 inside it. *)
+  Core.Node.submit node (signed 0);
+  check_int "a delivered request is answered as a duplicate" 1 (List.length !duplicates);
+  Core.Node.submit node (signed (2 + window));
+  check_int "floor + window is refused" 0 (Core.Node.pending_requests node);
+  Core.Node.submit node (signed (2 + window - 1));
+  check_int "inside the old window is queued" 1 (Core.Node.pending_requests node);
+  (* Nothing delivered twice: a batch with a delivered request fails
+     validation, and the new request delivers once. *)
+  let num_buckets = Core.Config.num_buckets config in
+  let ctx, seg =
+    List.find
+      (fun (_, seg) ->
+        Core.Segment.owns_bucket seg (Proto.Request.bucket_of_id ~num_buckets (signed 1).id))
+      (List.filteri (fun i _ -> i < 4) !ctxs)
+  in
+  check_bool "a delivered request fails validation" true
+    (ctx.Core.Orderer_intf.validate_proposal seg ~sn:seg.Core.Segment.seq_nrs.(0)
+       (Proto.Proposal.Batch (Proto.Batch.make [| signed 1 |]))
+    = Core.Orderer_intf.Reject);
+  announce ~sn:(max_sn + 1) [ signed (2 + window - 1) ];
+  Alcotest.(check (list int)) "each request delivered once" [ 0; 1; 2 + window - 1 ]
+    (List.rev_map (fun (id : Proto.Request.id) -> id.ts) !delivered)
 
 (* ------------------------------------------------------------------ *)
 (* Config *)
@@ -1259,7 +1518,16 @@ let () =
             test_watermarks_proposals_allocate_nothing;
           Alcotest.test_case "PBFT vote" `Quick test_votes_add_allocates_nothing;
         ] );
-      ("checkpoints", [ Alcotest.test_case "quorum certificate" `Quick test_checkpoint_quorum ]);
+      ( "checkpoints",
+        [
+          Alcotest.test_case "quorum certificate" `Quick test_checkpoint_quorum;
+          Alcotest.test_case "log: quorum gives a sorted certificate" `Quick test_log_vote_quorum;
+          Alcotest.test_case "log: second and corrupted votes never join" `Quick
+            test_log_vote_filters;
+          Alcotest.test_case "log: reply verification" `Quick test_log_reply_verification;
+          Alcotest.test_case "log: serving order and pruned epochs" `Quick test_log_serving;
+          Alcotest.test_case "jump keeps watermark floors" `Quick test_jump_keeps_floors;
+        ] );
       ( "validation",
         [ Alcotest.test_case "proposal verdicts" `Quick test_validate_proposal_verdicts ] );
       ( "config",

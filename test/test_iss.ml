@@ -169,7 +169,7 @@ let test_checkpoint_stability () =
   Sim.Engine.run ~until:(Sim.Time_ns.sec 60) c.engine;
   Array.iteri
     (fun i node ->
-      match Core.Node.last_stable_checkpoint node with
+      match Core.Log.last_stable_checkpoint (Core.Node.log node) with
       | Some cert ->
           check_bool
             (Printf.sprintf "node %d checkpoint has quorum sigs" i)
@@ -219,12 +219,11 @@ let test_log_bounded_by_gc () =
   let config =
     {
       (short_epochs (Core.Config.pbft_default ~n:4)) with
-      Core.Config.log_retention_epochs = 3;
       (* Keep idle epochs turning over quickly so the run spans many of
          them: empty keep-alive batches are cut every epoch_change_timeout/2,
          so a short epoch-change timeout drives the idle tail of the run
          through many checkpoint/GC cycles. *)
-      max_batch_timeout = Sim.Time_ns.ms 250;
+      Core.Config.max_batch_timeout = Sim.Time_ns.ms 250;
       epoch_change_timeout = Sim.Time_ns.sec 2;
     }
   in
@@ -242,8 +241,8 @@ let test_log_bounded_by_gc () =
           i frontier (Core.Node.current_epoch node) (20 * epoch_len);
       check_bool (Printf.sprintf "node %d pruned" i) true (Core.Log.pruned_below log > 0);
       (* Retained = delivered-but-kept window + commit queue.  The bound is
-         retention (3 epochs) + the current epoch + skew slack while
-         certificates stabilize. *)
+         retention ([Log.retention_epochs], 4) + the current epoch + skew
+         slack while certificates stabilize. *)
       let retained = frontier - Core.Log.pruned_below log + Core.Log.committed_ahead log in
       if retained > 8 * epoch_len then
         Alcotest.failf "node %d retains %d entries after %d delivered — GC is not keeping up"
