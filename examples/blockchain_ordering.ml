@@ -23,6 +23,7 @@ let () =
   let n = 4 in
   let config = Core.Config.pbft_default ~n in
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:23L in
   let net = Sim.Network.create engine ~rng () in
   let placement = Sim.Topology.assign_uniform ~n in
@@ -63,7 +64,7 @@ let () =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine
+        Core.Node.create ~config ~id ~clock
           ~send:(fun ~dst msg ->
             Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
           ~orderer_factory:Pbft.Pbft_orderer.factory ~hooks ())

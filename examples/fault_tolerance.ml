@@ -12,6 +12,7 @@ let () =
      seconds, so the default 256-slot epochs would span minutes. *)
   let config = { (Core.Config.pbft_default ~n) with Core.Config.min_epoch_length = 28 } in
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:31L in
   let net = Sim.Network.create engine ~rng () in
   let placement = Sim.Topology.assign_uniform ~n in
@@ -35,7 +36,7 @@ let () =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine
+        Core.Node.create ~config ~id ~clock
           ~send:(fun ~dst msg ->
             Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
           ~orderer_factory:Pbft.Pbft_orderer.factory ~hooks ())

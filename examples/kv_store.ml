@@ -17,6 +17,7 @@ let () =
   let n = 5 in
   let config = Core.Config.raft_default ~n in
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:11L in
   let net = Sim.Network.create engine ~rng () in
   let placement = Sim.Topology.assign_uniform ~n in
@@ -49,7 +50,7 @@ let () =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine
+        Core.Node.create ~config ~id ~clock
           ~send:(fun ~dst msg ->
             Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
           ~orderer_factory:Raft.Raft_orderer.factory ~hooks ())

@@ -10,6 +10,7 @@ let () =
   let n = 4 in
   let config = Core.Config.pbft_default ~n in
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:7L in
   let net = Sim.Network.create engine ~rng () in
   let placement = Sim.Topology.assign_uniform ~n in
@@ -51,7 +52,7 @@ let () =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine ~send:(send_from id)
+        Core.Node.create ~config ~id ~clock ~send:(send_from id)
           ~orderer_factory:Pbft.Pbft_orderer.factory ~hooks ())
   in
   Array.iteri
@@ -65,7 +66,7 @@ let () =
   let clients =
     Array.init 3 (fun i ->
         let id = n + i in
-        Core.Client.create ~config ~id ~engine ~send:(send_from id)
+        Core.Client.create ~config ~id ~clock ~send:(send_from id)
           ~on_complete:(fun req ~latency ->
             incr completed;
             Format.printf "[%a] client %d: request %a confirmed in %.0f ms@." Sim.Time_ns.pp

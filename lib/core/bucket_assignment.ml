@@ -1,5 +1,9 @@
 let init_owner ~n ~epoch bucket = ((bucket + epoch) mod n + n) mod n
 
+let client_targets ~n ~epoch ~current bucket =
+  List.sort_uniq compare
+    [ current; init_owner ~n ~epoch:(epoch + 1) bucket; init_owner ~n ~epoch:(epoch + 2) bucket ]
+
 let init_buckets ~n ~num_buckets ~epoch ~node =
   let out = ref [] in
   for b = num_buckets - 1 downto 0 do

@@ -9,6 +9,15 @@
     The rotation guarantees every node is assigned every bucket infinitely
     often (Lemma 5.4), which the liveness proof needs. *)
 
+val init_owner : n:int -> epoch:int -> int -> int
+(** Eq. (1) for one bucket: the node that initially owns it in [epoch]. *)
+
+val client_targets : n:int -> epoch:int -> current:int -> int -> int list
+(** §4.3 leader detection: the nodes a client sends a request for
+    [bucket] to in [epoch] — [current], the bucket's leader as the client
+    knows it, plus its initial owners in the next two epochs, sorted and
+    deduplicated. *)
+
 val init_buckets : n:int -> num_buckets:int -> epoch:int -> node:int -> int list
 (** Eq. (1) for one node; ascending bucket numbers. *)
 

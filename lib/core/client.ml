@@ -1,7 +1,4 @@
 module Time_ns = Sim.Time_ns
-module Engine = Sim.Engine
-
-type reply_quorum = [ `F_plus_one | `One ]
 
 type pending = {
   request : Proto.Request.t;
@@ -13,7 +10,7 @@ type pending = {
 type t = {
   config : Config.t;
   id : Proto.Ids.client_id;
-  engine : Engine.t;
+  clock : Orderer_intf.Clock.t;
   send : dst:int -> Proto.Message.t -> unit;
   retransmit : bool;
   retx_base : Time_ns.span;  (* first retransmission delay; doubles per try *)
@@ -37,7 +34,7 @@ type t = {
   mutable pushback_count : int;
 }
 
-let create ~config ~id ~engine ~send ?(retransmit = true) ?retx_base ?retx_max
+let create ~config ~id ~clock ~send ?(retransmit = true) ?retx_base ?retx_max
     ?(jitter = 0.0) ?(retry_budget = max_int) ?(on_give_up = fun _ -> ())
     ?(on_complete = fun _ ~latency:_ -> ()) () =
   (* Defaults scale with the deployment's failure-detection timeout: a reply
@@ -54,7 +51,7 @@ let create ~config ~id ~engine ~send ?(retransmit = true) ?retx_base ?retx_max
   {
     config;
     id;
-    engine;
+    clock;
     send;
     retransmit;
     retx_base;
@@ -88,25 +85,15 @@ let gave_up t = t.gave_up_count
 
 let pushbacks_received t = t.pushback_count
 
-let reply_quorum t =
-  match t.config.Config.protocol with
-  | Config.Raft -> 1
-  | Config.PBFT | Config.HotStuff -> Config.max_faulty t.config + 1
-
-(* Targets per §4.3: the current leader of the request's bucket plus the
-   projected initial owners for the next two epochs.  Before the first
-   bucket update arrives, fall back to the epoch-0 projection. *)
+(* §4.3 targets; until a bucket update arrives, the current leader is the initial owner. *)
 let targets t (req : Proto.Request.t) =
-  let num_buckets = Config.num_buckets t.config in
-  let bucket = Proto.Request.bucket_of_id ~num_buckets req.id in
+  let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) req.id in
   let current =
     match t.bucket_leaders with
     | Some leaders -> leaders.(bucket)
-    | None -> Node.projected_bucket_leader ~config:t.config ~epoch:t.epoch ~bucket
+    | None -> Bucket_assignment.init_owner ~n:t.config.Config.n ~epoch:t.epoch bucket
   in
-  let next1 = Node.projected_bucket_leader ~config:t.config ~epoch:(t.epoch + 1) ~bucket in
-  let next2 = Node.projected_bucket_leader ~config:t.config ~epoch:(t.epoch + 2) ~bucket in
-  List.sort_uniq compare [ current; next1; next2 ]
+  Bucket_assignment.client_targets ~n:t.config.Config.n ~epoch:t.epoch ~current bucket
 
 let send_request t (req : Proto.Request.t) =
   List.iter (fun dst -> t.send ~dst (Proto.Message.Request_msg req)) (targets t req)
@@ -141,11 +128,11 @@ let jittered t delay =
    from the window so later requests are not wedged behind it — and reports
    it via [on_give_up]. *)
 let rec arm_retx t ts ~delay =
-  Engine.post t.engine ~delay (fun () ->
+  t.clock.post ~delay (fun () ->
       match Hashtbl.find_opt t.pending ts with
       | None -> ()  (* confirmed while the timer was pending *)
       | Some p ->
-          let now = Engine.now t.engine in
+          let now = t.clock.now () in
           if now < p.not_before then
             (* Pushed back: honor the server-suggested floor; no send,
                no budget spent. *)
@@ -172,7 +159,7 @@ and submit_now t =
   t.next_ts <- ts + 1;
   let req =
     Proto.Request.make ~client:t.id ~ts ~signed:(Config.client_signatures t.config)
-      ~submitted_at:(Engine.now t.engine) ()
+      ~submitted_at:(t.clock.now ()) ()
   in
   Hashtbl.replace t.pending ts
     { request = req; repliers = []; retx = 0; not_before = Time_ns.zero };
@@ -200,11 +187,11 @@ let handle_reply t ~src ~ts =
   | Some p ->
       if not (List.mem src p.repliers) then begin
         p.repliers <- src :: p.repliers;
-        if List.length p.repliers >= reply_quorum t then begin
+        if List.length p.repliers >= Config.reply_quorum t.config then begin
           Hashtbl.remove t.pending ts;
           t.completed_count <- t.completed_count + 1;
           let latency =
-            Time_ns.diff (Engine.now t.engine) p.request.Proto.Request.submitted_at
+            Time_ns.diff (t.clock.now ()) p.request.Proto.Request.submitted_at
           in
           t.on_complete p.request ~latency;
           advance_floor t
@@ -227,7 +214,8 @@ let handle_bucket_update t ~src ~epoch ~bucket_leaders =
     let matching =
       Hashtbl.fold (fun _ bl acc -> if bl = bucket_leaders then acc + 1 else acc) votes 0
     in
-    if matching >= reply_quorum t && (epoch > t.epoch || t.bucket_leaders = None) then begin
+    if matching >= Config.reply_quorum t.config && (epoch > t.epoch || t.bucket_leaders = None)
+    then begin
       t.epoch <- epoch;
       t.bucket_leaders <- Some bucket_leaders;
       Hashtbl.remove t.bucket_update_votes epoch;
@@ -246,7 +234,7 @@ let on_message t ~src msg =
         | None -> ()
         | Some p ->
             t.pushback_count <- t.pushback_count + 1;
-            let floor = Time_ns.add (Engine.now t.engine) retry_after in
+            let floor = Time_ns.add (t.clock.now ()) retry_after in
             if floor > p.not_before then p.not_before <- floor
       end
   | Proto.Message.Bucket_update { epoch; bucket_leaders } ->
@@ -259,8 +247,8 @@ let start_open_loop t ~rate ~until =
     t.open_loop_active <- true;
     let rec arm () =
       let gap = Sim.Rng.exponential t.rng ~mean:(1.0 /. rate) in
-      Engine.post t.engine ~delay:(Time_ns.of_sec_f gap) (fun () ->
-          if Engine.now t.engine <= until then begin
+      t.clock.post ~delay:(Time_ns.of_sec_f gap) (fun () ->
+          if t.clock.now () <= until then begin
             submit_next t;
             arm ()
           end

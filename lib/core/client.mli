@@ -4,7 +4,8 @@
     watermark window.  Leader detection: it sends each request to the node
     currently leading the request's bucket — learned from quorum-confirmed
     [Bucket_update] messages — plus the two nodes projected (via the initial
-    round-robin assignment) to own that bucket in the next two epochs.  At
+    round-robin assignment) to own that bucket in the next two epochs
+    ({!Bucket_assignment.client_targets}).  At
     every epoch transition it resubmits all requests not yet confirmed by a
     reply quorum.
 
@@ -16,13 +17,10 @@
 
 type t
 
-type reply_quorum = [ `F_plus_one | `One ]
-(** BFT deployments need f+1 matching replies; CFT deployments accept one. *)
-
 val create :
   config:Config.t ->
   id:Proto.Ids.client_id ->
-  engine:Sim.Engine.t ->
+  clock:Orderer_intf.Clock.t ->
   send:(dst:int -> Proto.Message.t -> unit) ->
   ?retransmit:bool ->
   ?retx_base:Sim.Time_ns.span ->
@@ -35,7 +33,9 @@ val create :
   t
 (** Requests are signed by the client's key when
     [Config.client_signatures config] holds.  [on_complete] fires when the
-    reply quorum is reached.  [retransmit] (default [true]) enables
+    reply quorum ({!Config.reply_quorum}) is reached.  [clock] times
+    submissions, retransmissions and open-loop arrivals; a client shares
+    its nodes' clock.  [retransmit] (default [true]) enables
     exponential-backoff retransmission of unconfirmed requests;
     [retx_base] is the first retry delay (default: a quarter of the
     epoch-change timeout, at least 1 s) and [retx_max] the backoff ceiling

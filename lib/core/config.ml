@@ -36,6 +36,7 @@ let client_signatures t = match t.protocol with PBFT | HotStuff -> true | Raft -
 
 let max_faulty t = Proto.Ids.max_faulty ~n:t.n
 let strong_quorum t = Proto.Ids.quorum ~n:t.n
+let reply_quorum t = match t.protocol with Raft -> 1 | PBFT | HotStuff -> max_faulty t + 1
 
 let base ~n ~protocol =
   {

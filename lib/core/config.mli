@@ -77,6 +77,10 @@ val client_signatures : t -> bool
 val max_faulty : t -> int
 val strong_quorum : t -> int
 
+val reply_quorum : t -> int
+(** Matching replies a client waits for (§4.3): f+1 under the BFT
+    protocols, one under Raft. *)
+
 val pbft_default : n:int -> t
 val hotstuff_default : n:int -> t
 val raft_default : n:int -> t

@@ -1,5 +1,5 @@
 module Time_ns = Sim.Time_ns
-module Engine = Sim.Engine
+module Timer = Orderer_intf.Timer
 
 type orderer_factory = Orderer_intf.ctx -> Segment.t -> Orderer_intf.instance
 
@@ -11,7 +11,7 @@ type batcher = {
       (* by segment index: the batch last cut for that sn, kept so a ⊥
          commit there can return its requests to the queues *)
   mutable last_cut : Time_ns.t;
-  timer : Engine.Timer.t;
+  timer : Timer.t;
   mutable wake_at : Time_ns.t;
       (* when [timer] fires, else [max_int]; avoids re-arm churn.  A dropped
          batcher keeps it, so a late poke re-arms only an earlier wake. *)
@@ -32,7 +32,7 @@ type epoch_state = {
 type t = {
   config : Config.t;
   id : Proto.Ids.node_id;
-  engine : Engine.t;
+  clock : Orderer_intf.Clock.t;  (* shared with this node's orderers *)
   raw_send : dst:int -> Proto.Message.t -> unit;
   orderer_factory : orderer_factory;
   hooks : hooks;
@@ -84,8 +84,8 @@ and hooks = {
       (* Fired whenever the node would send a Busy pushback for a request:
          [shed = true] means the request was dropped (refused at admission,
          or evicted by drop-oldest), [shed = false] is the advisory
-         watermark warning.  The cluster harness uses it to route pushback
-         to modeled clients, which have no wire channel of their own. *)
+         watermark warning.  The cluster harness only reports sheds to its
+         invariant checker. *)
 }
 
 let default_hooks =
@@ -113,8 +113,6 @@ let pushback_count t = t.pushback_count
 let epoch_leaders t = t.epoch.e_leaders
 let bucket_leader t ~bucket = t.epoch.e_bucket_leaders.(bucket)
 let set_straggler t b = t.straggler <- b
-
-let projected_bucket_leader ~config ~epoch ~bucket = (bucket + epoch) mod config.Config.n
 
 let pending_requests t = Bucket_queue.pending t.queues
 
@@ -173,7 +171,7 @@ let send t ~dst msg =
   if dst = t.id then
     (* Loopback: bypass the NIC, keep a small scheduling delay so local
        delivery stays asynchronous (as a channel to self would be). *)
-    Engine.post t.engine ~delay:(Time_ns.us 10) (fun () ->
+    t.clock.post ~delay:(Time_ns.us 10) (fun () ->
         if not t.halted then t.self_handler ~src:t.id msg)
   else t.raw_send ~dst msg
 
@@ -188,15 +186,15 @@ let cpu_parallelism = 32
 
 let charge_cpu t cost k =
   let effective = cost / cpu_parallelism in
-  let start = max (Engine.now t.engine) t.cpu_free in
+  let start = max (t.clock.now ()) t.cpu_free in
   let done_at = Time_ns.add start effective in
   t.cpu_free <- done_at;
-  Engine.post_at t.engine ~at:done_at (fun () -> if not t.halted then k ())
+  t.clock.post_at ~at:done_at (fun () -> if not t.halted then k ())
 
 (* Horizon-only variant for fire-and-forget CPU accounting (no event). *)
 let charge_cpu_sync t cost =
   let effective = cost / cpu_parallelism in
-  t.cpu_free <- Time_ns.add (max (Engine.now t.engine) t.cpu_free) effective
+  t.cpu_free <- Time_ns.add (max (t.clock.now ()) t.cpu_free) effective
 
 let epoch_of_instance t instance = instance / t.config.Config.n
 
@@ -239,7 +237,7 @@ let admit_request t ~bucket (r : Proto.Request.t) =
       true
 
 let disarm (b : batcher) =
-  Engine.Timer.cancel b.timer;
+  Timer.cancel b.timer;
   b.wake_at <- max_int
 
 let rec submit t (r : Proto.Request.t) =
@@ -299,7 +297,7 @@ and segment_pending t (seg : Segment.t) =
 
 and try_cut t (b : batcher) =
   if (not t.halted) && not (Queue.is_empty b.waiting) then begin
-    let now = Engine.now t.engine in
+    let now = t.clock.now () in
     let interval =
       if t.straggler then t.config.Config.epoch_change_timeout / 2 else b.b_interval
     in
@@ -353,7 +351,7 @@ and try_cut t (b : batcher) =
          anyway.  This keeps arrival-driven pokes allocation-free. *)
       if wake < b.wake_at then begin
         b.wake_at <- wake;
-        Engine.Timer.arm b.timer ~delay:(Time_ns.diff wake now) (fun () ->
+        Timer.arm b.timer ~delay:(Time_ns.diff wake now) (fun () ->
             b.wake_at <- max_int;
             try_cut t b)
       end
@@ -364,7 +362,7 @@ let request_batch t (b : batcher) ~sn callback =
   Queue.push (sn, callback) b.waiting;
   try_cut t b
 
-let cancel_batcher t = Option.iter (fun b -> Engine.Timer.cancel b.timer) t.epoch.e_batcher
+let cancel_batcher t = Option.iter (fun b -> Timer.cancel b.timer) t.epoch.e_batcher
 
 (* ------------------------------------------------------------------ *)
 (* Proposal validation — the follower-side checks of §4.2 (common design
@@ -579,8 +577,8 @@ and start_epoch t ~epoch ~start_sn ~leaders =
                b_interval = interval;
                waiting = Queue.create ();
                cut_batches = Array.make (Segment.seq_count seg) Proto.Batch.empty;
-               last_cut = Engine.now t.engine;
-               timer = Engine.Timer.create t.engine;
+               last_cut = t.clock.now ();
+               timer = t.clock.timer ();
                wake_at = max_int;
              })
     in
@@ -622,8 +620,7 @@ and make_ctx t (seg : Segment.t) : Orderer_intf.ctx =
   {
     Orderer_intf.node = t.id;
     config = t.config;
-    now = (fun () -> Engine.now t.engine);
-    timer = (fun () -> Orderer_intf.Timer.create t.engine);
+    clock = t.clock;
     send = (fun ~dst msg -> send t ~dst msg);
     broadcast = (fun msg -> broadcast t msg);
     announce = (fun ~sn proposal -> process_commit t ~sn proposal ~resurrectable:true);
@@ -662,7 +659,7 @@ and gc_stable t =
 
 and arm_lag_check t =
   let epoch_at_arm = t.epoch.e_num in
-  Engine.post t.engine ~delay:(2 * t.config.Config.epoch_change_timeout) (fun () ->
+  t.clock.post ~delay:(2 * t.config.Config.epoch_change_timeout) (fun () ->
       if (not t.halted) && t.epoch.e_num = epoch_at_arm then begin
         (* Still in the same epoch after two epoch-change timeouts; if
            the rest of the system has moved on — evidenced by a stable
@@ -772,7 +769,7 @@ and route_instance t ~src ~instance msg =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default_hooks) ?tracer
+let create ~config ~id ~clock ~send:raw_send ~orderer_factory ?(hooks = default_hooks) ?tracer
     () =
   (match Config.validate config with
   | Ok () -> ()
@@ -784,7 +781,7 @@ let create ~config ~id ~engine ~send:raw_send ~orderer_factory ?(hooks = default
     {
       config;
       id;
-      engine;
+      clock;
       raw_send;
       orderer_factory;
       hooks;
@@ -836,7 +833,7 @@ let halt t =
 let recover t =
   if t.halted then begin
     t.halted <- false;
-    let now = Engine.now t.engine in
+    let now = t.clock.now () in
     (* The CPU backlog died with the process. *)
     t.cpu_free <- now;
     (* Restart batching for the segment this node leads in its current

@@ -9,9 +9,12 @@
     GC, commits of transferred entries, checkpoint jumps and the lag
     check.
 
-    The node is transport-agnostic: it receives a [send] function and
-    exposes {!on_message}; the runner wires both to the simulated network
-    (or a test can call them directly). *)
+    The node is transport- and driver-agnostic: it receives a [send]
+    function and a {!Orderer_intf.Clock.t}, and exposes {!on_message}.  It
+    asks that clock for the time and for every delay and timer, and hands
+    it unchanged to each orderer's ctx.  The runner wires [send] to the
+    simulated network and builds one clock per engine; a test can call
+    {!on_message} directly. *)
 
 type t
 
@@ -47,8 +50,9 @@ type hooks = {
           wire): [shed = true] means the request was dropped at admission
           (or evicted by the drop-oldest policy), [shed = false] is the
           advisory watermark warning — the request is still queued.
-          [retry_after] is the server-suggested backoff floor.  The runner
-          routes this to modeled clients, which have no wire channel. *)
+          [retry_after] is the server-suggested backoff floor.  No client
+          hears of it: the runner only reports sheds to the invariant
+          checker and ignores [retry_after]. *)
 }
 
 val default_hooks : hooks
@@ -56,7 +60,7 @@ val default_hooks : hooks
 val create :
   config:Config.t ->
   id:Proto.Ids.node_id ->
-  engine:Sim.Engine.t ->
+  clock:Orderer_intf.Clock.t ->
   send:(dst:int -> Proto.Message.t -> unit) ->
   orderer_factory:orderer_factory ->
   ?hooks:hooks ->
@@ -146,9 +150,3 @@ val epoch_leaders : t -> Proto.Ids.node_id array
 
 val bucket_leader : t -> bucket:int -> Proto.Ids.node_id
 (** Current owner of a bucket (for client leader detection). *)
-
-val projected_bucket_leader : config:Config.t -> epoch:int -> bucket:int -> Proto.Ids.node_id
-(** The initial-assignment owner of [bucket] in [epoch] (Eq. 1), used by
-    clients to guess the next epochs' leaders without knowing the leader
-    set (§4.3: requests are also sent to the projected owners of the next
-    two epochs). *)

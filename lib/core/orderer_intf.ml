@@ -28,11 +28,28 @@ type verdict = Accept | Reject | Reject_malicious
     never names [Sim.Engine]. *)
 module Timer = Sim.Engine.Timer
 
+(** The one clock of a node, its orderers and its clients. *)
+module Clock = struct
+  type t = {
+    now : unit -> Sim.Time_ns.t;
+    timer : unit -> Timer.t;  (** a fresh, disarmed timer *)
+    post : delay:Sim.Time_ns.span -> (unit -> unit) -> unit;
+    post_at : at:Sim.Time_ns.t -> (unit -> unit) -> unit;
+  }
+
+  let of_engine engine =
+    {
+      now = (fun () -> Sim.Engine.now engine);
+      timer = (fun () -> Timer.create engine);
+      post = (fun ~delay k -> Sim.Engine.post engine ~delay k);
+      post_at = (fun ~at k -> Sim.Engine.post_at engine ~at k);
+    }
+end
+
 type ctx = {
   node : Proto.Ids.node_id;
   config : Config.t;
-  now : unit -> Sim.Time_ns.t;
-  timer : unit -> Timer.t;  (** a fresh, disarmed timer *)
+  clock : Clock.t;  (** the node's clock, shared by all its orderers *)
   send : dst:Proto.Ids.node_id -> Proto.Message.t -> unit;
       (** Point-to-point send; [dst = node] loops back locally (cheaply). *)
   broadcast : Proto.Message.t -> unit;
@@ -106,7 +123,7 @@ module Runtime = struct
   let create ?fill_request ctx seg =
     let recovery =
       match fill_request with
-      | Some request -> Some { request; fill_timer = ctx.timer () }
+      | Some request -> Some { request; fill_timer = ctx.clock.timer () }
       | None -> None
     in
     {
@@ -122,7 +139,7 @@ module Runtime = struct
 
   (** A timer of this instance: disarmed by {!stop}. *)
   let timer t =
-    let timer = t.ctx.timer () in
+    let timer = t.ctx.clock.timer () in
     t.timers <- timer :: t.timers;
     timer
 
@@ -162,7 +179,7 @@ module Runtime = struct
       | Open | Answered _ -> (
           t.slots.(i) <- Decided proposal;
           t.n_decided <- t.n_decided + 1;
-          t.last_progress <- t.ctx.now ();
+          t.last_progress <- t.ctx.clock.now ();
           t.ctx.announce ~sn proposal;
           match t.recovery with
           | Some r when done_ t -> Timer.cancel r.fill_timer
@@ -173,7 +190,7 @@ module Runtime = struct
     | Some r when ordering t ->
         let period = t.ctx.config.Config.epoch_change_timeout in
         Timer.arm r.fill_timer ~delay:period (fun () ->
-            if ordering t && t.ctx.now () - t.last_progress >= period then
+            if ordering t && t.ctx.clock.now () - t.last_progress >= period then
               r.request (undecided t);
             arm_recovery t)
     | Some r -> Timer.cancel r.fill_timer
@@ -183,7 +200,7 @@ module Runtime = struct
       calls {!arm_recovery}. *)
   let start t =
     t.active <- true;
-    t.last_progress <- t.ctx.now ()
+    t.last_progress <- t.ctx.clock.now ()
 
   let stop t =
     t.active <- false;

@@ -1,7 +1,5 @@
-module Engine = Sim.Engine
-
 type t = {
-  engine : Engine.t;
+  clock : Core.Orderer_intf.Clock.t;
   n : int;
   id : Proto.Ids.node_id;
   send : dst:int -> Proto.Message.t -> unit;
@@ -10,8 +8,8 @@ type t = {
   mutable waiting : (int * (unit -> unit)) option;
 }
 
-let create ~engine ~n ~id ~send ~timeout =
-  { engine; n; id; send; timeout; announced = Hashtbl.create 16; waiting = None }
+let create ~clock ~n ~id ~send ~timeout =
+  { clock; n; id; send; timeout; announced = Hashtbl.create 16; waiting = None }
 
 let primary_of_epoch ~n ~epoch = epoch mod n
 
@@ -39,7 +37,7 @@ let epoch_gate t ~epoch k =
     end;
     (* Ungraceful epoch change: if the primary stays quiet, proceed after
        the epoch-change timeout. *)
-    Engine.post t.engine ~delay:t.timeout (fun () ->
+    t.clock.post ~delay:t.timeout (fun () ->
         match t.waiting with
         | Some (e, _) when e = epoch ->
             Hashtbl.replace t.announced epoch ();

@@ -22,7 +22,7 @@ type t
 (** Per-node Mir gate state. *)
 
 val create :
-  engine:Sim.Engine.t ->
+  clock:Core.Orderer_intf.Clock.t ->
   n:int ->
   id:Proto.Ids.node_id ->
   send:(dst:int -> Proto.Message.t -> unit) ->

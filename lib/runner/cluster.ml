@@ -28,7 +28,6 @@ type t = {
   quorums : (int, quorum_state) Hashtbl.t;  (* batch_sn -> deliveries *)
   mutable delivered_quorum : int;
   mutable submitted : int;
-  reply_quorum : int;
   mutable track_delivered_ids : bool;
   delivered_ids : (int, unit) Hashtbl.t;  (* request id keys, when tracked *)
   mutable checker : Checker.t option;  (* None unless [enable_invariants] *)
@@ -55,7 +54,7 @@ let config t = t.config
 let quorum_latencies t = t.latencies
 let delivered_quorum t = t.delivered_quorum
 let submitted t = t.submitted
-let reply_quorum t = t.reply_quorum
+let reply_quorum t = Core.Config.reply_quorum t.config
 let tracer t = t.tracer
 let checker t = t.checker
 
@@ -186,11 +185,8 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
   let net = Sim.Network.create engine ~rng:(Sim.Rng.split rng) () in
   let config = config_of_system ?policy ?tweak ~system ~n () in
   let placement = Sim.Topology.assign_uniform ~n in
-  let reply_quorum =
-    match config.Core.Config.protocol with
-    | Core.Config.Raft -> 1
-    | Core.Config.PBFT | Core.Config.HotStuff -> Core.Config.max_faulty config + 1
-  in
+  (* One clock for every node, its orderers and the Mir gates. *)
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let t =
     {
       engine;
@@ -205,7 +201,6 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
       quorums = Hashtbl.create 4096;
       delivered_quorum = 0;
       submitted = 0;
-      reply_quorum;
       track_delivered_ids = false;
       delivered_ids = Hashtbl.create 4096;
       checker = None;
@@ -244,7 +239,7 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
        clients cannot trust it, and the liveness invariant demands a quorum
        of correct replies. *)
     if not t.byzantine.(node_id) then q.count <- q.count + 1;
-    if (not q.reached) && q.count >= t.reply_quorum then begin
+    if (not q.reached) && q.count >= reply_quorum t then begin
       q.reached <- true;
       let now = Engine.now t.engine in
       let node_dc = t.placement.(node_id) in
@@ -279,17 +274,16 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
     | Mir ->
         Some
           (Array.init n (fun id ->
-               Mirbft.create ~engine ~n ~id
+               Mirbft.create ~clock ~n ~id
                  ~send:(fun ~dst msg ->
                    Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
                  ~timeout:config.Core.Config.epoch_change_timeout))
     | Iss _ | Single _ -> None
   in
-  (* Flow-control pushback routing.  Modeled clients have no network
-     endpoint, so the node-side hook stands in for the wire-level [Busy]
-     reply: it feeds the overload counters and, for an actual shed, the
-     checker.  When flow control is off the node never fires it, keeping
-     the honest path untouched. *)
+  (* Flow-control pushback.  Modeled clients have no network endpoint and
+     hear of no pushback: the hook reports an actual shed to the checker
+     and ignores [retry_after].  When flow control is off the node never
+     fires it, keeping the honest path untouched. *)
   let on_pushback node (r : Proto.Request.t) ~retry_after:_ ~shed =
     match t.checker with
     | Some ck when shed ->
@@ -310,7 +304,7 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine
+        Core.Node.create ~config ~id ~clock
           ~send:(fun ~dst msg ->
             (* Byzantine adversary proxy: one mutable-field check on the
                honest path.  When a schedule configured an adversary, the
@@ -370,7 +364,7 @@ let request_terminal t ~client ~ts =
 let enable_invariants t =
   if t.checker = None then begin
     let ck =
-      Checker.create ~n:t.n ~reply_quorum:t.reply_quorum
+      Checker.create ~n:t.n ~reply_quorum:(reply_quorum t)
         ~window:t.config.Core.Config.client_watermark_window
     in
     Array.iteri (fun node byz -> if byz then Checker.set_byzantine ck node) t.byzantine;

@@ -152,10 +152,6 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
               ~node:(-1) ~at:submitted_at Obs.Tracer.Submit);
         if resubmit then Queue.push (r, ref 0) outstanding;
         let bucket = Proto.Request.bucket_of_id ~num_buckets r.Proto.Request.id in
-        let epoch = Core.Node.current_epoch ref_node in
-        let current = Core.Node.bucket_leader ref_node ~bucket in
-        let next1 = Core.Node.projected_bucket_leader ~config ~epoch:(epoch + 1) ~bucket in
-        let next2 = Core.Node.projected_bucket_leader ~config ~epoch:(epoch + 2) ~bucket in
         let client_dc = Cluster.client_datacenter cluster ~client in
         List.iter
           (fun dst ->
@@ -170,7 +166,10 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
                 ~at:(Time_ns.add submitted_at (prop + queue))
                 (fun () -> Core.Node.submit nodes.(dst) r)
             end)
-          (List.sort_uniq compare [ current; next1; next2 ]))
+          (Core.Bucket_assignment.client_targets ~n:config.Core.Config.n
+             ~epoch:(Core.Node.current_epoch ref_node)
+             ~current:(Core.Node.bucket_leader ref_node ~bucket)
+             bucket))
   in
   let deliver_to ~dst (r : Proto.Request.t) =
     if not (Core.Node.is_halted nodes.(dst)) then begin

@@ -14,10 +14,11 @@ let make_client ?(n = 4) ?(window = 8) () =
     }
   in
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let sent = ref [] in
   let completed = ref [] in
   let client =
-    Core.Client.create ~config ~id:100 ~engine
+    Core.Client.create ~config ~id:100 ~clock
       ~send:(fun ~dst msg -> sent := { dst; msg } :: !sent)
       ~on_complete:(fun req ~latency:_ -> completed := req :: !completed)
       ()

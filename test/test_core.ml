@@ -966,6 +966,9 @@ let test_votes_add_allocates_nothing () =
    The orderers themselves are idle stand-ins, so nothing but the calls
    below touches the node. *)
 
+(* A clock no test below advances: the node's timers never fire. *)
+let idle_clock () = Core.Orderer_intf.Clock.of_engine (Sim.Engine.create ())
+
 module Idle_orderer = struct
   type t = unit
 
@@ -984,7 +987,7 @@ let test_validate_proposal_verdicts () =
     Core.Orderer_intf.Instance ((module Idle_orderer), ())
   in
   let node =
-    Core.Node.create ~config ~id:0 ~engine:(Sim.Engine.create ())
+    Core.Node.create ~config ~id:0 ~clock:(idle_clock ())
       ~send:(fun ~dst:_ _ -> ())
       ~orderer_factory ()
   in
@@ -1089,7 +1092,7 @@ let test_checkpoint_quorum () =
     | _ -> ()
   in
   let node =
-    Core.Node.create ~config ~id:0 ~engine:(Sim.Engine.create ()) ~send ~orderer_factory ()
+    Core.Node.create ~config ~id:0 ~clock:(idle_clock ()) ~send ~orderer_factory ()
   in
   Core.Node.start node;
   (* Decide every position of epochs 0 and 1 with an empty batch. *)
@@ -1332,7 +1335,7 @@ let test_jump_keeps_floors () =
     }
   in
   let node =
-    Core.Node.create ~config ~id:0 ~engine:(Sim.Engine.create ())
+    Core.Node.create ~config ~id:0 ~clock:(idle_clock ())
       ~send:(fun ~dst:_ _ -> ())
       ~orderer_factory ~hooks ()
   in

@@ -216,6 +216,7 @@ let test_lossy_retransmission () =
   let per_client = 20 in
   let config = Faults.fast (Core.Config.pbft_default ~n) in
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:11L in
   let net = Sim.Network.create engine ~rng () in
   let placement = Sim.Topology.assign_uniform ~n in
@@ -264,7 +265,7 @@ let test_lossy_retransmission () =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine ~send:(send_from id)
+        Core.Node.create ~config ~id ~clock ~send:(send_from id)
           ~orderer_factory:Pbft.Pbft_orderer.factory ~hooks ())
   in
   Array.iteri
@@ -274,7 +275,7 @@ let test_lossy_retransmission () =
     nodes;
   let clients =
     Array.init num_clients (fun i ->
-        Core.Client.create ~config ~id:(n + i) ~engine ~send:(send_from (n + i)) ())
+        Core.Client.create ~config ~id:(n + i) ~clock ~send:(send_from (n + i)) ())
   in
   Array.iteri
     (fun i client ->

@@ -19,6 +19,7 @@ let factory_for (config : Core.Config.t) =
 
 let build ?(seed = 42L) ?(extra_hooks = fun h -> h) config =
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed in
   let net = Sim.Network.create engine ~rng () in
   let n = config.Core.Config.n in
@@ -33,7 +34,7 @@ let build ?(seed = 42L) ?(extra_hooks = fun h -> h) config =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine
+        Core.Node.create ~config ~id ~clock
           ~send:(fun ~dst msg ->
             Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
           ~orderer_factory:(factory_for config) ~hooks ())

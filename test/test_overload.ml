@@ -17,7 +17,7 @@ let make_client ?(n = 4) ?(id = 100) ?jitter ?retry_budget ~engine () =
   let sent = ref [] in
   let gave_up = ref [] in
   let client =
-    Core.Client.create ~config ~id ~engine
+    Core.Client.create ~config ~id ~clock:(Core.Orderer_intf.Clock.of_engine engine)
       ~send:(fun ~dst msg -> sent := { dst; at = Sim.Engine.now engine; msg } :: !sent)
       ?jitter ?retry_budget
       ~retx_base:(Time_ns.sec 1) ~retx_max:(Time_ns.sec 8)
@@ -119,6 +119,7 @@ let build_nodes ?(n = 4) ?(capacity = 2) ?(policy = Core.Config.Reject_new)
     }
   in
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:7L in
   let net = Sim.Network.create engine ~rng () in
   let placement = Sim.Topology.assign_uniform ~n in
@@ -132,7 +133,7 @@ let build_nodes ?(n = 4) ?(capacity = 2) ?(policy = Core.Config.Reject_new)
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine
+        Core.Node.create ~config ~id ~clock
           ~send:(fun ~dst msg ->
             Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
           ~orderer_factory:Pbft.Pbft_orderer.factory ~hooks ())

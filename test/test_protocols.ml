@@ -54,8 +54,7 @@ let mock_ctx w ~config me : Core.Orderer_intf.ctx =
   {
     Core.Orderer_intf.node = me;
     config;
-    now = (fun () -> Sim.Engine.now w.engine);
-    timer = (fun () -> Core.Orderer_intf.Timer.create w.engine);
+    clock = Core.Orderer_intf.Clock.of_engine w.engine;
     send;
     broadcast =
       (fun msg ->

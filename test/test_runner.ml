@@ -88,7 +88,7 @@ let test_mir_gate () =
   let engine = Sim.Engine.create () in
   let sent = ref [] in
   let gate =
-    Mirbft.create ~engine ~n:4 ~id:1
+    Mirbft.create ~clock:(Core.Orderer_intf.Clock.of_engine engine) ~n:4 ~id:1
       ~send:(fun ~dst msg -> sent := (dst, msg) :: !sent)
       ~timeout:(Sim.Time_ns.sec 10)
   in
@@ -113,7 +113,9 @@ let test_mir_gate () =
 let test_mir_rejects_wrong_primary () =
   let engine = Sim.Engine.create () in
   let gate =
-    Mirbft.create ~engine ~n:4 ~id:0 ~send:(fun ~dst:_ _ -> ()) ~timeout:(Sim.Time_ns.sec 10)
+    Mirbft.create ~clock:(Core.Orderer_intf.Clock.of_engine engine) ~n:4 ~id:0
+      ~send:(fun ~dst:_ _ -> ())
+      ~timeout:(Sim.Time_ns.sec 10)
   in
   let released = ref false in
   Mirbft.epoch_gate gate ~epoch:2 (fun () -> released := true);

@@ -9,6 +9,7 @@ let factory_for (config : Core.Config.t) =
 
 let build_cluster ~config ~seed =
   let engine = Sim.Engine.create () in
+  let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed in
   let net = Sim.Network.create engine ~rng () in
   let n = config.Core.Config.n in
@@ -24,7 +25,7 @@ let build_cluster ~config ~seed =
   in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~engine
+        Core.Node.create ~config ~id ~clock
           ~send:(fun ~dst msg ->
             Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
           ~orderer_factory:(factory_for config) ~hooks ())
