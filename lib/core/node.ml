@@ -66,6 +66,7 @@ type t = {
   mutable halted : bool;
   mutable straggler : bool;
   mutable st_target : int;  (* rotating state-transfer target *)
+  lag_timer : Timer.t;  (* the lag check, re-armed on entering an epoch and on recovery *)
   mutable self_handler : src:int -> Proto.Message.t -> unit;  (* loopback knot *)
 }
 
@@ -658,9 +659,8 @@ and gc_stable t =
   Log.prune_stable t.log ~below_sn:t.epoch.e_start
 
 and arm_lag_check t =
-  let epoch_at_arm = t.epoch.e_num in
-  t.clock.post ~delay:(2 * t.config.Config.epoch_change_timeout) (fun () ->
-      if (not t.halted) && t.epoch.e_num = epoch_at_arm then begin
+  Timer.arm t.lag_timer ~delay:(2 * t.config.Config.epoch_change_timeout) (fun () ->
+      if not t.halted then begin
         (* Still in the same epoch after two epoch-change timeouts; if
            the rest of the system has moved on — evidenced by a stable
            checkpoint for our epoch or any later one (nodes rebroadcast
@@ -668,7 +668,7 @@ and arm_lag_check t =
            collects certificates of newer epochs) — fetch the log
            instead of waiting. *)
         (match Log.last_stable_checkpoint t.log with
-        | Some cert when cert.cc_epoch >= epoch_at_arm ->
+        | Some cert when cert.cc_epoch >= t.epoch.e_num ->
             (* Rotate over the certificate's other signers. *)
             let peers = Array.of_list (List.filter (fun s -> s <> t.id) (Log.signers cert)) in
             let target =
@@ -813,6 +813,7 @@ let create ~config ~id ~clock ~send:raw_send ~orderer_factory ?(hooks = default_
       halted = false;
       straggler = false;
       st_target = 0;
+      lag_timer = clock.timer ();
       self_handler = (fun ~src:_ _ -> ());
     }
   in
@@ -847,7 +848,8 @@ let recover t =
       t.epoch.e_batcher;
     (* Catch up: ask f+1 distinct peers (one of them correct) for what
        stabilized while we were down; the state-transfer replies re-run the
-       epoch machinery, and the lag check keeps firing until we draw level. *)
+       epoch machinery, and the lag check, re-armed from now on (its
+       pre-crash fire is dropped), keeps firing until we draw level. *)
     let n = t.config.Config.n in
     let peers = min (n - 1) (Config.max_faulty t.config + 1) in
     for k = 1 to peers do

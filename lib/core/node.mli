@@ -92,8 +92,9 @@ val recover : t -> unit
     its pre-crash durable state (log, checkpoints, queues — the crash model
     is fail-recover with stable storage), restarts its batcher, and
     catches up on everything it missed by requesting state transfer from
-    f+1 peers; the standard lag check then keeps pulling stabilized epochs
-    until it draws level and participates normally again.  No-op when not
+    f+1 peers; the lag check, re-armed to one period from the recovery,
+    then keeps pulling stabilized epochs until it draws level and
+    participates normally again.  No-op when not
     halted.  (The runner must also {!Sim.Network.recover} its endpoint.) *)
 
 val is_halted : t -> bool

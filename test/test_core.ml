@@ -1400,6 +1400,75 @@ let test_jump_keeps_floors () =
   Alcotest.(check (list int)) "each request delivered once" [ 0; 1; 2 + window - 1 ]
     (List.rev_map (fun (id : Proto.Request.id) -> id.ts) !delivered)
 
+(* The lag check (§3.5): a node still in an epoch two epoch-change timeouts
+   after entering it asks one signer of a stable certificate for that epoch
+   (or a later one) for the log, once per lag period.  One node with idle
+   orderers, fed hand-signed CHECKPOINT votes from nodes 1-3; the times of
+   its State_requests are in half epoch-change timeouts. *)
+let lag_check_node () =
+  let config = Core.Config.pbft_default ~n:4 in
+  let half = config.Core.Config.epoch_change_timeout / 2 in
+  let engine = Sim.Engine.create () in
+  let requests = ref [] in
+  let send ~dst:_ = function
+    | Proto.Message.State_request _ -> requests := (Sim.Engine.now engine / half) :: !requests
+    | _ -> ()
+  in
+  let announce = ref None in
+  let orderer_factory (ctx : Core.Orderer_intf.ctx) _ =
+    if Option.is_none !announce then announce := Some ctx.announce;
+    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+  in
+  let node =
+    Core.Node.create ~config ~id:0 ~clock:(Core.Orderer_intf.Clock.of_engine engine) ~send
+      ~orderer_factory ()
+  in
+  Core.Node.start node;
+  let stable ~epoch =
+    let max_sn = (Core.Config.epoch_length config ~leaders:4 * (epoch + 1)) - 1 in
+    let root = Iss_crypto.Hash.of_string "epoch" and policy = "" and req_count = 0 in
+    let material = Proto.Message.checkpoint_material ~epoch ~max_sn ~root ~req_count ~policy in
+    List.iter
+      (fun signer ->
+        let sig_ = Iss_crypto.Signature.sign (Iss_crypto.Signature.genkey ~id:signer) material in
+        Core.Node.on_message node ~src:signer
+          (Proto.Message.Checkpoint_msg { epoch; max_sn; root; req_count; policy; signer; sig_ }))
+      [ 1; 2; 3 ]
+  in
+  let run_until halves = Sim.Engine.run ~until:(halves * half) engine in
+  (node, Option.get !announce, stable, run_until, fun () -> List.rev !requests)
+
+(* Crashed from 3 to 3.5 timeouts: the recovery asks f+1 = 2 peers at once,
+   then the lag check asks once per period from the recovery on.  The
+   check armed before the crash no longer fires beside it. *)
+let test_lag_check_across_crash () =
+  let node, _, stable, run_until, requests = lag_check_node () in
+  stable ~epoch:0;
+  run_until 6;
+  Core.Node.halt node;
+  run_until 7;
+  Core.Node.recover node;
+  run_until 20;
+  Alcotest.(check (list int)) "State_request times" [ 4; 7; 7; 11; 15; 19 ] (requests ())
+
+(* An epoch whose every position is already committed finishes inside its
+   own start: entering epoch 1 enters epoch 2 before it returns.  Both
+   levels arm the lag check for epoch 2, which must still fire once per
+   period. *)
+let test_lag_check_reentrant_start () =
+  let node, announce, stable, run_until, requests = lag_check_node () in
+  let len = Core.Config.epoch_length (Core.Node.config node) ~leaders:4 in
+  for sn = len to (2 * len) - 1 do
+    announce ~sn (Proto.Proposal.Batch Proto.Batch.empty)
+  done;
+  for sn = 0 to len - 1 do
+    announce ~sn (Proto.Proposal.Batch Proto.Batch.empty)
+  done;
+  check_int "entered epoch 2" 2 (Core.Node.current_epoch node);
+  stable ~epoch:2;
+  run_until 8;
+  Alcotest.(check (list int)) "State_request times" [ 4; 8 ] (requests ())
+
 (* ------------------------------------------------------------------ *)
 (* Config *)
 
@@ -1530,6 +1599,10 @@ let () =
           Alcotest.test_case "log: reply verification" `Quick test_log_reply_verification;
           Alcotest.test_case "log: serving order and pruned epochs" `Quick test_log_serving;
           Alcotest.test_case "jump keeps watermark floors" `Quick test_jump_keeps_floors;
+          Alcotest.test_case "lag check: once per period across a crash" `Quick
+            test_lag_check_across_crash;
+          Alcotest.test_case "lag check: once per period after a re-entrant epoch start" `Quick
+            test_lag_check_reentrant_start;
         ] );
       ( "validation",
         [ Alcotest.test_case "proposal verdicts" `Quick test_validate_proposal_verdicts ] );
