@@ -9,7 +9,7 @@
     GC, commits of transferred entries, checkpoint jumps and the lag
     check.
 
-    The node is transport- and driver-agnostic: it receives a [send]
+    The node is transport- and simulator-agnostic: it receives a [send]
     function and a {!Orderer_intf.Clock.t}, and exposes {!on_message}.  It
     asks that clock for the time and for every delay and timer, and hands
     it unchanged to each orderer's ctx.  The runner wires [send] to the
