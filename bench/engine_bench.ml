@@ -95,7 +95,7 @@ let timer_mix ~target =
 let message_mix ~target =
   let engine = Engine.create () in
   let rng = Sim.Rng.create ~seed:11L in
-  let net = Sim.Network.create engine ~rng () in
+  let net = Sim.Network.create engine ~rng in
   let n = 32 in
   for id = 0 to n - 1 do
     Sim.Network.add_endpoint net ~id ~category:Sim.Network.Node

@@ -281,15 +281,14 @@ let fig12 () =
      %!"
 
 (* Overload sweep: offered load from 0.25x to 2x the saturation ceiling of
-   a throttled flow-controlled ISS-PBFT, locating the knee and checking
-   goodput holds past it (EXPERIMENTS.md "Overload sweep").  Writes the
-   BENCH_overload.json figure in the same format as `iss_sim bench
-   --json`. *)
+   a throttled ISS-PBFT with bounded admission, locating the knee and
+   checking goodput holds past it (EXPERIMENTS.md "Overload sweep").
+   Writes the BENCH_overload.json figure. *)
 let overload () =
   header
-    "Overload sweep: goodput across the saturation knee (throttled ISS-PBFT n=4, flow \
-     control on)";
-  let sw = E.overload_sweep ~seed () in
+    "Overload sweep: goodput across the saturation knee (throttled ISS-PBFT n=4, \
+     bounded admission)";
+  let sw = E.overload_sweep () in
   List.iter
     (fun (p : E.sweep_point) ->
       Format.printf "  %.2fx  %a@." p.E.fraction E.pp_result p.E.point)

@@ -188,13 +188,7 @@ let workload_conv =
         Ok (Runner.Workload.Flash_crowd { at_s = 10.0; factor = 4.0; len_s = 5.0 })
     | "hot-bucket", [ skew ] -> Ok (Runner.Workload.Hot_bucket { skew })
     | "hot-bucket", [] -> Ok (Runner.Workload.Hot_bucket { skew = 1.2 })
-    | "ramp", [ peak_factor ] -> Ok (Runner.Workload.Ramp { peak_factor })
-    | "ramp", [] -> Ok (Runner.Workload.Ramp { peak_factor = 2.0 })
-    | _ ->
-        Error
-          (`Msg
-            "workload: steady, flash-crowd[:at,factor,len], hot-bucket[:skew] or \
-             ramp[:peak]")
+    | _ -> Error (`Msg "workload: steady, flash-crowd[:at,factor,len] or hot-bucket[:skew]")
   in
   let print fmt w = Format.pp_print_string fmt (Runner.Workload.shape_name w) in
   Arg.conv (parse, print)
@@ -220,9 +214,9 @@ let run_cmd =
       & info [ "offered-load" ] ~docv:"X"
           ~doc:
             "Offered load as a fraction of the overload experiments' analytical ceiling \
-             (2048 req/s; overrides --rate, 2.0 = 2x overload).  Implies the throttled \
-             flow-control configuration the overload sweep uses, so fractions here line \
-             up with the sweep's — and with the knee in BENCH_overload.json.")
+             (2048 req/s; overrides --rate, 2.0 = 2x overload).  Implies the throttled, \
+             bounded-admission configuration the overload sweep uses, so fractions here \
+             line up with the sweep's — and with the knee in BENCH_overload.json.")
   in
   let workload_arg =
     Arg.(
@@ -230,29 +224,26 @@ let run_cmd =
       & opt (some workload_conv) None
       & info [ "workload" ] ~docv:"SHAPE"
           ~doc:
-            "Offered-load shape: steady (default), flash-crowd[:at,factor,len], \
-             hot-bucket[:skew], or ramp[:peak].  Non-steady shapes enable client \
-             resubmission.")
-  in
-  let flow_control_arg =
-    Arg.(
-      value & flag
-      & info [ "flow-control" ]
-          ~doc:"Enable node-side admission control and pushback (off by default).")
+            "Offered-load shape: steady (default), flash-crowd[:at,factor,len] or \
+             hot-bucket[:skew].  Non-steady shapes enable client resubmission.")
   in
   let bucket_cap_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "bucket-cap" ] ~docv:"REQS"
-          ~doc:"Bucket-queue capacity when --flow-control is on (default 4096).")
+          ~doc:
+            "Bound every bucket queue at $(docv) requests: the node sheds past it and \
+             pushes back at 75% (default: unbounded, or 64 under --offered-load).")
   in
   let shed_policy_arg =
     Arg.(
       value
       & opt (some shed_policy_conv) None
       & info [ "shed-policy" ] ~docv:"POLICY"
-          ~doc:"Shed policy when a bucket is full: reject-new (default) or drop-oldest.")
+          ~doc:
+            "Shed policy when a bounded bucket is full: reject-new (default) or \
+             drop-oldest.")
   in
   let retry_budget_arg =
     Arg.(
@@ -284,21 +275,16 @@ let run_cmd =
                (String.concat ", " Runner.Faults.scenario_names)))
   in
   let go system n rate duration seed policy faults scenario series trace_out
-      trace_sample metrics_out offered_load workload flow_control bucket_cap shed_policy
-      retry_budget =
+      trace_sample metrics_out offered_load workload bucket_cap shed_policy retry_budget =
     let tweak c =
       let c =
         if Option.is_some offered_load then Runner.Experiment.overload_tweak () c else c
       in
-      if not (flow_control || Option.is_some offered_load) then c
-      else
-        {
-          c with
-          Core.Config.flow_control = true;
-          bucket_capacity =
-            Option.value bucket_cap ~default:c.Core.Config.bucket_capacity;
-          shed_policy = Option.value shed_policy ~default:c.Core.Config.shed_policy;
-        }
+      match (bucket_cap, c.Core.Config.admission) with
+      | None, Core.Config.Unbounded -> c
+      | Some capacity, _ | None, Core.Config.Bounded { capacity; _ } ->
+          let shed = Option.value shed_policy ~default:Core.Config.Reject_new in
+          { c with Core.Config.admission = Core.Config.Bounded { capacity; shed } }
     in
     let config = Runner.Cluster.config_of_system ?policy ~tweak ~system ~n () in
     let faults = List.map (fun (_, of_config) -> of_config config) faults in
@@ -353,7 +339,7 @@ let run_cmd =
       const go $ system_arg $ n_arg $ rate_arg $ duration_arg $ seed_arg $ policy_arg
       $ faults_arg $ scenario_arg $ series_arg $ trace_out_arg
       $ trace_sample_arg $ metrics_out_arg $ offered_load_arg $ workload_arg
-      $ flow_control_arg $ bucket_cap_arg $ shed_policy_arg $ retry_budget_arg)
+      $ bucket_cap_arg $ shed_policy_arg $ retry_budget_arg)
 
 let peak_cmd =
   let go system n duration seed series trace_out trace_sample metrics_out =
@@ -496,47 +482,6 @@ let conform_cmd =
           model, with determinism and instrumented/bare bit-identity asserted per seed.")
     Term.(const go $ seeds_arg $ start_arg $ shrink_arg $ replay_arg $ save_arg)
 
-let bench_cmd =
-  let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"CI smoke variant: 3 sweep points x 12 s instead of 7 x 25 s.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"DIR" ~doc:"Write BENCH_overload.json into $(docv).")
-  in
-  let go quick json seed n =
-    let sw = Runner.Experiment.overload_sweep ~quick ~seed:(Int64.of_int seed) ~n () in
-    Format.printf
-      "overload sweep: throttled iss-pbft n=%d, ceiling %.0f req/s, flow control on@." n
-      sw.Runner.Experiment.ceiling;
-    List.iter
-      (fun (p : Runner.Experiment.sweep_point) ->
-        Format.printf "  %.2fx  %a@." p.fraction Runner.Experiment.pp_result p.point)
-      sw.Runner.Experiment.sweep_points;
-    Format.printf "peak goodput %.0f req/s; knee at %.2fx ceiling@."
-      sw.Runner.Experiment.peak_goodput sw.Runner.Experiment.knee_fraction;
-    match json with
-    | None -> ()
-    | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let file = Filename.concat dir "BENCH_overload.json" in
-        let oc = open_out file in
-        output_string oc (Obs.Jsonx.to_string (Runner.Experiment.sweep_to_json sw));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "wrote %s@." file
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Offered-load sweep across the saturation knee of a throttled flow-controlled \
-          ISS-PBFT; emits the BENCH_overload.json figure.")
-    Term.(const go $ quick_arg $ json_arg $ seed_arg $ n_arg)
-
 let config_cmd =
   let go system n =
     Format.printf "%a@." Core.Config.pp (Runner.Cluster.config_of_system ~system ~n ())
@@ -549,4 +494,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; peak_cmd; bench_cmd; conform_cmd; topology_cmd; config_cmd ]))
+          [ run_cmd; peak_cmd; conform_cmd; topology_cmd; config_cmd ]))

@@ -25,7 +25,7 @@ let () =
   let engine = Sim.Engine.create () in
   let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:23L in
-  let net = Sim.Network.create engine ~rng () in
+  let net = Sim.Network.create engine ~rng in
   let placement = Sim.Topology.assign_uniform ~n in
 
   (* Each replica's chain. *)

@@ -19,7 +19,7 @@ let () =
   let engine = Sim.Engine.create () in
   let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:11L in
-  let net = Sim.Network.create engine ~rng () in
+  let net = Sim.Network.create engine ~rng in
   let placement = Sim.Topology.assign_uniform ~n in
 
   (* The operation store: request id -> operation (a real deployment ships

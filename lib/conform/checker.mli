@@ -27,7 +27,7 @@ type stats = {
 }
 
 val create : n:int -> reply_quorum:int -> window:int -> t
-(** [window] is the configuration's [client_watermark_window]. *)
+(** [window] is the client watermark window, [Core.Config.client_watermark_window]. *)
 
 val set_byzantine : t -> int -> unit
 (** Exempt a node from the checked invariants: agreement, exactly-once,

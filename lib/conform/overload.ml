@@ -15,20 +15,15 @@ let validate = function
   | Hot_bucket { skew; _ } ->
       if skew <= 0.0 then Error "overload: skew must be positive" else Ok ()
 
-(* Flow control on, with buckets small enough that conformance-scale rates
-   actually shed.  The shed policy comes from the scenario's [drop_oldest]
-   draw. *)
+(* Bounded admission, with buckets small enough that conformance-scale
+   rates actually shed.  The shed policy comes from the scenario's
+   [drop_oldest] draw. *)
 let tweak o c =
   let drop_oldest =
     match o with Flash_crowd { drop_oldest; _ } | Hot_bucket { drop_oldest; _ } -> drop_oldest
   in
-  {
-    c with
-    Core.Config.flow_control = true;
-    bucket_capacity = 16;
-    shed_policy = (if drop_oldest then Core.Config.Drop_oldest else Core.Config.Reject_new);
-    pushback_watermark = 0.75;
-  }
+  let shed = if drop_oldest then Core.Config.Drop_oldest else Core.Config.Reject_new in
+  { c with Core.Config.admission = Core.Config.Bounded { capacity = 16; shed } }
 
 let shape = function
   | Flash_crowd { at_s; factor; len_s; _ } -> Runner.Workload.Flash_crowd { at_s; factor; len_s }

@@ -1,5 +1,5 @@
 (** The overload window of a conformance scenario (DESIGN.md §9): a
-    saturating workload shape, run with flow control on and a finite
+    saturating workload shape, run with bounded admission and a finite
     client retry budget so that sheds and give-ups fire. *)
 
 type t =
@@ -11,7 +11,7 @@ type t =
 val validate : t -> (unit, string) result
 
 val tweak : t -> Core.Config.t -> Core.Config.t
-(** Flow control on, buckets of 16, shed policy from [drop_oldest]. *)
+(** [Bounded] admission: buckets of 16, shed policy from [drop_oldest]. *)
 
 val shape : t -> Runner.Workload.shape
 val retry_budget : int

@@ -98,7 +98,7 @@ let targets t (req : Proto.Request.t) =
 let send_request t (req : Proto.Request.t) =
   List.iter (fun dst -> t.send ~dst (Proto.Message.Request_msg req)) (targets t req)
 
-let window_has_room t = t.next_ts - t.floor < t.config.Config.client_watermark_window
+let window_has_room t = t.next_ts - t.floor < Config.client_watermark_window
 
 (* Deterministic multiplicative jitter: scale a backoff delay by a uniform
    factor in [1-jitter, 1+jitter], drawn from the client's own seeded RNG.

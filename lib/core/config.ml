@@ -8,6 +8,7 @@ type leader_policy_kind =
   | Straggler_aware
 
 type shed_policy = Reject_new | Drop_oldest
+type admission = Unbounded | Bounded of { capacity : int; shed : shed_policy }
 
 type t = {
   protocol : protocol;
@@ -21,12 +22,10 @@ type t = {
   min_epoch_length : int;
   min_segment_size : int;
   epoch_change_timeout : Sim.Time_ns.span;
-  client_watermark_window : int;
-  flow_control : bool;
-  bucket_capacity : int;
-  shed_policy : shed_policy;
-  pushback_watermark : float;
+  admission : admission;
 }
+
+let client_watermark_window = 512
 
 let num_buckets t = t.buckets_per_leader * t.n
 
@@ -51,11 +50,7 @@ let base ~n ~protocol =
     min_epoch_length = 256;
     min_segment_size = 2;
     epoch_change_timeout = Sim.Time_ns.sec 10;
-    client_watermark_window = 512;
-    flow_control = false;
-    bucket_capacity = 4096;
-    shed_policy = Reject_new;
-    pushback_watermark = 0.75;
+    admission = Unbounded;
   }
 
 (* Table 1 presets. *)
@@ -99,12 +94,10 @@ let validate t =
   else if t.min_batch_timeout > t.max_batch_timeout && t.max_batch_timeout > 0 then
     fail "min_batch_timeout exceeds max_batch_timeout"
   else if t.epoch_change_timeout <= 0 then fail "epoch_change_timeout must be positive"
-  else if t.client_watermark_window <= 0 then fail "client_watermark_window must be positive"
   else if (match t.batch_rate with Some r -> r <= 0.0 | None -> false) then
     fail "batch_rate must be positive when set"
-  else if t.bucket_capacity <= 0 then fail "bucket_capacity must be positive"
-  else if t.pushback_watermark <= 0.0 || t.pushback_watermark > 1.0 then
-    fail "pushback_watermark must be in (0, 1] (got %g)" t.pushback_watermark
+  else if (match t.admission with Bounded { capacity; _ } -> capacity <= 0 | Unbounded -> false)
+  then fail "a bounded admission capacity must be positive"
   else begin
     match t.leader_policy with
     | Fixed [] -> fail "Fixed leader policy needs at least one leader"
@@ -137,7 +130,6 @@ let pp fmt t =
     Sim.Time_ns.pp t.min_batch_timeout Sim.Time_ns.pp t.max_batch_timeout t.min_epoch_length
     t.min_segment_size Sim.Time_ns.pp t.epoch_change_timeout
     (if client_signatures t then "256-bit ECDSA (simulated)" else "none")
-    (if t.flow_control then
-       Printf.sprintf "on (cap=%d, %s, watermark=%.2f)" t.bucket_capacity
-         (shed_policy_name t.shed_policy) t.pushback_watermark
-     else "off")
+    (match t.admission with
+    | Bounded { capacity; shed } -> Printf.sprintf "on (cap=%d, %s)" capacity (shed_policy_name shed)
+    | Unbounded -> "off")

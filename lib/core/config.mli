@@ -1,6 +1,7 @@
 (** ISS configuration (paper Table 1).
 
-    One record gathers every knob the evaluation varies.  The per-protocol
+    One record gathers every knob the evaluation varies; a value no run
+    varies is a constant ({!client_watermark_window}).  The per-protocol
     presets ({!pbft_default}, {!hotstuff_default}, {!raft_default}) encode
     the exact values of Table 1. *)
 
@@ -26,6 +27,15 @@ type shed_policy =
       (** a full bucket evicts its oldest unordered request to admit the
           incoming one (freshness over fairness) *)
 
+(** Ingress admission control (DESIGN.md §12). *)
+type admission =
+  | Unbounded
+      (** the default: bucket queues grow without bound and the node never
+          sheds or pushes back — the admission gate costs one comparison *)
+  | Bounded of { capacity : int; shed : shed_policy }
+      (** each bucket queue holds at most [capacity] unordered requests;
+          [shed] says what a full bucket does with one more *)
+
 type t = {
   protocol : protocol;
   n : int;  (** number of nodes *)
@@ -46,22 +56,11 @@ type t = {
   epoch_change_timeout : Sim.Time_ns.span;
       (** SB-level failure-detection timeout (PBFT view change /
           HotStuff pacemaker / Raft election base) *)
-  client_watermark_window : int;
-      (** per-client in-flight request budget per epoch (§3.7) *)
-  flow_control : bool;
-      (** Master switch for ingress admission control (default [false]).
-          When off, every flow-control code path is skipped entirely so the
-          simulation is bit-identical to a build without the feature —
-          conformance fingerprints pin this. *)
-  bucket_capacity : int;
-      (** Maximum unordered requests a single bucket queue holds before the
-          node sheds ([flow_control] only). *)
-  shed_policy : shed_policy;  (** What to do when a bucket is full. *)
-  pushback_watermark : float;
-      (** Occupancy fraction of [bucket_capacity] at which the node starts
-          sending advisory [Busy] pushback (before it actually sheds);
-          in (0, 1]. *)
+  admission : admission;  (** default [Unbounded] *)
 }
+
+val client_watermark_window : int
+(** Per-client in-flight request budget per epoch (§3.7): 512. *)
 
 val num_buckets : t -> int
 (** Total bucket count: [buckets_per_leader * n]. *)

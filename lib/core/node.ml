@@ -59,8 +59,8 @@ type t = {
       (* messages dropped at ingress because their authenticator failed —
          the Byzantine Corrupt_sig attack surfaces here *)
   mutable shed_count : int;
-      (* requests dropped by flow-control admission (reject-new refusals
-         plus drop-oldest evictions) *)
+      (* requests dropped by bounded admission (reject-new refusals plus
+         drop-oldest evictions) *)
   mutable pushback_count : int;
       (* Busy pushback notifications issued, advisory and shedding alike *)
   mutable halted : bool;
@@ -202,7 +202,7 @@ let epoch_of_instance t instance = instance / t.config.Config.n
 (* ------------------------------------------------------------------ *)
 (* Request intake (§3.7) *)
 
-(* Flow-control pushback: count it, notify the harness hook.  The wire-level
+(* Admission pushback: count it, notify the harness hook.  The wire-level
    Busy reply is sent by whoever wired the node to real clients (the node
    itself has no channel back to the modeled workload). *)
 let note_pushback t (r : Proto.Request.t) ~retry_after ~shed =
@@ -214,28 +214,33 @@ let note_pushback t (r : Proto.Request.t) ~retry_after ~shed =
    bucket occupancy, doubled when the request was actually shed. *)
 let pushback_hint = Time_ns.ms 500
 
-(* Admission control (flow_control only).  Returns whether [r] may be added
-   to its [bucket]; sheds — the incoming request (Reject_new) or the oldest
-   queued one (Drop_oldest) — when the bucket is at capacity.  A request
-   already queued is always "admitted": Bucket_queue.add is a no-op for it,
-   and shedding a retransmission's victim would punish an unrelated
+(* Occupancy fraction of a bounded bucket at which the node starts sending
+   advisory [Busy] pushback, before it actually sheds. *)
+let pushback_watermark = 0.75
+
+(* Admission control.  Returns whether [r] may be added to its [bucket];
+   under [Bounded] admission, sheds — the incoming request (Reject_new) or
+   the oldest queued one (Drop_oldest) — when the bucket is at capacity.  A
+   request already queued is always "admitted": Bucket_queue.add is a no-op
+   for it, and shedding a retransmission's victim would punish an unrelated
    request. *)
 let admit_request t ~bucket (r : Proto.Request.t) =
-  let cfg = t.config in
-  (not cfg.Config.flow_control)
-  || Bucket_queue.length t.queues ~bucket < cfg.Config.bucket_capacity
-  || Bucket_queue.queued t.queues r.Proto.Request.id
-  ||
-  let shed_hint = 2 * pushback_hint in
-  match cfg.Config.shed_policy with
-  | Config.Reject_new ->
-      note_pushback t r ~retry_after:shed_hint ~shed:true;
-      false
-  | Config.Drop_oldest ->
-      Array.iter
-        (fun victim -> note_pushback t victim ~retry_after:shed_hint ~shed:true)
-        (Bucket_queue.cut t.queues ~buckets:[ bucket ] ~max:1);
-      true
+  match t.config.Config.admission with
+  | Config.Unbounded -> true
+  | Config.Bounded { capacity; shed } -> (
+      Bucket_queue.length t.queues ~bucket < capacity
+      || Bucket_queue.queued t.queues r.Proto.Request.id
+      ||
+      let shed_hint = 2 * pushback_hint in
+      match shed with
+      | Config.Reject_new ->
+          note_pushback t r ~retry_after:shed_hint ~shed:true;
+          false
+      | Config.Drop_oldest ->
+          Array.iter
+            (fun victim -> note_pushback t victim ~retry_after:shed_hint ~shed:true)
+            (Bucket_queue.cut t.queues ~buckets:[ bucket ] ~max:1);
+          true)
 
 let disarm (b : batcher) =
   Timer.cancel b.timer;
@@ -266,17 +271,14 @@ let rec submit t (r : Proto.Request.t) =
           trace_event t Obs.Tracer.Enqueue r;
           if Config.client_signatures t.config then
             charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
-          if t.config.Config.flow_control then begin
-            (* Watermark backpressure: warn the client before shedding
-               starts, with a hint that grows as the bucket fills. *)
-            let occ = Bucket_queue.length t.queues ~bucket in
-            let cap = t.config.Config.bucket_capacity in
-            if float_of_int occ >= t.config.Config.pushback_watermark *. float_of_int cap
-            then
-              note_pushback t r
-                ~retry_after:(max 1 (pushback_hint * occ / cap))
-                ~shed:false
-          end;
+          (match t.config.Config.admission with
+          | Config.Unbounded -> ()
+          | Config.Bounded { capacity; _ } ->
+              (* Watermark backpressure: warn the client before shedding
+                 starts, with a hint that grows as the bucket fills. *)
+              let occ = Bucket_queue.length t.queues ~bucket in
+              if float_of_int occ >= pushback_watermark *. float_of_int capacity then
+                note_pushback t r ~retry_after:(max 1 (pushback_hint * occ / capacity)) ~shed:false);
           poke_batcher t ~bucket
         end
 
@@ -599,7 +601,7 @@ and start_epoch t ~epoch ~start_sn ~leaders =
         let ctx = make_ctx t seg in
         let instance = t.orderer_factory ctx seg in
         Hashtbl.replace t.orderers seg.Segment.instance instance;
-        Orderer_intf.start instance)
+        instance.Orderer_intf.start ())
       segments;
     t.hooks.on_epoch_start t ~epoch ~leaders ~bucket_leaders;
     if t.epoch.e_remaining = 0 then finish_epoch t;
@@ -652,7 +654,7 @@ and gc_stable t =
   List.iter
     (fun instance ->
       (match Hashtbl.find_opt t.orderers instance with
-      | Some inst -> Orderer_intf.stop inst
+      | Some inst -> inst.Orderer_intf.stop ()
       | None -> ());
       Hashtbl.remove t.orderers instance)
     !to_remove;
@@ -703,7 +705,7 @@ and jump_to_checkpoint t (cert : Proto.Message.checkpoint_cert) =
      dropping the queues loses nothing. *)
   t.req_cum <- cert.cc_req_count;
   Leader_policy.restore t.policy cert.cc_policy;
-  Hashtbl.iter (fun _ inst -> Orderer_intf.stop inst) t.orderers;
+  Hashtbl.iter (fun _ inst -> inst.Orderer_intf.stop ()) t.orderers;
   Hashtbl.reset t.orderers;
   Watermarks.clear_proposals t.watermarks;
   Bucket_queue.clear t.queues;
@@ -762,7 +764,7 @@ and route_instance t ~src ~instance msg =
   else begin
     (* [find], not [find_opt]: every protocol message passes here. *)
     match Hashtbl.find t.orderers instance with
-    | inst -> Orderer_intf.on_message inst ~src msg
+    | inst -> inst.Orderer_intf.on_message ~src msg
     | exception Not_found -> ()  (* instance already garbage-collected; late message *)
   end
 
@@ -790,7 +792,7 @@ let create ~config ~id ~clock ~send:raw_send ~orderer_factory ?(hooks = default_
       threshold_group = Iss_crypto.Threshold.setup ~n ~t:(min n ((2 * f) + 1));
       log = Log.create ();
       queues = Bucket_queue.create ~num_buckets;
-      watermarks = Watermarks.create ~window:config.Config.client_watermark_window;
+      watermarks = Watermarks.create ~window:Config.client_watermark_window;
       policy = Leader_policy.create config;
       epoch =
         {

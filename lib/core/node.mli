@@ -46,10 +46,11 @@ type hooks = {
           transitions behind an epoch primary.  [None]: start immediately. *)
   on_pushback :
     (t -> Proto.Request.t -> retry_after:Sim.Time_ns.span -> shed:bool -> unit) option;
-      (** Fired when flow control pushes back on a request ([Busy] on the
-          wire): [shed = true] means the request was dropped at admission
+      (** Fired when bounded admission pushes back on a request ([Busy] on
+          the wire): [shed = true] means the request was dropped at admission
           (or evicted by the drop-oldest policy), [shed = false] is the
-          advisory watermark warning — the request is still queued.
+          advisory warning a bucket sends once it is three-quarters full —
+          the request is still queued.
           [retry_after] is the server-suggested backoff floor.  No client
           hears of it: the runner only reports sheds to the invariant
           checker and ignores [retry_after]. *)
@@ -139,12 +140,12 @@ val auth_failures : t -> int
     sender on an authenticated channel. *)
 
 val shed_count : t -> int
-(** Requests this node's flow control dropped (reject-new refusals plus
-    drop-oldest evictions).  Always 0 when [flow_control] is off. *)
+(** Requests this node's bounded admission dropped (reject-new refusals
+    plus drop-oldest evictions).  Always 0 under [Unbounded] admission. *)
 
 val pushback_count : t -> int
 (** [Busy] pushback notifications this node issued, advisory and shedding
-    alike.  Always 0 when [flow_control] is off. *)
+    alike.  Always 0 under [Unbounded] admission. *)
 
 val epoch_leaders : t -> Proto.Ids.node_id array
 (** Leaders of the node's current epoch. *)

@@ -11,8 +11,10 @@
 
     {!Runtime} is the per-instance plumbing every orderer shares:
     re-armable timers that die with the instance, the decided-slot record
-    (announce-once, [done_], time of last progress) and FILL slot recovery.
-    A protocol module keeps only its own messages and commit rules. *)
+    (announce-once, [done_], time of last progress), FILL slot recovery,
+    the doubling failure-detection timeout, and the {!instance} handle the
+    node holds.  A protocol module keeps only its own messages and commit
+    rules. *)
 
 (** Outcome of follower-side proposal validation.  [Reject_malicious] is
     reserved for {e provable} leader misbehaviour — a request whose signature
@@ -80,6 +82,20 @@ type ctx = {
           [Reject_malicious] verdict means the proposal proves its sender
           faulty; orderers react by demanding a leader change eagerly
           instead of waiting out their timers. *)
+}
+
+(** What a protocol provides to serve as an SB implementation: the node's
+    handle on one instance, built by {!Runtime.instance}. *)
+type instance = {
+  start : unit -> unit;
+      (** SB-INIT: begin ordering.  Called when the node enters the
+          segment's epoch. *)
+  on_message : src:Proto.Ids.node_id -> Proto.Message.t -> unit;
+      (** Deliver a protocol message routed to this instance.  Messages of
+          foreign types must be ignored, not crash. *)
+  stop : unit -> unit;
+      (** Garbage collection after the epoch's stable checkpoint: cancel
+          timers, drop state.  No [announce] may follow. *)
 }
 
 (** Per-instance state shared by every orderer. *)
@@ -206,6 +222,20 @@ module Runtime = struct
     t.active <- false;
     List.iter Timer.cancel t.timers
 
+  (** The node's handle on this instance: [on_message] hears a message only
+      between {!start} and {!stop}, and [stop] is {!stop}. *)
+  let instance t ~start ~on_message =
+    {
+      start;
+      on_message = (fun ~src msg -> if t.active then on_message ~src msg);
+      stop = (fun () -> stop t);
+    }
+
+  (** A protocol's failure-detection timeout after [k] failed attempts: the
+      epoch-change timeout, doubled [k] times (at most 16), so that it
+      eventually exceeds the network delay after GST. *)
+  let backoff t k = t.ctx.config.Config.epoch_change_timeout * (1 lsl min k 16)
+
   (** Answer a FILL request: [reply ~sn value] for each decided [sn]. *)
   let answer_fill t ~sns reply =
     List.iter
@@ -238,31 +268,3 @@ module Runtime = struct
           in
           matching >= Proto.Ids.max_faulty ~n:t.ctx.config.Config.n + 1
 end
-
-(** What a protocol must provide to serve as an SB implementation. *)
-module type ORDERER = sig
-  type t
-
-  val create : ctx -> Segment.t -> t
-
-  val start : t -> unit
-  (** SB-INIT: begin ordering.  Called when the node enters the segment's
-      epoch. *)
-
-  val on_message : t -> src:Proto.Ids.node_id -> Proto.Message.t -> unit
-  (** Deliver a protocol message routed to this instance.  Messages of
-      foreign types must be ignored, not crash. *)
-
-  val stop : t -> unit
-  (** Garbage collection after the epoch's stable checkpoint: cancel timers,
-      drop state.  No [announce] may follow. *)
-end
-
-(** Existential wrapper so a node can hold instances of different orderers
-    (it cannot happen in one run today, but the manager code stays agnostic
-    and tests mix protocols freely). *)
-type instance = Instance : (module ORDERER with type t = 'a) * 'a -> instance
-
-let start (Instance ((module O), o)) = O.start o
-let on_message (Instance ((module O), o)) ~src msg = O.on_message o ~src msg
-let stop (Instance ((module O), o)) = O.stop o

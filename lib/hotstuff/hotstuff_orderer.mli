@@ -11,6 +11,4 @@
     only ⊥ for the sequence numbers the original leader never got decided,
     restarting the pipeline from its highest known QC. *)
 
-module Orderer : Core.Orderer_intf.ORDERER
-
 val factory : Core.Node.orderer_factory

@@ -15,7 +15,5 @@
       the original leader and ⊥ for every other open sequence number
       (design principle 2 — needed for SB Integrity + Termination). *)
 
-module Orderer : Core.Orderer_intf.ORDERER
-
 val factory : Core.Node.orderer_factory
 (** Plug into {!Core.Node.create}. *)

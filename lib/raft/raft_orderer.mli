@@ -15,6 +15,4 @@
     - election timer ranges double on failed elections, ensuring liveness
       under eventual synchrony. *)
 
-module Orderer : Core.Orderer_intf.ORDERER
-
 val factory : Core.Node.orderer_factory

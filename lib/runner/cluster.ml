@@ -182,7 +182,7 @@ let register_metrics reg t =
 let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
   let engine = match engine with Some e -> e | None -> Engine.create () in
   let rng = Sim.Rng.create ~seed in
-  let net = Sim.Network.create engine ~rng:(Sim.Rng.split rng) () in
+  let net = Sim.Network.create engine ~rng:(Sim.Rng.split rng) in
   let config = config_of_system ?policy ?tweak ~system ~n () in
   let placement = Sim.Topology.assign_uniform ~n in
   (* One clock for every node, its orderers and the Mir gates. *)
@@ -365,7 +365,7 @@ let enable_invariants t =
   if t.checker = None then begin
     let ck =
       Checker.create ~n:t.n ~reply_quorum:(reply_quorum t)
-        ~window:t.config.Core.Config.client_watermark_window
+        ~window:Core.Config.client_watermark_window
     in
     Array.iteri (fun node byz -> if byz then Checker.set_byzantine ck node) t.byzantine;
     t.checker <- Some ck

@@ -123,7 +123,7 @@ val gave_up_count : t -> int
 (** Requests explicitly abandoned via {!note_gave_up}. *)
 
 val shed_total : t -> int
-(** Requests shed by flow-control admission, summed over all nodes. *)
+(** Requests shed by bounded admission, summed over all nodes. *)
 
 val pushback_total : t -> int
 (** Pushback notifications issued (advisory and shedding), summed over all

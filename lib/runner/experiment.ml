@@ -166,7 +166,7 @@ let result_to_json ?(series = false) r =
    sweep").  The swept system is a deliberately throttled 4-node ISS-PBFT —
    batch rate 32/s × 64-request batches puts the analytical ceiling at
    2048 req/s, low enough that a 7-point sweep finishes in seconds — with
-   flow control on, so past the knee the nodes shed instead of queueing
+   bounded admission, so past the knee the nodes shed instead of queueing
    without bound. *)
 
 type sweep_point = {
@@ -181,7 +181,6 @@ type sweep = {
   peak_goodput : float;
   knee_fraction : float;
       (** highest swept fraction whose goodput stays within 5% of the peak *)
-  quick : bool;
 }
 
 let overload_tweak () c =
@@ -190,30 +189,24 @@ let overload_tweak () c =
     Core.Config.max_batch_size = 64;
     batch_rate = Some 32.0;
     min_epoch_length = 64;
-    flow_control = true;
-    bucket_capacity = 64;
-    shed_policy = Core.Config.Reject_new;
+    admission = Core.Config.Bounded { capacity = 64; shed = Core.Config.Reject_new };
   }
 
 let overload_ceiling = 32.0 *. 64.0
 
-let overload_sweep ?(quick = false) ?(seed = 42L) ?(n = 4) () =
-  let fractions =
-    if quick then [ 0.5; 1.0; 2.0 ] else [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ]
-  in
-  let duration_s = if quick then 12.0 else 25.0 in
+let overload_sweep () =
   let points =
     List.map
       (fun fraction ->
         let r =
           run
             ~tweak:(overload_tweak ())
-            ~resubmit:true ~retry_budget:3 ~system:(Cluster.Iss Core.Config.PBFT) ~n
+            ~resubmit:true ~retry_budget:3 ~system:(Cluster.Iss Core.Config.PBFT) ~n:4
             ~rate:(fraction *. overload_ceiling)
-            ~duration_s ~seed ()
+            ~duration_s:25.0 ~seed:42L ()
         in
         { fraction; point = r; goodput = r.throughput })
-      fractions
+      [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ]
   in
   let peak_goodput = List.fold_left (fun m p -> Float.max m p.goodput) 0.0 points in
   (* The knee: the highest swept load the system still keeps up with
@@ -225,7 +218,7 @@ let overload_sweep ?(quick = false) ?(seed = 42L) ?(n = 4) () =
         if p.goodput >= 0.95 *. p.point.offered then Float.max knee p.fraction else knee)
       0.0 points
   in
-  { ceiling = overload_ceiling; sweep_points = points; peak_goodput; knee_fraction; quick }
+  { ceiling = overload_ceiling; sweep_points = points; peak_goodput; knee_fraction }
 
 let sweep_to_json sw =
   let open Obs.Jsonx in
@@ -236,7 +229,6 @@ let sweep_to_json sw =
       ("ceiling_req_s", Float sw.ceiling);
       ("peak_goodput_req_s", Float sw.peak_goodput);
       ("knee_fraction", Float sw.knee_fraction);
-      ("quick", Bool sw.quick);
       ( "points",
         List
           (List.map

@@ -20,7 +20,7 @@ type result = {
   sim_events : int;
   net_messages : int;  (** node-to-node messages sent *)
   net_bytes : int;  (** node-to-node bytes sent (incl. framing) *)
-  shed : int;  (** requests shed by flow-control admission, all nodes *)
+  shed : int;  (** requests shed by bounded admission, all nodes *)
   pushback : int;  (** pushback notifications issued (advisory + shed) *)
   gave_up : int;  (** requests whose client exhausted its retry budget *)
 }
@@ -89,7 +89,7 @@ val result_to_json : ?series:bool -> result -> Obs.Jsonx.t
     suffixed).  [series] additionally includes the per-second throughput
     series; off by default to keep figure files small. *)
 
-(** {2 Overload sweep (flow control)} *)
+(** {2 Overload sweep (bounded admission)} *)
 
 type sweep_point = {
   fraction : float;  (** offered load as a multiple of the analytical ceiling *)
@@ -105,23 +105,21 @@ type sweep = {
       (** the saturation knee: highest swept fraction the system still keeps
           up with (goodput within 5% of offered).  Past it goodput should
           stay flat near the peak — graceful degradation, not collapse *)
-  quick : bool;
 }
 
 val overload_tweak : unit -> Core.Config.t -> Core.Config.t
-(** The throttled flow-control configuration the overload experiments use:
-    batch rate 32/s × 64-request batches (analytical ceiling 2048 req/s),
-    64-entry epochs, flow control on with 64-request buckets and
+(** The throttled configuration the overload experiments use: batch rate
+    32/s × 64-request batches (analytical ceiling 2048 req/s), 64-entry
+    epochs, and [Bounded] admission with 64-request buckets and
     [Reject_new] shedding. *)
 
 val overload_ceiling : float
 (** Analytical saturation of the {!overload_tweak} configuration, req/s. *)
 
-val overload_sweep : ?quick:bool -> ?seed:int64 -> ?n:int -> unit -> sweep
-(** Sweep offered load from well under to 2× the ceiling on a throttled
-    4-node ISS-PBFT with flow control on, modeled-client retransmission and
-    a 3-resend retry budget.  [quick] (default false) runs 3 points × 12 s
-    instead of 7 points × 25 s — the CI smoke variant. *)
+val overload_sweep : unit -> sweep
+(** Sweep offered load over 7 points from 0.25× to 2× the ceiling, 25 s
+    each at seed 42, on a throttled 4-node ISS-PBFT with bounded admission,
+    modeled-client retransmission and a 3-resend retry budget. *)
 
 val sweep_to_json : sweep -> Obs.Jsonx.t
 (** The sweep as the BENCH_overload.json figure object. *)

@@ -5,13 +5,11 @@ type shape =
   | Steady
   | Flash_crowd of { at_s : float; factor : float; len_s : float }
   | Hot_bucket of { skew : float }
-  | Ramp of { peak_factor : float }
 
 let shape_name = function
   | Steady -> "steady"
   | Flash_crowd _ -> "flash-crowd"
   | Hot_bucket _ -> "hot-bucket"
-  | Ramp _ -> "ramp"
 
 let tick = Time_ns.ms 10
 
@@ -82,7 +80,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
     | Hot_bucket { skew } -> (
         let b = Sim.Rng.zipf shape_rng ~n:num_buckets ~s:skew - 1 in
         match roster_take b with Some c -> c | None -> fallback ())
-    | Steady | Flash_crowd _ | Ramp _ -> fallback ()
+    | Steady | Flash_crowd _ -> fallback ()
   in
   (* Offered-load multiplier for the current tick.  The [Steady] arm must
      stay the bare accumulator addition: any shared float detour would
@@ -94,9 +92,6 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
         let now_s = Time_ns.to_sec_f now in
         if now_s >= at_s && now_s < at_s +. len_s then per_tick *. factor else per_tick
     | Hot_bucket _ -> per_tick
-    | Ramp { peak_factor } ->
-        let progress = Time_ns.to_sec_f now /. Float.max 1e-9 (Time_ns.to_sec_f until) in
-        per_tick *. (peak_factor *. progress)
   in
   let outstanding : (Proto.Request.t * int ref) Queue.t = Queue.create () in
   (* Client watermark gate (§3.7): a real client cannot submit timestamp
@@ -109,7 +104,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
      backpressure a real deployment gets for free.  Only meaningful when
      delivery tracking is on (resubmit runs); elsewhere clients never get
      near the window inside a test budget. *)
-  let window = config.Core.Config.client_watermark_window in
+  let window = Core.Config.client_watermark_window in
   let window_open c =
     let ts = next_ts.(c) in
     ts < window

@@ -25,9 +25,6 @@ type shape =
       (** steady aggregate rate, but each request targets the bucket drawn
           from a Zipf([skew]) distribution over buckets (rank 1 = bucket 0),
           concentrating load on a few bucket queues *)
-  | Ramp of { peak_factor : float }
-      (** offered load grows linearly from 0 to [peak_factor]× the nominal
-          rate at [until] — locates the saturation point within one run *)
 
 val shape_name : shape -> string
 

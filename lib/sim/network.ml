@@ -1,13 +1,10 @@
 type category = Node | Client
 
-type config = {
-  bandwidth_bps : float;
-  per_message_overhead : int;
-  jitter : Time_ns.span;
-}
-
-let default_config =
-  { bandwidth_bps = 1e9; per_message_overhead = 80; jitter = Time_ns.ms 2 }
+(* The paper's testbed: 1 Gbps NICs per direction, 80 framing bytes per
+   message, up to 2 ms of uniform extra propagation delay. *)
+let bandwidth_bps = 1e9
+let per_message_overhead = 80
+let jitter = Time_ns.ms 2
 
 type 'a endpoint = {
   category : category;
@@ -43,7 +40,6 @@ type 'a envelope = {
 
 type 'a t = {
   engine : Engine.t;
-  config : config;
   rng : Rng.t;
   mutable endpoints : 'a endpoint array;  (* by id; unused ids hold [env_nil.dst_ep] *)
   mutable partition : (int -> int) option;
@@ -92,11 +88,10 @@ let make_env_nil () =
   in
   nil
 
-let create ?(config = default_config) engine ~rng () =
+let create engine ~rng =
   let env_nil = make_env_nil () in
   {
     engine;
-    config;
     rng;
     endpoints = [||];
     partition = None;
@@ -145,7 +140,7 @@ let nic_index ep ~peer_category =
 let transmission_time t bytes =
   if bytes = t.tt_bytes then t.tt_span
   else begin
-    let span = Time_ns.of_sec_f (float_of_int (bytes * 8) /. t.config.bandwidth_bps) in
+    let span = Time_ns.of_sec_f (float_of_int (bytes * 8) /. bandwidth_bps) in
     t.tt_bytes <- bytes;
     t.tt_span <- span;
     span
@@ -237,7 +232,7 @@ let send_prepared t se ~src ~dst ~size ~wire_bytes ~serialize payload =
   se.tx_free.(tx_nic) <- depart;
   if not lost then begin
     let prop = Topology.latency se.datacenter de.datacenter in
-    let jit = if t.config.jitter > 0 then Rng.int t.rng t.config.jitter else 0 in
+    let jit = Rng.int t.rng jitter in
     let spike = match t.link_latency with Some f -> f src dst | None -> 0 in
     let arrive = Time_ns.add depart (prop + jit + spike) in
     let env =
@@ -254,7 +249,7 @@ let send t ~src ~dst ~size payload =
      or partitioned away: it still serializes the message through its NIC
      and the send still counts; only the delivery is suppressed. *)
   if not se.crashed then begin
-    let wire_bytes = size + t.config.per_message_overhead in
+    let wire_bytes = size + per_message_overhead in
     send_prepared t se ~src ~dst ~size ~wire_bytes
       ~serialize:(transmission_time t wire_bytes) payload
   end
@@ -265,7 +260,7 @@ let multicast t ~src ~dsts ~size payload =
   | _ ->
       let se = endpoint t src in
       if not se.crashed then begin
-        let wire_bytes = size + t.config.per_message_overhead in
+        let wire_bytes = size + per_message_overhead in
         let serialize = transmission_time t wire_bytes in
         List.iter
           (fun dst -> send_prepared t se ~src ~dst ~size ~wire_bytes ~serialize payload)

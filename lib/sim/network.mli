@@ -9,7 +9,7 @@
     + the sender's outgoing NIC serializes it: it departs at
       [max(now, tx_free) + size/bandwidth];
     + it propagates for the topology latency between the two endpoints'
-      datacenters, plus optional jitter;
+      datacenters, plus up to 2 ms of uniform jitter;
     + the receiver's incoming NIC serializes it symmetrically;
     + the receiver's handler runs at the resulting delivery time.
 
@@ -30,16 +30,10 @@ type 'a t
 
 type category = Node | Client
 
-type config = {
-  bandwidth_bps : float;  (** per-NIC, per-direction, bits per second *)
-  per_message_overhead : int;  (** framing bytes added to every message *)
-  jitter : Time_ns.span;  (** max uniform extra propagation delay *)
-}
-
-val default_config : config
-(** 1 Gbps NICs, 80 B overhead, 2 ms max jitter — the paper's setup. *)
-
-val create : ?config:config -> Engine.t -> rng:Rng.t -> unit -> 'a t
+val create : Engine.t -> rng:Rng.t -> 'a t
+(** A network with the paper's testbed NICs: 1 Gbps per direction, 80
+    framing bytes per message, and up to 2 ms of uniform jitter on each
+    message's propagation delay, drawn from [rng]. *)
 
 val add_endpoint :
   'a t ->

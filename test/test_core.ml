@@ -969,14 +969,8 @@ let test_votes_add_allocates_nothing () =
 (* A clock no test below advances: the node's timers never fire. *)
 let idle_clock () = Core.Orderer_intf.Clock.of_engine (Sim.Engine.create ())
 
-module Idle_orderer = struct
-  type t = unit
-
-  let create _ _ = ()
-  let start () = ()
-  let on_message () ~src:_ _ = ()
-  let stop () = ()
-end
+let idle_orderer =
+  { Core.Orderer_intf.start = ignore; on_message = (fun ~src:_ _ -> ()); stop = ignore }
 
 let test_validate_proposal_verdicts () =
   let config = Core.Config.pbft_default ~n:4 in
@@ -984,7 +978,7 @@ let test_validate_proposal_verdicts () =
   let ctxs = ref [] in
   let orderer_factory ctx seg =
     ctxs := (ctx, seg) :: !ctxs;
-    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+    idle_orderer
   in
   let node =
     Core.Node.create ~config ~id:0 ~clock:(idle_clock ())
@@ -1029,7 +1023,7 @@ let test_validate_proposal_verdicts () =
     expect "same batch, same sn" Core.Orderer_intf.Accept ~sn:(sn 1) [ a; b ];
     let c = pick ~client:3 0 in
     expect "overlap at another sn" Core.Orderer_intf.Reject ~sn:(sn 2) [ c; b ];
-    let far = pick ~client:4 config.Core.Config.client_watermark_window in
+    let far = pick ~client:4 Core.Config.client_watermark_window in
     expect "outside the watermark window" Core.Orderer_intf.Reject ~sn:(sn 3) [ far ];
     let delivered = pick ~client:5 0 in
     ctx.Core.Orderer_intf.announce ~sn:0 (batch [ delivered ]);
@@ -1083,7 +1077,7 @@ let test_checkpoint_quorum () =
   let announce = ref None in
   let orderer_factory (ctx : Core.Orderer_intf.ctx) _ =
     announce := Some ctx.announce;
-    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+    idle_orderer
   in
   let own_votes = Hashtbl.create 4 (* epoch -> node 0's vote *) in
   let send ~dst msg =
@@ -1317,14 +1311,12 @@ let test_log_serving () =
    skipped requests cannot be replayed, so a client's floor stays below
    them.  One node, fed a hand-signed entry-less State_reply. *)
 let test_jump_keeps_floors () =
-  let window = 8 in
-  let config =
-    { (Core.Config.pbft_default ~n:4) with Core.Config.client_watermark_window = window }
-  in
+  let window = Core.Config.client_watermark_window in
+  let config = Core.Config.pbft_default ~n:4 in
   let ctxs = ref [] in
   let orderer_factory ctx seg =
     ctxs := (ctx, seg) :: !ctxs;
-    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+    idle_orderer
   in
   let delivered = ref [] and duplicates = ref [] in
   let hooks =
@@ -1417,7 +1409,7 @@ let lag_check_node () =
   let announce = ref None in
   let orderer_factory (ctx : Core.Orderer_intf.ctx) _ =
     if Option.is_none !announce then announce := Some ctx.announce;
-    Core.Orderer_intf.Instance ((module Idle_orderer), ())
+    idle_orderer
   in
   let node =
     Core.Node.create ~config ~id:0 ~clock:(Core.Orderer_intf.Clock.of_engine engine) ~send

@@ -218,7 +218,7 @@ let test_lossy_retransmission () =
   let engine = Sim.Engine.create () in
   let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:11L in
-  let net = Sim.Network.create engine ~rng () in
+  let net = Sim.Network.create engine ~rng in
   let placement = Sim.Topology.assign_uniform ~n in
   let send_from src ~dst msg =
     Sim.Network.send net ~src ~dst ~size:(Proto.Message.wire_size msg) msg

@@ -21,7 +21,7 @@ let build ?(seed = 42L) ?(extra_hooks = fun h -> h) config =
   let engine = Sim.Engine.create () in
   let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed in
-  let net = Sim.Network.create engine ~rng () in
+  let net = Sim.Network.create engine ~rng in
   let n = config.Core.Config.n in
   let placement = Sim.Topology.assign_uniform ~n in
   let deliveries = ref [] in
@@ -341,7 +341,7 @@ let test_out_of_window_rejected () =
   Array.iter Core.Node.start c.nodes;
   let too_far =
     Proto.Request.make ~client:800
-      ~ts:(config.Core.Config.client_watermark_window + 5)
+      ~ts:(Core.Config.client_watermark_window + 5)
       ~submitted_at:Sim.Time_ns.zero ()
   in
   submit_all c too_far;

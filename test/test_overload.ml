@@ -106,22 +106,17 @@ type node_fixture = {
   pushbacks : pushback_event list ref;  (* reversed *)
 }
 
-let build_nodes ?(n = 4) ?(capacity = 2) ?(policy = Core.Config.Reject_new)
-    ?(watermark = 1.0) () =
+let bounded ?(shed = Core.Config.Reject_new) capacity = Core.Config.Bounded { capacity; shed }
+
+let build_nodes admission =
+  let n = 4 in
   let config =
-    {
-      (Core.Config.pbft_default ~n) with
-      Core.Config.buckets_per_leader = 1;
-      flow_control = true;
-      bucket_capacity = capacity;
-      shed_policy = policy;
-      pushback_watermark = watermark;
-    }
+    { (Core.Config.pbft_default ~n) with Core.Config.buckets_per_leader = 1; admission }
   in
   let engine = Sim.Engine.create () in
   let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed:7L in
-  let net = Sim.Network.create engine ~rng () in
+  let net = Sim.Network.create engine ~rng in
   let placement = Sim.Topology.assign_uniform ~n in
   let pushbacks = ref [] in
   let hooks =
@@ -147,19 +142,23 @@ let build_nodes ?(n = 4) ?(capacity = 2) ?(policy = Core.Config.Reject_new)
   { engine; nodes; pushbacks }
 
 (* A stream of requests that all map to the same bucket (bucket_of_id mixes
-   client and timestamp, so same-client requests spread over buckets). *)
+   client and timestamp, so same-client requests spread over buckets).  Each
+   client's timestamps stay inside its watermark window. *)
 let same_bucket_requests ~num_buckets ~count =
   let target = ref (-1) in
-  let out = ref [] in
+  let out = ref [] and found = ref 0 in
   let client = ref 1000 in
   let ts = ref 0 in
-  while List.length !out < count do
+  while !found < count do
     let r = Proto.Request.make ~client:!client ~ts:!ts ~submitted_at:Time_ns.zero () in
     let b = Proto.Request.bucket_of_id ~num_buckets r.Proto.Request.id in
     if !target = -1 then target := b;
-    if b = !target then out := r :: !out;
+    if b = !target then begin
+      out := r :: !out;
+      incr found
+    end;
     incr ts;
-    if !ts > 10_000 then begin
+    if !ts = Core.Config.client_watermark_window then begin
       incr client;
       ts := 0
     end
@@ -167,7 +166,7 @@ let same_bucket_requests ~num_buckets ~count =
   List.rev !out
 
 let test_reject_new_sheds_incoming () =
-  let fx = build_nodes ~capacity:2 ~policy:Core.Config.Reject_new () in
+  let fx = build_nodes (bounded 2) in
   let node = fx.nodes.(0) in
   let reqs = same_bucket_requests ~num_buckets:4 ~count:5 in
   List.iter (Core.Node.submit node) reqs;
@@ -188,7 +187,7 @@ let test_reject_new_sheds_incoming () =
     (Core.Node.shed_count node)
 
 let test_drop_oldest_evicts_victim () =
-  let fx = build_nodes ~capacity:2 ~policy:Core.Config.Drop_oldest () in
+  let fx = build_nodes (bounded ~shed:Core.Config.Drop_oldest 2) in
   let node = fx.nodes.(0) in
   let reqs = same_bucket_requests ~num_buckets:4 ~count:3 in
   List.iter (Core.Node.submit node) reqs;
@@ -203,7 +202,7 @@ let test_drop_oldest_evicts_victim () =
    arrival position: it is again the oldest, so the next eviction takes it
    rather than a request that arrived after it. *)
 let test_drop_oldest_rearrival_keeps_place () =
-  let fx = build_nodes ~capacity:2 ~policy:Core.Config.Drop_oldest () in
+  let fx = build_nodes (bounded ~shed:Core.Config.Drop_oldest 2) in
   let node = fx.nodes.(0) in
   let r0, r1, r2, r3 =
     match same_bucket_requests ~num_buckets:4 ~count:4 with
@@ -220,33 +219,36 @@ let test_drop_oldest_rearrival_keeps_place () =
   Alcotest.(check (list int)) "victims" (List.map key [ r0; r1; r0 ]) victims
 
 let test_advisory_pushback_below_shedding () =
-  let fx = build_nodes ~capacity:4 ~watermark:0.5 () in
+  let fx = build_nodes (bounded 4) in
   let node = fx.nodes.(0) in
-  let reqs = same_bucket_requests ~num_buckets:4 ~count:3 in
+  let reqs = same_bucket_requests ~num_buckets:4 ~count:4 in
   List.iter (Core.Node.submit node) reqs;
-  check_int "nothing shed below capacity" 0 (Core.Node.shed_count node);
+  check_int "nothing shed up to capacity" 0 (Core.Node.shed_count node);
   let advisory = List.filter (fun e -> not e.p_shed) !(fx.pushbacks) in
-  (* Occupancy crosses the 50% watermark at the second request and stays
-     above it: requests 2 and 3 draw advisory warnings. *)
+  (* Occupancy reaches the 75% watermark at the third request and stays
+     there: requests 3 and 4 draw advisory warnings. *)
   check_int "advisory pushback above the watermark" 2 (List.length advisory);
   check_int "pushback counter includes advisories" 2 (Core.Node.pushback_count node)
 
-let test_flow_control_off_is_inert () =
-  (* With flow_control off the admission gate must never fire, whatever the
-     occupancy — the zero-perturbation guarantee behind the pinned
-     conformance fingerprints. *)
-  let fx = build_nodes () in
-  let config =
-    { (Core.Config.pbft_default ~n:4) with Core.Config.buckets_per_leader = 1 }
-  in
-  check_bool "flow control defaults off" true (not config.Core.Config.flow_control);
-  let node = fx.nodes.(1) in
-  ignore (same_bucket_requests ~num_buckets:4 ~count:1);
-  check_int "no shed" 0 (Core.Node.shed_count node)
+(* Unbounded admission never sheds or pushes back, however full a bucket
+   gets: the zero-perturbation guarantee behind the pinned conformance
+   fingerprints.  4,097 requests land in one bucket, so a gate that treats
+   [Unbounded] as some finite default capacity (4,096, say) fails here. *)
+let test_unbounded_admission_is_inert () =
+  check_bool "admission defaults to unbounded" true
+    ((Core.Config.pbft_default ~n:4).Core.Config.admission = Core.Config.Unbounded);
+  let fx = build_nodes Core.Config.Unbounded in
+  let node = fx.nodes.(0) in
+  let count = 4097 in
+  List.iter (Core.Node.submit node) (same_bucket_requests ~num_buckets:4 ~count);
+  check_int "every request queued" count (Core.Node.pending_requests node);
+  check_int "nothing shed" 0 (Core.Node.shed_count node);
+  check_int "nothing pushed back" 0 (Core.Node.pushback_count node);
+  check_int "the pushback hook never fired" 0 (List.length !(fx.pushbacks))
 
 (* ------------------------------------------------------------------ *)
 (* End to end: an overload conformance scenario passes the full harness
-   (flow control on, shedding and give-ups active, fingerprints stable
+   (bounded admission, shedding and give-ups active, fingerprints stable
    across instrumented and bare runs). *)
 
 let test_overload_scenario_conformance () =
@@ -300,9 +302,9 @@ let overload_cluster_prop seed =
       Core.Config.min_epoch_length = 32;
       min_segment_size = 4;
       epoch_change_timeout = Time_ns.sec 4;
-      flow_control = true;
-      bucket_capacity = 8;
-      shed_policy = (if seed mod 2 = 0 then Core.Config.Reject_new else Core.Config.Drop_oldest);
+      admission =
+        bounded 8
+          ~shed:(if seed mod 2 = 0 then Core.Config.Reject_new else Core.Config.Drop_oldest);
     }
   in
   let engine = Sim.Engine.create () in
@@ -360,7 +362,8 @@ let () =
             test_drop_oldest_rearrival_keeps_place;
           Alcotest.test_case "advisory pushback below shedding" `Quick
             test_advisory_pushback_below_shedding;
-          Alcotest.test_case "flow control off is inert" `Quick test_flow_control_off_is_inert;
+          Alcotest.test_case "unbounded admission is inert" `Quick
+            test_unbounded_admission_is_inert;
         ] );
       ( "end-to-end",
         [

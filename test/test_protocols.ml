@@ -47,7 +47,7 @@ let mock_ctx w ~config me : Core.Orderer_intf.ctx =
       Sim.Engine.post w.engine ~delay (fun () ->
           if not (w.crashed.(dst) || w.deaf.(dst)) then
             match w.instances.(dst) with
-            | Some inst -> Core.Orderer_intf.on_message inst ~src:me msg
+            | Some inst -> inst.Core.Orderer_intf.on_message ~src:me msg
             | None -> ())
     end
   in
@@ -82,7 +82,7 @@ let make_world ~n ~config ~segment ~factory ~batch_source =
   w
 
 let start_all w =
-  Array.iter (function Some i -> Core.Orderer_intf.start i | None -> ()) w.instances
+  Array.iter (function Some i -> i.Core.Orderer_intf.start () | None -> ()) w.instances
 
 let announced_at w node =
   List.rev
@@ -293,10 +293,10 @@ let test_fill_needs_f_plus_1 factory fill () =
   let w = make_world ~n ~config ~segment:seg ~factory ~batch_source:batch_for in
   let me = 6 in
   let inst = Option.get w.instances.(me) in
-  Core.Orderer_intf.start inst;
+  inst.Core.Orderer_intf.start ();
   let sn = seg.Core.Segment.seq_nrs.(0) in
   let real = batch_for sn and forged = batch_for (sn + 1000) in
-  let answer ~src p = Core.Orderer_intf.on_message inst ~src (fill seg ~sn p) in
+  let answer ~src p = inst.Core.Orderer_intf.on_message ~src (fill seg ~sn p) in
   answer ~src:1 forged;
   answer ~src:2 forged;
   answer ~src:2 forged;
@@ -363,7 +363,7 @@ let test_pbft_ignores_out_of_segment_sns () =
       ~batch_source:batch_for
   in
   let inst = Option.get w.instances.(1) in
-  Core.Orderer_intf.start inst;
+  inst.Core.Orderer_intf.start ();
   let count = 10_000 in
   let digest = Iss_crypto.Hash.of_int 7 in
   let sn i = 1_000_000 + i in
@@ -375,7 +375,7 @@ let test_pbft_ignores_out_of_segment_sns () =
             { Proto.Pbft_msg.instance = seg.Core.Segment.instance; body = body (sn i) })
     in
     let before = Gc.minor_words () in
-    Array.iter (fun msg -> Core.Orderer_intf.on_message inst ~src:2 msg) msgs;
+    Array.iter (fun msg -> inst.Core.Orderer_intf.on_message ~src:2 msg) msgs;
     (Gc.minor_words () -. before) /. float_of_int count
   in
   List.iter

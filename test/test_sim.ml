@@ -464,8 +464,7 @@ let test_topology_assignment () =
 let make_net () =
   let e = Sim.Engine.create () in
   let rng = Sim.Rng.create ~seed:1L in
-  let config = { Sim.Network.default_config with jitter = 0 } in
-  let net = Sim.Network.create ~config e ~rng () in
+  let net = Sim.Network.create e ~rng in
   (e, net)
 
 let test_network_delivery () =
@@ -491,7 +490,8 @@ let test_network_bandwidth_serialization () =
   Sim.Network.add_endpoint net ~id:1 ~category:Sim.Network.Node ~datacenter:0
     ~handler:(fun ~src:_ ~size:_ _ -> arrivals := Sim.Engine.now e :: !arrivals);
   (* 10 x 1.25 MB messages at 1 Gbps = 10 ms serialization each: arrivals
-     must be spaced by ~10 ms because the sender NIC serializes them. *)
+     must be spaced by ~10 ms because the sender NIC serializes them, and the
+     receiver NIC again, so up to 2 ms of jitter cannot bunch them. *)
   for _ = 1 to 10 do
     Sim.Network.send net ~src:0 ~dst:1 ~size:1_250_000 ()
   done;
@@ -545,7 +545,7 @@ let test_network_drop_probability () =
    endpoints are an array and the jitter draw is unboxed. *)
 let test_network_warm_send_allocates_nothing () =
   let e = Sim.Engine.create () in
-  let net = Sim.Network.create e ~rng:(Sim.Rng.create ~seed:1L) () in
+  let net = Sim.Network.create e ~rng:(Sim.Rng.create ~seed:1L) in
   let got = ref 0 in
   Sim.Network.add_endpoint net ~id:0 ~category:Sim.Network.Node ~datacenter:0
     ~handler:(fun ~src:_ ~size:_ _ -> ());

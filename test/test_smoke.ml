@@ -11,7 +11,7 @@ let build_cluster ~config ~seed =
   let engine = Sim.Engine.create () in
   let clock = Core.Orderer_intf.Clock.of_engine engine in
   let rng = Sim.Rng.create ~seed in
-  let net = Sim.Network.create engine ~rng () in
+  let net = Sim.Network.create engine ~rng in
   let n = config.Core.Config.n in
   let placement = Sim.Topology.assign_uniform ~n in
   let delivered = ref [] in
