@@ -109,10 +109,11 @@ let message_mix ~target =
   for m = 0 to 2047 do
     Sim.Network.send net ~src:(m mod n) ~dst:((m + 7) mod n) ~size:256 max_int
   done;
-  (* Periodic protocol-style broadcast: node 0 multicasts to all peers. *)
-  let dsts = List.init (n - 1) (fun i -> i + 1) in
+  (* Periodic protocol-style broadcast: node 0 sends to every peer. *)
   let rec broadcast () =
-    Sim.Network.multicast net ~src:0 ~dsts ~size:1024 0;
+    for dst = 1 to n - 1 do
+      Sim.Network.send net ~src:0 ~dst ~size:1024 0
+    done;
     ignore (Engine.schedule engine ~delay:(Time_ns.ms 5) broadcast)
   in
   broadcast ();

@@ -243,7 +243,7 @@ let run_cmd =
       & info [ "shed-policy" ] ~docv:"POLICY"
           ~doc:
             "Shed policy when a bounded bucket is full: reject-new (default) or \
-             drop-oldest.")
+             drop-oldest.  Needs a bound: --bucket-cap or --offered-load.")
   in
   let retry_budget_arg =
     Arg.(
@@ -276,6 +276,11 @@ let run_cmd =
   in
   let go system n rate duration seed policy faults scenario series trace_out
       trace_sample metrics_out offered_load workload bucket_cap shed_policy retry_budget =
+    if Option.is_some shed_policy && Option.is_none bucket_cap && Option.is_none offered_load
+    then begin
+      Format.eprintf "--shed-policy needs a bound: give --bucket-cap or --offered-load@.";
+      exit 2
+    end;
     let tweak c =
       let c =
         if Option.is_some offered_load then Runner.Experiment.overload_tweak () c else c

@@ -12,7 +12,6 @@ type t = {
   id : Proto.Ids.client_id;
   clock : Orderer_intf.Clock.t;
   send : dst:int -> Proto.Message.t -> unit;
-  retransmit : bool;
   retx_base : Time_ns.span;  (* first retransmission delay; doubles per try *)
   retx_max : Time_ns.span;  (* exponential-backoff ceiling *)
   jitter : float;  (* multiplicative backoff jitter amplitude, 0 = none *)
@@ -34,7 +33,7 @@ type t = {
   mutable pushback_count : int;
 }
 
-let create ~config ~id ~clock ~send ?(retransmit = true) ?retx_base ?retx_max
+let create ~config ~id ~clock ~send ?retx_base ?retx_max
     ?(jitter = 0.0) ?(retry_budget = max_int) ?(on_give_up = fun _ -> ())
     ?(on_complete = fun _ ~latency:_ -> ()) () =
   (* Defaults scale with the deployment's failure-detection timeout: a reply
@@ -53,7 +52,6 @@ let create ~config ~id ~clock ~send ?(retransmit = true) ?retx_base ?retx_max
     id;
     clock;
     send;
-    retransmit;
     retx_base;
     retx_max;
     jitter;
@@ -164,7 +162,7 @@ and submit_now t =
   Hashtbl.replace t.pending ts
     { request = req; repliers = []; retx = 0; not_before = Time_ns.zero };
   send_request t req;
-  if t.retransmit then arm_retx t ts ~delay:(jittered t t.retx_base)
+  arm_retx t ts ~delay:(jittered t t.retx_base)
 
 and drain_backlog t =
   while t.backlog > 0 && window_has_room t do

@@ -22,7 +22,6 @@ val create :
   id:Proto.Ids.client_id ->
   clock:Orderer_intf.Clock.t ->
   send:(dst:int -> Proto.Message.t -> unit) ->
-  ?retransmit:bool ->
   ?retx_base:Sim.Time_ns.span ->
   ?retx_max:Sim.Time_ns.span ->
   ?jitter:float ->
@@ -35,11 +34,10 @@ val create :
     [Config.client_signatures config] holds.  [on_complete] fires when the
     reply quorum ({!Config.reply_quorum}) is reached.  [clock] times
     submissions, retransmissions and open-loop arrivals; a client shares
-    its nodes' clock.  [retransmit] (default [true]) enables
-    exponential-backoff retransmission of unconfirmed requests;
-    [retx_base] is the first retry delay (default: a quarter of the
-    epoch-change timeout, at least 1 s) and [retx_max] the backoff ceiling
-    (default: twice the epoch-change timeout).
+    its nodes' clock.  Unconfirmed requests are retransmitted with
+    exponential backoff: [retx_base] is the first retry delay (default: a
+    quarter of the epoch-change timeout, at least 1 s) and [retx_max] the
+    backoff ceiling (default: twice the epoch-change timeout).
 
     [jitter] scales every backoff delay by a uniform factor in
     [1-jitter, 1+jitter] drawn from the client's own seeded RNG, so clients

@@ -625,7 +625,6 @@ and make_ctx t (seg : Segment.t) : Orderer_intf.ctx =
     config = t.config;
     clock = t.clock;
     send = (fun ~dst msg -> send t ~dst msg);
-    broadcast = (fun msg -> broadcast t msg);
     announce = (fun ~sn proposal -> process_commit t ~sn proposal ~resurrectable:true);
     request_batch =
       (fun ~sn callback ->

@@ -9,8 +9,11 @@
     networking, batching, CPU accounting, the clock and timers — without
     the event loop itself, so a protocol never schedules simulator events.
 
-    {!Runtime} is the per-instance plumbing every orderer shares:
-    re-armable timers that die with the instance, the decided-slot record
+    {!Runtime} is the per-instance plumbing every orderer shares.  It owns
+    the instance's wire: the protocol gives it its envelope once
+    ([~wrap], body -> {!Proto.Message.t}) and sends bodies through
+    {!Runtime.send} and {!Runtime.broadcast}.  It also owns re-armable
+    timers that die with the instance, the decided-slot record
     (announce-once, [done_], time of last progress), FILL slot recovery,
     the doubling failure-detection timeout, and the {!instance} handle the
     node holds.  A protocol module keeps only its own messages and commit
@@ -53,9 +56,8 @@ type ctx = {
   config : Config.t;
   clock : Clock.t;  (** the node's clock, shared by all its orderers *)
   send : dst:Proto.Ids.node_id -> Proto.Message.t -> unit;
-      (** Point-to-point send; [dst = node] loops back locally (cheaply). *)
-  broadcast : Proto.Message.t -> unit;
-      (** Send to every node, including self (via loopback). *)
+      (** Point-to-point send; [dst = node] loops back locally (cheaply).
+          Orderers go through {!Runtime.send} and {!Runtime.broadcast}. *)
   announce : sn:int -> Proto.Proposal.t -> unit;
       (** SB-DELIVER: commit a proposal at a global sequence number.
           Orderers go through {!Runtime.announce}, never here directly. *)
@@ -112,8 +114,8 @@ module Runtime = struct
      decided values.  The period stays constant — re-asking is idempotent —
      and the timer is progress-gated so it stays quiet while the segment
      drains normally. *)
-  type recovery = {
-    request : int list -> unit;  (* broadcast the protocol's FILL request *)
+  type 'body recovery = {
+    request : int list -> 'body;  (* the protocol's FILL request *)
     fill_timer : Timer.t;
   }
 
@@ -123,20 +125,22 @@ module Runtime = struct
         (* FILL answers so far: peer, digest of its value (latest wins) *)
     | Decided of Proto.Proposal.t
 
-  type t = {
+  type 'body t = {
     ctx : ctx;
     seg : Segment.t;
+    wrap : 'body -> Proto.Message.t;  (* the protocol's envelope *)
     slots : slot array;  (* by position in the segment *)
     mutable n_decided : int;
     mutable last_progress : Sim.Time_ns.t;
     mutable active : bool;  (* between start and stop *)
     mutable timers : Timer.t list;  (* every timer [stop] must silence *)
-    recovery : recovery option;
+    recovery : 'body recovery option;
   }
 
-  (** [fill_request] enables slot recovery: it broadcasts the protocol's
-      FILL request for the given sequence numbers. *)
-  let create ?fill_request ctx seg =
+  (** [wrap] puts a protocol message body in this instance's envelope.
+      [fill_request] enables slot recovery: it is the protocol's FILL
+      request for the given sequence numbers. *)
+  let create ~wrap ?fill_request ctx seg =
     let recovery =
       match fill_request with
       | Some request -> Some { request; fill_timer = ctx.clock.timer () }
@@ -145,6 +149,7 @@ module Runtime = struct
     {
       ctx;
       seg;
+      wrap;
       slots = Array.make (Segment.seq_count seg) Open;
       n_decided = 0;
       last_progress = Sim.Time_ns.zero;
@@ -152,6 +157,16 @@ module Runtime = struct
       timers = (match recovery with Some r -> [ r.fill_timer ] | None -> []);
       recovery;
     }
+
+  (** Send [body] to [dst]; [dst = ctx.node] loops back. *)
+  let send t ~dst body = t.ctx.send ~dst (t.wrap body)
+
+  (** Send [body] to every node, this one included. *)
+  let broadcast t body =
+    let msg = t.wrap body in
+    for dst = 0 to t.ctx.config.Config.n - 1 do
+      t.ctx.send ~dst msg
+    done
 
   (** A timer of this instance: disarmed by {!stop}. *)
   let timer t =
@@ -207,7 +222,7 @@ module Runtime = struct
         let period = t.ctx.config.Config.epoch_change_timeout in
         Timer.arm r.fill_timer ~delay:period (fun () ->
             if ordering t && t.ctx.clock.now () - t.last_progress >= period then
-              r.request (undecided t);
+              broadcast t (r.request (undecided t));
             arm_recovery t)
     | Some r -> Timer.cancel r.fill_timer
     | None -> ()

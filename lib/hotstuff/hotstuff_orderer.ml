@@ -5,16 +5,14 @@ module Proposal = Proto.Proposal
 module Hash = Iss_crypto.Hash
 
 type t = {
-  ctx : Core.Orderer_intf.ctx;
-  seg : Core.Segment.t;
-  rt : Rt.t;
+  rt : Msg.body Rt.t;
   n : int;
   quorum : int;
   genesis_parent : Hash.t;  (* parent digest of the instance's first node *)
   chain : (string, Msg.chain_node) Hashtbl.t;  (* node digest (raw) -> node *)
   qcs : (int, Msg.qc) Hashtbl.t;  (* view -> QC *)
-  shares : (int * string, (int, Iss_crypto.Threshold.share) Hashtbl.t) Hashtbl.t;
-      (* leader: (view, digest) -> voter -> share *)
+  shares : (int, Iss_crypto.Threshold.share) Hashtbl.t;
+      (* leader: voter -> share, for [last_proposed] *)
   new_views : (int, (int, int * Msg.qc option) Hashtbl.t) Hashtbl.t;
       (* leader-designate: rotation -> sender -> (nv view, justify) *)
   nv_rotations : (int, int) Hashtbl.t;
@@ -35,26 +33,22 @@ type t = {
   sync_timer : Timer.t;  (* fetch retransmission *)
 }
 
-let hotstuff ~instance body = Proto.Message.Hotstuff { Msg.instance; body }
-
 let create ctx seg =
   let n = ctx.Core.Orderer_intf.config.Core.Config.n in
   let instance = seg.Core.Segment.instance in
   let rt =
-    Rt.create ctx seg ~fill_request:(fun sns ->
-        ctx.Core.Orderer_intf.broadcast (hotstuff ~instance (Msg.Fill_request { sns })))
+    Rt.create ctx seg
+      ~wrap:(fun body -> Proto.Message.Hotstuff { Msg.instance; body })
+      ~fill_request:(fun sns -> Msg.Fill_request { sns })
   in
   {
-    ctx;
-    seg;
     rt;
     n;
     quorum = Proto.Ids.quorum ~n;
-    genesis_parent =
-      Hash.of_string (Printf.sprintf "hs-genesis:%d" seg.Core.Segment.instance);
+    genesis_parent = Hash.of_string (Printf.sprintf "hs-genesis:%d" instance);
     chain = Hashtbl.create 64;
     qcs = Hashtbl.create 64;
-    shares = Hashtbl.create 16;
+    shares = Hashtbl.create 8;
     new_views = Hashtbl.create 8;
     nv_rotations = Hashtbl.create 8;
     high_qc = None;
@@ -72,15 +66,10 @@ let create ctx seg =
     sync_timer = Rt.timer rt;
   }
 
-let current_leader t = (t.seg.Core.Segment.leader + t.rotations) mod t.n
-
-let me t = t.ctx.Core.Orderer_intf.node
-
-let broadcast_hs t body =
-  t.ctx.Core.Orderer_intf.broadcast (hotstuff ~instance:t.seg.Core.Segment.instance body)
-
-let send_hs t ~dst body =
-  t.ctx.Core.Orderer_intf.send ~dst (hotstuff ~instance:t.seg.Core.Segment.instance body)
+let ctx t = t.rt.Rt.ctx
+let seg t = t.rt.Rt.seg
+let me t = (ctx t).Core.Orderer_intf.node
+let current_leader t = ((seg t).Core.Segment.leader + t.rotations) mod t.n
 
 (* ---- Decide pipeline ---------------------------------------------- *)
 
@@ -96,17 +85,17 @@ let send_hs t ~dst body =
 let rec request_block t digest =
   if not (Hashtbl.mem t.missing (Hash.raw digest)) then begin
     Hashtbl.replace t.missing (Hash.raw digest) ();
-    broadcast_hs t (Msg.Fetch { digest })
+    Rt.broadcast t.rt (Msg.Fetch { digest })
   end;
   arm_sync_timer t
 
 and arm_sync_timer t =
   if (not (Timer.armed t.sync_timer)) && Rt.active t.rt && Hashtbl.length t.missing > 0 then
-    Timer.arm t.sync_timer ~delay:t.ctx.Core.Orderer_intf.config.Core.Config.epoch_change_timeout
+    Timer.arm t.sync_timer ~delay:(ctx t).Core.Orderer_intf.config.Core.Config.epoch_change_timeout
       (fun () ->
         if Rt.active t.rt then begin
           Hashtbl.iter
-            (fun raw () -> broadcast_hs t (Msg.Fetch { digest = Hash.of_raw raw }))
+            (fun raw () -> Rt.broadcast t.rt (Msg.Fetch { digest = Hash.of_raw raw }))
             t.missing;
           arm_sync_timer t
         end)
@@ -160,26 +149,30 @@ let register_qc t (qc : Msg.qc) =
 
 (* ---- Leader side ---------------------------------------------------- *)
 
+(* A new proposal opens a new vote tally: votes count only for the
+   proposal in flight. *)
 let send_proposal t (node : Msg.chain_node) =
   let digest = Msg.node_digest node in
   Hashtbl.replace t.chain (Hash.raw digest) node;
   t.last_proposed <- Some (node.Msg.view, digest);
-  broadcast_hs t (Msg.Proposal_msg node)
+  Hashtbl.clear t.shares;
+  Rt.broadcast t.rt (Msg.Proposal_msg node)
 
 (* Note: proposing must NOT stop once the instance is done — the leader
    typically decides the whole segment while replicas still need the
    trailing dummy proposals to learn the final QCs (the pipeline flush of
-   Fig. 4). *)
-let rec propose_next t ~view ~parent ~justify =
+   Fig. 4).  [rotated] marks a rotated leader's first proposal, whose view
+   need not follow its justify's. *)
+let rec propose_next ?(rotated = false) t ~view ~parent ~justify =
   if Rt.active t.rt && t.i_am_leader then begin
     let make_and_send sn proposal = send_proposal t { Msg.view; sn; parent; proposal; justify } in
     match t.to_propose with
     | sn :: rest ->
         t.to_propose <- rest;
-        if me t = t.seg.Core.Segment.leader then
+        if me t = (seg t).Core.Segment.leader && not rotated then
           (* Original leader: cut a real batch (asynchronous: the ISS
              batcher paces us). *)
-          t.ctx.Core.Orderer_intf.request_batch ~sn (fun proposal ->
+          (ctx t).Core.Orderer_intf.request_batch ~sn (fun proposal ->
               if Rt.active t.rt && t.i_am_leader then make_and_send sn proposal)
         else
           (* Rotated leader: design principle 2 — only ⊥. *)
@@ -198,38 +191,21 @@ and on_qc_formed t (qc : Msg.qc) =
 let handle_vote t ~src ~view ~digest share =
   if Rt.active t.rt && t.i_am_leader then begin
     match t.last_proposed with
-    | Some (v, d) when v = view && Hash.equal d digest ->
-        let key = (view, Hash.raw digest) in
-        let tbl =
-          match Hashtbl.find_opt t.shares key with
-          | Some tbl -> tbl
-          | None ->
-              let tbl = Hashtbl.create 8 in
-              Hashtbl.replace t.shares key tbl;
-              tbl
-        in
-        if not (Hashtbl.mem tbl src) then begin
-          Hashtbl.replace tbl src share;
-          if Hashtbl.length tbl >= t.quorum then begin
-            let material =
-              Msg.vote_material ~instance:t.seg.Core.Segment.instance ~view digest
-            in
-            let shares = Hashtbl.fold (fun _ s acc -> s :: acc) tbl [] in
-            match
-              Iss_crypto.Threshold.combine t.ctx.Core.Orderer_intf.threshold_group material
-                shares
-            with
-            | Some combined ->
-                Hashtbl.remove t.shares key;
-                t.last_proposed <- None;
-                let qc = { Msg.qc_view = view; qc_digest = digest; qc_sig = combined } in
-                let cost =
-                  Iss_crypto.Threshold.combine_cost_ns ~t:t.quorum
-                in
-                t.ctx.Core.Orderer_intf.charge_cpu cost (fun () ->
-                    if Rt.active t.rt then on_qc_formed t qc)
-            | None -> ()
-          end
+    | Some (v, d) when v = view && Hash.equal d digest && not (Hashtbl.mem t.shares src) ->
+        Hashtbl.replace t.shares src share;
+        if Hashtbl.length t.shares >= t.quorum then begin
+          let material = Msg.vote_material ~instance:(seg t).Core.Segment.instance ~view digest in
+          let shares = Hashtbl.fold (fun _ s acc -> s :: acc) t.shares [] in
+          match
+            Iss_crypto.Threshold.combine (ctx t).Core.Orderer_intf.threshold_group material shares
+          with
+          | Some combined ->
+              t.last_proposed <- None;
+              let qc = { Msg.qc_view = view; qc_digest = digest; qc_sig = combined } in
+              let cost = Iss_crypto.Threshold.combine_cost_ns ~t:t.quorum in
+              (ctx t).Core.Orderer_intf.charge_cpu cost (fun () ->
+                  if Rt.active t.rt then on_qc_formed t qc)
+          | None -> ()
         end
     | Some _ | None -> ()
   end
@@ -238,10 +214,10 @@ let handle_vote t ~src ~view ~digest share =
 
 let qc_valid t (qc : Msg.qc) =
   let material =
-    Msg.vote_material ~instance:t.seg.Core.Segment.instance ~view:qc.Msg.qc_view
+    Msg.vote_material ~instance:(seg t).Core.Segment.instance ~view:qc.Msg.qc_view
       qc.Msg.qc_digest
   in
-  Iss_crypto.Threshold.verify t.ctx.Core.Orderer_intf.threshold_group material qc.Msg.qc_sig
+  Iss_crypto.Threshold.verify (ctx t).Core.Orderer_intf.threshold_group material qc.Msg.qc_sig
 
 let rec handle_proposal t ~src (node : Msg.chain_node) =
   if Rt.active t.rt && src = current_leader t && node.Msg.view > t.last_voted_view then begin
@@ -270,11 +246,9 @@ let rec handle_proposal t ~src (node : Msg.chain_node) =
       | Proposal.Batch _ ->
           if
             node.Msg.sn >= 0
-            && Core.Segment.contains_sn t.seg node.Msg.sn
-            && src = t.seg.Core.Segment.leader
-          then
-            t.ctx.Core.Orderer_intf.validate_proposal t.seg ~sn:node.Msg.sn
-              node.Msg.proposal
+            && Core.Segment.contains_sn (seg t) node.Msg.sn
+            && src = (seg t).Core.Segment.leader
+          then (ctx t).Core.Orderer_intf.validate_proposal (seg t) ~sn:node.Msg.sn node.Msg.proposal
           else Core.Orderer_intf.Reject
     in
     (match content with
@@ -293,18 +267,18 @@ let rec handle_proposal t ~src (node : Msg.chain_node) =
       Hashtbl.replace t.chain (Hash.raw digest) node;
       t.last_voted_view <- node.Msg.view;
       let material =
-        Msg.vote_material ~instance:t.seg.Core.Segment.instance ~view:node.Msg.view digest
+        Msg.vote_material ~instance:(seg t).Core.Segment.instance ~view:node.Msg.view digest
       in
       let share =
-        Iss_crypto.Threshold.sign_share t.ctx.Core.Orderer_intf.threshold_group ~signer:(me t)
+        Iss_crypto.Threshold.sign_share (ctx t).Core.Orderer_intf.threshold_group ~signer:(me t)
           material
       in
       let verify_cost =
         Rt.signature_cost t.rt node.Msg.proposal + Iss_crypto.Threshold.share_sign_cost_ns
       in
-      t.ctx.Core.Orderer_intf.charge_cpu verify_cost (fun () ->
+      (ctx t).Core.Orderer_intf.charge_cpu verify_cost (fun () ->
           if Rt.active t.rt then
-            send_hs t ~dst:(current_leader t)
+            Rt.send t.rt ~dst:(current_leader t)
               (Msg.Vote { view = node.Msg.view; digest; share }))
     end
   end
@@ -329,13 +303,13 @@ and on_timeout t =
    rotations its peers announce, which is what lets loss-diverged
    rotation counters re-converge (see fast_forward below). *)
 and broadcast_new_view t =
-  broadcast_hs t
+  Rt.broadcast t.rt
     (Msg.New_view
        { view = t.last_voted_view + 1; rotation = t.rotations; justify = t.high_qc })
 
-let leader_of_rotation t rotation = (t.seg.Core.Segment.leader + rotation) mod t.n
+let leader_of_rotation t rotation = ((seg t).Core.Segment.leader + rotation) mod t.n
 
-let rec become_rotated_leader t ~rotation ~views =
+let become_rotated_leader t ~rotation ~views =
   t.rotations <- rotation;
   t.i_am_leader <- true;
   (* Re-propose ⊥ for everything not yet decided, then flush with
@@ -355,9 +329,9 @@ let rec become_rotated_leader t ~rotation ~views =
   (* A rotated leader's first proposal may legitimately carry a justify
      that is not view-1; replicas accept it because the justify is their
      locked view or higher. *)
-  propose_next_rotated t ~view:start_view ~parent ~justify
+  propose_next ~rotated:true t ~view:start_view ~parent ~justify
 
-and handle_new_view t ~src ~view ~rotation ~justify =
+let handle_new_view t ~src ~view ~rotation ~justify =
   if Rt.ordering t.rt then begin
     (match justify with
     | Some qc when qc_valid t qc -> register_qc t qc
@@ -405,28 +379,13 @@ and handle_new_view t ~src ~view ~rotation ~justify =
     end
   end
 
-and propose_next_rotated t ~view ~parent ~justify =
-  (* Same as [propose_next] but usable for the first post-rotation view
-     (non-consecutive with the justify). *)
-  if Rt.active t.rt && t.i_am_leader then begin
-    match t.to_propose with
-    | sn :: rest ->
-        t.to_propose <- rest;
-        send_proposal t { Msg.view; sn; parent; proposal = Proposal.Nil; justify }
-    | [] ->
-        if t.dummies_left > 0 then begin
-          t.dummies_left <- t.dummies_left - 1;
-          send_proposal t { Msg.view; sn = -1; parent; proposal = Proposal.Nil; justify }
-        end
-  end
-
 (* ---- SB instance ---------------------------------------------------- *)
 
 let start t =
   Rt.start t.rt;
   arm_timer t;
   Rt.arm_recovery t.rt;
-  if t.seg.Core.Segment.leader = me t then begin
+  if (seg t).Core.Segment.leader = me t then begin
     t.i_am_leader <- true;
     propose_next t ~view:0 ~parent:t.genesis_parent ~justify:None
   end
@@ -444,7 +403,7 @@ let on_message t ~src msg =
           handle_new_view t ~src ~view ~rotation ~justify
       | Msg.Fetch { digest } -> (
           match Hashtbl.find_opt t.chain (Hash.raw digest) with
-          | Some node -> send_hs t ~dst:src (Msg.Fetch_resp { node })
+          | Some node -> Rt.send t.rt ~dst:src (Msg.Fetch_resp { node })
           | None -> ())
       | Msg.Fetch_resp { node } ->
           (* Self-certifying: key the node under its recomputed digest and
@@ -461,7 +420,7 @@ let on_message t ~src msg =
           end
       | Msg.Fill_request { sns } ->
           Rt.answer_fill t.rt ~sns (fun ~sn proposal ->
-              send_hs t ~dst:src (Msg.Fill { sn; proposal }))
+              Rt.send t.rt ~dst:src (Msg.Fill { sn; proposal }))
       | Msg.Fill { sn; proposal } ->
           if Rt.fill_confirms t.rt ~src ~sn proposal then begin
             Rt.announce t.rt ~sn proposal;

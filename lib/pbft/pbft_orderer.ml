@@ -12,12 +12,10 @@ type slot = {
 }
 
 type t = {
-  ctx : Core.Orderer_intf.ctx;
-  seg : Core.Segment.t;
-  rt : Rt.t;
+  rt : Msg.body Rt.t;
   n : int;
   quorum : int;
-  slots : (int, slot) Hashtbl.t;  (* sn -> *)
+  slots : slot array;  (* by position in the segment *)
   mutable view : int;
   vc_timer : Timer.t;
   view_changes : (int, (int, Msg.view_change) Hashtbl.t) Hashtbl.t;
@@ -31,51 +29,43 @@ type t = {
          to a value half the cluster already voted ⊥ on. *)
 }
 
-let primary t view = (t.seg.Core.Segment.leader + view) mod t.n
+let ctx t = t.rt.Rt.ctx
+let seg t = t.rt.Rt.seg
+let me t = (ctx t).Core.Orderer_intf.node
+let primary t view = ((seg t).Core.Segment.leader + view) mod t.n
 
-(* [find], not [find_opt]: a hit allocates nothing.  Callers pass only
-   sns of the segment, so a peer cannot grow the table by naming others. *)
-let slot t sn =
-  match Hashtbl.find t.slots sn with
-  | s -> s
-  | exception Not_found ->
-      let s =
-        {
-          sn;
-          accepted = None;
-          prepares = Votes.create ~n:t.n;
-          commits = Votes.create ~n:t.n;
-          prepared = None;
-        }
-      in
-      Hashtbl.replace t.slots sn s;
-      s
-
-let pbft ~instance body = Proto.Message.Pbft { Msg.instance; body }
+(* Callers pass only sns of the segment: a peer naming any other sn is
+   dropped before it gets here. *)
+let slot t sn = t.slots.(Core.Segment.sn_index (seg t) sn)
 
 let create ctx seg =
   let n = ctx.Core.Orderer_intf.config.Core.Config.n in
   let instance = seg.Core.Segment.instance in
   let rt =
-    Rt.create ctx seg ~fill_request:(fun sns ->
-        ctx.Core.Orderer_intf.broadcast (pbft ~instance (Msg.Fill_request { sns })))
+    Rt.create ctx seg
+      ~wrap:(fun body -> Proto.Message.Pbft { Msg.instance; body })
+      ~fill_request:(fun sns -> Msg.Fill_request { sns })
+  in
+  let slot sn =
+    {
+      sn;
+      accepted = None;
+      prepares = Votes.create ~n;
+      commits = Votes.create ~n;
+      prepared = None;
+    }
   in
   {
-    ctx;
-    seg;
     rt;
     n;
     quorum = Proto.Ids.quorum ~n;
-    slots = Hashtbl.create (Core.Segment.seq_count seg * 2);
+    slots = Array.map slot seg.Core.Segment.seq_nrs;
     view = 0;
     vc_timer = Rt.timer rt;
     view_changes = Hashtbl.create 4;
     highest_vc_sent = 0;
     last_nv = None;
   }
-
-let broadcast_pbft t body =
-  t.ctx.Core.Orderer_intf.broadcast (pbft ~instance:t.seg.Core.Segment.instance body)
 
 (* The view-change timeout doubles with the view number so that, after
    GST, it eventually exceeds the network delay (◇S(bz) completeness,
@@ -97,34 +87,30 @@ and start_view_change t new_view =
        commit vote wedged; a committed value is prepared by definition, so
        reporting it is always safe. *)
     let prepared =
-      Hashtbl.fold
-        (fun sn s acc ->
-          let cert =
-            match (s.prepared, s.accepted) with
-            | Some (view, proposal), _ -> Some (view, proposal)
-            | None, Some (view, proposal) when Rt.is_decided t.rt sn -> Some (view, proposal)
-            | None, _ -> None
-          in
-          match cert with
-          | Some (view, proposal) -> { Msg.sn; view; proposal } :: acc
-          | None -> acc)
+      Array.fold_right
+        (fun s acc ->
+          match (s.prepared, s.accepted) with
+          | Some (view, proposal), _ -> { Msg.sn = s.sn; view; proposal } :: acc
+          | None, Some (view, proposal) when Rt.is_decided t.rt s.sn ->
+              { Msg.sn = s.sn; view; proposal } :: acc
+          | None, _ -> acc)
         t.slots []
     in
-    let vc_signer = t.ctx.Core.Orderer_intf.node in
+    let vc_signer = me t in
     let material =
-      Msg.view_change_material ~instance:t.seg.Core.Segment.instance ~new_view ~vc_signer
+      Msg.view_change_material ~instance:(seg t).Core.Segment.instance ~new_view ~vc_signer
         prepared
     in
-    let vc_sig = Iss_crypto.Signature.sign t.ctx.Core.Orderer_intf.keypair material in
+    let vc_sig = Iss_crypto.Signature.sign (ctx t).Core.Orderer_intf.keypair material in
     let vc = { Msg.new_view; prepared; vc_signer; vc_sig } in
     t.view <- new_view;
-    broadcast_pbft t (Msg.View_change vc);
+    Rt.broadcast t.rt (Msg.View_change vc);
     arm_vc_timer t
   end
 
 let verify_vc t (vc : Msg.view_change) =
   let material =
-    Msg.view_change_material ~instance:t.seg.Core.Segment.instance ~new_view:vc.Msg.new_view
+    Msg.view_change_material ~instance:(seg t).Core.Segment.instance ~new_view:vc.Msg.new_view
       ~vc_signer:vc.Msg.vc_signer vc.Msg.prepared
   in
   Iss_crypto.Signature.verify
@@ -165,8 +151,8 @@ let try_commit t s =
       let digest = Proposal.digest proposal in
       if Votes.count s.prepares ~view digest >= t.quorum then begin
         s.prepared <- Some (view, proposal);
-        Votes.set s.commits ~view ~node:t.ctx.Core.Orderer_intf.node digest;
-        broadcast_pbft t (Msg.Commit { view; sn = s.sn; digest });
+        Votes.set s.commits ~view ~node:(me t) digest;
+        Rt.broadcast t.rt (Msg.Commit { view; sn = s.sn; digest });
         try_announce t s
       end
   | Some _ | None -> ()
@@ -188,13 +174,13 @@ let accept_preprepare t ~view ~sn proposal =
       ->
         s.accepted <- Some (view, committed);
         let digest = Proposal.digest committed in
-        Votes.set s.prepares ~view ~node:t.ctx.Core.Orderer_intf.node digest;
-        Votes.set s.commits ~view ~node:t.ctx.Core.Orderer_intf.node digest;
-        broadcast_pbft t (Msg.Prepare { view; sn; digest });
-        broadcast_pbft t (Msg.Commit { view; sn; digest })
+        Votes.set s.prepares ~view ~node:(me t) digest;
+        Votes.set s.commits ~view ~node:(me t) digest;
+        Rt.broadcast t.rt (Msg.Prepare { view; sn; digest });
+        Rt.broadcast t.rt (Msg.Commit { view; sn; digest })
     | Some _ | None -> ()
   end
-  else if Core.Segment.contains_sn t.seg sn then begin
+  else if Core.Segment.contains_sn (seg t) sn then begin
     let s = slot t sn in
     let fresh =
       match s.accepted with Some (v, _) -> v < view | None -> true
@@ -208,7 +194,7 @@ let accept_preprepare t ~view ~sn proposal =
       | Proposal.Nil ->
           if view > 0 then Core.Orderer_intf.Accept else Core.Orderer_intf.Reject
       | Proposal.Batch _ ->
-          t.ctx.Core.Orderer_intf.validate_proposal t.seg ~sn proposal
+          (ctx t).Core.Orderer_intf.validate_proposal (seg t) ~sn proposal
     in
     match verdict with
     | Core.Orderer_intf.Accept when fresh ->
@@ -216,11 +202,11 @@ let accept_preprepare t ~view ~sn proposal =
         let digest = Proposal.digest proposal in
         let verify_cost = Rt.signature_cost t.rt proposal in
         let vote () =
-          Votes.set s.prepares ~view ~node:t.ctx.Core.Orderer_intf.node digest;
-          broadcast_pbft t (Msg.Prepare { view; sn; digest });
+          Votes.set s.prepares ~view ~node:(me t) digest;
+          Rt.broadcast t.rt (Msg.Prepare { view; sn; digest });
           try_commit t s
         in
-        if verify_cost > 0 then t.ctx.Core.Orderer_intf.charge_cpu verify_cost vote
+        if verify_cost > 0 then (ctx t).Core.Orderer_intf.charge_cpu verify_cost vote
         else vote ()
     | Core.Orderer_intf.Reject_malicious ->
         (* The proposal {e proves} its sender faulty (forged request
@@ -240,11 +226,10 @@ let propose_all t =
      but never faster than the configured wire rate. *)
   Array.iter
     (fun sn ->
-      t.ctx.Core.Orderer_intf.request_batch ~sn (fun proposal ->
-          if Rt.active t.rt && t.view = 0 then begin
-            broadcast_pbft t (Msg.Preprepare { view = 0; sn; proposal })
-          end))
-    t.seg.Core.Segment.seq_nrs
+      (ctx t).Core.Orderer_intf.request_batch ~sn (fun proposal ->
+          if Rt.active t.rt && t.view = 0 then
+            Rt.broadcast t.rt (Msg.Preprepare { view = 0; sn; proposal })))
+    (seg t).Core.Segment.seq_nrs
 
 (* --- View change handling ------------------------------------------ *)
 
@@ -261,12 +246,12 @@ let process_new_view t ~view ~view_changes ~preprepares =
   end
 
 let maybe_become_leader t new_view =
-  if primary t new_view = t.ctx.Core.Orderer_intf.node && Rt.active t.rt then begin
+  if primary t new_view = me t && Rt.active t.rt then begin
     match t.last_nv with
     | Some (v, body) when v = new_view ->
         (* Re-send the cached NEW-VIEW verbatim for stragglers whose view
            changes arrived after the quorum formed. *)
-        broadcast_pbft t body
+        Rt.broadcast t.rt body
     | Some _ | None -> (
     match Hashtbl.find_opt t.view_changes new_view with
     | None -> ()
@@ -291,9 +276,9 @@ let maybe_become_leader t new_view =
              ignore (but re-vote on) its replay; peers that missed the
              original quorum need it to make progress. *)
           let preprepares =
-            Array.to_list t.seg.Core.Segment.seq_nrs
-            |> List.map (fun sn ->
-                   let s = slot t sn in
+            Array.to_list t.slots
+            |> List.map (fun s ->
+                   let sn = s.sn in
                    let local =
                      match (s.prepared, s.accepted) with
                      | (Some _ as p), _ -> p
@@ -314,7 +299,7 @@ let maybe_become_leader t new_view =
           t.view <- new_view;
           let body = Msg.New_view { view = new_view; view_changes = vcs; preprepares } in
           t.last_nv <- Some (new_view, body);
-          broadcast_pbft t body;
+          Rt.broadcast t.rt body;
           arm_vc_timer t
         end)
   end
@@ -346,20 +331,20 @@ let start t =
   Rt.start t.rt;
   arm_vc_timer t;
   Rt.arm_recovery t.rt;
-  if t.seg.Core.Segment.leader = t.ctx.Core.Orderer_intf.node then propose_all t
+  if (seg t).Core.Segment.leader = me t then propose_all t
 
 let on_message t ~src msg =
   match msg with
-  | Proto.Message.Pbft { Msg.instance; body } -> (
+  | Proto.Message.Pbft { Msg.body; _ } -> (
       match body with
       | Msg.Preprepare { view; sn; proposal } ->
           (* Only the primary of the view may propose. *)
           if src = primary t view && view = t.view then
             accept_preprepare t ~view ~sn proposal
-      | Msg.Prepare { view; sn; digest } when Core.Segment.contains_sn t.seg sn ->
+      | Msg.Prepare { view; sn; digest } when Core.Segment.contains_sn (seg t) sn ->
           let s = slot t sn in
           if Votes.add s.prepares ~view ~node:src digest then try_commit t s
-      | Msg.Commit { view; sn; digest } when Core.Segment.contains_sn t.seg sn ->
+      | Msg.Commit { view; sn; digest } when Core.Segment.contains_sn (seg t) sn ->
           let s = slot t sn in
           if Votes.add s.commits ~view ~node:src digest then try_announce t s
       | Msg.View_change vc -> handle_view_change t ~src vc
@@ -370,8 +355,7 @@ let on_message t ~src msg =
               (* A decided slot always holds its value as [accepted], in
                  the latest view this replica voted for it. *)
               let view = match (slot t sn).accepted with Some (v, _) -> v | None -> 0 in
-              t.ctx.Core.Orderer_intf.send ~dst:src
-                (pbft ~instance (Msg.Fill { sn; view; proposal })))
+              Rt.send t.rt ~dst:src (Msg.Fill { sn; view; proposal }))
       | Msg.Fill { sn; view; proposal } ->
           if Rt.fill_confirms t.rt ~src ~sn proposal then
             force_commit t (slot t sn) ~view proposal

@@ -7,9 +7,7 @@ module Proposal = Proto.Proposal
 type role = Leader | Follower | Candidate
 
 type t = {
-  ctx : Core.Orderer_intf.ctx;
-  seg : Core.Segment.t;
-  rt : Rt.t;
+  rt : Msg.body Rt.t;
   n : int;
   majority : int;
   len : int;  (* entries in the segment *)
@@ -21,7 +19,6 @@ type t = {
   (* Leader state *)
   next_idx : int array;  (* per follower *)
   match_idx : int array;
-  mutable appended : int;  (* entries appended to my log so far *)
   votes : (int, unit) Hashtbl.t;  (* candidates: granted votes *)
   mutable election_round : int;  (* doubles the timer window *)
   hb_timer : Timer.t;
@@ -29,15 +26,16 @@ type t = {
   rng : Sim.Rng.t;
 }
 
-let me t = t.ctx.Core.Orderer_intf.node
+let ctx t = t.rt.Rt.ctx
+let seg t = t.rt.Rt.seg
+let me t = (ctx t).Core.Orderer_intf.node
 
 let create ctx seg =
   let n = ctx.Core.Orderer_intf.config.Core.Config.n in
   let len = Core.Segment.seq_count seg in
-  let rt = Rt.create ctx seg in
+  let instance = seg.Core.Segment.instance in
+  let rt = Rt.create ctx seg ~wrap:(fun body -> Proto.Message.Raft { Msg.instance; body }) in
   {
-    ctx;
-    seg;
     rt;
     n;
     majority = Proto.Ids.majority ~n;
@@ -49,7 +47,6 @@ let create ctx seg =
     commit_idx = -1;
     next_idx = Array.make n 0;
     match_idx = Array.make n (-1);
-    appended = 0;
     votes = Hashtbl.create 8;
     election_round = 0;
     hb_timer = Rt.timer rt;
@@ -58,38 +55,30 @@ let create ctx seg =
       Sim.Rng.create
         ~seed:
           (Int64.of_int
-             ((seg.Core.Segment.instance * 1_000_003) + ctx.Core.Orderer_intf.node + 1));
+             ((instance * 1_000_003) + ctx.Core.Orderer_intf.node + 1));
   }
-
-let send_raft t ~dst body =
-  t.ctx.Core.Orderer_intf.send ~dst
-    (Proto.Message.Raft { Msg.instance = t.seg.Core.Segment.instance; body })
 
 (* Entries are announced in index order, so the decided count is the
    announced prefix. *)
 let announced_upto t = Rt.decided_count t.rt - 1
 
-(* Last index of the contiguous prefix (and its term).  Elections compare
-   logs by this — not by the highest filled index — because entries beyond
-   a gap are unacknowledged and carry no weight in the up-to-date check. *)
+(* Term of the entry at [idx]; 0 for none (or [idx] = -1). *)
+let term_at t idx =
+  if idx >= 0 then match t.entries.(idx) with Some e -> e.Msg.term | None -> 0 else 0
+
+(* Last index of the contiguous prefix.  Elections compare logs by this —
+   not by the highest filled index — because entries beyond a gap are
+   unacknowledged and carry no weight in the up-to-date check. *)
 let contiguous_last t =
-  let m = ref (-1) in
-  (try
-     for i = 0 to t.len - 1 do
-       if t.entries.(i) = None then raise Exit else m := i
-     done
-   with Exit -> ());
-  let term =
-    if !m >= 0 then match t.entries.(!m) with Some e -> e.Msg.term | None -> 0 else 0
-  in
-  (!m, term)
+  let rec go i = if i < t.len && t.entries.(i) <> None then go (i + 1) else i - 1 in
+  go 0
 
 let rec announce_ready t =
   let idx = announced_upto t + 1 in
   if idx <= t.commit_idx then
     match t.entries.(idx) with
     | Some e ->
-        Rt.announce t.rt ~sn:t.seg.Core.Segment.seq_nrs.(idx) e.Msg.proposal;
+        Rt.announce t.rt ~sn:(seg t).Core.Segment.seq_nrs.(idx) e.Msg.proposal;
         announce_ready t
     | None -> () (* unreachable: commit_idx never passes a gap *)
 
@@ -113,10 +102,11 @@ and start_election t =
     t.voted_for <- Some (me t);
     Hashtbl.reset t.votes;
     Hashtbl.replace t.votes (me t) ();
-    let last_idx, last_term = contiguous_last t in
+    let last_idx = contiguous_last t in
+    let last_term = term_at t last_idx in
     for dst = 0 to t.n - 1 do
       if dst <> me t then
-        send_raft t ~dst (Msg.Request_vote { term = t.term; last_idx; last_term })
+        Rt.send t.rt ~dst (Msg.Request_vote { term = t.term; last_idx; last_term })
     done;
     arm_election t
   end
@@ -126,10 +116,7 @@ and start_election t =
 and replicate_to t ~dst =
   let from = t.next_idx.(dst) in
   let prev_idx = from - 1 in
-  let prev_term =
-    if prev_idx >= 0 then match t.entries.(prev_idx) with Some e -> e.Msg.term | None -> 0
-    else 0
-  in
+  let prev_term = term_at t prev_idx in
   let rec collect i acc =
     if i >= t.len then List.rev acc
     else
@@ -138,7 +125,7 @@ and replicate_to t ~dst =
       | None -> List.rev acc
   in
   let entries = collect from [] in
-  send_raft t ~dst
+  Rt.send t.rt ~dst
     (Msg.Append_entries
        { term = t.term; prev_idx; prev_term; entries; leader_commit = t.commit_idx })
 
@@ -150,7 +137,7 @@ and replicate_all t =
 and arm_heartbeat t =
   if Rt.active t.rt && t.role = Leader then begin
     let interval =
-      max (t.ctx.Core.Orderer_intf.config.Core.Config.min_batch_timeout) (Time_ns.ms 200)
+      max (ctx t).Core.Orderer_intf.config.Core.Config.min_batch_timeout (Time_ns.ms 200)
     in
     Timer.arm t.hb_timer ~delay:interval (fun () ->
         if Rt.active t.rt && t.role = Leader then begin
@@ -165,8 +152,7 @@ and arm_heartbeat t =
 and append_local t ~idx proposal =
   if t.entries.(idx) = None then begin
     t.entries.(idx) <- Some { Msg.idx; term = t.term; proposal };
-    t.match_idx.(me t) <- max t.match_idx.(me t) idx;
-    t.appended <- max t.appended (idx + 1)
+    t.match_idx.(me t) <- max t.match_idx.(me t) idx
   end
 
 and leader_advance_commit t =
@@ -213,7 +199,6 @@ and become_leader t =
     in
     t.entries.(idx) <- Some { Msg.idx; term = t.term; proposal }
   done;
-  t.appended <- t.len;
   for i = 0 to t.n - 1 do
     t.next_idx.(i) <- t.len;
     if i <> me t then t.match_idx.(i) <- -1
@@ -227,13 +212,13 @@ and become_leader t =
 let propose_all t =
   Array.iteri
     (fun idx sn ->
-      t.ctx.Core.Orderer_intf.request_batch ~sn (fun proposal ->
+      (ctx t).Core.Orderer_intf.request_batch ~sn (fun proposal ->
           if Rt.active t.rt && t.role = Leader then begin
             append_local t ~idx proposal;
             replicate_all t;
             leader_advance_commit t
           end))
-    t.seg.Core.Segment.seq_nrs
+    (seg t).Core.Segment.seq_nrs
 
 (* ---- Follower side --------------------------------------------------- *)
 
@@ -280,25 +265,15 @@ let handle_append t ~src ~term ~prev_idx ~prev_term ~entries ~leader_commit =
          this append actually pinned down.  Acking the raw contiguous
          prefix would vouch for stale pre-conflict entries beyond the
          window and let the leader count (and commit) them. *)
-      let m = ref (-1) in
-      (try
-         for i = 0 to t.len - 1 do
-           if t.entries.(i) = None then begin
-             m := i - 1;
-             raise Exit
-           end
-         done;
-         m := t.len - 1
-       with Exit -> ());
-      let ack = min !m (prev_idx + List.length entries) in
+      let ack = min (contiguous_last t) (prev_idx + List.length entries) in
       if min leader_commit ack > t.commit_idx then begin
         t.commit_idx <- min leader_commit ack;
         announce_ready t
       end;
-      send_raft t ~dst:src (Msg.Append_reply { term = t.term; success = true; match_idx = ack })
+      Rt.send t.rt ~dst:src (Msg.Append_reply { term = t.term; success = true; match_idx = ack })
     end
     else
-      send_raft t ~dst:src
+      Rt.send t.rt ~dst:src
         (Msg.Append_reply { term = t.term; success = false; match_idx = prev_idx - 1 })
   end
 
@@ -327,10 +302,7 @@ let handle_request_vote t ~src ~term ~last_idx ~last_term =
   end;
   let my_last = ref (-1) in
   Array.iteri (fun i e -> if e <> None then my_last := i) t.entries;
-  let my_last_term =
-    if !my_last >= 0 then match t.entries.(!my_last) with Some e -> e.Msg.term | None -> 0
-    else 0
-  in
+  let my_last_term = term_at t !my_last in
   let up_to_date =
     last_term > my_last_term || (last_term = my_last_term && last_idx >= !my_last)
   in
@@ -339,7 +311,7 @@ let handle_request_vote t ~src ~term ~last_idx ~last_term =
     t.voted_for <- Some src;
     arm_election t
   end;
-  send_raft t ~dst:src (Msg.Vote_reply { term = t.term; granted = grant })
+  Rt.send t.rt ~dst:src (Msg.Vote_reply { term = t.term; granted = grant })
 
 let handle_vote_reply t ~src ~term ~granted =
   if Rt.active t.rt && t.role = Candidate && term = t.term && granted then begin

@@ -50,7 +50,7 @@ type 'a t = {
   env_nil : 'a envelope;  (* freelist sentinel, never a real message *)
   mutable env_free : 'a envelope;
   (* One-entry serialization-time memo: protocol traffic is dominated by a
-     handful of repeated sizes (batches, votes), and multicast repeats the
+     handful of repeated sizes (batches, votes), and a broadcast repeats the
      same size n-1 times back to back, so this removes nearly every
      float division + boxing from the hot path. *)
   mutable tt_bytes : int;
@@ -211,37 +211,6 @@ let alloc_env t ~dst_ep ~src ~size ~payload ~serialize ~rx_nic =
     env
   end
 
-(* Per-destination tail of [send], with the sender-side invariants
-   (endpoint lookup, crash check, wire size, serialization time) hoisted so
-   [multicast] pays them once for n-1 copies. *)
-let send_prepared t se ~src ~dst ~size ~wire_bytes ~serialize payload =
-  let de = endpoint t dst in
-  t.n_sent <- t.n_sent + 1;
-  t.total_bytes <- t.total_bytes + wire_bytes;
-  (* Lost in transit: severed path or random drop.  (A crashed receiver is
-     handled at arrival time instead — the message may still find the
-     endpoint up again if it recovers while the message is in flight.) *)
-  let lost =
-    partitioned t src dst
-    || (t.drop_prob > 0.0 && Rng.float t.rng 1.0 < t.drop_prob)
-  in
-  (* Even a lost message consumes sender bandwidth. *)
-  let now = Engine.now t.engine in
-  let tx_nic = nic_index se ~peer_category:de.category in
-  let depart = Time_ns.add (Time_ns.max now se.tx_free.(tx_nic)) serialize in
-  se.tx_free.(tx_nic) <- depart;
-  if not lost then begin
-    let prop = Topology.latency se.datacenter de.datacenter in
-    let jit = Rng.int t.rng jitter in
-    let spike = match t.link_latency with Some f -> f src dst | None -> 0 in
-    let arrive = Time_ns.add depart (prop + jit + spike) in
-    let env =
-      alloc_env t ~dst_ep:de ~src ~size ~payload ~serialize
-        ~rx_nic:(nic_index de ~peer_category:se.category)
-    in
-    Engine.post_at t.engine ~at:arrive env.k
-  end
-
 let send t ~src ~dst ~size payload =
   let se = endpoint t src in
   (* Only a crashed *sender* suppresses the send entirely (a dead process
@@ -249,23 +218,35 @@ let send t ~src ~dst ~size payload =
      or partitioned away: it still serializes the message through its NIC
      and the send still counts; only the delivery is suppressed. *)
   if not se.crashed then begin
+    let de = endpoint t dst in
     let wire_bytes = size + per_message_overhead in
-    send_prepared t se ~src ~dst ~size ~wire_bytes
-      ~serialize:(transmission_time t wire_bytes) payload
+    let serialize = transmission_time t wire_bytes in
+    t.n_sent <- t.n_sent + 1;
+    t.total_bytes <- t.total_bytes + wire_bytes;
+    (* Lost in transit: severed path or random drop.  (A crashed receiver is
+       handled at arrival time instead — the message may still find the
+       endpoint up again if it recovers while the message is in flight.) *)
+    let lost =
+      partitioned t src dst
+      || (t.drop_prob > 0.0 && Rng.float t.rng 1.0 < t.drop_prob)
+    in
+    (* Even a lost message consumes sender bandwidth. *)
+    let now = Engine.now t.engine in
+    let tx_nic = nic_index se ~peer_category:de.category in
+    let depart = Time_ns.add (Time_ns.max now se.tx_free.(tx_nic)) serialize in
+    se.tx_free.(tx_nic) <- depart;
+    if not lost then begin
+      let prop = Topology.latency se.datacenter de.datacenter in
+      let jit = Rng.int t.rng jitter in
+      let spike = match t.link_latency with Some f -> f src dst | None -> 0 in
+      let arrive = Time_ns.add depart (prop + jit + spike) in
+      let env =
+        alloc_env t ~dst_ep:de ~src ~size ~payload ~serialize
+          ~rx_nic:(nic_index de ~peer_category:se.category)
+      in
+      Engine.post_at t.engine ~at:arrive env.k
+    end
   end
-
-let multicast t ~src ~dsts ~size payload =
-  match dsts with
-  | [] -> ()
-  | _ ->
-      let se = endpoint t src in
-      if not se.crashed then begin
-        let wire_bytes = size + per_message_overhead in
-        let serialize = transmission_time t wire_bytes in
-        List.iter
-          (fun dst -> send_prepared t se ~src ~dst ~size ~wire_bytes ~serialize payload)
-          dsts
-      end
 
 let charge t ~endpoint:id ~dir ~peer ~bytes =
   let ep = endpoint t id in

@@ -54,11 +54,9 @@ val send : 'a t -> src:int -> dst:int -> size:int -> 'a -> unit
     {!bytes_sent} regardless of the destination's fate: messages to a
     partitioned-away peer are lost in transit, and messages to a crashed
     peer are discarded on arrival (unless the peer recovered while the
-    message was in flight). *)
-
-val multicast : 'a t -> src:int -> dsts:int list -> size:int -> 'a -> unit
-(** Point-to-point sends to each destination (no network-level multicast:
-    each copy consumes sender bandwidth, exactly the single-leader cost). *)
+    message was in flight).  There is no network-level multicast: a
+    broadcast is one [send] per destination, each consuming sender
+    bandwidth, exactly the single-leader cost. *)
 
 val crash : 'a t -> int -> unit
 (** Crash semantics: the endpoint stops sending (its [send]s are suppressed

@@ -56,11 +56,6 @@ let mock_ctx w ~config me : Core.Orderer_intf.ctx =
     config;
     clock = Core.Orderer_intf.Clock.of_engine w.engine;
     send;
-    broadcast =
-      (fun msg ->
-        for dst = 0 to w.n - 1 do
-          send ~dst msg
-        done);
     announce = (fun ~sn proposal -> w.announced := (me, (sn, proposal)) :: !(w.announced));
     request_batch =
       (fun ~sn callback ->
@@ -244,19 +239,14 @@ let test_hotstuff_three_chain_flush () =
 module Rt = Core.Orderer_intf.Runtime
 module Timer = Core.Orderer_intf.Timer
 
-let pbft_fill (seg : Core.Segment.t) ~sn proposal =
-  Proto.Message.Pbft
-    {
-      Proto.Pbft_msg.instance = seg.Core.Segment.instance;
-      body = Proto.Pbft_msg.Fill { sn; view = 0; proposal };
-    }
+let pbft_msg (seg : Core.Segment.t) body =
+  Proto.Message.Pbft { Proto.Pbft_msg.instance = seg.Core.Segment.instance; body }
 
-let hotstuff_fill (seg : Core.Segment.t) ~sn proposal =
-  Proto.Message.Hotstuff
-    {
-      Proto.Hotstuff_msg.instance = seg.Core.Segment.instance;
-      body = Proto.Hotstuff_msg.Fill { sn; proposal };
-    }
+let hotstuff_msg (seg : Core.Segment.t) body =
+  Proto.Message.Hotstuff { Proto.Hotstuff_msg.instance = seg.Core.Segment.instance; body }
+
+let pbft_fill seg ~sn proposal = pbft_msg seg (Proto.Pbft_msg.Fill { sn; view = 0; proposal })
+let hotstuff_fill seg ~sn proposal = hotstuff_msg seg (Proto.Hotstuff_msg.Fill { sn; proposal })
 
 (* Replica 3 hears nothing while its peers decide the whole segment; once
    its inbound link heals only slot recovery can bring it up to date: its
@@ -334,7 +324,7 @@ let test_fill_quiet_while_announcing factory ~batch_delay () =
 let test_runtime_timer () =
   let config = Core.Config.pbft_default ~n:4 in
   let w = empty_world ~n:4 ~batch_source:batch_for in
-  let rt = Rt.create (mock_ctx w ~config 0) (segment4 ~leader:0) in
+  let rt = Rt.create ~wrap:Fun.id (mock_ctx w ~config 0) (segment4 ~leader:0) in
   let timer = Rt.timer rt in
   let fired = ref [] in
   let fire tag () = fired := (tag, Sim.Engine.now w.engine) :: !fired in
@@ -352,43 +342,65 @@ let test_runtime_timer () =
   Sim.Engine.run ~until:(Sim.Time_ns.sec 2) w.engine;
   check_int "nothing fires after stop" 1 (List.length !fired)
 
-(* A peer naming sequence numbers outside the segment gets no vote state
-   allocated for them: PREPARE, COMMIT and FILL for such sns are dropped
-   before any slot exists, so a faulty node cannot grow the instance. *)
-let test_pbft_ignores_out_of_segment_sns () =
+(* A Byzantine peer chooses the sequence numbers it names, and PBFT indexes
+   its slots by position in the segment: every handler must drop an sn
+   outside the segment before it reaches a slot.  Each input names such an
+   sn; none may raise or announce, and those marked [true] may not allocate
+   either, so a faulty node cannot grow the instance.  (Answering a FILL
+   request allocates its reply closure, so only its guard is checked.) *)
+let test_out_of_segment_sns factory inputs () =
   let config = Core.Config.pbft_default ~n:4 in
   let seg = segment4 ~leader:0 in
-  let w =
-    make_world ~n:4 ~config ~segment:seg ~factory:Pbft.Pbft_orderer.factory
-      ~batch_source:batch_for
-  in
+  let w = make_world ~n:4 ~config ~segment:seg ~factory ~batch_source:batch_for in
   let inst = Option.get w.instances.(1) in
   inst.Core.Orderer_intf.start ();
   let count = 10_000 in
-  let digest = Iss_crypto.Hash.of_int 7 in
   let sn i = 1_000_000 + i in
   check_bool "sns lie outside the segment" false (Core.Segment.contains_sn seg (sn 0));
-  let words_per_msg body =
-    let msgs =
-      Array.init count (fun i ->
-          Proto.Message.Pbft
-            { Proto.Pbft_msg.instance = seg.Core.Segment.instance; body = body (sn i) })
-    in
-    let before = Gc.minor_words () in
-    Array.iter (fun msg -> inst.Core.Orderer_intf.on_message ~src:2 msg) msgs;
-    (Gc.minor_words () -. before) /. float_of_int count
-  in
   List.iter
-    (fun (what, body) ->
-      let words = words_per_msg body in
-      if words >= 1.0 then
+    (fun (what, src, alloc_free, msg) ->
+      let msgs = Array.init count (fun i -> msg seg ~i (sn i)) in
+      let before = Gc.minor_words () in
+      (match Array.iter (inst.Core.Orderer_intf.on_message ~src) msgs with
+      | () -> ()
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e));
+      let words = (Gc.minor_words () -. before) /. float_of_int count in
+      if alloc_free && words >= 1.0 then
         Alcotest.failf "%s allocates %.1f words per out-of-segment sn" what words)
-    [
-      ("PREPARE", fun sn -> Proto.Pbft_msg.Prepare { view = 0; sn; digest });
-      ("COMMIT", fun sn -> Proto.Pbft_msg.Commit { view = 0; sn; digest });
-      ("FILL", fun sn -> Proto.Pbft_msg.Fill { sn; view = 0; proposal = batch_for sn });
-    ];
+    inputs;
   check_int "nothing announced" 0 (List.length (announced_at w 1))
+
+let pbft_out_of_segment =
+  let digest = Iss_crypto.Hash.of_int 7 in
+  let open Proto.Pbft_msg in
+  [
+    ("PREPARE", 2, true, fun seg ~i:_ sn -> pbft_msg seg (Prepare { view = 0; sn; digest }));
+    ("COMMIT", 2, true, fun seg ~i:_ sn -> pbft_msg seg (Commit { view = 0; sn; digest }));
+    (* from the view-0 primary *)
+    ( "PRE-PREPARE",
+      0,
+      true,
+      fun seg ~i:_ sn -> pbft_msg seg (Preprepare { view = 0; sn; proposal = batch_for sn }) );
+    ("FILL", 2, true, fun seg ~i:_ sn -> pbft_fill seg ~sn (batch_for sn));
+    ("FILL-REQUEST", 2, false, fun seg ~i:_ sn -> pbft_msg seg (Fill_request { sns = [ sn ] }));
+  ]
+
+(* Proposals come from the leader, one view each, on genesis: the batch is
+   refused, the ⊥ voted for like any other and never decided here. *)
+let hotstuff_out_of_segment =
+  let open Proto.Hotstuff_msg in
+  let proposal (seg : Core.Segment.t) ~view sn proposal =
+    let parent =
+      Iss_crypto.Hash.of_string (Printf.sprintf "hs-genesis:%d" seg.Core.Segment.instance)
+    in
+    hotstuff_msg seg (Proposal_msg { view; sn; parent; proposal; justify = None })
+  in
+  [
+    ("PROPOSAL", 0, false, fun seg ~i sn -> proposal seg ~view:i sn (batch_for sn));
+    ("⊥ PROPOSAL", 0, false, fun seg ~i sn -> proposal seg ~view:i sn Proto.Proposal.Nil);
+    ("FILL", 2, false, fun seg ~i:_ sn -> hotstuff_fill seg ~sn (batch_for sn));
+    ("FILL-REQUEST", 2, false, fun seg ~i:_ sn -> hotstuff_msg seg (Fill_request { sns = [ sn ] }));
+  ]
 
 (* [Pbft.Votes] against the table it replaced: a [(view, node) -> digest]
    map where a peer's first vote per view sticks ([add]) and a replica's own
@@ -464,7 +476,7 @@ let () =
         [
           Alcotest.test_case "no commit without quorum" `Quick test_pbft_commit_quorum_needed;
           Alcotest.test_case "out-of-segment sns allocate nothing" `Quick
-            test_pbft_ignores_out_of_segment_sns;
+            (test_out_of_segment_sns Pbft.Pbft_orderer.factory pbft_out_of_segment);
           QCheck_alcotest.to_alcotest prop_pbft_votes_match_recount;
         ] );
       ( "raft",
@@ -474,7 +486,11 @@ let () =
             test_raft_election_after_leader_crash;
         ] );
       ( "hotstuff",
-        [ Alcotest.test_case "three-chain flush" `Quick test_hotstuff_three_chain_flush ] );
+        [
+          Alcotest.test_case "three-chain flush" `Quick test_hotstuff_three_chain_flush;
+          Alcotest.test_case "out-of-segment sns are dropped" `Quick
+            (test_out_of_segment_sns Hotstuff.Hotstuff_orderer.factory hotstuff_out_of_segment);
+        ] );
       ( "fill",
         List.concat_map
           (fun (name, factory, fill, batch_delay) ->
