@@ -298,15 +298,6 @@ let run_cmd =
       | None -> rate
       | Some x -> x *. Runner.Experiment.overload_ceiling
     in
-    (* Overload shapes and retry budgets only make sense with the
-       resubmission sweeper running. *)
-    let resubmit =
-      if
-        Option.is_some retry_budget
-        || (match workload with Some Runner.Workload.Steady | None -> false | Some _ -> true)
-      then Some true
-      else None
-    in
     let seed = Int64.of_int seed in
     let engine, tracer, registry = obs_setup ~trace_out ~metrics_out ~trace_sample in
     let scenario =
@@ -324,7 +315,7 @@ let run_cmd =
     Option.iter (fun sc -> Format.printf "%a@." Runner.Faults.pp sc) scenario;
     match
       Runner.Experiment.run ?engine ?policy ~tweak ~faults ?scenario ?tracer ?registry
-        ?shape:workload ?retry_budget ?resubmit ~system ~n ~rate ~duration_s:duration
+        ?shape:workload ?retry_budget ~system ~n ~rate ~duration_s:duration
         ~seed ()
     with
     | r ->
@@ -442,23 +433,17 @@ let conform_cmd =
           | p :: rest -> (
               match Conform.Harness.check_protocol sc p with
               | Error f -> fail_and_exit ~shrink ~save f
-              | Ok () -> (
-                  match Conform.Harness.run_protocol ~instrumented:false sc p with
-                  | Error e ->
-                      Format.eprintf "%s: %s@." (Core.Config.protocol_name p) e;
+              | Ok fingerprint -> (
+                  Format.printf "%s fingerprint %s@." (Core.Config.protocol_name p) fingerprint;
+                  match Conform.Repro.pinned repro p with
+                  | Some expected when expected <> fingerprint ->
+                      Format.eprintf "%s: fingerprint drifted from committed value %s@."
+                        (Core.Config.protocol_name p) expected;
                       exit 1
-                  | Ok r -> (
-                      Format.printf "%s fingerprint %s@." (Core.Config.protocol_name p)
-                        r.Conform.Harness.fingerprint;
-                      match Conform.Repro.pinned repro p with
-                      | Some expected when expected <> r.Conform.Harness.fingerprint ->
-                          Format.eprintf "%s: fingerprint drifted from committed value %s@."
-                            (Core.Config.protocol_name p) expected;
-                          exit 1
-                      | Some _ ->
-                          Format.printf "  matches committed fingerprint@.";
-                          go rest
-                      | None -> go rest)))
+                  | Some _ ->
+                      Format.printf "  matches committed fingerprint@.";
+                      go rest
+                  | None -> go rest))
         in
         go repro.Conform.Repro.protocols
   in
@@ -470,7 +455,14 @@ let conform_cmd =
           let sc = Conform.Scenario.of_seed (Int64.of_int k) in
           Format.printf "%a ...@?" Conform.Scenario.pp sc;
           (match Conform.Harness.check_scenario sc with
-          | Ok () -> Format.printf " OK@."
+          | Ok fingerprints ->
+              (* Short fingerprints, so two builds' sweeps diff run by run. *)
+              Format.printf " OK";
+              List.iter
+                (fun (p, fp) ->
+                  Format.printf " %s=%s" (Core.Config.protocol_name p) (String.sub fp 0 12))
+                fingerprints;
+              Format.printf "@."
           | Error f ->
               Format.printf " FAIL@.";
               fail_and_exit ~shrink ~save f)

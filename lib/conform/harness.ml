@@ -102,9 +102,10 @@ let run_protocol ?(instrumented = true) (sc : Scenario.t) protocol :
 
 (* ------------------------------------------------------------------ *)
 (* Full conformance for one scenario: all three ISS instantiations, each
-   run instrumented and bare, with fingerprint equality across the pair. *)
+   run instrumented and bare, with fingerprint equality across the pair.
+   A pair that passes yields the fingerprint both runs share. *)
 
-let check_protocol (sc : Scenario.t) protocol : (unit, failure) result =
+let check_protocol (sc : Scenario.t) protocol : (string, failure) result =
   match run_protocol ~instrumented:true sc protocol with
   | Error message -> Error { scenario = sc; protocol; message }
   | Ok instrumented -> (
@@ -117,7 +118,7 @@ let check_protocol (sc : Scenario.t) protocol : (unit, failure) result =
               message = Printf.sprintf "bare re-run diverged: %s" message;
             }
       | Ok bare ->
-          if String.equal instrumented.fingerprint bare.fingerprint then Ok ()
+          if String.equal instrumented.fingerprint bare.fingerprint then Ok bare.fingerprint
           else
             Error
               {
@@ -131,11 +132,14 @@ let check_protocol (sc : Scenario.t) protocol : (unit, failure) result =
                     instrumented.fingerprint bare.fingerprint;
               })
 
-let check_scenario (sc : Scenario.t) : (unit, failure) result =
-  let rec go = function
-    | [] -> Ok ()
+let check_scenario (sc : Scenario.t) :
+    ((Core.Config.protocol * string) list, failure) result =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
     | protocol :: rest -> (
-        match check_protocol sc protocol with Ok () -> go rest | Error f -> Error f)
+        match check_protocol sc protocol with
+        | Ok fp -> go ((protocol, fp) :: acc) rest
+        | Error f -> Error f)
   in
   (* Active-malice scenarios only make sense under a Byzantine fault model:
      Raft (crash-fault-tolerant) is exempt, not broken. *)
@@ -144,6 +148,6 @@ let check_scenario (sc : Scenario.t) : (unit, failure) result =
       List.filter (fun p -> p <> Core.Config.Raft) protocols
     else protocols
   in
-  go applicable
+  go [] applicable
 
 let check_seed seed = check_scenario (Scenario.of_seed seed)

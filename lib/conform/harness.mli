@@ -32,12 +32,16 @@ val run_protocol :
     schedule's heal time plus the liveness grace period before the checks
     fire. *)
 
-val check_protocol : Scenario.t -> Core.Config.protocol -> (unit, failure) result
-(** One protocol: instrumented + bare runs with fingerprint equality. *)
+val check_protocol : Scenario.t -> Core.Config.protocol -> (string, failure) result
+(** One protocol: instrumented + bare runs with fingerprint equality.
+    Returns the fingerprint the two runs share. *)
 
-val check_scenario : Scenario.t -> (unit, failure) result
-(** All three protocols, instrumented + bare each, with fingerprint
-    equality.  Returns the first failure. *)
+val check_scenario :
+  Scenario.t -> ((Core.Config.protocol * string) list, failure) result
+(** Every protocol the scenario applies to (Raft sits out Byzantine
+    scenarios), instrumented + bare each, with fingerprint equality.
+    Returns each protocol's fingerprint, in {!protocols} order, or the
+    first failure. *)
 
-val check_seed : int64 -> (unit, failure) result
+val check_seed : int64 -> ((Core.Config.protocol * string) list, failure) result
 (** [check_scenario (Scenario.of_seed seed)]. *)

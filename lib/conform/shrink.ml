@@ -132,7 +132,7 @@ let minimize_failure ?budget (f : Harness.failure) =
   let sc = minimize ?budget f.Harness.scenario ~still_fails in
   match Harness.check_protocol sc f.Harness.protocol with
   | Error f' -> f'
-  | Ok () ->
+  | Ok _ ->
       (* The minimized scenario no longer fails under a fresh pair-run; the
          greedy descent never adopts such a variant, so this only happens
          when no candidate helped at all — keep the original. *)

@@ -11,7 +11,6 @@ type t = { n : int; state : state }
 type leader_stats = {
   ls_leader : Proto.Ids.node_id;
   ls_batches : int;
-  ls_empty : int;
   ls_requests : int;
 }
 

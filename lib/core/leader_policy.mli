@@ -20,7 +20,6 @@ type t
 type leader_stats = {
   ls_leader : Proto.Ids.node_id;
   ls_batches : int;  (** committed non-⊥ batches in the leader's segment *)
-  ls_empty : int;  (** of which empty *)
   ls_requests : int;  (** requests the leader's segment shipped *)
 }
 (** Per-leader facts about a finished epoch, derived from the log (hence

@@ -489,16 +489,13 @@ and finish_epoch t =
      per-leader segment statistics for the STRAGGLER-AWARE policy. *)
   let failed = ref [] in
   let batches = Array.make num_leaders 0 in
-  let empties = Array.make num_leaders 0 in
   let requests = Array.make num_leaders 0 in
   for sn = e.e_start to e.e_start + e.e_len - 1 do
     let k = (sn - e.e_start) mod num_leaders in
     match Log.get t.log ~sn with
     | Some (Proto.Proposal.Batch b) ->
         batches.(k) <- batches.(k) + 1;
-        let len = Proto.Batch.length b in
-        if len = 0 then empties.(k) <- empties.(k) + 1;
-        requests.(k) <- requests.(k) + len
+        requests.(k) <- requests.(k) + Proto.Batch.length b
     | Some Proto.Proposal.Nil -> failed := (e.e_leaders.(k), sn) :: !failed
     | None -> ()
   done;
@@ -507,7 +504,6 @@ and finish_epoch t =
         {
           Leader_policy.ls_leader = e.e_leaders.(k);
           ls_batches = batches.(k);
-          ls_empty = empties.(k);
           ls_requests = requests.(k);
         })
   in

@@ -318,9 +318,10 @@ let handle_view_change t ~src vc =
       Hashtbl.replace senders src vc;
       (* Join the view change once f+1 nodes demand it (we may not have
          timed out ourselves yet). *)
-      let f = (t.n - 1) / 3 in
-      if Hashtbl.length senders > f && vc.Msg.new_view > t.highest_vc_sent then
-        start_view_change t vc.Msg.new_view;
+      if
+        Hashtbl.length senders > Proto.Ids.max_faulty ~n:t.n
+        && vc.Msg.new_view > t.highest_vc_sent
+      then start_view_change t vc.Msg.new_view;
       maybe_become_leader t vc.Msg.new_view
     end
   end

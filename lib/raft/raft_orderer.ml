@@ -300,11 +300,10 @@ let handle_request_vote t ~src ~term ~last_idx ~last_term =
     if t.role = Leader then Timer.cancel t.hb_timer;
     t.role <- Follower
   end;
-  let my_last = ref (-1) in
-  Array.iteri (fun i e -> if e <> None then my_last := i) t.entries;
-  let my_last_term = term_at t !my_last in
+  let my_last = contiguous_last t in
+  let my_last_term = term_at t my_last in
   let up_to_date =
-    last_term > my_last_term || (last_term = my_last_term && last_idx >= !my_last)
+    last_term > my_last_term || (last_term = my_last_term && last_idx >= my_last)
   in
   let grant = term = t.term && t.voted_for = None && up_to_date in
   if grant then begin

@@ -28,8 +28,9 @@ type t = {
   quorums : (int, quorum_state) Hashtbl.t;  (* batch_sn -> deliveries *)
   mutable delivered_quorum : int;
   mutable submitted : int;
-  mutable track_delivered_ids : bool;
-  delivered_ids : (int, unit) Hashtbl.t;  (* request id keys, when tracked *)
+  heard : Core.Watermarks.t;
+      (* what the clients heard: the requests that reached their reply
+         quorum or were given up *)
   mutable checker : Checker.t option;  (* None unless [enable_invariants] *)
   mutable adversary : Adversary.t option;
       (* None unless a Byzantine fault schedule configured one: the honest
@@ -42,9 +43,6 @@ type t = {
   tracer : Obs.Tracer.t option;
   mutable gave_up : int;
       (* requests whose client (modeled or real) exhausted its retry budget *)
-  gave_up_ids : (int, unit) Hashtbl.t;
-      (* id keys of given-up requests: the workload's watermark gate treats
-         "explicitly gave up" as a terminal state alongside "delivered" *)
 }
 
 let engine t = t.engine
@@ -81,12 +79,11 @@ let pushback_total t =
   Array.fold_left (fun acc node -> acc + Core.Node.pushback_count node) 0 t.nodes
 
 let note_gave_up t (r : Proto.Request.t) =
-  let key = Proto.Request.id_key r.Proto.Request.id in
-  if not (Hashtbl.mem t.gave_up_ids key) then begin
-    t.gave_up <- t.gave_up + 1;
-    Hashtbl.replace t.gave_up_ids key ();
-    match t.checker with Some ck -> Checker.note_gave_up ck r | None -> ()
-  end
+  t.gave_up <- t.gave_up + 1;
+  Core.Watermarks.note_delivered t.heard r.Proto.Request.id;
+  match t.checker with Some ck -> Checker.note_gave_up ck r | None -> ()
+
+let request_terminal t id = Core.Watermarks.delivered t.heard id
 
 let note_submitted t (req : Proto.Request.t) =
   t.submitted <- t.submitted + 1;
@@ -201,14 +198,12 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
       quorums = Hashtbl.create 4096;
       delivered_quorum = 0;
       submitted = 0;
-      track_delivered_ids = false;
-      delivered_ids = Hashtbl.create 4096;
+      heard = Core.Watermarks.create ~window:Core.Config.client_watermark_window;
       checker = None;
       adversary = None;
       byzantine = Array.make n false;
       tracer;
       gave_up = 0;
-      gave_up_ids = Hashtbl.create 256;
     }
   in
   (* Measurement hook: when the [reply_quorum]-th node's delivery frontier
@@ -248,8 +243,7 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
       Sim.Metrics.Series.add t.throughput ~at:now (float_of_int len);
       Proto.Batch.iter
         (fun (r : Proto.Request.t) ->
-          if t.track_delivered_ids then
-            Hashtbl.replace t.delivered_ids (Proto.Request.id_key r.id) ();
+          Core.Watermarks.note_delivered t.heard r.id;
           let client_dc = client_datacenter t ~client:r.id.Proto.Request.client in
           let reply_prop = Sim.Topology.latency node_dc client_dc in
           (* Reply = the quorum's reply reaching the client: the simulated
@@ -348,15 +342,6 @@ let recover_at t ~node ~at =
   Engine.post_at t.engine ~at (fun () ->
       Sim.Network.recover t.net node;
       Core.Node.recover t.nodes.(node))
-
-let enable_delivery_tracking t = t.track_delivered_ids <- true
-
-let request_delivered t (r : Proto.Request.t) =
-  Hashtbl.mem t.delivered_ids (Proto.Request.id_key r.id)
-
-let request_terminal t ~client ~ts =
-  let key = Proto.Request.id_key { Proto.Request.client; ts } in
-  Hashtbl.mem t.delivered_ids key || Hashtbl.mem t.gave_up_ids key
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checking *)

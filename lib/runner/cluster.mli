@@ -5,6 +5,10 @@
     paper measures: end-to-end latency (submission until a reply quorum of
     f+1 nodes has delivered) and delivered throughput over 1-second bins.
 
+    In every run it records what the clients heard ({!request_terminal}).
+    The modeled workload reads that and, for routing, the nodes' epochs,
+    bucket leaders and crash state.
+
     With {!enable_invariants} the cluster also owns the run's one
     invariant checker ({!Checker}, DESIGN.md §6): it feeds the checker
     every submission, per-node delivery, shed and give-up, and aborts the
@@ -116,8 +120,8 @@ val checker : t -> Checker.t option
 
 val note_gave_up : t -> Proto.Request.t -> unit
 (** Record that a client exhausted its retry budget for this request and
-    abandoned it.  Idempotent per request.  The liveness check accepts
-    given-up requests as terminal. *)
+    abandoned it.  Call once per request: each call counts.  The liveness
+    check and {!request_terminal} accept given-up requests as terminal. *)
 
 val gave_up_count : t -> int
 (** Requests explicitly abandoned via {!note_gave_up}. *)
@@ -156,16 +160,9 @@ val tracer : t -> Obs.Tracer.t option
 val client_datacenter : t -> client:int -> int
 (** Placement of a virtual client (round-robin over the datacenters). *)
 
-val enable_delivery_tracking : t -> unit
-(** Track per-request delivery (needed by the workload's resubmission
-    sweeper in fault experiments; off by default to keep huge fault-free
-    runs lean). *)
-
-val request_delivered : t -> Proto.Request.t -> bool
-(** Only meaningful after {!enable_delivery_tracking}. *)
-
-val request_terminal : t -> client:int -> ts:int -> bool
-(** The request reached a terminal state: delivered somewhere, or
-    explicitly given up ({!note_gave_up}).  The modeled workload's client
-    watermark gate ({!Workload.start}) keys on this.  Only meaningful
-    after {!enable_delivery_tracking}. *)
+val request_terminal : t -> Proto.Request.id -> bool
+(** What the request's client has heard: the request reached its reply
+    quorum, or the client gave it up ({!note_gave_up}).  Kept in one
+    {!Core.Watermarks.t} (a floor and a bitmap per client), whose memory
+    follows how far out of order requests end, not the run length.  The
+    workload's resubmission sweeper and watermark gate read this. *)

@@ -22,7 +22,7 @@ type result = {
 }
 
 let run ?engine ?policy ?tweak ?(faults = []) ?scenario ?tracer ?registry ?shape ?retry_budget
-    ?resubmit ~system ~n ~rate ~duration_s ~seed () =
+    ~system ~n ~rate ~duration_s ~seed () =
   let cluster = Cluster.create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () in
   let engine = Cluster.engine cluster in
   let until = Time_ns.of_sec_f duration_s in
@@ -42,12 +42,14 @@ let run ?engine ?policy ?tweak ?(faults = []) ?scenario ?tracer ?registry ?shape
       Cluster.enable_invariants cluster)
     scenario;
   Cluster.start cluster;
-  (* Fault scenarios need the client resubmission mechanism of §4.3;
-     overload runs opt in explicitly so shed requests get re-driven. *)
+  (* Faults need the client resubmission of §4.3, and so do overload runs
+     (a retry budget or a non-steady shape), whose shed requests must be
+     re-driven until delivered or given up. *)
   let resubmit =
-    match resubmit with
-    | Some b -> b
-    | None -> faults <> [] || Option.is_some scenario
+    faults <> []
+    || Option.is_some scenario
+    || Option.is_some retry_budget
+    || match shape with None | Some Workload.Steady -> false | Some _ -> true
   in
   (* Chaos runs keep the engine (and the resubmission sweeper) going past
      the last fault's heal time plus the recovery bound, so the liveness
@@ -201,7 +203,7 @@ let overload_sweep () =
         let r =
           run
             ~tweak:(overload_tweak ())
-            ~resubmit:true ~retry_budget:3 ~system:(Cluster.Iss Core.Config.PBFT) ~n:4
+            ~retry_budget:3 ~system:(Cluster.Iss Core.Config.PBFT) ~n:4
             ~rate:(fraction *. overload_ceiling)
             ~duration_s:25.0 ~seed:42L ()
         in

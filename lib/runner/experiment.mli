@@ -35,7 +35,6 @@ val run :
   ?registry:Obs.Registry.t ->
   ?shape:Workload.shape ->
   ?retry_budget:int ->
-  ?resubmit:bool ->
   system:Cluster.system ->
   n:int ->
   rate:float ->
@@ -58,10 +57,10 @@ val run :
     {!Faults.liveness_grace_s}, and liveness — every submitted request
     delivered — is asserted at the end.
 
-    [shape], [retry_budget] and [resubmit] pass through to
-    {!Workload.start}; [resubmit] defaults to on exactly when faults or a
-    chaos scenario are present (overload runs set it explicitly so shed
-    requests get re-driven until delivered or out of budget).  The run seed
+    [shape] and [retry_budget] pass through to {!Workload.start}.  The
+    workload resubmits (§4.3) exactly when the run has faults, a chaos
+    scenario, a retry budget or a non-steady shape, so that stalled and shed
+    requests get re-driven until delivered or out of budget.  The run seed
     doubles as the workload shape seed. *)
 
 val peak_throughput :

@@ -101,15 +101,16 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
      request's retransmission can then be ordered in a lagging segment
      *after* (in sequence-number order) requests a full window above it,
      which the conformance checker rightly flags.  Gating is the source
-     backpressure a real deployment gets for free.  Only meaningful when
-     delivery tracking is on (resubmit runs); elsewhere clients never get
-     near the window inside a test budget. *)
+     backpressure a real deployment gets for free.  Runs without
+     resubmission keep the ungated open-loop arrivals the figures were
+     measured with. *)
   let window = Core.Config.client_watermark_window in
   let window_open c =
     let ts = next_ts.(c) in
     ts < window
     || (not resubmit)
-    || Cluster.request_terminal cluster ~client:(client_base + c) ~ts:(ts - window)
+    || Cluster.request_terminal cluster
+         { Proto.Request.client = client_base + c; ts = ts - window }
   in
   let pick_open_client () =
     let rec go tries =
@@ -174,14 +175,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
         Sim.Network.charge net ~endpoint:dst ~dir:`Rx ~peer:Sim.Network.Client
           ~bytes:(Proto.Request.wire_size r + 80)
       in
-      Engine.post engine ~delay:(prop + queue) (fun () ->
-          (* Re-check on arrival: a resubmitted request may have been
-             delivered while this copy was in flight.  A node that has
-             delivered it refuses the copy on its own (watermarks); this
-             check also keeps the copy out of a node that has not caught
-             up yet.  It reads cluster-wide state no real client has. *)
-          if not (resubmit && Cluster.request_delivered cluster r) then
-            Core.Node.submit nodes.(dst) r)
+      Engine.post engine ~delay:(prop + queue) (fun () -> Core.Node.submit nodes.(dst) r)
     end
   in
   let rec sweeper () =
@@ -193,7 +187,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
             match Queue.take_opt outstanding with
             | None -> ()
             | Some ((r, resends) as entry) ->
-                if not (Cluster.request_delivered cluster r) then begin
+                if not (Cluster.request_terminal cluster r.Proto.Request.id) then begin
                   (* Only requests that have clearly stalled are re-sent
                      (the paper's clients resubmit at epoch transitions;
                      5 s approximates an epoch under load). *)
@@ -203,7 +197,8 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
                     match retry_budget with
                     | Some budget when !resends >= budget ->
                         (* Retry budget spent: the client abandons the
-                           request instead of chasing it forever. *)
+                           request instead of chasing it forever, and it
+                           leaves [outstanding] for good. *)
                         Cluster.note_gave_up cluster r
                     | Some _ | None ->
                         incr resends;
@@ -220,10 +215,7 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
       Engine.post engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ())
     end
   in
-  if resubmit then begin
-    Cluster.enable_delivery_tracking cluster;
-    Engine.post engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ())
-  end;
+  if resubmit then Engine.post engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ());
   let rec tick_loop () =
     let now = Engine.now engine in
     if now <= until then begin

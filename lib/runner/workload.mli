@@ -14,7 +14,13 @@
     - the client→node propagation latency {e and} the target node's public
       NIC bandwidth are charged for every copy.
 
-    Reply traffic is charged by {!Cluster}'s delivery hook. *)
+    Reply traffic is charged by {!Cluster}'s delivery hook.
+
+    Cluster state the modeled clients read: what they heard, through
+    {!Cluster.request_terminal} (reply quorum reached or given up), and,
+    for routing, the view of the live node with the furthest epoch (its
+    bucket leaders) and which nodes are crashed.  The second is state no
+    real client has. *)
 
 type shape =
   | Steady  (** constant offered load (the default; exact legacy behaviour) *)
@@ -45,9 +51,12 @@ val start :
     windows never throttle the aggregate rate.
 
     [resubmit] (default false) models §4.3's client resubmission: a sweeper
-    re-sends every not-yet-delivered request to the {e current} owner of
-    its bucket every two seconds.  Required for fault experiments, where a
-    request's original target may have crashed or lost the bucket.
+    re-sends every request that is not {!Cluster.request_terminal} and has
+    been out for over 5 s to the {e current} owner of its bucket, every two
+    seconds.  Required for fault experiments, where a request's original
+    target may have crashed or lost the bucket.  Only resubmitting runs
+    gate each client by the §3.7 watermark window: a client submits
+    timestamp [ts] only once [ts - window] is terminal.
     [sweep_until] (default [until]) lets the sweeper outlive the submission
     window — chaos runs extend it past the last fault's heal time so
     stragglers submitted just before a crash still get re-driven.

@@ -343,7 +343,7 @@ let test_fixed_seed_pipeline () =
   (* Seed 9 draws a fault-free scenario: the cheapest full pass through all
      three protocols with instrumented/bare fingerprint equality. *)
   match Harness.check_seed 9L with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error f -> Alcotest.failf "seed 9: %s" (Format.asprintf "%a" Harness.pp_failure f)
 
 let corpus_dir = "conform_corpus"
@@ -366,18 +366,15 @@ let replay_corpus_file file () =
       let sc = repro.Conform.Repro.scenario in
       List.iter
         (fun p ->
-          (match Harness.check_protocol sc p with
-          | Ok () -> ()
-          | Error f -> Alcotest.failf "%s regressed: %s" file (Harness.failure_message f));
-          match Conform.Repro.pinned repro p with
-          | None -> ()
-          | Some expected -> (
-              match Harness.run_protocol ~instrumented:false sc p with
-              | Error e -> Alcotest.failf "%s: replay failed: %s" file e
-              | Ok r ->
+          match Harness.check_protocol sc p with
+          | Error f -> Alcotest.failf "%s regressed: %s" file (Harness.failure_message f)
+          | Ok fingerprint -> (
+              match Conform.Repro.pinned repro p with
+              | None -> ()
+              | Some expected ->
                   Alcotest.(check string)
                     (Printf.sprintf "%s %s fingerprint pinned" file (Core.Config.protocol_name p))
-                    expected r.Harness.fingerprint))
+                    expected fingerprint))
         repro.Conform.Repro.protocols
 
 (* The tier-1 fixed seed's fingerprints, pinned as constants: the engine

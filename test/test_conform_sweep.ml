@@ -10,7 +10,7 @@ let () =
   for k = 1 to seeds do
     let sc = Conform.Scenario.of_seed (Int64.of_int k) in
     (match Conform.Harness.check_scenario sc with
-    | Ok () -> ()
+    | Ok _ -> ()
     | Error f ->
         let f = Conform.Shrink.minimize_failure f in
         Format.eprintf "CONFORMANCE FAILURE@.%a@." Conform.Harness.pp_failure f;

@@ -478,7 +478,6 @@ let test_policy_straggler_aware () =
         {
           Core.Leader_policy.ls_leader = i;
           ls_batches = 8;
-          ls_empty = (if i = straggler then 8 else 0);
           ls_requests = (if i = straggler then 0 else busy);
         })
   in

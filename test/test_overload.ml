@@ -267,7 +267,7 @@ let test_overload_scenario_conformance () =
     }
   in
   match Conform.Harness.check_protocol sc Core.Config.PBFT with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error f -> Alcotest.fail (Conform.Harness.failure_message f)
 
 let test_overload_scenario_drop_oldest () =
@@ -283,7 +283,7 @@ let test_overload_scenario_drop_oldest () =
     }
   in
   match Conform.Harness.check_protocol sc Core.Config.PBFT with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error f -> Alcotest.fail (Conform.Harness.failure_message f)
 
 (* ------------------------------------------------------------------ *)

@@ -40,7 +40,7 @@ let conformance_part () =
     in
     Printf.printf "[%3d/%d] %s %!" k seeds (Conform.Scenario.name sc);
     (match Conform.Harness.check_scenario sc with
-    | Ok () -> Printf.printf "OK\n%!"
+    | Ok _ -> Printf.printf "OK\n%!"
     | Error f ->
         incr failed;
         Printf.printf "FAIL\n%s\nscenario: %s\n%!"

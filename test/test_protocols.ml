@@ -215,6 +215,40 @@ let test_raft_election_after_leader_crash () =
      principle 2). *)
   assert_sb_complete w seg ~expect_nil:true
 
+(* A voter compares the candidate's log with its own contiguous prefix:
+   an entry past a gap is unacknowledged and must not outweigh it. *)
+let test_raft_vote_ignores_entry_past_gap () =
+  let config = Core.Config.raft_default ~n:4 in
+  let seg = segment4 ~leader:0 in
+  let w = empty_world ~n:4 ~batch_source:batch_for in
+  let replies = ref [] in
+  let send ~dst msg =
+    match msg with
+    | Proto.Message.Raft { Proto.Raft_msg.body = Proto.Raft_msg.Vote_reply { granted; _ }; _ } ->
+        replies := (dst, granted) :: !replies
+    | _ -> ()
+  in
+  let follower = Raft.Raft_orderer.factory { (mock_ctx w ~config 1) with send } seg in
+  let raft body =
+    Proto.Message.Raft { Proto.Raft_msg.instance = seg.Core.Segment.instance; body }
+  in
+  let entry idx = { Proto.Raft_msg.idx; term = 0; proposal = batch_for idx } in
+  follower.Core.Orderer_intf.start ();
+  (* Term-0 entries 0 and 2: a gap at 1. *)
+  follower.Core.Orderer_intf.on_message ~src:0
+    (raft
+       (Proto.Raft_msg.Append_entries
+          {
+            term = 0;
+            prev_idx = -1;
+            prev_term = 0;
+            entries = [ entry 0; entry 2 ];
+            leader_commit = -1;
+          }));
+  follower.Core.Orderer_intf.on_message ~src:2
+    (raft (Proto.Raft_msg.Request_vote { term = 1; last_idx = 0; last_term = 0 }));
+  Alcotest.(check (list (pair int bool))) "vote granted to the candidate" [ (2, true) ] !replies
+
 (* ------------------------------------------------------------------ *)
 (* HotStuff specifics *)
 
@@ -484,6 +518,8 @@ let () =
           Alcotest.test_case "commits with majority" `Quick test_raft_commit_majority;
           Alcotest.test_case "election after leader crash" `Slow
             test_raft_election_after_leader_crash;
+          Alcotest.test_case "vote ignores an entry past a gap" `Quick
+            test_raft_vote_ignores_entry_past_gap;
         ] );
       ( "hotstuff",
         [

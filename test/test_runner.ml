@@ -178,6 +178,31 @@ let test_liveness_names_lost_request () =
     (Invalid_argument "Cluster.check_liveness: call enable_invariants first") (fun () ->
       Cluster.check_liveness (make ()))
 
+(* The cluster records what clients heard in every run, with or without
+   resubmission: a request that reached its reply quorum, or that its client
+   gave up, is terminal; an id never submitted is not. *)
+let test_request_terminal_without_resubmission () =
+  let module Cluster = Runner.Cluster in
+  let cluster = Cluster.create ~system:(Cluster.Iss Core.Config.PBFT) ~n:4 ~seed:1L () in
+  let signed = Core.Config.client_signatures (Cluster.config cluster) in
+  let request ~client ~ts = Proto.Request.make ~client ~ts ~signed ~submitted_at:0 () in
+  let answered = request ~client:42 ~ts:0 and abandoned = request ~client:42 ~ts:1 in
+  Cluster.start cluster;
+  Cluster.note_submitted cluster answered;
+  Array.iter (fun node -> Core.Node.submit node answered) (Cluster.nodes cluster);
+  Sim.Engine.run ~until:(Sim.Time_ns.sec 10) (Cluster.engine cluster);
+  check_int "reply quorum reached" 1 (Cluster.delivered_quorum cluster);
+  check_bool "answered request is terminal" true
+    (Cluster.request_terminal cluster answered.Proto.Request.id);
+  check_bool "never-submitted id is not terminal" false
+    (Cluster.request_terminal cluster { Proto.Request.client = 7; ts = 0 });
+  check_bool "abandoned request is not terminal yet" false
+    (Cluster.request_terminal cluster abandoned.Proto.Request.id);
+  Cluster.note_gave_up cluster abandoned;
+  check_bool "given-up request is terminal" true
+    (Cluster.request_terminal cluster abandoned.Proto.Request.id);
+  check_int "one give-up counted" 1 (Cluster.gave_up_count cluster)
+
 (* Paper scale must not cost memory before any request arrives: per-node
    request state (bucket rings, the request index, proposal records) grows
    with use, so ISS-PBFT at n=128 leaves well under 100 MB live after
@@ -210,8 +235,12 @@ let () =
           Alcotest.test_case "figure faults" `Quick test_figure_faults;
         ] );
       ( "invariants",
-        [ Alcotest.test_case "liveness names a lost request" `Quick test_liveness_names_lost_request ]
-      );
+        [
+          Alcotest.test_case "liveness names a lost request" `Quick
+            test_liveness_names_lost_request;
+          Alcotest.test_case "request terminal without resubmission" `Quick
+            test_request_terminal_without_resubmission;
+        ] );
       ( "memory",
         [ Alcotest.test_case "n=128 set-up under 100 MB live" `Quick test_paper_scale_setup_memory ]
       );
