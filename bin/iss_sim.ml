@@ -104,7 +104,7 @@ let trace_sample_arg =
   Arg.(
     value & opt int 1
     & info [ "trace-sample" ] ~docv:"K"
-        ~doc:"Trace every K-th request (deterministic selection; 1 traces all).")
+        ~doc:"Trace one request in K, chosen by a hash of its id (deterministic; 1 traces all).")
 
 let metrics_out_arg =
   Arg.(

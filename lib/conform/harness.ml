@@ -34,6 +34,9 @@ let pp_failure fmt f =
   Format.fprintf fmt "[%s x %s] %s" (Scenario.name f.scenario)
     (Core.Config.protocol_name f.protocol) f.message
 
+(* Longer than Runner.Faults.checked_until (15 s past the window at least,
+   grace on top of the window, 10 s more under overload): the pinned corpus
+   fingerprints depend on this length, so it keeps its own rule. *)
 let run_until_s (sc : Scenario.t) config =
   let heal = Faults.heal_s (Faults.make ~name:(Scenario.name sc) sc.Scenario.faults) in
   (* Give-ups need the sweeper to notice the stall (5 s) and then spend the

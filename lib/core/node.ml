@@ -112,7 +112,7 @@ let auth_failures t = t.auth_failures
 let shed_count t = t.shed_count
 let pushback_count t = t.pushback_count
 let epoch_leaders t = t.epoch.e_leaders
-let bucket_leader t ~bucket = t.epoch.e_bucket_leaders.(bucket)
+let bucket_leaders t = t.epoch.e_bucket_leaders
 let set_straggler t b = t.straggler <- b
 
 let pending_requests t = Bucket_queue.pending t.queues

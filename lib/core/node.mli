@@ -150,5 +150,6 @@ val pushback_count : t -> int
 val epoch_leaders : t -> Proto.Ids.node_id array
 (** Leaders of the node's current epoch. *)
 
-val bucket_leader : t -> bucket:int -> Proto.Ids.node_id
-(** Current owner of a bucket (for client leader detection). *)
+val bucket_leaders : t -> Proto.Ids.node_id array
+(** Current owner of each bucket, what the node's [Bucket_update] carries
+    (for client leader detection).  The node's own array: do not mutate. *)

@@ -5,9 +5,9 @@
 
    - instrumentation sites hold an [t option]; with no tracer installed the
      hot path pays one pointer comparison and allocates nothing;
-   - sampling is deterministic — request [r] is traced iff
-     [r mod sample = 0] — so traced runs of the same seed always sample the
-     same requests;
+   - sampling is deterministic — request [r] is traced iff its mixed key
+     is a multiple of [sample] ({!sampled}) — so traced runs of the same
+     seed always sample the same requests;
    - memory is bounded: at most [max_events] events are kept, later ones
      are counted in [dropped] instead of stored.  Events live in parallel
      int arrays (no per-event boxing). *)
@@ -75,7 +75,11 @@ let create ?(sample = 1) ?(max_events = 262_144) ~engine () =
     once = Hashtbl.create 4096;
   }
 
-let sampled t ~req = req mod t.sample = 0
+(* A key's low bits are its timestamp (Proto.Request.id_key): mix it as
+   Proto.Request.Key_tbl's hash does, or every ts = 0 would be kept. *)
+let sampled t ~req =
+  let h = req * 0x9E3779B97F4A7C1 in
+  ((h lxor (h lsr 32)) land max_int) mod t.sample = 0
 
 let num_events t = t.size
 let dropped t = t.dropped
@@ -92,7 +96,7 @@ let grow t =
   end
 
 let record t ~req ~node ~at phase =
-  if req mod t.sample = 0 then begin
+  if sampled t ~req then begin
     if t.size >= t.max_events then t.dropped <- t.dropped + 1
     else begin
       grow t;
@@ -107,7 +111,7 @@ let record t ~req ~node ~at phase =
 let event t ~req ~node phase = record t ~req ~node ~at:(Sim.Engine.now t.engine) phase
 
 let event_once t ~req ~node phase =
-  if req mod t.sample = 0 then begin
+  if sampled t ~req then begin
     let key = (req * num_phases) + phase_index phase in
     if not (Hashtbl.mem t.once key) then begin
       Hashtbl.replace t.once key ();

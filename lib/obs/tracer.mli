@@ -7,7 +7,7 @@
 
     Overhead discipline: instrumentation sites hold a [t option]; with no
     tracer installed a site costs one pointer comparison and never
-    allocates.  Sampling is deterministic ([req mod sample = 0]) and memory
+    allocates.  Sampling is deterministic ({!sampled}) and memory
     is bounded ([max_events]; excess events are counted, not stored), so a
     traced run of a given seed is reproducible and cannot exhaust the
     host. *)
@@ -24,8 +24,10 @@ val create : ?sample:int -> ?max_events:int -> engine:Sim.Engine.t -> unit -> t
     bounds stored events (default 262144). *)
 
 val sampled : t -> req:int -> bool
-(** Whether events for this request key would be recorded; lets callers
-    skip building event arguments for unsampled requests. *)
+(** Whether events for this request key are recorded: whether the key,
+    multiplicatively mixed so that client and timestamp bits both count,
+    is a multiple of [sample].  Lets callers skip building event arguments
+    for unsampled requests. *)
 
 val event : t -> req:int -> node:int -> phase -> unit
 (** Record a phase event at the current virtual time.  [node] is the

@@ -38,6 +38,14 @@ let primary t view = ((seg t).Core.Segment.leader + view) mod t.n
    dropped before it gets here. *)
 let slot t sn = t.slots.(Core.Segment.sn_index (seg t) sn)
 
+(* The slot's own prepared certificate: its prepared value, else its
+   accepted one if decided (a committed value is prepared by definition). *)
+let local_cert t s =
+  match (s.prepared, s.accepted) with
+  | (Some _ as cert), _ -> cert
+  | None, (Some _ as cert) when Rt.is_decided t.rt s.sn -> cert
+  | None, _ -> None
+
 let create ctx seg =
   let n = ctx.Core.Orderer_intf.config.Core.Config.n in
   let instance = seg.Core.Segment.instance in
@@ -89,11 +97,9 @@ and start_view_change t new_view =
     let prepared =
       Array.fold_right
         (fun s acc ->
-          match (s.prepared, s.accepted) with
-          | Some (view, proposal), _ -> { Msg.sn = s.sn; view; proposal } :: acc
-          | None, Some (view, proposal) when Rt.is_decided t.rt s.sn ->
-              { Msg.sn = s.sn; view; proposal } :: acc
-          | None, _ -> acc)
+          match local_cert t s with
+          | Some (view, proposal) -> { Msg.sn = s.sn; view; proposal } :: acc
+          | None -> acc)
         t.slots []
     in
     let vc_signer = me t in
@@ -279,14 +285,8 @@ let maybe_become_leader t new_view =
             Array.to_list t.slots
             |> List.map (fun s ->
                    let sn = s.sn in
-                   let local =
-                     match (s.prepared, s.accepted) with
-                     | (Some _ as p), _ -> p
-                     | None, Some (v, p) when Rt.is_decided t.rt sn -> Some (v, p)
-                     | None, _ -> None
-                   in
                    let cand =
-                     match (Hashtbl.find_opt best sn, local) with
+                     match (Hashtbl.find_opt best sn, local_cert t s) with
                      | Some (v1, p1), Some (v2, p2) ->
                          Some (if v2 > v1 then p2 else p1)
                      | Some (_, p), None | None, Some (_, p) -> Some p

@@ -53,7 +53,6 @@ let quorum_latencies t = t.latencies
 let delivered_quorum t = t.delivered_quorum
 let submitted t = t.submitted
 let reply_quorum t = Core.Config.reply_quorum t.config
-let tracer t = t.tracer
 let checker t = t.checker
 
 let adversary t = t.adversary
@@ -78,17 +77,6 @@ let shed_total t =
 let pushback_total t =
   Array.fold_left (fun acc node -> acc + Core.Node.pushback_count node) 0 t.nodes
 
-let note_gave_up t (r : Proto.Request.t) =
-  t.gave_up <- t.gave_up + 1;
-  Core.Watermarks.note_delivered t.heard r.Proto.Request.id;
-  match t.checker with Some ck -> Checker.note_gave_up ck r | None -> ()
-
-let request_terminal t id = Core.Watermarks.delivered t.heard id
-
-let note_submitted t (req : Proto.Request.t) =
-  t.submitted <- t.submitted + 1;
-  match t.checker with Some ck -> Checker.note_submitted ck req | None -> ()
-
 (* A violation the checker recorded aborts the run at the event that caused
    it, with the simulated time. *)
 let violation t msg =
@@ -102,11 +90,54 @@ let abort_on_violation t ck =
 
 let throughput_series t ~until = Sim.Metrics.Series.rate_per_sec t.throughput ~until
 
-let n_datacenters = Array.length Sim.Topology.datacenters
-
-let client_datacenter _t ~client = client mod n_datacenters
+(* Virtual clients are spread round-robin over the datacenters. *)
+let client_datacenter client = client mod Array.length Sim.Topology.datacenters
 
 let reply_wire_size = 32
+
+(* ------------------------------------------------------------------ *)
+(* The modeled clients' side of the wire *)
+
+let note_submitted t (req : Proto.Request.t) =
+  t.submitted <- t.submitted + 1;
+  (* Submit = the client handing the request to its NIC: the origin of
+     every lifecycle trace.  Node -1 marks the client side. *)
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+      Obs.Tracer.record tr ~req:(Proto.Request.id_key req.id) ~node:(-1) ~at:req.submitted_at
+        Obs.Tracer.Submit);
+  match t.checker with Some ck -> Checker.note_submitted ck req | None -> ()
+
+let note_gave_up t (r : Proto.Request.t) =
+  t.gave_up <- t.gave_up + 1;
+  Core.Watermarks.note_delivered t.heard r.Proto.Request.id;
+  match t.checker with Some ck -> Checker.note_gave_up ck r | None -> ()
+
+let request_terminal t id = Core.Watermarks.delivered t.heard id
+
+let send_request t ~at ~dst (r : Proto.Request.t) =
+  let node = t.nodes.(dst) in
+  if not (Core.Node.is_halted node) then begin
+    let prop = Sim.Topology.latency (client_datacenter r.id.client) t.placement.(dst) in
+    let queue =
+      Sim.Network.charge t.net ~endpoint:dst ~dir:`Rx ~peer:Sim.Network.Client
+        ~bytes:(Proto.Request.wire_size r + Sim.Network.per_message_overhead)
+    in
+    Engine.post_at t.engine ~at:(Time_ns.add at (prop + queue)) (fun () -> Core.Node.submit node r)
+  end
+
+(* The live node whose epoch is furthest along stands in for the quorum of
+   Bucket_update messages a real client learns leaders from. *)
+let routing_view t =
+  let furthest best node =
+    match best with
+    | _ when Core.Node.is_halted node -> best
+    | Some b when Core.Node.current_epoch b >= Core.Node.current_epoch node -> best
+    | Some _ | None -> Some node
+  in
+  Array.fold_left furthest None t.nodes
+  |> Option.map (fun b -> (Core.Node.current_epoch b, Core.Node.bucket_leaders b))
 
 let config_of_system ?policy ?(tweak = Fun.id) ~system ~n () =
   let base =
@@ -221,7 +252,7 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
        charge that bandwidth in one aggregate operation. *)
     ignore
       (Sim.Network.charge t.net ~endpoint:node_id ~dir:`Tx ~peer:Sim.Network.Client
-         ~bytes:(Proto.Batch.length batch * (reply_wire_size + 80)));
+         ~bytes:(Proto.Batch.length batch * (reply_wire_size + Sim.Network.per_message_overhead)));
     let q =
       match Hashtbl.find_opt t.quorums sn with
       | Some q -> q
@@ -244,8 +275,7 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
       Proto.Batch.iter
         (fun (r : Proto.Request.t) ->
           Core.Watermarks.note_delivered t.heard r.id;
-          let client_dc = client_datacenter t ~client:r.id.Proto.Request.client in
-          let reply_prop = Sim.Topology.latency node_dc client_dc in
+          let reply_prop = Sim.Topology.latency node_dc (client_datacenter r.id.client) in
           (* Reply = the quorum's reply reaching the client: the simulated
              moment the request's end-to-end latency ends. *)
           (match t.tracer with

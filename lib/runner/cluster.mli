@@ -5,9 +5,8 @@
     paper measures: end-to-end latency (submission until a reply quorum of
     f+1 nodes has delivered) and delivered throughput over 1-second bins.
 
-    In every run it records what the clients heard ({!request_terminal}).
-    The modeled workload reads that and, for routing, the nodes' epochs,
-    bucket leaders and crash state.
+    It is also the modeled clients' ({!Workload}) side of the wire: the
+    client→node hop, the leader view they route by and what they heard.
 
     With {!enable_invariants} the cluster also owns the run's one
     invariant checker ({!Checker}, DESIGN.md §6): it feeds the checker
@@ -144,21 +143,26 @@ val throughput_series : t -> until:Sim.Time_ns.t -> float array
 val delivered_quorum : t -> int
 (** Requests that reached their reply quorum so far. *)
 
-val note_submitted : t -> Proto.Request.t -> unit
-(** Workload bookkeeping: register a submitted request (for the delivered /
-    offered accounting, and with the checker when invariants are on). *)
-
 val submitted : t -> int
 
 val reply_quorum : t -> int
 (** f+1 for BFT systems, 1 for Raft. *)
 
-val tracer : t -> Obs.Tracer.t option
-(** The lifecycle tracer installed at {!create} time, if any — the workload
-    records client-side [Submit] events against it. *)
+(** {2 The modeled clients' side of the wire} *)
 
-val client_datacenter : t -> client:int -> int
-(** Placement of a virtual client (round-robin over the datacenters). *)
+val note_submitted : t -> Proto.Request.t -> unit
+(** Register a submitted request: count it, feed it to the checker if any,
+    and trace its [Submit] at [submitted_at]. *)
+
+val send_request : t -> at:Sim.Time_ns.t -> dst:int -> Proto.Request.t -> unit
+(** One client→node copy sent at [at] (now or later): unless node [dst] is
+    crashed, charge its public receive NIC and run {!Core.Node.submit} at
+    [at] + the client→node propagation + that NIC's queueing delay. *)
+
+val routing_view : t -> (int * Proto.Ids.node_id array) option
+(** The epoch and bucket leaders a [Bucket_update] quorum tells a client:
+    the live node's with the furthest epoch, or [None] if all are crashed.
+    The array is the node's own: read it before the engine runs on. *)
 
 val request_terminal : t -> Proto.Request.id -> bool
 (** What the request's client has heard: the request reached its reply

@@ -57,10 +57,7 @@ let run ?engine ?policy ?tweak ?(faults = []) ?scenario ?tracer ?registry ?shape
   let run_until =
     match scenario with
     | None -> until
-    | Some sc ->
-        let cfg = Cluster.config cluster in
-        Time_ns.of_sec_f
-          (Float.max duration_s (Faults.heal_s sc +. Faults.liveness_grace_s cfg))
+    | Some sc -> Faults.checked_until sc (Cluster.config cluster) ~duration_s
   in
   Workload.start ~cluster ~rate ~resubmit ?shape ?retry_budget
     ~shape_seed:seed ~sweep_until:run_until ~until ();

@@ -355,6 +355,9 @@ let liveness_grace_s (config : Core.Config.t) =
   let epoch_s = float_of_int (epoch_len / max 1 n) *. slot_s in
   (4.0 *. ect) +. (2.0 *. epoch_s) +. 10.0
 
+let checked_until t config ~duration_s =
+  Time_ns.of_sec_f (Float.max duration_s (heal_s t +. liveness_grace_s config))
+
 (* ------------------------------------------------------------------ *)
 (* Named scenarios *)
 

@@ -102,6 +102,10 @@ val liveness_grace_s : Core.Config.t -> float
     epoch duration (which paces bucket re-assignment away from dead
     leaders). *)
 
+val checked_until : t -> Core.Config.t -> duration_s:float -> Sim.Time_ns.t
+(** End of a checked run: [duration_s], or {!heal_s} + {!liveness_grace_s}
+    if later, so that liveness is judged on a healed cluster. *)
+
 val named : n:int -> string -> (t, string) result
 (** Built-in scenarios: ["crash-recover"], ["partition-heal"],
     ["split-brain"], ["lossy"], ["straggler-window"], ["slow-link"], plus the

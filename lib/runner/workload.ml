@@ -13,21 +13,8 @@ let shape_name = function
 
 let tick = Time_ns.ms 10
 
-(* Find a live node whose epoch is furthest along — the reference for the
-   current bucket-to-leader assignment (a real client learns it from a
-   quorum of Bucket_update messages; the furthest node's view is what the
-   quorum converges to). *)
-let reference_node (cluster : Cluster.t) =
-  let nodes = Cluster.nodes cluster in
-  let best = ref None in
-  Array.iter
-    (fun node ->
-      if not (Core.Node.is_halted node) then
-        match !best with
-        | Some b when Core.Node.current_epoch b >= Core.Node.current_epoch node -> ()
-        | Some _ | None -> best := Some node)
-    nodes;
-  !best
+(* A request the resubmission sweeper may re-send. *)
+type pending = { req : Proto.Request.t; mutable resends : int }
 
 let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Steady)
     ?retry_budget ?(shape_seed = 1L) ?sweep_until ~until () =
@@ -36,11 +23,8 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
      chasing stalled requests through a post-fault grace period. *)
   let sweep_until = match sweep_until with Some t -> max t until | None -> until in
   let engine = Cluster.engine cluster in
-  let net = Cluster.network cluster in
   let config = Cluster.config cluster in
-  let nodes = Cluster.nodes cluster in
   let num_buckets = Core.Config.num_buckets config in
-  let placement = Sim.Topology.assign_uniform ~n:(Array.length nodes) in
   let next_ts = Array.make num_clients 0 in
   let client_base = 100_000 in
   let acc = ref 0.0 in
@@ -93,7 +77,8 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
         if now_s >= at_s && now_s < at_s +. len_s then per_tick *. factor else per_tick
     | Hot_bucket _ -> per_tick
   in
-  let outstanding : (Proto.Request.t * int ref) Queue.t = Queue.create () in
+  (* Requests not yet out for over 5 s, in submission order. *)
+  let outstanding : pending Queue.t = Queue.create () in
   (* Client watermark gate (§3.7): a real client cannot submit timestamp
      [ts] before [ts - window] reached a terminal state — the reply quorum
      for it is what advances the client's window.  Modeled clients must
@@ -121,114 +106,77 @@ let start ~cluster ~rate ?(num_clients = 2048) ?(resubmit = false) ?(shape = Ste
     in
     go 0
   in
-  let submit_one ~ref_node ~at offset =
-    match ref_node with
+  let submit_one (epoch, bucket_leaders) ~submitted_at =
+    match pick_open_client () with
     | None -> ()
-    | Some ref_node -> (
-      match pick_open_client () with
-      | None -> ()
-      | Some c ->
+    | Some c ->
         let client = client_base + c in
         let ts = next_ts.(c) in
         next_ts.(c) <- ts + 1;
         if hot then enroll c;
-        let submitted_at = Time_ns.add at offset in
         let r =
           Proto.Request.make ~client ~ts ~signed:(Core.Config.client_signatures config)
             ~submitted_at ()
         in
         Cluster.note_submitted cluster r;
-        (* Submit = the client handing the request to its NIC: the origin of
-           every lifecycle trace.  Node -1 marks the client side. *)
-        (match Cluster.tracer cluster with
-        | None -> ()
-        | Some tr ->
-            Obs.Tracer.record tr
-              ~req:(Proto.Request.id_key r.Proto.Request.id)
-              ~node:(-1) ~at:submitted_at Obs.Tracer.Submit);
-        if resubmit then Queue.push (r, ref 0) outstanding;
+        if resubmit then Queue.push { req = r; resends = 0 } outstanding;
         let bucket = Proto.Request.bucket_of_id ~num_buckets r.Proto.Request.id in
-        let client_dc = Cluster.client_datacenter cluster ~client in
         List.iter
-          (fun dst ->
-            if not (Core.Node.is_halted nodes.(dst)) then begin
-              let node_dc = placement.(dst) in
-              let prop = Sim.Topology.latency client_dc node_dc in
-              let queue =
-                Sim.Network.charge net ~endpoint:dst ~dir:`Rx ~peer:Sim.Network.Client
-                  ~bytes:(Proto.Request.wire_size r + 80)
-              in
-              Engine.post_at engine
-                ~at:(Time_ns.add submitted_at (prop + queue))
-                (fun () -> Core.Node.submit nodes.(dst) r)
-            end)
-          (Core.Bucket_assignment.client_targets ~n:config.Core.Config.n
-             ~epoch:(Core.Node.current_epoch ref_node)
-             ~current:(Core.Node.bucket_leader ref_node ~bucket)
-             bucket))
+          (fun dst -> Cluster.send_request cluster ~at:submitted_at ~dst r)
+          (Core.Bucket_assignment.client_targets ~n:config.Core.Config.n ~epoch
+             ~current:bucket_leaders.(bucket) bucket)
   in
-  let deliver_to ~dst (r : Proto.Request.t) =
-    if not (Core.Node.is_halted nodes.(dst)) then begin
-      let client_dc = Cluster.client_datacenter cluster ~client:r.id.Proto.Request.client in
-      let prop = Sim.Topology.latency client_dc placement.(dst) in
-      let queue =
-        Sim.Network.charge net ~endpoint:dst ~dir:`Rx ~peer:Sim.Network.Client
-          ~bytes:(Proto.Request.wire_size r + 80)
-      in
-      Engine.post engine ~delay:(prop + queue) (fun () -> Core.Node.submit nodes.(dst) r)
-    end
-  in
+  (* Only requests that have clearly stalled are re-sent (the paper's
+     clients resubmit at epoch transitions; 5 s approximates an epoch under
+     load).  [outstanding] is in submission order, so the requests that
+     stalled since the last sweep are a prefix of it: each sweep moves that
+     prefix to [stalled], then re-sends or gives up from [stalled] alone,
+     still in submission order.  A request that ended young is dropped once
+     it is old. *)
+  let stalled : pending Queue.t = Queue.create () in
   let rec sweeper () =
-    if resubmit && Engine.now engine <= sweep_until then begin
-      (match reference_node cluster with
-      | Some ref_node ->
-          let pending = Queue.length outstanding in
-          for _ = 1 to pending do
-            match Queue.take_opt outstanding with
-            | None -> ()
-            | Some ((r, resends) as entry) ->
-                if not (Cluster.request_terminal cluster r.Proto.Request.id) then begin
-                  (* Only requests that have clearly stalled are re-sent
-                     (the paper's clients resubmit at epoch transitions;
-                     5 s approximates an epoch under load). *)
-                  if Time_ns.diff (Engine.now engine) r.Proto.Request.submitted_at
-                     > Time_ns.sec 5
-                  then begin
-                    match retry_budget with
-                    | Some budget when !resends >= budget ->
-                        (* Retry budget spent: the client abandons the
-                           request instead of chasing it forever, and it
-                           leaves [outstanding] for good. *)
-                        Cluster.note_gave_up cluster r
-                    | Some _ | None ->
-                        incr resends;
-                        let bucket =
-                          Proto.Request.bucket_of_id ~num_buckets r.Proto.Request.id
-                        in
-                        deliver_to ~dst:(Core.Node.bucket_leader ref_node ~bucket) r;
-                        Queue.push entry outstanding
-                  end
-                  else Queue.push entry outstanding
-                end
+    if Engine.now engine <= sweep_until then begin
+      (match Cluster.routing_view cluster with
+      | Some (_, bucket_leaders) ->
+          let now = Engine.now engine in
+          let stale p = Time_ns.diff now p.req.Proto.Request.submitted_at > Time_ns.sec 5 in
+          while (not (Queue.is_empty outstanding)) && stale (Queue.peek outstanding) do
+            Queue.push (Queue.take outstanding) stalled
+          done;
+          for _ = 1 to Queue.length stalled do
+            let p = Queue.take stalled in
+            if not (Cluster.request_terminal cluster p.req.Proto.Request.id) then
+              match retry_budget with
+              | Some budget when p.resends >= budget ->
+                  (* Retry budget spent: the client abandons the request
+                     instead of chasing it forever, and it leaves [stalled]
+                     for good. *)
+                  Cluster.note_gave_up cluster p.req
+              | Some _ | None ->
+                  p.resends <- p.resends + 1;
+                  let bucket = Proto.Request.bucket_of_id ~num_buckets p.req.Proto.Request.id in
+                  Cluster.send_request cluster ~at:now ~dst:bucket_leaders.(bucket) p.req;
+                  Queue.push p stalled
           done
       | None -> ());
-      Engine.post engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ())
+      Engine.post engine ~delay:(Time_ns.sec 2) sweeper
     end
   in
-  if resubmit then Engine.post engine ~delay:(Time_ns.sec 2) (fun () -> sweeper ());
+  if resubmit then Engine.post engine ~delay:(Time_ns.sec 2) sweeper;
   let rec tick_loop () =
     let now = Engine.now engine in
     if now <= until then begin
       acc := !acc +. tick_quota now;
       let k = int_of_float !acc in
       acc := !acc -. float_of_int k;
-      let ref_node = if k > 0 then reference_node cluster else None in
-      for j = 0 to k - 1 do
-        (* Spread arrivals uniformly within the tick. *)
-        let offset = j * tick / max 1 k in
-        submit_one ~ref_node ~at:now offset
-      done;
-      Engine.post engine ~delay:tick (fun () -> tick_loop ())
+      (match if k > 0 then Cluster.routing_view cluster else None with
+      | None -> ()
+      | Some view ->
+          for j = 0 to k - 1 do
+            (* Spread arrivals uniformly within the tick. *)
+            submit_one view ~submitted_at:(Time_ns.add now (j * tick / k))
+          done);
+      Engine.post engine ~delay:tick tick_loop
     end
   in
   tick_loop ()

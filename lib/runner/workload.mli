@@ -9,18 +9,15 @@
       to a pool of virtual clients (consecutive timestamps each, spread over
       the 16 datacenters);
     - leader detection (§4.3) is modeled exactly: each request goes to the
-      node currently leading its bucket plus the projected owners in the
-      next two epochs;
-    - the client→node propagation latency {e and} the target node's public
-      NIC bandwidth are charged for every copy.
+      node leading its bucket in {!Cluster.routing_view} plus the projected
+      owners in the next two epochs;
+    - a stalled request is re-sent by the resubmission rule below.
 
-    Reply traffic is charged by {!Cluster}'s delivery hook.
-
-    Cluster state the modeled clients read: what they heard, through
-    {!Cluster.request_terminal} (reply quorum reached or given up), and,
-    for routing, the view of the live node with the furthest epoch (its
-    bucket leaders) and which nodes are crashed.  The second is state no
-    real client has. *)
+    This module is the arrival process and the resubmission rule only.
+    Every copy goes through {!Cluster.send_request}, which charges the
+    client→node propagation and the target's public NIC; {!Cluster}
+    charges the replies and records what the clients heard
+    ({!Cluster.request_terminal}). *)
 
 type shape =
   | Steady  (** constant offered load (the default; exact legacy behaviour) *)
@@ -50,10 +47,11 @@ val start :
     [num_clients] defaults to 2048 — enough that per-client watermark
     windows never throttle the aggregate rate.
 
-    [resubmit] (default false) models §4.3's client resubmission: a sweeper
-    re-sends every request that is not {!Cluster.request_terminal} and has
-    been out for over 5 s to the {e current} owner of its bucket, every two
-    seconds.  Required for fault experiments, where a request's original
+    [resubmit] (default false) models §4.3's client resubmission: every two
+    seconds a sweeper re-sends each request that is not
+    {!Cluster.request_terminal} and has been out for over 5 s to the
+    {e current} owner of its bucket, in submission order.  A sweep visits
+    only such stalled requests.  Required for fault experiments, where a request's original
     target may have crashed or lost the bucket.  Only resubmitting runs
     gate each client by the §3.7 watermark window: a client submits
     timestamp [ts] only once [ts - window] is terminal.

@@ -35,6 +35,9 @@ val create : Engine.t -> rng:Rng.t -> 'a t
     framing bytes per message, and up to 2 ms of uniform jitter on each
     message's propagation delay, drawn from [rng]. *)
 
+val per_message_overhead : int
+(** Framing bytes per message (80): {!send} adds them, {!charge} callers do. *)
+
 val add_endpoint :
   'a t ->
   id:int ->

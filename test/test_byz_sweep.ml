@@ -25,11 +25,7 @@ let run_one ~protocol ~seed =
   Cluster.enable_invariants cluster;
   Cluster.start cluster;
   let until = Time_ns.of_sec_f duration_s in
-  let run_until =
-    Time_ns.of_sec_f
-      (Float.max duration_s
-         (Faults.heal_s sc +. Faults.liveness_grace_s (Cluster.config cluster)))
-  in
+  let run_until = Faults.checked_until sc (Cluster.config cluster) ~duration_s in
   Runner.Workload.start ~cluster ~rate:100.0 ~resubmit:true ~sweep_until:run_until ~until ();
   Sim.Engine.run ~until:run_until (Cluster.engine cluster);
   Cluster.check_liveness cluster;

@@ -54,10 +54,7 @@ let run_byz ?policy ?(rate = 100.0) ~protocol name =
       Cluster.start cluster;
       let engine = Cluster.engine cluster in
       let until = Time_ns.of_sec_f 30.0 in
-      let run_until =
-        Time_ns.of_sec_f
-          (Float.max 30.0 (Faults.heal_s sc +. Faults.liveness_grace_s (Cluster.config cluster)))
-      in
+      let run_until = Faults.checked_until sc (Cluster.config cluster) ~duration_s:30.0 in
       (* Sample node 0's leader set through the run: read-only, so it cannot
          perturb the protocol. *)
       let probe = { epoch_at_attack = -1; first_banned_epoch = -1; banned_at_end = false } in

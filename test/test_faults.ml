@@ -122,10 +122,7 @@ let run_scenario ~system sc =
   Cluster.enable_invariants cluster;
   Cluster.start cluster;
   let until = Time_ns.of_sec_f 30.0 in
-  let run_until =
-    Time_ns.of_sec_f
-      (Float.max 30.0 (Faults.heal_s sc +. Faults.liveness_grace_s (Cluster.config cluster)))
-  in
+  let run_until = Faults.checked_until sc (Cluster.config cluster) ~duration_s:30.0 in
   Runner.Workload.start ~cluster ~rate:100.0 ~resubmit:true ~sweep_until:run_until ~until ();
   Sim.Engine.run ~until:run_until (Cluster.engine cluster);
   (* Raises Invariant_violation with a readable report on a missing request. *)

@@ -103,6 +103,21 @@ let test_tracer_sampling_and_bound () =
   check_int "memory bound respected" 100 (Obs.Tracer.num_events capped);
   check_bool "overflow counted, not stored" true (Obs.Tracer.dropped capped > 0)
 
+(* A request key's low bits are its timestamp: sampling must mix the whole
+   key, or every client's first request would be kept. *)
+let test_tracer_samples_first_requests () =
+  let engine = Sim.Engine.create () in
+  let tracer = Obs.Tracer.create ~sample:16 ~engine () in
+  let clients = 1024 in
+  for client = 0 to clients - 1 do
+    Obs.Tracer.record tracer
+      ~req:(Proto.Request.id_key { Proto.Request.client; ts = 0 })
+      ~node:(-1) ~at:0 Obs.Tracer.Submit
+  done;
+  let kept = Obs.Tracer.num_events tracer in
+  if kept < clients / 32 || kept > clients / 8 then
+    Alcotest.failf "kept %d of %d first requests at 1/16 sampling" kept clients
+
 let test_breakdown () =
   let _r, tracer, _registry, _engine = run_instrumented () in
   let bd = Obs.Tracer.breakdown tracer in
@@ -207,6 +222,8 @@ let () =
           Alcotest.test_case "covers all seven phases" `Quick test_tracer_covers_all_phases;
           Alcotest.test_case "JSONL parses" `Quick test_tracer_jsonl_parses;
           Alcotest.test_case "sampling + memory bound" `Quick test_tracer_sampling_and_bound;
+          Alcotest.test_case "sampling mixes the client" `Quick
+            test_tracer_samples_first_requests;
           Alcotest.test_case "latency breakdown" `Quick test_breakdown;
         ] );
       ( "registry",

@@ -203,6 +203,85 @@ let test_request_terminal_without_resubmission () =
     (Cluster.request_terminal cluster abandoned.Proto.Request.id);
   check_int "one give-up counted" 1 (Cluster.gave_up_count cluster)
 
+(* A 4-node ISS-PBFT cluster with two nodes crashed at t=0 and the two live
+   ones still answering the routing view: nothing can commit. *)
+let two_down_cluster () =
+  let module Cluster = Runner.Cluster in
+  let cluster = Cluster.create ~system:(Cluster.Iss Core.Config.PBFT) ~n:4 ~seed:1L () in
+  Runner.Faults.apply
+    (Runner.Faults.make ~name:"two down"
+       [ Runner.Faults.Crash { node = 2; at_s = 0.0 }; Crash { node = 3; at_s = 0.0 } ])
+    cluster;
+  Cluster.start cluster;
+  cluster
+
+(* The resubmission sweeper runs every 2 s and acts only on requests out for
+   over 5 s: each re-send spends one unit of the retry budget, and a request
+   whose budget is spent is given up.  Requests submitted during [0, 1) s
+   stall at the 6 s sweep. *)
+let test_sweeper_rule () =
+  let module Cluster = Runner.Cluster in
+  let gave_up_at ~retry_budget times =
+    let cluster = two_down_cluster () in
+    Runner.Workload.start ~cluster ~rate:200.0 ~resubmit:true ~retry_budget
+      ~sweep_until:(Sim.Time_ns.sec 20) ~until:(Sim.Time_ns.ms 990) ();
+    let counts =
+      List.map
+        (fun s ->
+          Sim.Engine.run ~until:(Sim.Time_ns.of_sec_f s) (Cluster.engine cluster);
+          Cluster.gave_up_count cluster)
+        times
+    in
+    let submitted = Cluster.submitted cluster in
+    check_bool "requests submitted" true (submitted > 100);
+    check_int "nothing committed" 0 (Cluster.delivered_quorum cluster);
+    (submitted, counts)
+  in
+  (match gave_up_at ~retry_budget:0 [ 5.9; 6.1 ] with
+  | submitted, [ before; after ] ->
+      check_int "budget 0: nothing given up by t=5.9 s" 0 before;
+      check_int "budget 0: all given up by the 6 s sweep" submitted after
+  | _ -> assert false);
+  match gave_up_at ~retry_budget:1 [ 6.1; 7.9; 8.1 ] with
+  | submitted, [ at6; before; after ] ->
+      check_int "budget 1: the 6 s sweep re-sends" 0 at6;
+      check_int "budget 1: nothing given up by t=7.9 s" 0 before;
+      check_int "budget 1: all given up by the 8 s sweep" submitted after
+  | _ -> assert false
+
+(* One client->node copy: a live node's client-facing receive NIC is charged
+   at once, and the node queues the request only once the engine reaches
+   [at] + propagation + that NIC's queueing delay.  A crashed node is
+   neither charged nor sent anything. *)
+let test_send_request () =
+  let module Cluster = Runner.Cluster in
+  let cluster = two_down_cluster () in
+  let engine = Cluster.engine cluster in
+  Sim.Engine.run ~until:(Sim.Time_ns.ms 100) engine;
+  let signed = Core.Config.client_signatures (Cluster.config cluster) in
+  let r = Proto.Request.make ~client:42 ~ts:0 ~signed ~submitted_at:(Sim.Engine.now engine) () in
+  let backlog dst =
+    Sim.Network.nic_backlog (Cluster.network cluster) ~endpoint:dst ~dir:`Rx
+      ~peer:Sim.Network.Client
+  in
+  let added dst = Core.Node.bucket_queue_added (Cluster.nodes cluster).(dst) in
+  let at = Sim.Time_ns.add (Sim.Engine.now engine) (Sim.Time_ns.ms 50) in
+  check_int "client NIC idle" 0 (backlog 1);
+  Cluster.send_request cluster ~at ~dst:1 r;
+  let queue = backlog 1 in
+  check_bool "client NIC charged" true (queue > 0);
+  let client_dc = 42 mod Array.length Sim.Topology.datacenters in
+  let prop = Sim.Topology.latency client_dc (Sim.Topology.assign_uniform ~n:4).(1) in
+  let arrival = Sim.Time_ns.add at (prop + queue) in
+  Sim.Engine.run ~until:(arrival - 1) engine;
+  check_int "not queued before arrival" 0 (added 1);
+  Sim.Engine.run ~until:arrival engine;
+  check_int "queued at arrival" 1 (added 1);
+  let pending = Sim.Engine.pending engine in
+  Cluster.send_request cluster ~at:(Sim.Engine.now engine) ~dst:3 r;
+  check_int "crashed node not charged" 0 (backlog 3);
+  check_int "crashed node sent nothing" pending (Sim.Engine.pending engine)
+
 (* Paper scale must not cost memory before any request arrives: per-node
    request state (bucket rings, the request index, proposal records) grows
    with use, so ISS-PBFT at n=128 leaves well under 100 MB live after
@@ -240,6 +319,11 @@ let () =
             test_liveness_names_lost_request;
           Alcotest.test_case "request terminal without resubmission" `Quick
             test_request_terminal_without_resubmission;
+        ] );
+      ( "clients",
+        [
+          Alcotest.test_case "sweeper re-sends or gives up" `Quick test_sweeper_rule;
+          Alcotest.test_case "send_request is one hop" `Quick test_send_request;
         ] );
       ( "memory",
         [ Alcotest.test_case "n=128 set-up under 100 MB live" `Quick test_paper_scale_setup_memory ]
