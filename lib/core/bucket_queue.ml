@@ -75,10 +75,11 @@ let pending t = t.pending
 let total_added t = t.total_added
 let max_occupancy t = t.max_occupancy
 
+(* [find], not [find_opt]: a hit then allocates no option. *)
 let queued t id =
-  match Key_tbl.find_opt t.index (Proto.Request.id_key id) with
-  | Some e -> e.queued
-  | None -> false
+  match Key_tbl.find t.index (Proto.Request.id_key id) with
+  | e -> e.queued
+  | exception Not_found -> false
 
 let fifo_of t (id : Proto.Request.id) =
   t.fifos.(Proto.Request.bucket_of_id ~num_buckets:t.num_buckets id)
@@ -120,13 +121,13 @@ let link t f e =
    consuming it only when [consume]. *)
 let enter t (r : Proto.Request.t) ~consume =
   let key = Proto.Request.id_key r.id in
-  match Key_tbl.find_opt t.index key with
-  | Some e when e.queued -> false
-  | Some e ->
+  match Key_tbl.find t.index key with
+  | e when e.queued -> false
+  | e ->
       e.req <- r;
       link t (fifo_of t r.id) e;
       true
-  | None ->
+  | exception Not_found ->
       let e = { req = r; seq = t.next_seq; queued = false } in
       if consume then t.next_seq <- t.next_seq + 1;
       Key_tbl.add t.index key e;
@@ -190,9 +191,9 @@ let cut t ~buckets ~max =
 
 let commit t id =
   let key = Proto.Request.id_key id in
-  match Key_tbl.find_opt t.index key with
-  | None -> ()
-  | Some e ->
+  match Key_tbl.find t.index key with
+  | exception Not_found -> ()
+  | e ->
       Key_tbl.remove t.index key;
       if e.queued then begin
         let f = fifo_of t id in

@@ -262,15 +262,15 @@ let rec submit t (r : Proto.Request.t) =
            batch, which honest followers must then reject wholesale. *)
         ()
     | Watermarks.Fresh ->
+        let signatures = Config.client_signatures t.config in
         let bucket = Proto.Request.bucket_of_id ~num_buckets:(Config.num_buckets t.config) r.id in
         if
-          ((not (Config.client_signatures t.config)) || Proto.Request.signature_valid r)
+          ((not signatures) || Proto.Request.signature_valid r)
           && admit_request t ~bucket r
           && Bucket_queue.add t.queues r
         then begin
           trace_event t Obs.Tracer.Enqueue r;
-          if Config.client_signatures t.config then
-            charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
+          if signatures then charge_cpu_sync t Iss_crypto.Signature.verify_cost_ns;
           (match t.config.Config.admission with
           | Config.Unbounded -> ()
           | Config.Bounded { capacity; _ } ->
@@ -376,6 +376,7 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
   | Proto.Proposal.Nil -> Orderer_intf.Accept
   | Proto.Proposal.Batch batch ->
       let num_buckets = Config.num_buckets t.config in
+      let signatures = Config.client_signatures t.config in
       let reqs = Proto.Batch.requests batch in
       (* The first failing request decides the verdict.  Failures split into
          two classes: a bad request signature or an out-of-bucket request is
@@ -390,7 +391,7 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
           if
             (* (a) request validity: a forged client signature proves the
                leader fabricated or tampered with the request. *)
-            (Config.client_signatures t.config && not (Proto.Request.signature_valid r))
+            (signatures && not (Proto.Request.signature_valid r))
             (* (c) maps to one of the segment's buckets: §4.2 principle 3 —
                a request outside the segment's buckets can only appear if
                the leader ignored the epoch's bucket assignment. *)
@@ -399,10 +400,7 @@ let validate_proposal t (seg : Segment.t) ~sn proposal =
           else if
             (* not proposed at another sn this epoch; inside the client's
                watermark window and (b) not committed in an earlier epoch *)
-            match Watermarks.status t.watermarks r.id with
-            | Watermarks.Fresh -> false
-            | Watermarks.Proposed -> Watermarks.proposed_at t.watermarks r.id <> sn
-            | Watermarks.Delivered | Watermarks.Outside_window -> true
+            not (Watermarks.acceptable t.watermarks r.id ~sn)
           then Orderer_intf.Reject
           else check (i + 1)
         end

@@ -1,140 +1,140 @@
-(* Per-client delivery and proposal tracking with allocation-free rings.
+(* Per-client delivery and proposal tracking, one flat block per client.
 
-   For each client we keep [floor] (length of the contiguously delivered
-   timestamp prefix) and two rings over the timestamps above it, each
-   indexed by [ts land (capacity - 1)]:
-   - [bits], the delivered timestamps in [floor, floor + capacity).  It
-     starts at 64 bits and doubles whenever a delivery lands beyond it, so
-     the tracker is exact: [delivered] answers [true] precisely for the
-     timestamps noted.  Acceptance windows keep deliveries within a few
-     dozen timestamps of the floor, so a ring rarely grows.
-   - [proposals], the sn each timestamp in [floor, floor + length) was
-     proposed at this epoch, or [no_proposal].  It stays the shared empty
-     array until the client's first proposal and then doubles on demand;
-     only fresh timestamps are noted, so it never outgrows the window.
-   Both rings clear a slot as the floor passes it, so the slot starts empty
-   for the timestamp [capacity] above. *)
+   A client's record is one [int array], [| client; floor; ring |]: the
+   ring's L slots (L a power of two) cover [floor, floor + L), the slot of
+   [ts] at [2 + (ts land (L - 1))] holding [no_proposal] (-1, nothing),
+   [done_] (-2, delivered above the floor) or the sn ([>= 0]) the request
+   was proposed at this epoch.  A ring starts at 2 slots, or at the first
+   noted timestamp, and doubles when a delivery or a proposal lands past
+   it, so the tracker is exact.  Slots reset as the floor passes them.
 
-module Key_tbl = Proto.Request.Key_tbl
+   Blocks sit in an open-addressed table, found by one linear probe on the
+   client id in slot 0; it doubles at load 1/2 and never deletes.  Not a
+   dense array by client id: the workload's ids start at 100_000 and a
+   Byzantine node may make one up, so a direct index would cost slots up to
+   the largest id, where the table follows the clients a node has seen. *)
 
-type client_state = {
-  mutable floor : int;
-  mutable bits : Bytes.t;  (* ring bitmap over [floor, floor + capacity) *)
-  mutable proposals : int array;  (* ring of sns over [floor, floor + length) *)
-}
-
-type t = { window : int; clients : client_state Key_tbl.t }
+(* [blocks] has a power-of-two length; [unknown] marks an empty slot. *)
+type t = { window : int; mutable blocks : int array array; mutable count : int }
 
 let no_proposal = -1
+let done_ = -2
+
+(* Every empty table slot, and what a read sees for a client without a
+   block: floor 0, an empty ring.  Only [insert] adds, and never this. *)
+let unknown = [| min_int; 0 |]
 
 let create ~window =
   assert (window > 0);
-  { window; clients = Key_tbl.create 64 }
+  { window; blocks = Array.make 64 unknown; count = 0 }
 
-(* What a read sees for a client with no record: floor 0, nothing delivered,
-   nothing proposed.  Only [state] inserts, and never this record. *)
-let unknown = { floor = 0; bits = Bytes.empty; proposals = [||] }
+(* Multiply to spread the id's bits upwards, then fold the high half down. *)
+let hash client = let h = client * 0x9E3779B97F4A7C1 in h lxor (h lsr 32)
 
-(* [find], not [find_opt]: a client is missing once per node, and the hit
-   then allocates nothing. *)
-let lookup t client =
-  match Key_tbl.find t.clients client with s -> s | exception Not_found -> unknown
+(* The client's table index, or the empty one where its block would go. *)
+let rec probe blocks client i =
+  let b = Array.unsafe_get blocks i in
+  if b == unknown || b.(0) = client then i
+  else probe blocks client ((i + 1) land (Array.length blocks - 1))
 
-let state t client =
-  match Key_tbl.find t.clients client with
-  | s -> s
-  | exception Not_found ->
-      let s = { floor = 0; bits = Bytes.make 8 '\000'; proposals = [||] } in
-      Key_tbl.replace t.clients client s;
-      s
+let index t client = probe t.blocks client (hash client land (Array.length t.blocks - 1))
+let lookup t client = t.blocks.(index t client)
 
-let capacity bits = Bytes.length bits lsl 3
+(* Double the table, re-placing the block pointers. *)
+let grow_table t =
+  let old = t.blocks in
+  t.blocks <- Array.make (2 * Array.length old) unknown;
+  Array.iter (fun b -> if b != unknown then t.blocks.(index t b.(0)) <- b) old
 
-let get_bit bits ts =
-  let i = ts land (capacity bits - 1) in
-  Char.code (Bytes.unsafe_get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let ring b = Array.length b - 2
+let slot b ts = 2 + (ts land (ring b - 1))
 
-let set_bit bits ts v =
-  let i = ts land (capacity bits - 1) in
-  let byte = Char.code (Bytes.unsafe_get bits (i lsr 3)) in
-  let mask = 1 lsl (i land 7) in
-  let byte = if v then byte lor mask else byte land lnot mask in
-  Bytes.unsafe_set bits (i lsr 3) (Char.unsafe_chr byte)
+(* The least of [len], [2 len], [4 len], ... that holds [ts] above [floor]. *)
+let rec ring_len floor ts len = if ts - floor < len then len else ring_len floor ts (2 * len)
 
-(* Double the ring until [ts] fits, re-placing the bits of the old range. *)
-let grow s ts =
-  let old = s.bits in
-  let bytes = ref (Bytes.length old) in
-  while ts - s.floor >= !bytes lsl 3 do
-    bytes := 2 * !bytes
-  done;
-  s.bits <- Bytes.make !bytes '\000';
-  for ts = s.floor to s.floor + capacity old - 1 do
-    if get_bit old ts then set_bit s.bits ts true
-  done
+(* The client's table index, adding a block on its first note, its ring
+   (2 slots or more) holding [ts]. *)
+let rec insert t client ts =
+  let i = index t client in
+  if t.blocks.(i) != unknown then i
+  else if 2 * (t.count + 1) > Array.length t.blocks then (grow_table t; insert t client ts)
+  else begin
+    let b = Array.make (2 + ring_len 0 ts 2) no_proposal in
+    b.(0) <- client;
+    b.(1) <- 0;
+    t.blocks.(i) <- b;
+    t.count <- t.count + 1;
+    i
+  end
 
-let proposal_slot s ts = ts land (Array.length s.proposals - 1)
+(* The slot value of [ts]: [done_] below the floor, [no_proposal] past the ring. *)
+let get b ts =
+  let d = ts - b.(1) in
+  if d < 0 then done_ else if d < ring b then b.(slot b ts) else no_proposal
 
-(* Double the proposal ring (2 slots at first) until [ts] fits, re-placing
-   the sns of the old range. *)
-let grow_proposals s ts =
-  let old = s.proposals in
-  let len = ref (max 2 (Array.length old)) in
-  while ts - s.floor >= !len do
-    len := 2 * !len
-  done;
-  s.proposals <- Array.make !len no_proposal;
-  for ts = s.floor to s.floor + Array.length old - 1 do
-    s.proposals.(proposal_slot s ts) <- old.(ts land (Array.length old - 1))
-  done
+(* The block at table index [i], its ring doubled until [ts] fits; the
+   slots of [floor, floor + L) move to the new block. *)
+let fit t i ts =
+  let b = t.blocks.(i) in
+  let floor = b.(1) in
+  if ts - floor < ring b then b
+  else begin
+    let b' = Array.make (2 + ring_len floor ts (2 * ring b)) no_proposal in
+    b'.(0) <- b.(0);
+    b'.(1) <- floor;
+    for ts = floor to floor + ring b - 1 do
+      b'.(slot b' ts) <- b.(slot b ts)
+    done;
+    t.blocks.(i) <- b';
+    b'
+  end
 
 let note_delivered t (id : Proto.Request.id) =
-  let s = state t id.client in
-  if id.ts >= s.floor then begin
-    if id.ts - s.floor >= capacity s.bits then grow s id.ts;
-    set_bit s.bits id.ts true;
-    (* Advance the floor over the contiguous delivered prefix, clearing
-       both rings' slots as they leave the window. *)
-    while get_bit s.bits s.floor do
-      set_bit s.bits s.floor false;
-      if Array.length s.proposals > 0 then s.proposals.(proposal_slot s s.floor) <- no_proposal;
-      s.floor <- s.floor + 1
+  let i = insert t id.client id.ts in
+  if id.ts >= t.blocks.(i).(1) then begin
+    let b = fit t i id.ts in
+    b.(slot b id.ts) <- done_;
+    (* Advance the floor over the delivered prefix, resetting its slots. *)
+    while b.(slot b b.(1)) = done_ do
+      b.(slot b b.(1)) <- no_proposal;
+      b.(1) <- b.(1) + 1
     done
   end
 
-let is_delivered s ts = ts < s.floor || (ts - s.floor < capacity s.bits && get_bit s.bits ts)
-let delivered t (id : Proto.Request.id) = is_delivered (lookup t id.client) id.ts
-
-(* The noted sn of a timestamp at or above the floor; a delivered one may
-   still hold its slot until the floor passes it. *)
-let noted s ts =
-  if ts - s.floor < Array.length s.proposals then s.proposals.(proposal_slot s ts)
-  else no_proposal
+let delivered t (id : Proto.Request.id) = get (lookup t id.client) id.ts = done_
 
 type status = Fresh | Proposed | Delivered | Outside_window
 
 let status t (id : Proto.Request.id) =
-  let s = lookup t id.client in
-  if is_delivered s id.ts then Delivered
-  else if id.ts >= s.floor + t.window then Outside_window
-  else if noted s id.ts = no_proposal then Fresh
+  let b = lookup t id.client in
+  let v = get b id.ts in
+  if v = done_ then Delivered
+  else if id.ts >= b.(1) + t.window then Outside_window
+  else if v = no_proposal then Fresh
   else Proposed
 
-let proposed_at t (id : Proto.Request.id) =
-  let s = lookup t id.client in
-  if is_delivered s id.ts then no_proposal else noted s id.ts
+let proposed_at t (id : Proto.Request.id) = max no_proposal (get (lookup t id.client) id.ts)
+
+let acceptable t (id : Proto.Request.id) ~sn =
+  let b = lookup t id.client in
+  let v = get b id.ts in
+  v <> done_ && id.ts < b.(1) + t.window && (v = no_proposal || v = sn)
 
 let note_proposed t (id : Proto.Request.id) ~sn =
-  let s = state t id.client in
-  if (not (is_delivered s id.ts)) && id.ts - s.floor < t.window then begin
-    if id.ts - s.floor >= Array.length s.proposals then grow_proposals s id.ts;
-    s.proposals.(proposal_slot s id.ts) <- sn
-  end
+  assert (sn >= 0);
+  let i = index t id.client in
+  let b = t.blocks.(i) in
+  if get b id.ts <> done_ && id.ts - b.(1) < t.window then
+    let b = fit t (if b == unknown then insert t id.client id.ts else i) id.ts in
+    b.(slot b id.ts) <- sn
 
 let clear_proposals t =
-  Key_tbl.iter
-    (fun _ s -> Array.fill s.proposals 0 (Array.length s.proposals) no_proposal)
-    t.clients
+  Array.iter
+    (fun b ->
+      for k = 2 to Array.length b - 1 do
+        if b.(k) >= 0 then b.(k) <- no_proposal
+      done)
+    t.blocks
 
-let floor t client = (lookup t client).floor
+let floor t client = (lookup t client).(1)
 let window t = t.window

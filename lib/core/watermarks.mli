@@ -17,13 +17,20 @@
     keyed by the same (client, timestamp) identity as the window, so it
     lives in the same per-client record.
 
-    Per client the tracker keeps the floor, a bitmap over the timestamps
-    above it and a ring of proposal sns over the same range.  The bitmap
-    starts at 64 bits and doubles whenever a delivery lands beyond it, so
-    delivery tracking is exact and its memory follows how far out of order
-    the client's deliveries actually run.  The proposal ring starts empty
-    and doubles on demand up to the window.  Reads never add a client:
-    one without a record reads as floor 0, nothing delivered or proposed. *)
+    Per client the tracker keeps one flat [int array]: the client id, the
+    floor and a ring over the timestamps above it, each slot holding
+    "nothing", "delivered" or the sn the timestamp was proposed at this
+    epoch.  The ring starts at 2 slots (or as many as the client's first
+    noted timestamp needs) and doubles whenever a delivery or a proposal
+    lands beyond it, so tracking is exact and its memory follows how far
+    ahead of the floor the client's requests actually run.  One probe
+    of an open-addressed table finds a client's block, so the window,
+    delivery and proposal checks of one request cost one lookup.  The
+    table is not a dense array indexed by client id: ids need not be small
+    or contiguous (the workload's start at 100_000, and a Byzantine node
+    may make one up), and the table grows only with the clients a node has
+    seen.  Reads and ignored notes never add a client: one without a
+    block reads as floor 0, nothing delivered or proposed. *)
 
 type t
 
@@ -58,12 +65,17 @@ val no_proposal : int
 
 val note_proposed : t -> Proto.Request.id -> sn:int -> unit
 (** Record that the request was cut or accepted into the proposal at [sn]
-    this epoch, replacing any earlier sn.  Ignored unless {!status} is
-    [Fresh] or [Proposed]. *)
+    (>= 0) this epoch, replacing any earlier sn.  Ignored unless {!status}
+    is [Fresh] or [Proposed]. *)
 
 val proposed_at : t -> Proto.Request.id -> int
 (** The sn last noted for the request since {!clear_proposals}, or
     {!no_proposal} if none was or the request is delivered. *)
+
+val acceptable : t -> Proto.Request.id -> sn:int -> bool
+(** Whether a follower may accept the request into the proposal at [sn]:
+    its {!status} is [Fresh], or [Proposed] with {!proposed_at} [= sn].
+    The per-request check of proposal validation (§4.2), in one lookup. *)
 
 val clear_proposals : t -> unit
 (** Forget every noted proposal (a new epoch, or a checkpoint jump). *)

@@ -167,6 +167,6 @@ val routing_view : t -> (int * Proto.Ids.node_id array) option
 val request_terminal : t -> Proto.Request.id -> bool
 (** What the request's client has heard: the request reached its reply
     quorum, or the client gave it up ({!note_gave_up}).  Kept in one
-    {!Core.Watermarks.t} (a floor and a bitmap per client), whose memory
+    {!Core.Watermarks.t} (a floor and a ring per client), whose memory
     follows how far out of order requests end, not the run length.  The
     workload's resubmission sweeper and watermark gate read this. *)

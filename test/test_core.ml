@@ -808,7 +808,8 @@ let prop_watermarks_exact =
         ops)
 
 (* Reads never add a client: an unknown one reads as floor 0 with nothing
-   delivered or proposed, and a thousand of them leave the table as it was. *)
+   delivered or proposed, and a thousand of them leave the table as it was.
+   Nor does a proposal the tracker ignores. *)
 let test_watermarks_reads_do_not_insert () =
   let w = Core.Watermarks.create ~window:8 in
   let id client ts = { Proto.Request.client; ts } in
@@ -825,6 +826,8 @@ let test_watermarks_reads_do_not_insert () =
       (Core.Watermarks.proposed_at w (id client 0))
   done;
   check_int "table unchanged by reads" empty (words ());
+  Core.Watermarks.note_proposed w (id 5 8) ~sn:11;
+  check_int "a proposal past the window adds nothing" empty (words ());
   Core.Watermarks.note_proposed w (id 5 3) ~sn:11;
   check_bool "a proposal adds its client" true (words () > empty);
   check_int "noted sn" 11 (Core.Watermarks.proposed_at w (id 5 3));
@@ -896,6 +899,108 @@ let prop_watermarks_proposals_exact =
             clients)
         ops)
 
+(* [clear_proposals] forgets only proposals: a delivery above the floor
+   keeps its mark, and the floor still waits for the gap below it. *)
+let test_watermarks_clear_keeps_delivered () =
+  let w = Core.Watermarks.create ~window:8 in
+  let id ts = { Proto.Request.client = 5; ts } in
+  Core.Watermarks.note_delivered w (id 3);
+  Core.Watermarks.note_proposed w (id 1) ~sn:7;
+  Core.Watermarks.clear_proposals w;
+  check_bool "3 still delivered" true (Core.Watermarks.delivered w (id 3));
+  check_bool "3 reads as delivered" true
+    (Core.Watermarks.status w (id 3) = Core.Watermarks.Delivered);
+  check_int "proposal forgotten" Core.Watermarks.no_proposal (Core.Watermarks.proposed_at w (id 1));
+  check_bool "1 fresh again" true (Core.Watermarks.status w (id 1) = Core.Watermarks.Fresh);
+  check_int "floor waits for 0" 0 (Core.Watermarks.floor w 5);
+  List.iter (fun ts -> Core.Watermarks.note_delivered w (id ts)) [ 0; 1; 2 ];
+  check_int "floor passes the kept mark" 4 (Core.Watermarks.floor w 5)
+
+(* The whole tracker against a naive model: a delivered set and an
+   id -> sn table per client.  Over 64 clients, so the client table grows
+   and probes collide; offsets from the floor reach far past a fresh ring
+   (2 slots) and past the window, so blocks grow while the table holds
+   them.  After every operation the touched client is read at every
+   timestamp from 0 to well past its floor and its furthest delivery. *)
+let prop_watermarks_model =
+  let window = 16 and clients = 150 in
+  let id_of c = 100_000 + (c * 37) in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map3
+              (fun c d sn -> `Propose (c, d, sn))
+              (int_bound (clients - 1)) (int_range (-2) (window + 2)) (int_bound 50) );
+          (4, map2 (fun c d -> `Deliver (c, d)) (int_bound (clients - 1)) (int_bound 4));
+          (1, map2 (fun c d -> `Deliver (c, d)) (int_bound (clients - 1)) (int_bound (12 * window)));
+          (3, map2 (fun c d -> `Read (c, d)) (int_bound (clients - 1)) (int_range (-3) (3 * window)));
+          (1, return `Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"tracker matches a naive model" ~count:100
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 400) op_gen))
+    (fun ops ->
+      let w = Core.Watermarks.create ~window in
+      let delivered = Hashtbl.create 64 and proposed = Hashtbl.create 64 in
+      let highest = Hashtbl.create 64 in
+      let floor c =
+        let f = ref 0 in
+        while Hashtbl.mem delivered (c, !f) do
+          incr f
+        done;
+        !f
+      in
+      let agrees c ts =
+        let id = { Proto.Request.client = id_of c; ts } in
+        let is_delivered = Hashtbl.mem delivered (c, ts) in
+        let sn = Option.value (Hashtbl.find_opt proposed (c, ts)) ~default:(-1) in
+        let status =
+          if is_delivered then Core.Watermarks.Delivered
+          else if ts >= floor c + window then Core.Watermarks.Outside_window
+          else if sn >= 0 then Core.Watermarks.Proposed
+          else Core.Watermarks.Fresh
+        in
+        let acceptable =
+          status = Core.Watermarks.Fresh || status = Core.Watermarks.Proposed
+        in
+        Core.Watermarks.delivered w id = is_delivered
+        && Core.Watermarks.status w id = status
+        && Core.Watermarks.proposed_at w id = (if sn >= 0 then sn else Core.Watermarks.no_proposal)
+        && Core.Watermarks.acceptable w id ~sn:3 = (acceptable && (sn < 0 || sn = 3))
+        && Core.Watermarks.acceptable w id ~sn:(sn + 1) = (acceptable && sn < 0)
+      in
+      let client_agrees c =
+        let hi = max (floor c) (Option.value (Hashtbl.find_opt highest c) ~default:0) in
+        Core.Watermarks.floor w (id_of c) = floor c
+        && List.for_all (agrees c) (List.init (hi + (2 * window)) Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Propose (c, d, sn) ->
+              let ts = max 0 (floor c + d) in
+              if (not (Hashtbl.mem delivered (c, ts))) && ts < floor c + window then
+                Hashtbl.replace proposed (c, ts) sn;
+              Core.Watermarks.note_proposed w { Proto.Request.client = id_of c; ts } ~sn;
+              client_agrees c
+          | `Deliver (c, d) ->
+              let ts = floor c + d in
+              Hashtbl.replace delivered (c, ts) ();
+              Hashtbl.remove proposed (c, ts);
+              Hashtbl.replace highest c
+                (max ts (Option.value (Hashtbl.find_opt highest c) ~default:0));
+              Core.Watermarks.note_delivered w { Proto.Request.client = id_of c; ts };
+              client_agrees c
+          | `Read (c, d) -> agrees c (max 0 (floor c + d))
+          | `Clear ->
+              Hashtbl.reset proposed;
+              Core.Watermarks.clear_proposals w;
+              true)
+        ops
+      && List.for_all client_agrees (List.init clients Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Allocation guards: per-request and per-vote paths allocate nothing once
    their state exists. *)
@@ -919,6 +1024,8 @@ let test_watermarks_allocate_nothing () =
   Core.Watermarks.note_delivered w ids.(0);
   check_no_alloc "Watermarks.status"
     (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.status w ids.(i))));
+  check_no_alloc "Watermarks.delivered"
+    (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.delivered w ids.(i))));
   (* Pairwise swapped (2, 1, 4, 3, ...): out of order, yet inside the ring. *)
   check_no_alloc "Watermarks.note_delivered"
     (words_per_call ~n:10_000 (fun i ->
@@ -936,7 +1043,21 @@ let test_watermarks_proposals_allocate_nothing () =
     (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.proposed_at w ids.(i land 63))));
   check_no_alloc "Watermarks.status of a proposed request"
     (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.status w ids.(i land 63))));
+  check_no_alloc "Watermarks.acceptable"
+    (words_per_call ~n:10_000 (fun i ->
+         ignore (Core.Watermarks.acceptable w ids.(i land 63) ~sn:i)));
   check_int "last noted sn" 10_000 (Core.Watermarks.proposed_at w ids.(10_000 land 63))
+
+(* Index hits: asking whether a request is queued, and committing it. *)
+let test_bq_hits_allocate_nothing () =
+  let q = Bq.create ~num_buckets:4 in
+  let reqs = Array.init 10_001 (fun ts -> req ~client:(1 + (ts land 7)) ~ts) in
+  Array.iter (fun r -> ignore (Bq.add q r)) reqs;
+  let id i = reqs.(i).Proto.Request.id in
+  check_no_alloc "Bucket_queue.queued"
+    (words_per_call ~n:10_000 (fun i -> ignore (Bq.queued q (id i))));
+  check_no_alloc "Bucket_queue.commit" (words_per_call ~n:10_000 (fun i -> Bq.commit q (id i)));
+  check_int "one left" 1 (Bq.pending q)
 
 let test_votes_add_allocates_nothing () =
   let n = 64 in
@@ -1573,12 +1694,16 @@ let () =
           qc prop_watermarks_exact;
           Alcotest.test_case "reads do not insert" `Quick test_watermarks_reads_do_not_insert;
           qc prop_watermarks_proposals_exact;
+          Alcotest.test_case "clear keeps delivered marks" `Quick
+            test_watermarks_clear_keeps_delivered;
+          qc prop_watermarks_model;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "watermark lookups" `Quick test_watermarks_allocate_nothing;
           Alcotest.test_case "watermark proposals" `Quick
             test_watermarks_proposals_allocate_nothing;
+          Alcotest.test_case "bucket-queue hits" `Quick test_bq_hits_allocate_nothing;
           Alcotest.test_case "PBFT vote" `Quick test_votes_add_allocates_nothing;
         ] );
       ( "checkpoints",
