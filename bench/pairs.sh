@@ -7,11 +7,14 @@
 # with each executable, the parent first in odd pairs and the change first
 # in even ones, so that a drift in the host's load falls on both sides.
 # Then prints, for every end-to-end metric of the run's JSON line, each
-# side's median and quartiles and how many pairs the change won (ties
-# count for neither side), with the metric's direction from BENCHMARK.json
-# ("lower" when it is not listed).  A gain holds when the change wins at
-# least 9 of 10 pairs and the medians differ by more than the parent's
-# interquartile range.
+# side's median and quartiles, how many pairs the change won (ties count
+# for neither side) and a verdict, with the metric's direction and bound
+# from BENCHMARK.json ("lower" and no bound when it is not listed).  The
+# verdict is "gain" when the change wins at least 9 of every 10 pairs and
+# the medians differ by more than the parent's interquartile range,
+# "WORSE" when the change's median is worse than the parent's by more than
+# the metric's bound (a fraction of the parent's median), and "-"
+# otherwise.
 #
 # Build the two executables from two checkouts, e.g.
 #   (cd parent && dune build bench/e2e/e2e_bench.exe)
@@ -48,9 +51,11 @@ python3 - "$out" "$n" "$root/BENCHMARK.json" "$workload" "$seed" <<'PY'
 import json, os, sys
 
 out, n, bench, workload, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
-better = {}
+better, bound = {}, {}
 if os.path.exists(bench):
-    better = {m["name"]: m["better"] for m in json.load(open(bench)).get("end_to_end", [])}
+    for m in json.load(open(bench)).get("end_to_end", []):
+        better[m["name"]] = m["better"]
+        bound[m["name"]] = m.get("bound")
 
 def load(side, i):
     r = json.load(open(os.path.join(out, f"{side}-{i}.json")))
@@ -67,12 +72,22 @@ def quantile(xs, q):
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 print(f"# {workload} seed {seed}: {n} alternating pair(s), --seconds 20")
-print(f"{'metric':<22} {'parent q1/median/q3':>36} {'change q1/median/q3':>36}  wins")
+def verdict(name, p, c, wins):
+    sign = -1 if better.get(name, "lower") == "higher" else 1
+    pm, cm = quantile(p, 0.5), quantile(c, 0.5)
+    iqr = quantile(p, 0.75) - quantile(p, 0.25)
+    if bound.get(name) is not None and sign * (cm - pm) > bound[name] * abs(pm):
+        return "WORSE"
+    if 10 * wins >= 9 * n and sign * (pm - cm) > iqr:
+        return "gain"
+    return "-"
+
+print(f"{'metric':<22} {'parent q1/median/q3':>36} {'change q1/median/q3':>36}  wins  verdict")
 for name in runs["parent"][0]:
     sign = -1 if better.get(name, "lower") == "higher" else 1
     p = [r[name] for r in runs["parent"]]
     c = [r[name] for r in runs["change"]]
     wins = sum(1 for a, b in zip(p, c) if sign * (b - a) < 0)
     fmt = lambda xs: "/".join(f"{quantile(xs, q):.6g}" for q in (0.25, 0.5, 0.75))
-    print(f"{name:<22} {fmt(p):>36} {fmt(c):>36}  {wins}/{n}")
+    print(f"{name:<22} {fmt(p):>36} {fmt(c):>36}  {wins}/{n}  {verdict(name, p, c, wins)}")
 PY

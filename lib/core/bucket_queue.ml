@@ -12,9 +12,15 @@
    entry that is not queued is linked nowhere, and a re-entry re-links that
    same entry.
 
-   Memory follows use: a bucket holds the shared empty ring until its first
-   add, and the index starts small, since a node indexes only the requests
-   sent to it. *)
+   Each bucket counts the index entries of its requests, queued or cut, so
+   a commit looks the id up only where that count is positive.  Clients
+   send a request to the few nodes that may lead its bucket
+   ([Bucket_assignment.client_targets]), so on every other node the count
+   is 0 and a commit costs no index lookup.
+
+   Memory follows use: a bucket holds the shared read-only [empty_fifo]
+   until its first add, and [clear] hands its own fifo back; the index
+   starts small, since a node indexes only the requests sent to it. *)
 
 module Key_tbl = Proto.Request.Key_tbl
 
@@ -27,6 +33,7 @@ type fifo = {
   mutable behind : entry list;  (* re-entries, sorted ascending by seq *)
   mutable count : int;  (* queued entries *)
   mutable last_seq : int;  (* newest arrival number the ring has taken *)
+  mutable indexed : int;  (* index entries of this bucket's requests *)
 }
 
 type t = {
@@ -47,22 +54,19 @@ let initial_capacity = 8
 let dummy =
   { req = Proto.Request.make ~client:(-1) ~ts:0 ~submitted_at:0 (); seq = -1; queued = false }
 
-(* Every bucket's ring until its first add; never written. *)
+(* Every fifo's ring until its first add; never written. *)
 let empty_ring = [||]
+
+let new_fifo () =
+  { ring = empty_ring; head = 0; tail = 0; behind = []; count = 0; last_seq = min_int; indexed = 0 }
+
+(* Every bucket's fifo until its first add; never written. *)
+let empty_fifo = new_fifo ()
 
 let create ~num_buckets =
   {
     num_buckets;
-    fifos =
-      Array.init num_buckets (fun _ ->
-          {
-            ring = empty_ring;
-            head = 0;
-            tail = 0;
-            behind = [];
-            count = 0;
-            last_seq = min_int;
-          });
+    fifos = Array.make num_buckets empty_fifo;
     index = Key_tbl.create 64;
     next_seq = 0;
     pending = 0;
@@ -83,6 +87,17 @@ let queued t id =
 
 let fifo_of t (id : Proto.Request.id) =
   t.fifos.(Proto.Request.bucket_of_id ~num_buckets:t.num_buckets id)
+
+(* The bucket's own fifo, made on its first add. *)
+let own_fifo t (id : Proto.Request.id) =
+  let b = Proto.Request.bucket_of_id ~num_buckets:t.num_buckets id in
+  let f = t.fifos.(b) in
+  if f != empty_fifo then f
+  else begin
+    let f = new_fifo () in
+    t.fifos.(b) <- f;
+    f
+  end
 
 let slot f logical = f.ring.(logical land (Array.length f.ring - 1))
 
@@ -131,7 +146,9 @@ let enter t (r : Proto.Request.t) ~consume =
       let e = { req = r; seq = t.next_seq; queued = false } in
       if consume then t.next_seq <- t.next_seq + 1;
       Key_tbl.add t.index key e;
-      link t (fifo_of t r.id) e;
+      let f = own_fifo t r.id in
+      f.indexed <- f.indexed + 1;
+      link t f e;
       true
 
 let add t r = enter t r ~consume:true
@@ -190,27 +207,37 @@ let cut t ~buckets ~max =
         (fun _ -> pop t (oldest t buckets t.fifos.(b0) max_int))
 
 let commit t id =
-  let key = Proto.Request.id_key id in
-  match Key_tbl.find t.index key with
-  | exception Not_found -> ()
-  | e ->
-      Key_tbl.remove t.index key;
-      if e.queued then begin
-        let f = fifo_of t id in
-        e.queued <- false;
-        f.count <- f.count - 1;
-        t.pending <- t.pending - 1;
-        trim f
-      end
+  let f = fifo_of t id in
+  if f.indexed > 0 then
+    let key = Proto.Request.id_key id in
+    match Key_tbl.find t.index key with
+    | exception Not_found -> ()
+    | e ->
+        Key_tbl.remove t.index key;
+        f.indexed <- f.indexed - 1;
+        if e.queued then begin
+          e.queued <- false;
+          f.count <- f.count - 1;
+          t.pending <- t.pending - 1;
+          trim f
+        end
 
+(* Every request entering after the clear takes an arrival number from
+   [t.next_seq] on, so a fifo's [last_seq] (never above [t.next_seq])
+   matters only when it equals [t.next_seq]: such a fifo is emptied in
+   place, every other one handed back. *)
 let clear t =
-  Array.iter
-    (fun f ->
-      f.ring <- empty_ring;
-      f.head <- 0;
-      f.tail <- 0;
-      f.behind <- [];
-      f.count <- 0)
+  Array.iteri
+    (fun b f ->
+      if f.last_seq < t.next_seq then t.fifos.(b) <- empty_fifo
+      else begin
+        f.ring <- empty_ring;
+        f.head <- 0;
+        f.tail <- 0;
+        f.behind <- [];
+        f.count <- 0;
+        f.indexed <- 0
+      end)
     t.fifos;
   Key_tbl.reset t.index;
   t.pending <- 0

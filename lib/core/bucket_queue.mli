@@ -31,9 +31,12 @@
     bucket's re-entry list, and a cut, which compares the fronts of the
     listed buckets for each request it takes.
 
-    Memory follows use: a bucket gets its ring on its first add (and
-    {!clear} takes it back), and the index starts small and grows with the
-    requests the node holds. *)
+    Each bucket counts the index entries of its requests, so {!commit} of
+    a request in a bucket the node holds nothing of costs no index lookup.
+
+    Memory follows use: a bucket gets its own FIFO record and ring on its
+    first add (and {!clear} takes them back), and the index starts small
+    and grows with the requests the node holds. *)
 
 type t
 

@@ -106,6 +106,7 @@ let id t = t.id
 let config t = t.config
 let current_epoch t = t.epoch.e_num
 let log t = t.log
+let watermarks t = t.watermarks
 let is_halted t = t.halted
 let delivered_count t = t.locally_delivered
 let auth_failures t = t.auth_failures
@@ -371,47 +372,50 @@ let cancel_batcher t = Option.iter (fun b -> Timer.cancel b.timer) t.epoch.e_bat
 (* Proposal validation — the follower-side checks of §4.2 (common design
    principle 3). *)
 
+(* The verdict on [reqs.(i ..)], the first failing request deciding it.
+   Failures split into two classes: a bad request signature or an
+   out-of-bucket request is {e provable} misbehaviour (an honest leader
+   cannot cut either), so the verdict is [Reject_malicious];
+   duplicate/stale/overflowing requests could come from an
+   honest-but-lagging leader, so they stay a plain [Reject].
+
+   Each acceptable request is noted at [sn] by the same lookup that checks
+   it.  Only an accepted batch may leave a trace, so on a rejection the
+   requests this call noted are withdrawn as the recursion unwinds, newest
+   first; one already proposed at [sn] keeps its mark. *)
+let rec check_requests t seg ~num_buckets ~signatures ~sn reqs i =
+  if i = Array.length reqs then Orderer_intf.Accept
+  else begin
+    let r = reqs.(i) in
+    if
+      (* (a) request validity: a forged client signature proves the
+         leader fabricated or tampered with the request. *)
+      (signatures && not (Proto.Request.signature_valid r))
+      (* (c) maps to one of the segment's buckets: §4.2 principle 3 — a
+         request outside the segment's buckets can only appear if the
+         leader ignored the epoch's bucket assignment. *)
+      || not (Segment.owns_bucket seg (Proto.Request.bucket_of_id ~num_buckets r.id))
+    then Orderer_intf.Reject_malicious
+    else
+      (* not proposed at another sn this epoch; inside the client's
+         watermark window and (b) not committed in an earlier epoch *)
+      match Watermarks.propose t.watermarks r.id ~sn with
+      | Watermarks.Refused -> Orderer_intf.Reject
+      | Watermarks.Kept -> check_requests t seg ~num_buckets ~signatures ~sn reqs (i + 1)
+      | Watermarks.Noted -> (
+          match check_requests t seg ~num_buckets ~signatures ~sn reqs (i + 1) with
+          | Orderer_intf.Accept -> Orderer_intf.Accept
+          | verdict ->
+              Watermarks.withdraw t.watermarks r.id;
+              verdict)
+  end
+
 let validate_proposal t (seg : Segment.t) ~sn proposal =
   match proposal with
   | Proto.Proposal.Nil -> Orderer_intf.Accept
   | Proto.Proposal.Batch batch ->
-      let num_buckets = Config.num_buckets t.config in
-      let signatures = Config.client_signatures t.config in
-      let reqs = Proto.Batch.requests batch in
-      (* The first failing request decides the verdict.  Failures split into
-         two classes: a bad request signature or an out-of-bucket request is
-         {e provable} misbehaviour (an honest leader cannot cut either), so
-         the verdict is [Reject_malicious]; duplicate/stale/overflowing
-         requests could come from an honest-but-lagging leader, so they stay
-         a plain [Reject]. *)
-      let rec check i =
-        if i = Array.length reqs then Orderer_intf.Accept
-        else begin
-          let r = reqs.(i) in
-          if
-            (* (a) request validity: a forged client signature proves the
-               leader fabricated or tampered with the request. *)
-            (signatures && not (Proto.Request.signature_valid r))
-            (* (c) maps to one of the segment's buckets: §4.2 principle 3 —
-               a request outside the segment's buckets can only appear if
-               the leader ignored the epoch's bucket assignment. *)
-            || not (Segment.owns_bucket seg (Proto.Request.bucket_of_id ~num_buckets r.id))
-          then Orderer_intf.Reject_malicious
-          else if
-            (* not proposed at another sn this epoch; inside the client's
-               watermark window and (b) not committed in an earlier epoch *)
-            not (Watermarks.acceptable t.watermarks r.id ~sn)
-          then Orderer_intf.Reject
-          else check (i + 1)
-        end
-      in
-      (* Record only an accepted batch, so a rejection leaves no trace. *)
-      let verdict = check 0 in
-      if verdict = Orderer_intf.Accept then
-        Array.iter
-          (fun (r : Proto.Request.t) -> Watermarks.note_proposed t.watermarks r.id ~sn)
-          reqs;
-      verdict
+      check_requests t seg ~num_buckets:(Config.num_buckets t.config)
+        ~signatures:(Config.client_signatures t.config) ~sn (Proto.Batch.requests batch) 0
 
 (* ------------------------------------------------------------------ *)
 (* Commit path: SB-DELIVER -> log -> delivery -> epoch advancement *)

@@ -111,6 +111,10 @@ val id : t -> Proto.Ids.node_id
 val config : t -> Config.t
 val current_epoch : t -> int
 val log : t -> Log.t
+
+val watermarks : t -> Watermarks.t
+(** Client windows, deliveries and this epoch's proposals; read it only. *)
+
 val pending_requests : t -> int
 (** Requests currently queued in this node's buckets. *)
 

@@ -115,18 +115,37 @@ let status t (id : Proto.Request.id) =
 
 let proposed_at t (id : Proto.Request.id) = max no_proposal (get (lookup t id.client) id.ts)
 
-let acceptable t (id : Proto.Request.id) ~sn =
-  let b = lookup t id.client in
-  let v = get b id.ts in
-  v <> done_ && id.ts < b.(1) + t.window && (v = no_proposal || v = sn)
+(* Write [sn] into the slot of [id], whose client's table index is [i]
+   and block [b], adding or growing the block as needed. *)
+let write_sn t i b (id : Proto.Request.id) sn =
+  let b = fit t (if b == unknown then insert t id.client id.ts else i) id.ts in
+  b.(slot b id.ts) <- sn
 
 let note_proposed t (id : Proto.Request.id) ~sn =
   assert (sn >= 0);
   let i = index t id.client in
   let b = t.blocks.(i) in
-  if get b id.ts <> done_ && id.ts - b.(1) < t.window then
-    let b = fit t (if b == unknown then insert t id.client id.ts else i) id.ts in
-    b.(slot b id.ts) <- sn
+  if get b id.ts <> done_ && id.ts - b.(1) < t.window then write_sn t i b id sn
+
+type proposal = Refused | Noted | Kept
+
+let propose t (id : Proto.Request.id) ~sn =
+  assert (sn >= 0);
+  let i = index t id.client in
+  let b = t.blocks.(i) in
+  let v = get b id.ts in
+  if v = done_ || id.ts - b.(1) >= t.window then Refused
+  else if v = sn then Kept
+  else if v <> no_proposal then Refused
+  else begin
+    write_sn t i b id sn;
+    Noted
+  end
+
+let withdraw t (id : Proto.Request.id) =
+  let b = lookup t id.client in
+  let d = id.ts - b.(1) in
+  if d >= 0 && d < ring b && b.(slot b id.ts) >= 0 then b.(slot b id.ts) <- no_proposal
 
 let clear_proposals t =
   Array.iter

@@ -25,7 +25,10 @@
     lands beyond it, so tracking is exact and its memory follows how far
     ahead of the floor the client's requests actually run.  One probe
     of an open-addressed table finds a client's block, so the window,
-    delivery and proposal checks of one request cost one lookup.  The
+    delivery and proposal checks of one request cost one lookup, and
+    {!propose} also notes the proposal in that lookup: a follower validates
+    a batch request by request, withdrawing what it noted if the batch is
+    rejected after all.  The
     table is not a dense array indexed by client id: ids need not be small
     or contiguous (the workload's start at 100_000, and a Byzantine node
     may make one up), and the table grows only with the clients a node has
@@ -72,10 +75,23 @@ val proposed_at : t -> Proto.Request.id -> int
 (** The sn last noted for the request since {!clear_proposals}, or
     {!no_proposal} if none was or the request is delivered. *)
 
-val acceptable : t -> Proto.Request.id -> sn:int -> bool
-(** Whether a follower may accept the request into the proposal at [sn]:
-    its {!status} is [Fresh], or [Proposed] with {!proposed_at} [= sn].
-    The per-request check of proposal validation (§4.2), in one lookup. *)
+type proposal =
+  | Refused  (** not acceptable at the sn; nothing written *)
+  | Noted  (** [Fresh]: the sn is now noted *)
+  | Kept  (** already [Proposed] at the sn; left as it was *)
+
+val propose : t -> Proto.Request.id -> sn:int -> proposal
+(** The per-request check of proposal validation (§4.2) and its note, in
+    one lookup: a follower may accept the request into the proposal at [sn]
+    ([sn >= 0]) when its {!status} is [Fresh], or [Proposed] with
+    {!proposed_at} [= sn].  A [Fresh] one is then noted at [sn], as
+    {!note_proposed} would. *)
+
+val withdraw : t -> Proto.Request.id -> unit
+(** Undo a {!propose} that answered [Noted], once the batch it was in is
+    rejected: the request reads [Fresh] again.  Withdrawing a batch's
+    [Noted] requests newest first leaves every {!status}, {!proposed_at}
+    and {!floor} as before its first {!propose}. *)
 
 val clear_proposals : t -> unit
 (** Forget every noted proposal (a new epoch, or a checkpoint jump). *)

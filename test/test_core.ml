@@ -5,6 +5,18 @@ let check_int = Alcotest.(check int)
 
 let req ~client ~ts = Proto.Request.make ~client ~ts ~submitted_at:0 ()
 
+(* Words the minor heap grew by per call of [f], over [n] calls; the
+   probe's own boxed floats stay far below 0.01 words per call. *)
+let words_per_call ~n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let check_no_alloc what words =
+  if words >= 0.01 then Alcotest.failf "%s allocates %.2f words per call" what words
+
 (* ------------------------------------------------------------------ *)
 (* Bucket queue *)
 
@@ -276,23 +288,58 @@ let prop_bq_model =
       && Bq.total_added q = !added
       && Bq.max_occupancy q = !high)
 
-(* A bucket gets its ring on its first add: with none, each bucket costs
-   its 7-word record and its slot in the bucket array, and the smallest ring
-   would add 2 more words.  [clear] hands every ring back. *)
+(* A bucket gets its own fifo record and ring on its first add: until then
+   every bucket costs just its slot in the bucket array, all sharing one
+   empty fifo, while a record and the smallest ring would add 9 more words.
+   [clear] hands every record and ring back. *)
 let test_bq_no_ring_until_add () =
   let num_buckets = 2048 in
   let q = Bq.create ~num_buckets in
   let words () = Obj.reachable_words (Obj.repr q) in
-  let bound = 9 * num_buckets in
-  if words () >= bound then
-    Alcotest.failf "empty queue holds %d words, per-bucket rings from %d" (words ()) bound;
+  let shared = 2 * num_buckets and bound = 9 * num_buckets in
+  if words () >= shared then
+    Alcotest.failf "empty queue holds %d words, per-bucket records from %d" (words ()) shared;
   for ts = 0 to (4 * num_buckets) - 1 do
     ignore (Bq.add q (req ~client:1 ~ts))
   done;
   check_bool "adds give buckets rings" true (words () >= bound);
   Bq.clear q;
-  if words () >= bound then
-    Alcotest.failf "cleared queue holds %d words, per-bucket rings from %d" (words ()) bound
+  if words () >= shared then
+    Alcotest.failf "cleared queue holds %d words, per-bucket records from %d" (words ()) shared
+
+(* A commit in a bucket this node never indexed a request of skips the
+   index: it allocates nothing and changes nothing. *)
+let test_bq_commit_unindexed_bucket () =
+  let q = two () in
+  let held = Array.init 8 (fun i -> in_bucket 0 (if i = 0 then 0 else i * 100)) in
+  Array.iter (fun r -> ignore (Bq.add q r)) held;
+  let words = Obj.reachable_words (Obj.repr q) in
+  let strangers = Array.init 10_001 (fun i -> (in_bucket 1 (3 * i)).Proto.Request.id) in
+  check_no_alloc "Bucket_queue.commit in an unindexed bucket"
+    (words_per_call ~n:10_000 (fun i -> Bq.commit q strangers.(i)));
+  check_int "pending unchanged" 8 (Bq.pending q);
+  check_int "index unchanged" words (Obj.reachable_words (Obj.repr q));
+  check_bool "held requests still queued" true
+    (Array.for_all (fun (r : Proto.Request.t) -> Bq.queued q r.id) held)
+
+(* [clear] keeps the newest arrival number of a bucket whose last entry
+   took the next, unconsumed number (a resurrected id the node never
+   numbered).  A request added after the clear shares that number, so it
+   goes to the side list while the ring is empty — and its commit still
+   finds and removes it. *)
+let test_bq_commit_after_resurrect_clear_add () =
+  let q = single () in
+  ignore (Bq.add q (req ~client:1 ~ts:0));
+  Bq.resurrect q (req ~client:2 ~ts:0);
+  Bq.clear q;
+  let r = req ~client:3 ~ts:0 in
+  check_bool "added" true (Bq.add q r);
+  check_int "queued" 1 (Bq.length q ~bucket:0);
+  Bq.commit q r.id;
+  check_bool "commit unqueues it" false (Bq.queued q r.id);
+  check_int "bucket empty" 0 (Bq.length q ~bucket:0);
+  check_int "nothing pending" 0 (Bq.pending q);
+  Alcotest.(check (list int)) "nothing to cut" [] (ts_of (cut1 q ~max:10))
 
 (* ------------------------------------------------------------------ *)
 (* Bucket assignment *)
@@ -916,6 +963,13 @@ let test_watermarks_clear_keeps_delivered () =
   List.iter (fun ts -> Core.Watermarks.note_delivered w (id ts)) [ 0; 1; 2 ];
   check_int "floor passes the kept mark" 4 (Core.Watermarks.floor w 5)
 
+(* [Watermarks.propose], withdrawn again when it noted the sn: its answer
+   leaves the tracker as it was. *)
+let try_propose w id ~sn =
+  let answer = Core.Watermarks.propose w id ~sn in
+  if answer = Core.Watermarks.Noted then Core.Watermarks.withdraw w id;
+  answer
+
 (* The whole tracker against a naive model: a delivered set and an
    id -> sn table per client.  Over 64 clients, so the client table grows
    and probes collide; offsets from the floor reach far past a fresh ring
@@ -965,11 +1019,17 @@ let prop_watermarks_model =
         let acceptable =
           status = Core.Watermarks.Fresh || status = Core.Watermarks.Proposed
         in
+        let proposal s =
+          if not acceptable then Core.Watermarks.Refused
+          else if sn = s then Core.Watermarks.Kept
+          else if sn < 0 then Core.Watermarks.Noted
+          else Core.Watermarks.Refused
+        in
         Core.Watermarks.delivered w id = is_delivered
         && Core.Watermarks.status w id = status
         && Core.Watermarks.proposed_at w id = (if sn >= 0 then sn else Core.Watermarks.no_proposal)
-        && Core.Watermarks.acceptable w id ~sn:3 = (acceptable && (sn < 0 || sn = 3))
-        && Core.Watermarks.acceptable w id ~sn:(sn + 1) = (acceptable && sn < 0)
+        && try_propose w id ~sn:3 = proposal 3
+        && try_propose w id ~sn:(sn + 1) = proposal (sn + 1)
       in
       let client_agrees c =
         let hi = max (floor c) (Option.value (Hashtbl.find_opt highest c) ~default:0) in
@@ -1005,18 +1065,6 @@ let prop_watermarks_model =
 (* Allocation guards: per-request and per-vote paths allocate nothing once
    their state exists. *)
 
-(* Words the minor heap grew by per call of [f], over [n] calls; the
-   probe's own boxed floats stay far below 0.01 words per call. *)
-let words_per_call ~n f =
-  let before = Gc.minor_words () in
-  for i = 1 to n do
-    f i
-  done;
-  (Gc.minor_words () -. before) /. float_of_int n
-
-let check_no_alloc what words =
-  if words >= 0.01 then Alcotest.failf "%s allocates %.2f words per call" what words
-
 let test_watermarks_allocate_nothing () =
   let w = Core.Watermarks.create ~window:512 in
   let id ts = { Proto.Request.client = 7; ts } in
@@ -1043,10 +1091,16 @@ let test_watermarks_proposals_allocate_nothing () =
     (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.proposed_at w ids.(i land 63))));
   check_no_alloc "Watermarks.status of a proposed request"
     (words_per_call ~n:10_000 (fun i -> ignore (Core.Watermarks.status w ids.(i land 63))));
-  check_no_alloc "Watermarks.acceptable"
+  check_int "last noted sn" 10_000 (Core.Watermarks.proposed_at w ids.(10_000 land 63));
+  Core.Watermarks.clear_proposals w;
+  (* Noted, kept on the next call at the same sn, then withdrawn. *)
+  check_no_alloc "Watermarks.propose and withdraw"
     (words_per_call ~n:10_000 (fun i ->
-         ignore (Core.Watermarks.acceptable w ids.(i land 63) ~sn:i)));
-  check_int "last noted sn" 10_000 (Core.Watermarks.proposed_at w ids.(10_000 land 63))
+         let id = ids.(i land 63) in
+         ignore (Core.Watermarks.propose w id ~sn:i);
+         ignore (Core.Watermarks.propose w id ~sn:i);
+         Core.Watermarks.withdraw w id));
+  check_int "withdrawn" Core.Watermarks.no_proposal (Core.Watermarks.proposed_at w ids.(0))
 
 (* Index hits: asking whether a request is queued, and committing it. *)
 let test_bq_hits_allocate_nothing () =
@@ -1092,9 +1146,17 @@ let idle_clock () = Core.Orderer_intf.Clock.of_engine (Sim.Engine.create ())
 let idle_orderer =
   { Core.Orderer_intf.start = ignore; on_message = (fun ~src:_ _ -> ()); stop = ignore }
 
-let test_validate_proposal_verdicts () =
+(* Node 0 of a fresh 4-node ISS-PBFT cluster, judging leader 1's segment
+   (sns 1, 5, 9, ...) through the ctx the node hands that orderer. *)
+type validator = {
+  node : Core.Node.t;
+  ctx : Core.Orderer_intf.ctx;
+  seg : Core.Segment.t;
+  num_buckets : int;
+}
+
+let validator () =
   let config = Core.Config.pbft_default ~n:4 in
-  let num_buckets = Core.Config.num_buckets config in
   let ctxs = ref [] in
   let orderer_factory ctx seg =
     ctxs := (ctx, seg) :: !ctxs;
@@ -1106,21 +1168,26 @@ let test_validate_proposal_verdicts () =
       ~orderer_factory ()
   in
   Core.Node.start node;
-  (* Node 0 validating leader 1's segment, whose sequence numbers are
-     1, 5, 9, ... *)
   let ctx, seg = List.find (fun (_, s) -> s.Core.Segment.leader = 1) !ctxs in
-  let sn k = seg.Core.Segment.seq_nrs.(k) in
-  (* The first request of [client] from timestamp [from] on whose bucket the
-     segment owns (or, with [~in_seg:false], does not own). *)
-  let pick ?(in_seg = true) ?signed ~client from =
-    let rec go ts =
-      let bucket = Proto.Request.bucket_of_id ~num_buckets { Proto.Request.client; ts } in
-      if Core.Segment.owns_bucket seg bucket = in_seg then
-        Proto.Request.make ~client ~ts ?signed ~submitted_at:0 ()
-      else go (ts + 1)
-    in
-    go from
+  { node; ctx; seg; num_buckets = Core.Config.num_buckets config }
+
+(* The first request of [client] from timestamp [from] on whose bucket the
+   validator's segment owns (or, with [~in_seg:false], does not own). *)
+let pick v ?(in_seg = true) ?signed ~client from =
+  let rec go ts =
+    let bucket = Proto.Request.bucket_of_id ~num_buckets:v.num_buckets { Proto.Request.client; ts } in
+    if Core.Segment.owns_bucket v.seg bucket = in_seg then
+      Proto.Request.make ~client ~ts ?signed ~submitted_at:0 ()
+    else go (ts + 1)
   in
+  go from
+
+let test_validate_proposal_verdicts () =
+  let v = validator () in
+  let node = v.node and ctx = v.ctx and seg = v.seg and num_buckets = v.num_buckets in
+  let config = Core.Node.config node in
+  let sn k = seg.Core.Segment.seq_nrs.(k) in
+  let pick = pick v in
   let batch reqs = Proto.Proposal.Batch (Proto.Batch.make (Array.of_list reqs)) in
   let verdict =
     Alcotest.testable
@@ -1185,6 +1252,157 @@ let test_validate_proposal_verdicts () =
   done;
   check_int "node entered epoch 1" 1 (Core.Node.current_epoch node);
   verdicts "epoch 1, epoch-0 segment"
+
+(* Today's validation in two passes, as a reference: check every request
+   with reads only, then note the whole batch once it is accepted. *)
+let two_pass_verdict w ~malicious ~sn reqs =
+  let module W = Core.Watermarks in
+  let rec check i =
+    if i = Array.length reqs then Core.Orderer_intf.Accept
+    else
+      let r = reqs.(i) in
+      if malicious r then Core.Orderer_intf.Reject_malicious
+      else
+        match W.status w r.Proto.Request.id with
+        | W.Fresh -> check (i + 1)
+        | W.Proposed when W.proposed_at w r.id = sn -> check (i + 1)
+        | _ -> Core.Orderer_intf.Reject
+  in
+  let verdict = check 0 in
+  if verdict = Core.Orderer_intf.Accept then
+    Array.iter (fun (r : Proto.Request.t) -> W.note_proposed w r.id ~sn) reqs;
+  verdict
+
+(* One-probe validation with rollback against [two_pass_verdict] on a
+   reference tracker.  Random batches draw from a small pool of good
+   requests, so they repeat requests inside a batch and across sns, and
+   some re-validate the previous batch at its sn; most carry one failing
+   request at a random position: delivered, outside the window, proposed
+   at another sn, unsigned, or in a foreign bucket.  After every batch
+   the verdict, and [status], [proposed_at] and [floor] of every request
+   and client used, match the reference; after a rejection they also
+   match what they were before the batch. *)
+let prop_validation_rollback =
+  let causes = 6 (* the five failures, or none *) in
+  let step_gen =
+    QCheck.Gen.(
+      quad (int_bound 2) (list_size (int_range 0 8) (int_bound 11))
+        (pair (int_bound (causes - 1)) (int_bound 8))
+        (frequency [ (4, return false); (1, return true) ]))
+  in
+  QCheck.Test.make ~name:"one-probe validation matches two passes, rejections leave no trace"
+    ~count:60
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 25) step_gen))
+    (fun steps ->
+      let module W = Core.Watermarks in
+      let v = validator () in
+      let pick = pick v in
+      let sn k = v.seg.Core.Segment.seq_nrs.(k) in
+      let w = Core.Node.watermarks v.node in
+      let window = W.window w in
+      let reference = W.create ~window in
+      let malicious r =
+        (not (Proto.Request.signature_valid r))
+        || not
+             (Core.Segment.owns_bucket v.seg
+                (Proto.Request.bucket_of_id ~num_buckets:v.num_buckets r.Proto.Request.id))
+      in
+      let ids = Hashtbl.create 64 in
+      let use reqs = Array.iter (fun (r : Proto.Request.t) -> Hashtbl.replace ids r.id ()) reqs in
+      let judge ~sn reqs =
+        use reqs;
+        let expect = two_pass_verdict reference ~malicious ~sn reqs in
+        let got =
+          v.ctx.Core.Orderer_intf.validate_proposal v.seg ~sn
+            (Proto.Proposal.Batch (Proto.Batch.make reqs))
+        in
+        (expect, got)
+      in
+      let snapshot w =
+        Hashtbl.fold
+          (fun (id : Proto.Request.id) () acc ->
+            (id, W.status w id, W.proposed_at w id, W.floor w id.client) :: acc)
+          ids []
+        |> List.sort compare
+      in
+      (* Four clients' first three in-segment requests each. *)
+      let pool =
+        Array.concat
+          (List.init 4 (fun c ->
+               let a = pick ~client:(c + 1) 0 in
+               let b = pick ~client:(c + 1) (a.Proto.Request.id.ts + 1) in
+               [| a; b; pick ~client:(c + 1) (b.id.ts + 1) |]))
+      in
+      (* Client 5's first two requests are delivered at sn 0; client 6's
+         first request waits, proposed at the last sn of the segment. *)
+      let d0 = pick ~client:5 0 in
+      let delivered = [| d0; pick ~client:5 (d0.id.ts + 1) |] in
+      v.ctx.Core.Orderer_intf.announce ~sn:0 (Proto.Proposal.Batch (Proto.Batch.make delivered));
+      Array.iter (fun (r : Proto.Request.t) -> W.note_delivered reference r.id) delivered;
+      let elsewhere = pick ~client:6 0 in
+      let anchor_sn = sn (Array.length v.seg.Core.Segment.seq_nrs - 1) in
+      let setup = judge ~sn:anchor_sn [| elsewhere |] in
+      let failing cause client =
+        match cause with
+        | 0 -> Some delivered.(client land 1)
+        | 1 -> Some (pick ~client:(1 + (client land 3)) window)
+        | 2 -> Some elsewhere
+        | 3 -> Some (pick ~signed:false ~client:(7 + (client land 1)) 0)
+        | 4 -> Some (pick ~in_seg:false ~client:(1 + (client land 3)) 0)
+        | _ -> None
+      in
+      let last = ref (sn 0, [||]) in
+      setup = (Core.Orderer_intf.Accept, Core.Orderer_intf.Accept)
+      && List.for_all
+           (fun (k, picks, (cause, pos), again) ->
+             let s, reqs =
+               if again then !last
+               else begin
+                 let good = List.map (fun i -> pool.(i)) picks in
+                 let reqs =
+                   match failing cause pos with
+                   | None -> good
+                   | Some bad ->
+                       let at = pos mod (List.length good + 1) in
+                       List.filteri (fun i _ -> i < at) good
+                       @ (bad :: List.filteri (fun i _ -> i >= at) good)
+                 in
+                 (sn k, Array.of_list reqs)
+               end
+             in
+             last := (s, reqs);
+             use reqs;
+             let before = snapshot w in
+             let expect, got = judge ~sn:s reqs in
+             let after = snapshot w in
+             expect = got
+             && after = snapshot reference
+             && (got = Core.Orderer_intf.Accept || after = before))
+           steps)
+
+(* Validation checks and notes a request in one probe, with no closure or
+   record per request: accepting 64 requests costs no more minor words
+   than accepting one.  A rejected copy of each batch first gives the
+   clients their tracker blocks, so both acceptances run on warm state. *)
+let test_validate_allocates_per_batch () =
+  let v = validator () in
+  let sn k = v.seg.Core.Segment.seq_nrs.(k) in
+  let unsigned = pick v ~signed:false ~client:99 0 in
+  let batch reqs = Proto.Proposal.Batch (Proto.Batch.make reqs) in
+  let accept_words k reqs =
+    let judge reqs = v.ctx.Core.Orderer_intf.validate_proposal v.seg ~sn:(sn k) reqs in
+    let rejected = batch (Array.append reqs [| unsigned |]) and accepted = batch reqs in
+    check_bool "warm-up rejected" true (judge rejected = Core.Orderer_intf.Reject_malicious);
+    let before = Gc.minor_words () in
+    let verdict = judge accepted in
+    let words = Gc.minor_words () -. before in
+    check_bool "accepted" true (verdict = Core.Orderer_intf.Accept);
+    words
+  in
+  let one = accept_words 1 [| pick v ~client:1 0 |] in
+  let many = accept_words 2 (Array.init 64 (fun c -> pick v ~client:(100 + c) 0)) in
+  if many > one then
+    Alcotest.failf "a 64-request batch allocates %.0f words, a 1-request batch %.0f" many one
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints (§3.5)
@@ -1651,6 +1869,9 @@ let () =
           Alcotest.test_case "resurrect unnumbered id" `Quick test_bq_resurrect_unknown;
           qc prop_bq_model;
           Alcotest.test_case "no ring until the first add" `Quick test_bq_no_ring_until_add;
+          Alcotest.test_case "commit in an unindexed bucket" `Quick test_bq_commit_unindexed_bucket;
+          Alcotest.test_case "commit after resurrect, clear, add" `Quick
+            test_bq_commit_after_resurrect_clear_add;
         ] );
       ( "bucket-assignment",
         [
@@ -1697,6 +1918,7 @@ let () =
           Alcotest.test_case "clear keeps delivered marks" `Quick
             test_watermarks_clear_keeps_delivered;
           qc prop_watermarks_model;
+          qc prop_validation_rollback;
         ] );
       ( "allocation",
         [
@@ -1705,6 +1927,8 @@ let () =
             test_watermarks_proposals_allocate_nothing;
           Alcotest.test_case "bucket-queue hits" `Quick test_bq_hits_allocate_nothing;
           Alcotest.test_case "PBFT vote" `Quick test_votes_add_allocates_nothing;
+          Alcotest.test_case "validation per batch, not per request" `Quick
+            test_validate_allocates_per_batch;
         ] );
       ( "checkpoints",
         [
