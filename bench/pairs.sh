@@ -71,17 +71,15 @@ def quantile(xs, q):
     hi = min(lo + 1, len(xs) - 1)
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
-print(f"# {workload} seed {seed}: {n} alternating pair(s), --seconds 20")
-def verdict(name, p, c, wins):
-    sign = -1 if better.get(name, "lower") == "higher" else 1
+def verdict(sign, limit, p, c, wins):
     pm, cm = quantile(p, 0.5), quantile(c, 0.5)
-    iqr = quantile(p, 0.75) - quantile(p, 0.25)
-    if bound.get(name) is not None and sign * (cm - pm) > bound[name] * abs(pm):
+    if limit is not None and sign * (cm - pm) > limit * abs(pm):
         return "WORSE"
-    if 10 * wins >= 9 * n and sign * (pm - cm) > iqr:
+    if 10 * wins >= 9 * n and sign * (pm - cm) > quantile(p, 0.75) - quantile(p, 0.25):
         return "gain"
     return "-"
 
+print(f"# {workload} seed {seed}: {n} alternating pair(s), --seconds 20")
 print(f"{'metric':<22} {'parent q1/median/q3':>36} {'change q1/median/q3':>36}  wins  verdict")
 for name in runs["parent"][0]:
     sign = -1 if better.get(name, "lower") == "higher" else 1
@@ -89,5 +87,5 @@ for name in runs["parent"][0]:
     c = [r[name] for r in runs["change"]]
     wins = sum(1 for a, b in zip(p, c) if sign * (b - a) < 0)
     fmt = lambda xs: "/".join(f"{quantile(xs, q):.6g}" for q in (0.25, 0.5, 0.75))
-    print(f"{name:<22} {fmt(p):>36} {fmt(c):>36}  {wins}/{n}  {verdict(name, p, c, wins)}")
+    print(f"{name:<22} {fmt(p):>36} {fmt(c):>36}  {wins}/{n}  {verdict(sign, bound.get(name), p, c, wins)}")
 PY
