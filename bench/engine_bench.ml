@@ -9,7 +9,8 @@
      cancelled before firing);
    - message-heavy: a forwarding mesh over the WAN topology plus a periodic
      all-peers broadcast, the shape of the NIC serialization/delivery path
-     (two engine events per message).
+     (two engine events per delivered copy; a broadcast's copies share one
+     queued record, so [final_pending] counts records, not copies).
 
    `dune exec bench/engine_bench.exe` prints both mixes;
    `-- --json DIR` additionally writes DIR/BENCH_engine.json;
@@ -111,9 +112,7 @@ let message_mix ~target =
   done;
   (* Periodic protocol-style broadcast: node 0 sends to every peer. *)
   let rec broadcast () =
-    for dst = 1 to n - 1 do
-      Sim.Network.send net ~src:0 ~dst ~size:1024 0
-    done;
+    Sim.Network.broadcast net ~src:0 ~size:1024 0;
     ignore (Engine.schedule engine ~delay:(Time_ns.ms 5) broadcast)
   in
   broadcast ();

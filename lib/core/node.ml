@@ -34,6 +34,7 @@ type t = {
   id : Proto.Ids.node_id;
   clock : Orderer_intf.Clock.t;  (* shared with this node's orderers *)
   raw_send : dst:int -> Proto.Message.t -> unit;
+  raw_broadcast : Proto.Message.t -> unit;  (* to every other node *)
   orderer_factory : orderer_factory;
   hooks : hooks;
   tracer : Obs.Tracer.t option;  (* request-lifecycle probe; None = zero cost *)
@@ -68,6 +69,10 @@ type t = {
   mutable st_target : int;  (* rotating state-transfer target *)
   lag_timer : Timer.t;  (* the lag check, re-armed on entering an epoch and on recovery *)
   mutable self_handler : src:int -> Proto.Message.t -> unit;  (* loopback knot *)
+  mutable ctx_send : dst:int -> Proto.Message.t -> unit;
+  mutable ctx_broadcast : Proto.Message.t -> unit;
+      (* [send t] and [broadcast t] for every orderer ctx: two closures per
+         node, not two per segment and epoch *)
 }
 
 and hooks = {
@@ -168,19 +173,27 @@ let trace_proposal_send t msg =
 (* ------------------------------------------------------------------ *)
 (* Plumbing *)
 
+(* Loopback: bypass the NIC, keep a small scheduling delay so local
+   delivery stays asynchronous (as a channel to self would be). *)
+let loopback_delay = Time_ns.us 10
+
+let loopback t msg =
+  t.clock.post ~delay:loopback_delay (fun () -> if not t.halted then t.self_handler ~src:t.id msg)
+
 let send t ~dst msg =
   trace_proposal_send t msg;
-  if dst = t.id then
-    (* Loopback: bypass the NIC, keep a small scheduling delay so local
-       delivery stays asynchronous (as a channel to self would be). *)
-    t.clock.post ~delay:(Time_ns.us 10) (fun () ->
-        if not t.halted then t.self_handler ~src:t.id msg)
-  else t.raw_send ~dst msg
+  if dst = t.id then loopback t msg else t.raw_send ~dst msg
 
+(* The loopback is posted first, then one network broadcast, where a loop
+   of sends in id order would have drawn the loopback's seq between the
+   network copies'.  The (time, seq) order of every event is still the
+   same: nothing else draws a seq in between, and the loopback at now +
+   10 us can never tie with a copy's arrival, which is at least the
+   0.25 ms minimum propagation delay away. *)
 let broadcast t msg =
-  for dst = 0 to t.config.Config.n - 1 do
-    send t ~dst msg
-  done
+  trace_proposal_send t msg;
+  loopback t msg;
+  t.raw_broadcast msg
 
 (* Effective cores for crypto work: the paper's nodes shard signature
    verification over 32 VCPUs. *)
@@ -622,7 +635,8 @@ and make_ctx t (seg : Segment.t) : Orderer_intf.ctx =
     Orderer_intf.node = t.id;
     config = t.config;
     clock = t.clock;
-    send = (fun ~dst msg -> send t ~dst msg);
+    send = t.ctx_send;
+    broadcast = t.ctx_broadcast;
     announce = (fun ~sn proposal -> process_commit t ~sn proposal ~resurrectable:true);
     request_batch =
       (fun ~sn callback ->
@@ -768,13 +782,22 @@ and route_instance t ~src ~instance msg =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~config ~id ~clock ~send:raw_send ~orderer_factory ?(hooks = default_hooks) ?tracer
-    () =
+let create ~config ~id ~clock ~send:raw_send ?broadcast:net_broadcast ~orderer_factory
+    ?(hooks = default_hooks) ?tracer () =
   (match Config.validate config with
   | Ok () -> ()
   | Error e -> invalid_arg ("Node.create: " ^ e));
   let num_buckets = Config.num_buckets config in
   let n = config.Config.n in
+  let raw_broadcast =
+    match net_broadcast with
+    | Some b -> b
+    | None ->
+        fun msg ->
+          for dst = 0 to n - 1 do
+            if dst <> id then raw_send ~dst msg
+          done
+  in
   let f = Config.max_faulty config in
   let t =
     {
@@ -782,6 +805,7 @@ let create ~config ~id ~clock ~send:raw_send ~orderer_factory ?(hooks = default_
       id;
       clock;
       raw_send;
+      raw_broadcast;
       orderer_factory;
       hooks;
       tracer;
@@ -814,9 +838,13 @@ let create ~config ~id ~clock ~send:raw_send ~orderer_factory ?(hooks = default_
       st_target = 0;
       lag_timer = clock.timer ();
       self_handler = (fun ~src:_ _ -> ());
+      ctx_send = (fun ~dst:_ _ -> ());
+      ctx_broadcast = ignore;
     }
   in
   t.self_handler <- (fun ~src msg -> handle_message t ~src msg);
+  t.ctx_send <- (fun ~dst msg -> send t ~dst msg);
+  t.ctx_broadcast <- (fun msg -> broadcast t msg);
   t
 
 let start t =

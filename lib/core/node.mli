@@ -9,10 +9,10 @@
     GC, commits of transferred entries, checkpoint jumps and the lag
     check.
 
-    The node is transport- and simulator-agnostic: it receives a [send]
-    function and a {!Orderer_intf.Clock.t}, and exposes {!on_message}.  It
-    asks that clock for the time and for every delay and timer, and hands
-    it unchanged to each orderer's ctx.  The runner wires [send] to the
+    The node is transport- and simulator-agnostic: it receives [send] (and
+    optionally [broadcast]) functions and a {!Orderer_intf.Clock.t}, and
+    exposes {!on_message}.  It asks that clock for the time and for every
+    delay and timer, and hands it unchanged to each orderer's ctx.  The runner wires them to the
     simulated network and builds one clock per engine; a test can call
     {!on_message} directly. *)
 
@@ -63,16 +63,20 @@ val create :
   id:Proto.Ids.node_id ->
   clock:Orderer_intf.Clock.t ->
   send:(dst:int -> Proto.Message.t -> unit) ->
+  ?broadcast:(Proto.Message.t -> unit) ->
   orderer_factory:orderer_factory ->
   ?hooks:hooks ->
   ?tracer:Obs.Tracer.t ->
   unit ->
   t
-(** [tracer] installs the request-lifecycle probe (DESIGN.md §8): the node
-    records enqueue / cut / SB-broadcast / commit / deliver events for
-    sampled requests.  Omitted (the default), every instrumentation site
-    reduces to one pointer comparison and the run is bit-identical to an
-    untraced one. *)
+(** [send] carries a message to one other node.  [broadcast], when given,
+    carries one to every other node at once ({!Sim.Network.broadcast}); by
+    default it is [send] to each in id order, which the network cannot
+    tell apart.  [tracer] installs the request-lifecycle probe (DESIGN.md
+    §8): the node records enqueue / cut / SB-broadcast / commit / deliver
+    events for sampled requests.  Omitted (the default), every
+    instrumentation site reduces to one pointer comparison and the run is
+    bit-identical to an untraced one. *)
 
 val start : t -> unit
 (** Enter epoch 0 and begin ordering. *)

@@ -58,6 +58,9 @@ type ctx = {
   send : dst:Proto.Ids.node_id -> Proto.Message.t -> unit;
       (** Point-to-point send; [dst = node] loops back locally (cheaply).
           Orderers go through {!Runtime.send} and {!Runtime.broadcast}. *)
+  broadcast : Proto.Message.t -> unit;
+      (** Send to every node, this one included: the loopback, then one
+          network broadcast to the others. *)
   announce : sn:int -> Proto.Proposal.t -> unit;
       (** SB-DELIVER: commit a proposal at a global sequence number.
           Orderers go through {!Runtime.announce}, never here directly. *)
@@ -162,11 +165,7 @@ module Runtime = struct
   let send t ~dst body = t.ctx.send ~dst (t.wrap body)
 
   (** Send [body] to every node, this one included. *)
-  let broadcast t body =
-    let msg = t.wrap body in
-    for dst = 0 to t.ctx.config.Config.n - 1 do
-      t.ctx.send ~dst msg
-    done
+  let broadcast t body = t.ctx.broadcast (t.wrap body)
 
   (** A timer of this instance: disarmed by {!stop}. *)
   let timer t =

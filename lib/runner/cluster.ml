@@ -293,14 +293,16 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
         batch
     end
   in
+  let send_raw id ~dst msg =
+    Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg
+  in
   let mir_gates =
     match system with
     | Mir ->
         Some
           (Array.init n (fun id ->
                Mirbft.create ~clock ~n ~id
-                 ~send:(fun ~dst msg ->
-                   Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
+                 ~send:(send_raw id)
                  ~timeout:config.Core.Config.epoch_change_timeout))
     | Iss _ | Single _ -> None
   in
@@ -326,21 +328,28 @@ let create ?engine ?policy ?tweak ?tracer ?registry ~system ~n ~seed () =
         | None -> None);
     }
   in
+  (* Byzantine adversary proxy: one mutable-field check on the honest path.
+     When a schedule configured an adversary, the node's outgoing traffic is
+     routed through it — the node itself keeps running honest code; only the
+     wire lies.  The adversary rewrites each copy of a broadcast on its own,
+     so a broadcast then falls back to one send per routed copy. *)
+  let send id ~dst msg =
+    match t.adversary with
+    | None -> send_raw id ~dst msg
+    | Some adv ->
+        List.iter (fun (dst, msg) -> send_raw id ~dst msg) (Adversary.route adv ~src:id ~dst msg)
+  in
+  let broadcast id msg =
+    match t.adversary with
+    | None -> Sim.Network.broadcast net ~src:id ~size:(Proto.Message.wire_size msg) msg
+    | Some _ ->
+        for dst = 0 to n - 1 do
+          if dst <> id then send id ~dst msg
+        done
+  in
   let nodes =
     Array.init n (fun id ->
-        Core.Node.create ~config ~id ~clock
-          ~send:(fun ~dst msg ->
-            (* Byzantine adversary proxy: one mutable-field check on the
-               honest path.  When a schedule configured an adversary, the
-               node's outgoing traffic is routed through it — the node
-               itself keeps running honest code; only the wire lies. *)
-            match t.adversary with
-            | None -> Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg
-            | Some adv ->
-                List.iter
-                  (fun (dst, msg) ->
-                    Sim.Network.send net ~src:id ~dst ~size:(Proto.Message.wire_size msg) msg)
-                  (Adversary.route adv ~src:id ~dst msg))
+        Core.Node.create ~config ~id ~clock ~send:(send id) ~broadcast:(broadcast id)
           ~orderer_factory:(factory_for config) ~hooks ?tracer ())
   in
   t.nodes <- nodes;

@@ -1,6 +1,7 @@
 module Q = Event_queue
 
 type timer_id = Q.event
+type owned = Q.event
 
 type t = {
   queue : Q.t;
@@ -27,6 +28,10 @@ let post t ~delay action =
   let delay = if delay < 0 then 0 else delay in
   post_at t ~at:(Time_ns.add t.clock delay) action
 
+let own action = Q.own action
+let draw_seq t = Q.draw_seq t.queue
+let place t ev ~at ~seq = Q.add_owned t.queue ev ~time:at ~seq
+
 let cancel t ev = Q.cancel t.queue ev
 let pending t = Q.live t.queue
 
@@ -39,6 +44,8 @@ let step t =
        limit must not move time backwards. *)
     if ev.Q.time > t.clock then t.clock <- ev.Q.time;
     let action = ev.Q.action in
+    (* Recycles an anonymous record; leaves an owned one, and its action,
+       to its owner, who may place it again from inside [action]. *)
     Q.release t.queue ev;
     t.executed <- t.executed + 1;
     action ();

@@ -31,10 +31,33 @@ val schedule_at : t -> at:Time_ns.t -> (unit -> unit) -> timer_id
 val post : t -> delay:Time_ns.span -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule}: no cancellation handle escapes, which lets
     the engine recycle the event record after it fires.  The hot path for
-    high-volume schedulers (the network's two events per message). *)
+    high-volume schedulers (timers, CPU charges, a node's loopback). *)
 
 val post_at : t -> at:Time_ns.t -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule_at}. *)
+
+(** {2 Owned events}
+
+    A client that keeps many future firings of its own — the network, one
+    per destination of a message in flight — can hold one event record and
+    place it again after each firing, under a seq drawn earlier.  Such a
+    firing takes exactly the place in the [(time, seq)] order that a
+    {!post_at} made at the moment of the draw would take, so a schedule
+    built this way replays bit-identically to one built from posts. *)
+
+type owned
+(** An event record its owner places again and again; the engine never
+    recycles it nor drops its action. *)
+
+val own : (unit -> unit) -> owned
+(** A record that runs [action] each time it fires.  It is not queued. *)
+
+val draw_seq : t -> int
+(** The seq a {!post_at} made now would draw; the counter advances. *)
+
+val place : t -> owned -> at:Time_ns.t -> seq:int -> unit
+(** Queue the record to fire at [(at, seq)].  [seq] comes from {!draw_seq},
+    [at] is not before {!now}, and the record is not queued already. *)
 
 val cancel : t -> timer_id -> unit
 (** Lazy cancellation: marks the event (its closure is released
@@ -45,7 +68,10 @@ val cancel : t -> timer_id -> unit
 val pending : t -> int
 (** Number of live events still queued.  Cancelled-but-unpurged tombstones
     are {e not} counted (they used to be, which over-reported queue depth
-    under fault-injection runs that cancel many timers). *)
+    under fault-injection runs that cancel many timers).  A queued owned
+    record counts once, however many firings its owner keeps behind it: for
+    the network, one per message record in flight, not one per
+    destination. *)
 
 val run : ?until:Time_ns.t -> t -> unit
 (** Drains the event queue.  With [~until], stops once the next event would

@@ -27,6 +27,7 @@ let l1_bits = l0_bits + slot_bits (* level-1 slot width: 2^22 ns = 4.2 ms *)
 let flag_cancelled = 1
 let flag_fired = 2
 let flag_anon = 4
+let flag_owned = 8
 
 let noop () = ()
 
@@ -233,9 +234,13 @@ let place t ev =
     end
   end
 
-let alloc t ~time ~flags action =
+let draw_seq t =
   let seq = t.seq in
   t.seq <- seq + 1;
+  seq
+
+let alloc t ~time ~flags action =
+  let seq = draw_seq t in
   if t.free != nil then begin
     let ev = t.free in
     t.free <- ev.next;
@@ -259,11 +264,22 @@ let add_anon t ~time action =
   t.live <- t.live + 1;
   place t ev
 
+let own action = { time = max_int; seq = -1; flags = flag_owned; action; next = nil }
+
+let add_owned t ev ~time ~seq =
+  ev.time <- time;
+  ev.seq <- seq;
+  ev.flags <- flag_owned;
+  t.live <- t.live + 1;
+  place t ev
+
 let release t ev =
-  ev.action <- noop;
-  if ev.flags land flag_anon <> 0 then begin
-    ev.next <- t.free;
-    t.free <- ev
+  if ev.flags land flag_owned = 0 then begin
+    ev.action <- noop;
+    if ev.flags land flag_anon <> 0 then begin
+      ev.next <- t.free;
+      t.free <- ev
+    end
   end
 
 (* A tombstone encountered on a move/pop path: drop it for good. *)

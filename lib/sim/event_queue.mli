@@ -49,9 +49,24 @@ val add : t -> time:int -> (unit -> unit) -> event
 val add_anon : t -> time:int -> (unit -> unit) -> unit
 (** Fire-and-forget insert: no handle escapes, so the event record is
     recycled through an internal freelist after it fires ({!release}) —
-    the allocation-free path for the network's per-message events.  The
+    the allocation-free path for fire-and-forget timers.  The
     freelist is uncapped: it grows to the peak number of anonymous events
     in flight, after which inserts allocate nothing. *)
+
+val draw_seq : t -> int
+(** Hand out the seq the next insert would take, and advance the counter:
+    the seq {!add} or {!add_anon} would have drawn at this moment. *)
+
+val own : (unit -> unit) -> event
+(** A record its caller owns, outside any queue, with a fixed action.  It
+    is inserted with {!add_owned}, as often as the owner likes (once at a
+    time), and never recycled: {!release} leaves it and its action alone. *)
+
+val add_owned : t -> event -> time:int -> seq:int -> unit
+(** Insert an owned record under an explicit [(time, seq)].  [seq] must
+    come from {!draw_seq} of this queue, and [(time, seq)] must not lie
+    behind the last popped event: the record then takes exactly the place
+    an event added at the moment [seq] was drawn would hold. *)
 
 val cancel : t -> event -> unit
 (** Lazily cancel.  No-op on already-fired or already-cancelled events. *)
@@ -69,4 +84,5 @@ val pop : t -> event
 
 val release : t -> event -> unit
 (** Drop a popped event's closure (so the GC can reclaim whatever it
-    captured) and recycle the record if it was anonymous. *)
+    captured) and recycle the record if it was anonymous.  An owned record
+    is left as it is. *)

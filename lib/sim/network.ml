@@ -18,41 +18,44 @@ type 'a endpoint = {
   mutable crashed : bool;
 }
 
-(* A message in flight, flattened into one mutable record instead of two
-   nested closures.  The same record (and its single [k] closure) carries the
-   message through both hops — arrival at the receiver NIC, then delivery —
-   and is recycled through an uncapped freelist afterwards.  The freelist
-   grows once to the peak number of messages in flight and then serves
-   every send, so the steady-state send path allocates nothing: the engine
-   events are anonymous ([Engine.post_at], recycled the same way) and the
-   envelope is reused. *)
-type 'a envelope = {
-  mutable dst_ep : 'a endpoint;
-  mutable env_src : int;
-  mutable env_size : int;
+(* A message in flight: one pooled record per send, however many
+   destinations it has.  It holds what every copy shares — payload, source,
+   size, serialization time — and a min-heap of per-destination entries,
+   three ints each: the entry's next firing time, its seq, and
+   [dst lsl 1 lor hop] (hop 0 = on the wire, 1 = in the receiver's NIC).
+   The record owns one engine event ([ev], whose closure is allocated
+   once) and keeps it queued at its least entry, so each hop of each copy
+   is one engine event, fired at the (time, seq) a posted event per copy
+   and hop would hold: every seq is drawn from the engine at the moment
+   such a post would draw it (DESIGN.md §11).  Records are recycled
+   through an uncapped freelist that grows once to the peak number in
+   flight, so a warm send or broadcast allocates nothing. *)
+type 'a msg = {
   mutable payload : 'a;
+  mutable src : int;
+  mutable size : int;
   mutable serialize : Time_ns.span;
-  mutable rx_nic : int;
-  mutable delivering : bool;  (* false = in flight, true = in receiver NIC *)
-  mutable env_next : 'a envelope;  (* intrusive freelist link *)
-  mutable k : unit -> unit;  (* advances this envelope; allocated once *)
+  mutable entries : int array;  (* heap of (time, seq, dst lsl 1 lor hop) *)
+  mutable len : int;  (* entries in the heap *)
+  mutable ev : Engine.owned;
+  mutable next_free : 'a msg;  (* intrusive freelist link *)
 }
 
 type 'a t = {
   engine : Engine.t;
   rng : Rng.t;
-  mutable endpoints : 'a endpoint array;  (* by id; unused ids hold [env_nil.dst_ep] *)
+  mutable endpoints : 'a endpoint array;  (* by id; unused ids hold [no_endpoint] *)
+  no_endpoint : 'a endpoint;
   mutable partition : (int -> int) option;
   mutable drop_prob : float;
   mutable link_latency : (int -> int -> Time_ns.span) option;
   mutable n_sent : int;
   mutable total_bytes : int;
-  env_nil : 'a envelope;  (* freelist sentinel, never a real message *)
-  mutable env_free : 'a envelope;
+  msg_nil : 'a msg;  (* freelist sentinel, never a real message *)
+  mutable msg_free : 'a msg;
   (* One-entry serialization-time memo: protocol traffic is dominated by a
-     handful of repeated sizes (batches, votes), and a broadcast repeats the
-     same size n-1 times back to back, so this removes nearly every
-     float division + boxing from the hot path. *)
+     handful of repeated sizes (batches, votes), so this removes nearly
+     every float division + boxing from the hot path. *)
   mutable tt_bytes : int;
   mutable tt_span : Time_ns.span;
 }
@@ -60,8 +63,8 @@ type 'a t = {
 let noop_handler ~src:_ ~size:_ _ = ()
 let noop () = ()
 
-let make_env_nil () =
-  let dummy =
+let create engine ~rng =
+  let no_endpoint =
     {
       category = Node;
       datacenter = 0;
@@ -71,42 +74,38 @@ let make_env_nil () =
       crashed = true;
     }
   in
-  let rec nil =
+  let rec msg_nil =
     {
-      dst_ep = dummy;
-      env_src = 0;
-      env_size = 0;
       (* The sentinel's payload is never read; an immediate keeps it from
          pinning any real ['a] value. *)
       payload = Obj.magic 0;
+      src = 0;
+      size = 0;
       serialize = 0;
-      rx_nic = 0;
-      delivering = false;
-      env_next = nil;
-      k = noop;
+      entries = [||];
+      len = 0;
+      ev = Engine.own noop;
+      next_free = msg_nil;
     }
   in
-  nil
-
-let create engine ~rng =
-  let env_nil = make_env_nil () in
   {
     engine;
     rng;
     endpoints = [||];
+    no_endpoint;
     partition = None;
     drop_prob = 0.0;
     link_latency = None;
     n_sent = 0;
     total_bytes = 0;
-    env_nil;
-    env_free = env_nil;
+    msg_nil;
+    msg_free = msg_nil;
     tt_bytes = -1;
     tt_span = 0;
   }
 
 let registered t id =
-  id >= 0 && id < Array.length t.endpoints && t.endpoints.(id) != t.env_nil.dst_ep
+  id >= 0 && id < Array.length t.endpoints && t.endpoints.(id) != t.no_endpoint
 
 let add_endpoint t ~id ~category ~datacenter ~handler =
   if id < 0 || registered t id then invalid_arg "Network.add_endpoint: bad or duplicate id";
@@ -114,7 +113,7 @@ let add_endpoint t ~id ~category ~datacenter ~handler =
   if id >= len then
     t.endpoints <-
       Array.init (max (id + 1) (2 * len)) (fun i ->
-          if i < len then t.endpoints.(i) else t.env_nil.dst_ep);
+          if i < len then t.endpoints.(i) else t.no_endpoint);
   t.endpoints.(id) <-
     {
       category;
@@ -151,101 +150,179 @@ let partitioned t src dst =
   | None -> false
   | Some group -> group src <> group dst
 
-let release_env t env =
-  (* Drop the payload so a parked envelope doesn't pin a delivered
-     message's data until its next reuse. *)
-  env.payload <- Obj.magic 0;
-  env.env_next <- t.env_free;
-  t.env_free <- env
+(* ------------------------------------------------------------------ *)
+(* The entry heap: strict (time, seq) order, the engine's own. *)
 
-(* Both hops of a message, driven by the envelope's own [k] closure.
-   Hop 1 (arrival): receiver-side NIC serialization — re-check crash state,
-   the receiver may have crashed while the message was in flight.
-   Hop 2 (delivery): hand to the handler, re-checking crash state again. *)
-let advance_env t env =
-  let de = env.dst_ep in
-  if env.delivering then begin
-    if not de.crashed then de.handler ~src:env.env_src ~size:env.env_size env.payload;
-    release_env t env
+let less e i j =
+  let ti = e.(3 * i) and tj = e.(3 * j) in
+  ti < tj || (ti = tj && e.(3 * i + 1) < e.(3 * j + 1))
+
+(* Move entry [i] down to its place, shifting the smaller children up. *)
+let sift_down e len i =
+  let time = e.(3 * i) and seq = e.(3 * i + 1) and tag = e.(3 * i + 2) in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= len then continue := false
+    else begin
+      let r = l + 1 in
+      let c = if r < len && less e r l then r else l in
+      let tc = e.(3 * c) in
+      if tc < time || (tc = time && e.(3 * c + 1) < seq) then begin
+        e.(3 * !i) <- tc;
+        e.(3 * !i + 1) <- e.(3 * c + 1);
+        e.(3 * !i + 2) <- e.(3 * c + 2);
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  e.(3 * !i) <- time;
+  e.(3 * !i + 1) <- seq;
+  e.(3 * !i + 2) <- tag
+
+(* Queue the record at its least entry, or retire it when none is left. *)
+let requeue t m =
+  if m.len = 0 then begin
+    (* Drop the payload so a parked record doesn't pin a delivered
+       message's data until its next reuse. *)
+    m.payload <- Obj.magic 0;
+    m.next_free <- t.msg_free;
+    t.msg_free <- m
   end
-  else if de.crashed then release_env t env
+  else Engine.place t.engine m.ev ~at:m.entries.(0) ~seq:m.entries.(1)
+
+(* Drop the least entry: its destination is done with the message. *)
+let retire_head t m =
+  let e = m.entries and last = m.len - 1 in
+  m.len <- last;
+  if last > 0 then begin
+    e.(0) <- e.(3 * last);
+    e.(1) <- e.(3 * last + 1);
+    e.(2) <- e.(3 * last + 2);
+    sift_down e last 0
+  end;
+  requeue t m
+
+(* One hop of the least entry.  Arrival: receiver-side NIC serialization,
+   after re-checking crash state (the receiver may have crashed while the
+   message was in flight); the delivery seq is drawn now, as a post would.
+   Delivery: hand to the handler, re-checking crash state again. *)
+let fire t m =
+  let e = m.entries in
+  let tag = e.(2) in
+  let de = t.endpoints.(tag lsr 1) in
+  if tag land 1 = 1 then begin
+    let src = m.src and size = m.size and payload = m.payload in
+    (* Requeued (or recycled) first: the handler's own sends may reuse it. *)
+    retire_head t m;
+    if not de.crashed then de.handler ~src ~size payload
+  end
+  else if de.crashed then retire_head t m
   else begin
+    let nic = nic_index de ~peer_category:t.endpoints.(m.src).category in
     let now = Engine.now t.engine in
-    let deliver =
-      Time_ns.add (Time_ns.max now de.rx_free.(env.rx_nic)) env.serialize
-    in
-    de.rx_free.(env.rx_nic) <- deliver;
-    env.delivering <- true;
-    Engine.post_at t.engine ~at:deliver env.k
+    let deliver = Time_ns.add (Time_ns.max now de.rx_free.(nic)) m.serialize in
+    de.rx_free.(nic) <- deliver;
+    e.(0) <- deliver;
+    e.(1) <- Engine.draw_seq t.engine;
+    e.(2) <- tag lor 1;
+    sift_down e m.len 0;
+    requeue t m
   end
 
-let alloc_env t ~dst_ep ~src ~size ~payload ~serialize ~rx_nic =
-  let env = t.env_free in
-  if env != t.env_nil then begin
-    t.env_free <- env.env_next;
-    env.env_next <- t.env_nil;
-    env.dst_ep <- dst_ep;
-    env.env_src <- src;
-    env.env_size <- size;
-    env.payload <- payload;
-    env.serialize <- serialize;
-    env.rx_nic <- rx_nic;
-    env.delivering <- false;
-    env
+let alloc t ~src ~size ~fanout payload =
+  let m =
+    if t.msg_free != t.msg_nil then begin
+      let m = t.msg_free in
+      t.msg_free <- m.next_free;
+      m.next_free <- t.msg_nil;
+      m
+    end
+    else begin
+      let m =
+        {
+          payload;
+          src;
+          size;
+          serialize = 0;
+          entries = [||];
+          len = 0;
+          ev = t.msg_nil.ev;
+          next_free = t.msg_nil;
+        }
+      in
+      m.ev <- Engine.own (fun () -> fire t m);
+      m
+    end
+  in
+  m.payload <- payload;
+  m.src <- src;
+  m.size <- size;
+  m.serialize <- transmission_time t (size + per_message_overhead);
+  if Array.length m.entries < 3 * fanout then m.entries <- Array.make (3 * fanout) 0;
+  m
+
+(* Put one copy of [m] on the wire towards [dst]: the per-destination half
+   of a send.  Only a crashed *sender* suppresses a send entirely (a dead
+   process emits nothing; the caller checks).  The sender cannot know that
+   the destination is crashed or partitioned away: it still serializes the
+   copy through its NIC and the copy still counts; only the delivery is
+   suppressed. *)
+let transmit t m se de ~dst =
+  let wire_bytes = m.size + per_message_overhead in
+  t.n_sent <- t.n_sent + 1;
+  t.total_bytes <- t.total_bytes + wire_bytes;
+  (* Lost in transit: severed path or random drop.  (A crashed receiver is
+     handled at arrival time instead — the message may still find the
+     endpoint up again if it recovers while the message is in flight.) *)
+  let lost =
+    partitioned t m.src dst || (t.drop_prob > 0.0 && Rng.float t.rng 1.0 < t.drop_prob)
+  in
+  (* Even a lost message consumes sender bandwidth. *)
+  let now = Engine.now t.engine in
+  let tx_nic = nic_index se ~peer_category:de.category in
+  let depart = Time_ns.add (Time_ns.max now se.tx_free.(tx_nic)) m.serialize in
+  se.tx_free.(tx_nic) <- depart;
+  if not lost then begin
+    let prop = Topology.latency se.datacenter de.datacenter in
+    let jit = Rng.int t.rng jitter in
+    let spike = match t.link_latency with Some f -> f m.src dst | None -> 0 in
+    let i = 3 * m.len in
+    m.entries.(i) <- Time_ns.add depart (prop + jit + spike);
+    m.entries.(i + 1) <- Engine.draw_seq t.engine;
+    m.entries.(i + 2) <- dst lsl 1;
+    m.len <- m.len + 1
   end
-  else begin
-    let env =
-      {
-        dst_ep;
-        env_src = src;
-        env_size = size;
-        payload;
-        serialize;
-        rx_nic;
-        delivering = false;
-        env_next = t.env_nil;
-        k = noop;
-      }
-    in
-    env.k <- (fun () -> advance_env t env);
-    env
-  end
+
+(* Entries were appended in dst order; make them a heap and queue. *)
+let dispatch t m =
+  for i = (m.len / 2) - 1 downto 0 do
+    sift_down m.entries m.len i
+  done;
+  requeue t m
 
 let send t ~src ~dst ~size payload =
   let se = endpoint t src in
-  (* Only a crashed *sender* suppresses the send entirely (a dead process
-     emits nothing).  The sender cannot know that the destination is crashed
-     or partitioned away: it still serializes the message through its NIC
-     and the send still counts; only the delivery is suppressed. *)
   if not se.crashed then begin
     let de = endpoint t dst in
-    let wire_bytes = size + per_message_overhead in
-    let serialize = transmission_time t wire_bytes in
-    t.n_sent <- t.n_sent + 1;
-    t.total_bytes <- t.total_bytes + wire_bytes;
-    (* Lost in transit: severed path or random drop.  (A crashed receiver is
-       handled at arrival time instead — the message may still find the
-       endpoint up again if it recovers while the message is in flight.) *)
-    let lost =
-      partitioned t src dst
-      || (t.drop_prob > 0.0 && Rng.float t.rng 1.0 < t.drop_prob)
-    in
-    (* Even a lost message consumes sender bandwidth. *)
-    let now = Engine.now t.engine in
-    let tx_nic = nic_index se ~peer_category:de.category in
-    let depart = Time_ns.add (Time_ns.max now se.tx_free.(tx_nic)) serialize in
-    se.tx_free.(tx_nic) <- depart;
-    if not lost then begin
-      let prop = Topology.latency se.datacenter de.datacenter in
-      let jit = Rng.int t.rng jitter in
-      let spike = match t.link_latency with Some f -> f src dst | None -> 0 in
-      let arrive = Time_ns.add depart (prop + jit + spike) in
-      let env =
-        alloc_env t ~dst_ep:de ~src ~size ~payload ~serialize
-          ~rx_nic:(nic_index de ~peer_category:se.category)
-      in
-      Engine.post_at t.engine ~at:arrive env.k
-    end
+    let m = alloc t ~src ~size ~fanout:1 payload in
+    transmit t m se de ~dst;
+    dispatch t m
+  end
+
+let broadcast t ~src ~size payload =
+  let se = endpoint t src in
+  if not se.crashed then begin
+    let eps = t.endpoints in
+    let m = alloc t ~src ~size ~fanout:(Array.length eps) payload in
+    for dst = 0 to Array.length eps - 1 do
+      let de = eps.(dst) in
+      match de.category with
+      | Node when dst <> src && de != t.no_endpoint -> transmit t m se de ~dst
+      | Node | Client -> ()
+    done;
+    dispatch t m
   end
 
 let charge t ~endpoint:id ~dir ~peer ~bytes =

@@ -57,9 +57,16 @@ val send : 'a t -> src:int -> dst:int -> size:int -> 'a -> unit
     {!bytes_sent} regardless of the destination's fate: messages to a
     partitioned-away peer are lost in transit, and messages to a crashed
     peer are discarded on arrival (unless the peer recovered while the
-    message was in flight).  There is no network-level multicast: a
-    broadcast is one [send] per destination, each consuming sender
-    bandwidth, exactly the single-leader cost. *)
+    message was in flight). *)
+
+val broadcast : 'a t -> src:int -> size:int -> 'a -> unit
+(** [broadcast t ~src ~size payload] sends [payload] to every [Node]
+    endpoint but [src], in id order.  Each destination is charged exactly
+    as by its own {!send}: sender bandwidth is paid once per destination —
+    the single-leader cost — and the drop and jitter draws are made per
+    destination in id order, so a broadcast is bit-identical to that loop
+    of sends.  What it saves is host memory: the message travels as one
+    pooled record shared by all its destinations, not one per copy. *)
 
 val crash : 'a t -> int -> unit
 (** Crash semantics: the endpoint stops sending (its [send]s are suppressed

@@ -56,6 +56,11 @@ let mock_ctx w ~config me : Core.Orderer_intf.ctx =
     config;
     clock = Core.Orderer_intf.Clock.of_engine w.engine;
     send;
+    broadcast =
+      (fun msg ->
+        for dst = 0 to w.n - 1 do
+          send ~dst msg
+        done);
     announce = (fun ~sn proposal -> w.announced := (me, (sn, proposal)) :: !(w.announced));
     request_batch =
       (fun ~sn callback ->

@@ -330,6 +330,42 @@ let test_engine_post_recycles () =
   check_int "all anonymous events fired" 10_000 !count;
   check_int "queue empty" 0 (Sim.Engine.pending e)
 
+(* An owned record placed again under a seq drawn earlier takes the place a
+   post made at the draw would hold: ahead of anonymous posts at the same
+   instant drawn after it, behind those drawn before, whenever it is
+   placed — also from inside its own action. *)
+let test_engine_owned_keeps_seq_order () =
+  let e = Sim.Engine.create () in
+  let order = ref [] in
+  let note x () = order := x :: !order in
+  let at = Sim.Time_ns.ms 1 and later = Sim.Time_ns.ms 2 in
+  let early = Sim.Engine.draw_seq e in
+  Sim.Engine.post_at e ~at (note "a1");
+  let mid = Sim.Engine.draw_seq e in
+  Sim.Engine.post_at e ~at (note "a2");
+  Sim.Engine.post_at e ~at:later (note "b1");
+  let fires = ref 0 in
+  let owned = ref None in
+  let own =
+    Sim.Engine.own (fun () ->
+        incr fires;
+        note (Printf.sprintf "owned%d" !fires) ();
+        (* Again, at a later instant, under the seq drawn between a1 and
+           a2: ahead of b1, which was posted after that draw. *)
+        if !fires = 1 then Option.iter (fun o -> Sim.Engine.place e o ~at:later ~seq:mid) !owned)
+  in
+  owned := Some own;
+  Sim.Engine.post_at e ~at (note "a3");
+  Sim.Engine.place e own ~at ~seq:early;
+  check_int "one queued record per placement" 5 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  Alcotest.(check (list string))
+    "strict (time, seq) order"
+    [ "owned1"; "a1"; "a2"; "a3"; "owned2"; "b1" ]
+    (List.rev !order);
+  check_int "one event per firing" 6 (Sim.Engine.events_executed e);
+  check_int "drained" 0 (Sim.Engine.pending e)
+
 (* Random interleavings of schedule / cancel / run-until, checked against a
    sorted-list model of the queue and clock. *)
 let prop_engine_matches_model =
@@ -562,6 +598,325 @@ let test_network_warm_send_allocates_nothing () =
   check_int "both waves delivered" 20_000 !got;
   check_no_alloc "warm Network.send" words
 
+(* A warm broadcast allocates nothing either: one record per broadcast,
+   from a freelist that grew to the first wave's peak. *)
+let test_network_warm_broadcast_allocates_nothing () =
+  let e = Sim.Engine.create () in
+  let net = Sim.Network.create e ~rng:(Sim.Rng.create ~seed:1L) in
+  let n = 64 in
+  let got = ref 0 in
+  for id = 0 to n - 1 do
+    Sim.Network.add_endpoint net ~id ~category:Sim.Network.Node ~datacenter:(id mod 16)
+      ~handler:(fun ~src:_ ~size:_ () -> incr got)
+  done;
+  let wave () =
+    for i = 1 to 1_000 do
+      Sim.Network.broadcast net ~src:(i mod n) ~size:100 ()
+    done;
+    Sim.Engine.run e
+  in
+  wave ();
+  let before = Gc.minor_words () in
+  wave ();
+  let words = Gc.minor_words () -. before in
+  check_int "both waves delivered" (2 * 1_000 * (n - 1)) !got;
+  if words <> 0. then Alcotest.failf "1,000 warm broadcasts allocate %.0f words" words
+
+(* A receiver with deliveries queued at its receive NIC crashes, then
+   recovers before they fire.  The queued deliveries keep their times (the
+   crash check runs when each fires, and the receiver is up again then);
+   the recovery resets the NIC's horizon, so a message arriving after it
+   is delivered first. *)
+let test_network_recover_with_queued_deliveries () =
+  let run ~crash =
+    let e = Sim.Engine.create () in
+    let net = Sim.Network.create e ~rng:(Sim.Rng.create ~seed:3L) in
+    let got = ref [] in
+    for id = 0 to 4 do
+      Sim.Network.add_endpoint net ~id ~category:Sim.Network.Node ~datacenter:0
+        ~handler:(fun ~src ~size:_ () -> if id = 1 then got := (src, Sim.Engine.now e) :: !got)
+    done;
+    (* Three 10 ms messages reach node 1 by 12.25 ms and queue at its
+       receive NIC: deliveries ~10 ms apart from ~20 ms on. *)
+    List.iter (fun src -> Sim.Network.send net ~src ~dst:1 ~size:1_250_000 ()) [ 0; 2; 3 ];
+    if crash then begin
+      Sim.Engine.post_at e ~at:(Sim.Time_ns.ms 13) (fun () -> Sim.Network.crash net 1);
+      Sim.Engine.post_at e ~at:(Sim.Time_ns.ms 14) (fun () ->
+          Sim.Network.recover net 1;
+          Sim.Network.send net ~src:4 ~dst:1 ~size:100 ())
+    end;
+    Sim.Engine.run e;
+    List.rev !got
+  in
+  let plain = run ~crash:false and crashed = run ~crash:true in
+  check_int "three deliveries without the crash" 3 (List.length plain);
+  (match crashed with
+  | (4, first) :: rest ->
+      check_bool "the post-recovery message overtakes" true (first < Sim.Time_ns.ms 17);
+      check_bool "queued deliveries keep their times" true (rest = plain)
+  | _ -> Alcotest.fail "expected the post-recovery message first")
+
+(* A copy's delivery seq is drawn when it arrives, as a post made then
+   would draw it, not at send time: an event posted after the send for the
+   very instant of the delivery fires first. *)
+let test_network_delivery_seq_drawn_at_arrival () =
+  let run ~probe_at =
+    let e = Sim.Engine.create () in
+    let net = Sim.Network.create e ~rng:(Sim.Rng.create ~seed:5L) in
+    let order = ref [] in
+    Sim.Network.add_endpoint net ~id:0 ~category:Sim.Network.Node ~datacenter:0
+      ~handler:(fun ~src:_ ~size:_ () -> ());
+    Sim.Network.add_endpoint net ~id:1 ~category:Sim.Network.Node ~datacenter:6
+      ~handler:(fun ~src:_ ~size:_ () -> order := ("delivery", Sim.Engine.now e) :: !order);
+    Sim.Network.broadcast net ~src:0 ~size:500 ();
+    Option.iter
+      (fun at -> Sim.Engine.post_at e ~at (fun () -> order := ("probe", at) :: !order))
+      probe_at;
+    Sim.Engine.run e;
+    List.rev !order
+  in
+  match run ~probe_at:None with
+  | [ ("delivery", at) ] ->
+      Alcotest.(check (list (pair string int)))
+        "the probe ties with the delivery and fires first"
+        [ ("probe", at); ("delivery", at) ]
+        (run ~probe_at:(Some at))
+  | _ -> Alcotest.fail "expected one delivery"
+
+(* The per-destination network the pooled record replaced, kept as the
+   reference for [Sim.Network]: one copy per destination, two anonymous
+   engine events per delivered copy (arrival at the receive NIC, then
+   delivery at max(arrival, rx_free) + serialize), loss and jitter drawn
+   per copy in destination order from its own generator. *)
+module Ref_net = struct
+  type ep = {
+    category : Sim.Network.category;
+    dc : int;
+    tx_free : int array;
+    rx_free : int array;
+    mutable crashed : bool;
+    mutable handler : src:int -> size:int -> int -> unit;
+  }
+
+  type t = {
+    engine : Sim.Engine.t;
+    rng : Sim.Rng.t;
+    eps : ep array;
+    mutable partition : (int -> int) option;
+    mutable drop : float;
+    mutable spike : (int -> int -> int) option;
+    mutable sent : int;
+    mutable bytes : int;
+  }
+
+  let create engine ~rng cats =
+    {
+      engine;
+      rng;
+      eps =
+        Array.mapi
+          (fun id category ->
+            {
+              category;
+              dc = id mod 16;
+              tx_free = [| 0; 0 |];
+              rx_free = [| 0; 0 |];
+              crashed = false;
+              handler = (fun ~src:_ ~size:_ _ -> ());
+            })
+          cats;
+      partition = None;
+      drop = 0.0;
+      spike = None;
+      sent = 0;
+      bytes = 0;
+    }
+
+  let nic ep ~peer =
+    match (ep.category, peer) with
+    | Sim.Network.Node, Sim.Network.Node -> 0
+    | Sim.Network.Node, Sim.Network.Client -> 1
+    | Sim.Network.Client, _ -> 0
+
+  let send t ~src ~dst ~size payload =
+    let se = t.eps.(src) and de = t.eps.(dst) in
+    if not se.crashed then begin
+      let wire = size + Sim.Network.per_message_overhead in
+      let serialize = Sim.Time_ns.of_sec_f (float_of_int (wire * 8) /. 1e9) in
+      t.sent <- t.sent + 1;
+      t.bytes <- t.bytes + wire;
+      let lost =
+        (match t.partition with Some g -> g src <> g dst | None -> false)
+        || (t.drop > 0.0 && Sim.Rng.float t.rng 1.0 < t.drop)
+      in
+      let now = Sim.Engine.now t.engine in
+      let tx = nic se ~peer:de.category in
+      let depart = max now se.tx_free.(tx) + serialize in
+      se.tx_free.(tx) <- depart;
+      if not lost then begin
+        let jit = Sim.Rng.int t.rng (Sim.Time_ns.ms 2) in
+        let spike = match t.spike with Some f -> f src dst | None -> 0 in
+        let arrive = depart + Sim.Topology.latency se.dc de.dc + jit + spike in
+        Sim.Engine.post_at t.engine ~at:arrive (fun () ->
+            if not de.crashed then begin
+              let rx = nic de ~peer:se.category in
+              let deliver = max (Sim.Engine.now t.engine) de.rx_free.(rx) + serialize in
+              de.rx_free.(rx) <- deliver;
+              Sim.Engine.post_at t.engine ~at:deliver (fun () ->
+                  if not de.crashed then de.handler ~src ~size payload)
+            end)
+      end
+    end
+
+  let broadcast t ~src ~size payload =
+    Array.iteri
+      (fun dst ep ->
+        if dst <> src && ep.category = Sim.Network.Node then send t ~src ~dst ~size payload)
+      t.eps
+
+  let recover t id =
+    let ep = t.eps.(id) in
+    if ep.crashed then begin
+      ep.crashed <- false;
+      let now = Sim.Engine.now t.engine in
+      Array.fill ep.tx_free 0 2 now;
+      Array.fill ep.rx_free 0 2 now
+    end
+end
+
+(* One network under test: the pooled [Sim.Network] or the reference. *)
+type net_ops = {
+  send : src:int -> dst:int -> size:int -> int -> unit;
+  broadcast : src:int -> size:int -> int -> unit;
+  crash : int -> unit;
+  recover : int -> unit;
+  partition : (int -> int) option -> unit;
+  drop : float -> unit;
+  spike : (int -> int -> int) option -> unit;
+}
+
+type net_action =
+  | Unicast of int * int * int  (* src, dst, size *)
+  | Bcast of int * int  (* src, size *)
+  | Crash of int
+  | Recover of int
+  | Partition of int  (* group = id mod k; 1 heals *)
+  | Drop of int  (* percent *)
+  | Spike of bool
+
+let n_net = 7
+
+(* Endpoints 0-4 are nodes, 5-6 clients: both NICs of a node are used. *)
+let net_categories =
+  Array.init n_net (fun id -> if id < 5 then Sim.Network.Node else Sim.Network.Client)
+
+let print_net_action (at, a) =
+  Printf.sprintf "%dms:%s" at
+    (match a with
+    | Unicast (s, d, z) -> Printf.sprintf "send %d->%d %dB" s d z
+    | Bcast (s, z) -> Printf.sprintf "bcast %d %dB" s z
+    | Crash i -> Printf.sprintf "crash %d" i
+    | Recover i -> Printf.sprintf "recover %d" i
+    | Partition k -> Printf.sprintf "partition mod %d" k
+    | Drop p -> Printf.sprintf "drop %d%%" p
+    | Spike b -> Printf.sprintf "spike %b" b)
+
+(* Run one schedule on one network; the trace is every delivery in order,
+   with its time, source, destination and payload.  A handler forwards
+   some deliveries (unicast or broadcast) while the payload's hop budget
+   lasts, so sends also start from inside deliveries. *)
+let run_net_schedule ~make schedule =
+  let e = Sim.Engine.create () in
+  let rng = Sim.Rng.create ~seed:17L in
+  let trace = ref [] in
+  let ops_ref = ref None in
+  let handler dst ~src ~size payload =
+    trace := (Sim.Engine.now e, src, dst, payload) :: !trace;
+    let hops = payload land 3 in
+    match !ops_ref with
+    | Some ops when hops > 0 && (payload + dst) mod 3 = 0 ->
+        let next = ((payload lsr 2) * 4) + 4 + (hops - 1) in
+        if (payload + src) mod 2 = 0 then ops.broadcast ~src:dst ~size next
+        else ops.send ~src:dst ~dst:((dst + src + 1) mod n_net) ~size:(size + 7) next
+    | Some _ | None -> ()
+  in
+  let ops, counters = make e rng handler in
+  ops_ref := Some ops;
+  List.iteri
+    (fun i (at, action) ->
+      let payload = (i * 4) + 2 in
+      Sim.Engine.post_at e ~at:(Sim.Time_ns.ms at) (fun () ->
+          match action with
+          | Unicast (src, dst, size) -> ops.send ~src ~dst ~size payload
+          | Bcast (src, size) -> ops.broadcast ~src ~size payload
+          | Crash id -> ops.crash id
+          | Recover id -> ops.recover id
+          | Partition 1 -> ops.partition None
+          | Partition k -> ops.partition (Some (fun id -> id mod k))
+          | Drop p -> ops.drop (float_of_int p /. 100.)
+          | Spike on ->
+              ops.spike
+                (if on then Some (fun s d -> if (s + d) mod 3 = 0 then Sim.Time_ns.ms 40 else 0)
+                 else None)))
+    schedule;
+  Sim.Engine.run e;
+  let sent, bytes = counters () in
+  (List.rev !trace, sent, bytes, Sim.Engine.events_executed e)
+
+let pooled_net e rng handler =
+  let net = Sim.Network.create e ~rng in
+  Array.iteri
+    (fun id category ->
+      Sim.Network.add_endpoint net ~id ~category ~datacenter:(id mod 16) ~handler:(handler id))
+    net_categories;
+  ( {
+      send = (fun ~src ~dst ~size p -> Sim.Network.send net ~src ~dst ~size p);
+      broadcast = (fun ~src ~size p -> Sim.Network.broadcast net ~src ~size p);
+      crash = Sim.Network.crash net;
+      recover = Sim.Network.recover net;
+      partition = Sim.Network.set_partition net;
+      drop = Sim.Network.set_drop_probability net;
+      spike = Sim.Network.set_link_latency net;
+    },
+    fun () -> (Sim.Network.messages_sent net, Sim.Network.bytes_sent net) )
+
+let reference_net e rng handler =
+  let net = Ref_net.create e ~rng net_categories in
+  Array.iteri (fun id ep -> ep.Ref_net.handler <- handler id) net.Ref_net.eps;
+  ( {
+      send = (fun ~src ~dst ~size p -> Ref_net.send net ~src ~dst ~size p);
+      broadcast = (fun ~src ~size p -> Ref_net.broadcast net ~src ~size p);
+      crash = (fun id -> net.Ref_net.eps.(id).Ref_net.crashed <- true);
+      recover = Ref_net.recover net;
+      partition = (fun p -> net.Ref_net.partition <- p);
+      drop = (fun p -> net.Ref_net.drop <- p);
+      spike = (fun f -> net.Ref_net.spike <- f);
+    },
+    fun () -> (net.Ref_net.sent, net.Ref_net.bytes) )
+
+let prop_network_matches_reference =
+  let open QCheck.Gen in
+  let id = int_range 0 (n_net - 1) in
+  let size = oneof [ int_range 1 2_000; int_range 100_000 1_500_000 ] in
+  let action =
+    frequency
+      [
+        (5, map3 (fun s d z -> Unicast (s, d, z)) id id size);
+        (4, map2 (fun s z -> Bcast (s, z)) id size);
+        (2, map (fun i -> Crash i) id);
+        (2, map (fun i -> Recover i) id);
+        (1, map (fun k -> Partition k) (int_range 1 3));
+        (1, map (fun p -> Drop p) (oneofl [ 0; 0; 10; 40 ]));
+        (1, map (fun b -> Spike b) bool);
+      ]
+  in
+  QCheck.Test.make ~name:"pooled records match the per-destination reference" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list print_net_action)
+       (list_size (int_range 1 40) (pair (int_range 0 150) action)))
+    (fun schedule ->
+      run_net_schedule ~make:pooled_net schedule = run_net_schedule ~make:reference_net schedule)
+
 let test_network_charge () =
   let e, net = make_net () in
   Sim.Network.add_endpoint net ~id:0 ~category:Sim.Network.Node ~datacenter:0
@@ -615,6 +970,8 @@ let () =
           Alcotest.test_case "post recycles records" `Quick test_engine_post_recycles;
           Alcotest.test_case "warm post allocates nothing" `Quick
             test_engine_warm_post_allocates_nothing;
+          Alcotest.test_case "owned record keeps (time, seq) order" `Quick
+            test_engine_owned_keeps_seq_order;
           qc prop_engine_matches_model;
         ] );
       ( "metrics",
@@ -637,5 +994,12 @@ let () =
           Alcotest.test_case "charge" `Quick test_network_charge;
           Alcotest.test_case "warm send allocates nothing" `Quick
             test_network_warm_send_allocates_nothing;
+          Alcotest.test_case "warm broadcast allocates nothing" `Quick
+            test_network_warm_broadcast_allocates_nothing;
+          Alcotest.test_case "recover with queued deliveries" `Quick
+            test_network_recover_with_queued_deliveries;
+          Alcotest.test_case "delivery seq drawn at arrival" `Quick
+            test_network_delivery_seq_drawn_at_arrival;
+          qc prop_network_matches_reference;
         ] );
     ]
